@@ -62,7 +62,6 @@ from .transport import (  # noqa: F401
     TransportResult,
     loop_holonomy_hom,
     spanning_tree_extend,
-    transport_form,
     transport_hom,
     transport_vector,
 )

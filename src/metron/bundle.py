@@ -171,19 +171,39 @@ class Connection:
             _validate_entries(g, self.domain, "connection coefficient")
 
     @cached_property
-    def _coeff_fns(self):
-        return tuple(sm.compile_matrix(g) for g in self.gamma)
+    def _entries(self) -> tuple:
+        return tuple(e for g in self.gamma for row in g for e in row)
+
+    @cached_property
+    def _coeff_fns(self) -> tuple:
+        return tuple(ex.compile_vectorized(e) for e in self._entries)
+
+    def coeff_array(self, x) -> np.ndarray:
+        """Evaluate all coefficients at points x of shape (..., m); the
+        result has shape (..., m, r, r).
+
+        Raises DomainError naming the subtree and the point at the first
+        point (in C order) where some coefficient is not finite.
+        """
+        x = np.asarray(x, dtype=float)
+        out = np.empty(x.shape[:-1] + (len(self._entries),))
+        with np.errstate(all="ignore"):
+            for k, fn in enumerate(self._coeff_fns):
+                out[..., k] = fn(x)
+        bad = ~np.isfinite(out)
+        if bad.any():
+            *where, k = np.unravel_index(int(np.argmax(bad)), bad.shape)
+            point = [float(v) for v in x[tuple(where)]]
+            ex.evaluate(self._entries[k], point)
+            raise ex.DomainError("non-finite value", self._entries[k], point)
+        return out.reshape(x.shape[:-1] + (self.domain.m, self.r, self.r))
 
     def coeff_at(self, x) -> np.ndarray:
         """Evaluate all coefficients at a point, shape (m, r, r)."""
-        out = np.empty((self.domain.m, self.r, self.r))
-        for i, fn in enumerate(self._coeff_fns):
-            out[i] = fn(x)
-        return out
+        return self.coeff_array(x)
 
     def max_abs_on_grid(self) -> float:
-        pts = self.domain.sample_points()
-        return max(float(np.abs(self.coeff_at(p)).max()) for p in pts)
+        return float(np.abs(self.coeff_array(self.domain.sample_points())).max())
 
 
 def zero_connection(domain: ChartDomain, r: int) -> Connection:

@@ -2,8 +2,9 @@
 
 Immutable expression trees with exact symbolic partial derivatives, a
 recursive-descent parser for the small coefficient grammar, and a code
-generator that turns trees into plain Python callables for the numeric
-hot paths (transport integration, grid residuals).
+generator that turns trees into straight-line Python callables: a
+scalar one for single points and a numpy-vectorised one that evaluates
+many points per call (transport integration, grid residuals).
 
 Grammar (EBNF):
 
@@ -29,6 +30,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "ScalarExpression",
@@ -56,6 +59,7 @@ __all__ = [
     "differentiate",
     "to_string",
     "compile_expr",
+    "compile_vectorized",
     "variables",
     "ZERO",
     "ONE",
@@ -649,7 +653,7 @@ def to_string(e: ScalarExpression) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Compilation to plain Python callables
+# Compilation to straight-line Python callables
 # ---------------------------------------------------------------------------
 
 _COMPILE_CACHE: dict[int, object] = {}
@@ -661,9 +665,32 @@ def _real_pow(a: float, b: float) -> float:
     return a ** b
 
 
-def _topo_order(e: ScalarExpression):
+# Function tables of the two code paths. The scalar path keeps Python's
+# real-arithmetic exceptions; the vectorised path computes with numpy,
+# where a domain failure yields inf or nan instead of raising.
+_SCALAR_TABLE = {
+    "_exp": math.exp,
+    "_log": math.log,
+    "_sin": math.sin,
+    "_cos": math.cos,
+    "_sqrt": math.sqrt,
+    "_isfinite": math.isfinite,
+    "_pow": _real_pow,
+}
+_VECTOR_TABLE = {
+    "_exp": np.exp,
+    "_log": np.log,
+    "_sin": np.sin,
+    "_cos": np.cos,
+    "_sqrt": np.sqrt,
+    "_pow": np.power,
+    "_num": np.float64,
+}
+
+
+def _topo_order(roots):
     order, seen = [], set()
-    stack = [(e, False)]
+    stack = [(e, False) for e in reversed(roots)]
     while stack:
         node, done = stack.pop()
         if done:
@@ -681,28 +708,28 @@ def _topo_order(e: ScalarExpression):
     return order
 
 
-def compile_expr(e: ScalarExpression):
-    """Compile to a callable f(point) -> float.
+def _straight_line(roots, vectorised: bool):
+    """One assignment per node, in dependency order: (nodes, lines, names).
 
-    The compiled function raises the usual arithmetic exceptions
-    (ZeroDivisionError, ValueError, OverflowError) on domain failures;
-    use evaluate() when precise subtree reporting matters. Results are
-    cached per node, so repeated compilation is free.
+    The vectorised variant reads coordinate i as the array x[..., i] and
+    wraps constants as numpy scalars, so that 1/0 gives inf rather than
+    raising.
     """
-    cached = _COMPILE_CACHE.get(id(e))
-    if cached is not None:
-        return cached
-    order = _topo_order(e)
+    order = _topo_order(roots)
     names = {id(node): f"t{k}" for k, node in enumerate(order)}
     lines = []
     for node in order:
         name = names[id(node)]
         if isinstance(node, Const):
-            lines.append(f"    {name} = {node.value!r}")
+            value = f"_num({node.value!r})" if vectorised else repr(node.value)
+            lines.append(f"    {name} = {value}")
         elif isinstance(node, Var):
-            # plain floats keep real-arithmetic error semantics (numpy
-            # scalars would turn 1/0 into inf) and are faster besides
-            lines.append(f"    {name} = float(x[{node.index - 1}])")
+            # the scalar path reads plain floats: they keep real-arithmetic
+            # error semantics (numpy scalars would turn 1/0 into inf) and
+            # are faster besides
+            i = node.index - 1
+            read = f"x[..., {i}]" if vectorised else f"float(x[{i}])"
+            lines.append(f"    {name} = {read}")
         elif isinstance(node, Unary):
             a = names[id(node.arg)]
             if node.op == "neg":
@@ -718,31 +745,71 @@ def compile_expr(e: ScalarExpression):
         else:
             a, b = names[id(node.left)], names[id(node.right)]
             lines.append(f"    {name} = {a} {node.op} {b}")
+    return order, lines, names
+
+
+def _build(src: str, table: dict):
+    namespace = dict(table)
+    exec(src, namespace)  # noqa: S102 - source is generated from the AST only
+    return namespace["_compiled"]
+
+
+def compile_expr(e: ScalarExpression):
+    """Compile to a callable f(point) -> float.
+
+    The compiled function raises the usual arithmetic exceptions
+    (ZeroDivisionError, ValueError, OverflowError) on domain failures;
+    use evaluate() when precise subtree reporting matters. Results are
+    cached per node, so repeated compilation is free.
+    """
+    cached = _COMPILE_CACHE.get(id(e))
+    if cached is not None:
+        return cached
+    _, lines, names = _straight_line((e,), vectorised=False)
     result = names[id(e)]
     src = "def _compiled(x):\n" + "\n".join(lines) + (
         f"\n    if not _isfinite({result}):"
         "\n        raise ValueError('non-finite value')"
         f"\n    return {result}\n"
     )
-    namespace = {
-        "_exp": math.exp,
-        "_log": math.log,
-        "_sin": math.sin,
-        "_cos": math.cos,
-        "_sqrt": math.sqrt,
-        "_isfinite": math.isfinite,
-        "_pow": _real_pow,
-    }
-    exec(src, namespace)  # noqa: S102 - source is generated from the AST only
-    fn = namespace["_compiled"]
+    fn = _build(src, _SCALAR_TABLE)
     _COMPILE_CACHE[id(e)] = fn
     return fn
+
+
+def compile_vectorized(e: ScalarExpression):
+    """Compile to a numpy callable f(x) -> values, x of shape (..., m);
+    the values broadcast to x.shape[:-1].
+
+    Domain failures come back as inf or nan (run under np.errstate to
+    silence numpy); evaluate() at the offending point names the subtree.
+    Nothing is cached here: the caller owns the function.
+    """
+    order, lines, names = _straight_line((e,), vectorised=True)
+    # delete each temporary after its last use, so the arrays alive at
+    # once stay at the width of the tree rather than its size
+    last_use = {}
+    for k, node in enumerate(order):
+        if isinstance(node, Unary):
+            last_use[id(node.arg)] = k
+        elif isinstance(node, Binary):
+            last_use[id(node.left)] = last_use[id(node.right)] = k
+    dead_after: dict[int, list[str]] = {}
+    for key, k in last_use.items():
+        dead_after.setdefault(k, []).append(names[key])
+    body = []
+    for k, line in enumerate(lines):
+        body.append(line)
+        if k in dead_after:
+            body.append(f"    del {', '.join(sorted(dead_after[k]))}")
+    src = "def _compiled(x):\n" + "\n".join(body) + f"\n    return {names[id(e)]}\n"
+    return _build(src, _VECTOR_TABLE)
 
 
 def variables(e: ScalarExpression) -> set[int]:
     """Set of coordinate indices (1-based) the expression mentions."""
     out: set[int] = set()
-    for node in _topo_order(e):
+    for node in _topo_order((e,)):
         if isinstance(node, Var):
             out.add(node.index)
     return out

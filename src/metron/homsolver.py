@@ -46,8 +46,8 @@ from .bundle import ChartDomain, Connection, curvature
 from .transport import (
     DEFAULT_STEPS_PER_SEGMENT,
     Grid,
+    flow_operators,
     get_transporter,
-    transport_operator,
 )
 
 __all__ = [
@@ -451,50 +451,54 @@ def local_system_residual(
     if kind == "hom" and dual is None:
         raise ValueError("hom residual needs the target connection")
     grid = space.grid
-    m = conn.domain.m
-    span = conn.domain.span
-    fields = space.extensions.reshape(space.dimension, len(grid.nodes), -1)
+    m, r = conn.domain.m, conn.r
+    n_nodes = len(grid.nodes)
+    hs = h_fraction * conn.domain.span
+    fields = space.extensions.reshape(space.dimension, n_nodes, -1)
     steps = max(16, steps_multiplier * DEFAULT_STEPS_PER_SEGMENT)
-    worst = 0.0
     unit = np.eye(m)
     weight_of = dict(zip(_FD_OFFSETS, _FD_WEIGHTS))
     dual_for_transport = dual if kind == "hom" else None
-    for node_idx in range(len(grid.nodes)):
-        node = grid.nodes[node_idx]
+    # One stencil side per (node, axis, side): it starts at the owner
+    # node and walks its three stencil points in order of distance from
+    # the owner, so each leg continues the previous one.
+    owners, weights, legs = [], [], []
+    for node_idx, node in enumerate(grid.nodes):
         multi = grid.multi_of(node_idx)
-        gamma_here = conn.coeff_at(node)
-        dual_gamma_here = dual.coeff_at(node) if dual is not None else None
         for axis in range(m):
-            h = h_fraction * span[axis]
-            fd = np.zeros_like(fields[:, 0, :])
             for side in (1, -1):
                 owner = _owner_index(grid, multi, axis, side)
-                # walk the three stencil points on this side in order of
-                # distance from the owner node, composing one integration
-                pts = [node + side * s * h * unit[axis] for s in (1, 2, 3)]
+                pts = [node + side * s * hs[axis] * unit[axis] for s in (1, 2, 3)]
                 pts.sort(key=lambda p: float(np.abs(p - grid.nodes[owner]).sum()))
-                start = grid.nodes[owner]
-                op = np.eye(fields.shape[2])
-                leg_steps = steps
-                for p in pts:
-                    op = (
-                        transport_operator(kind, conn, dual_for_transport, start, p, leg_steps)
-                        @ op
-                    )
-                    offset = int(round(float((p - node)[axis] / h)))
-                    fd += weight_of[offset] * (fields[:, owner, :] @ op.T)
-                    start = p
-                    leg_steps = 8  # the remaining legs span only h
-            fd /= 60.0 * h
-            g = gamma_here[axis]
-            values = fields[:, node_idx, :].reshape(space.dimension, conn.r, conn.r)
-            if kind == "hom":
-                rhs = np.einsum("ab,kbc->kac", g, values) - np.einsum(
-                    "kab,bc->kac", values, dual_gamma_here[axis]
+                owners.append(owner)
+                weights.append(
+                    [weight_of[int(round(float((p - node)[axis] / hs[axis])))] for p in pts]
                 )
-            else:
-                rhs = np.einsum("ab,kbc->kac", g, values) + np.einsum(
-                    "kab,cb->kac", values, g
-                )
-            worst = max(worst, float(np.abs(fd.reshape(rhs.shape) - rhs).max()))
-    return worst
+                legs.append([grid.nodes[owner]] + pts)
+    legs = np.array(legs)  # (S, 4, m): owner, then the three stencil points
+    # one batch for the first legs, one for the two short legs (span h)
+    first = flow_operators(kind, conn, dual_for_transport, legs[:, 0], legs[:, 1], steps)
+    short = flow_operators(
+        kind,
+        conn,
+        dual_for_transport,
+        legs[:, 1:3].reshape(-1, m),
+        legs[:, 2:4].reshape(-1, m),
+        8,
+    ).reshape(len(legs), 2, *first.shape[1:])
+    ops = np.empty((len(legs), 3) + first.shape[1:])
+    ops[:, 0] = first
+    ops[:, 1] = short[:, 0] @ ops[:, 0]
+    ops[:, 2] = short[:, 1] @ ops[:, 1]
+    # (k, S, 3, d): each owner value carried to its three stencil points
+    moved = np.einsum("sjab,ksb->ksja", ops, fields[:, owners, :])
+    fd = np.einsum("sj,ksja->ksa", np.array(weights), moved)
+    fd = fd.reshape(space.dimension, n_nodes, m, 2, -1).sum(axis=3)
+    fd /= 60.0 * hs[None, None, :, None]
+    values = fields.reshape(space.dimension, n_nodes, 1, r, r)
+    g = conn.coeff_array(grid.nodes)[None]  # (1, N, m, r, r)
+    if kind == "hom":
+        rhs = g @ values - values @ dual.coeff_array(grid.nodes)[None]
+    else:
+        rhs = g @ values + values @ g.transpose(0, 1, 2, 4, 3)
+    return float(np.abs(fd - rhs.reshape(fd.shape)).max())

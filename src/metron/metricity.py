@@ -22,7 +22,7 @@ connection rather than assuming them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -153,10 +153,12 @@ def induced_forms(g: np.ndarray, phi_sym: np.ndarray, phi_alt: np.ndarray):
 
 
 def _solve_options(tol: ToleranceProfile, options: SolveOptions | None) -> SolveOptions:
-    opts = options or SolveOptions()
-    opts.kernel_cutoff = tol.kernel_cutoff
-    opts.transport_tol = tol.transport_residual
-    return opts
+    """A copy of the caller's options carrying the profile's tolerances."""
+    return replace(
+        options or SolveOptions(),
+        kernel_cutoff=tol.kernel_cutoff,
+        transport_tol=tol.transport_residual,
+    )
 
 
 def analyze(

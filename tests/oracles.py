@@ -4,8 +4,9 @@ Everything here recomputes expected values through a route that shares
 no code with the implementation under test: finite differences instead
 of symbolic derivatives, quadrature instead of closed-form moments,
 matrix exponentials instead of Runge-Kutta, dense linear solves instead
-of the solver's prolongation. Expected values frozen into tests were
-produced by these functions.
+of the solver's prolongation, per-point Runge-Kutta on Kronecker
+generators instead of batched frame transport. Expected values frozen
+into tests were produced by these functions.
 """
 from __future__ import annotations
 
@@ -215,10 +216,45 @@ def nilpotent_parallel_forms(conn, symmetric: bool, points):
     return kept
 
 
+def _kron_generator(kind: str, conn, dual, x, u) -> np.ndarray:
+    """Generator of the transport ODE on the flattened fibre (row-major
+    vec) at one point, read from conn.coeff_at only:
+    hom   P' = G P - P G*   ->  kron(G, I) - kron(I, G*^T)
+    form  Q' = G Q + Q G^T  ->  kron(G, I) + kron(I, G)
+    with G = sum_i u_i Gamma_i(x)."""
+    r = conn.r
+    eye = np.eye(r)
+    g = np.tensordot(u, conn.coeff_at(x), axes=(0, 0))
+    if kind == "form":
+        return np.kron(g, eye) + np.kron(eye, g)
+    gs = np.tensordot(u, dual.coeff_at(x), axes=(0, 0))
+    return np.kron(g, eye) - np.kron(eye, gs.T)
+
+
+def rk4_flow_operator(kind: str, conn, dual, a, b, steps: int) -> np.ndarray:
+    """Flow operator of the hom or form transport along a -> b by the
+    classical RK4 scheme applied point by point to the r^2 x r^2
+    Kronecker generator, one segment at a time (the library integrates
+    r x r frames for a whole batch of segments instead)."""
+    a = np.asarray(a, float)
+    u = np.asarray(b, float) - a
+    h = 1.0 / steps
+    y = np.eye(conn.r * conn.r)
+    for k in range(steps):
+        t0 = k * h
+        m0 = _kron_generator(kind, conn, dual, a + t0 * u, u)
+        mm = _kron_generator(kind, conn, dual, a + (t0 + h / 2.0) * u, u)
+        m1 = _kron_generator(kind, conn, dual, a + (t0 + h) * u, u)
+        k1 = m0 @ y
+        k2 = mm @ (y + (h / 2.0) * k1)
+        k3 = mm @ (y + (h / 2.0) * k2)
+        k4 = m1 @ (y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return y
+
+
 def holonomy_fixed_dim(conn, loops, symmetric: bool, tol=1e-6) -> int:
     """Dimension of {Q in class : H_loop Q = Q for all loops}."""
-    from metron.transport import transport_operator
-
     r = conn.r
     basis = form_constraint_kernel(np.zeros((r, r)), symmetric)
     coords = np.array([q.reshape(-1) for q in basis])  # (s, r^2)
@@ -226,7 +262,7 @@ def holonomy_fixed_dim(conn, loops, symmetric: bool, tol=1e-6) -> int:
     for loop in loops:
         op = np.eye(r * r)
         for a, b in zip(loop.vertices, loop.vertices[1:]):
-            seg = transport_operator("form", conn, None, a, b, loop.steps_per_segment)
+            seg = rk4_flow_operator("form", conn, None, a, b, loop.steps_per_segment)
             op = seg @ op
         block = (op - np.eye(r * r)) @ coords.T  # (r^2, s)
         rows.append(block)

@@ -227,6 +227,20 @@ def test_singularity_inside_domain_exits_2(capsys, tmp_path):
     assert any("division by zero" in d["message"] for d in diags)
 
 
+def test_pole_at_a_runge_kutta_node_is_named(capsys, tmp_path):
+    """With 8 nodes per axis no grid node has x1 = 0, but the midpoint of
+    the edges across x1 = 0 is a Runge-Kutta node: the diagnostic names
+    the failing subtree, not only the arithmetic exception."""
+    problem = json.loads(json.dumps(BASE_PROBLEM))
+    problem["connection"][0][0][0] = "1/x1"
+    problem["domain"]["gridPerAxis"] = 8
+    path = _write(tmp_path, "p.json", problem)
+    code, out, _ = _run(capsys, "metricity", path, "--quiet")
+    assert code == 2
+    messages = [d["message"] for d in json.loads(out)["result"]["diagnostics"]]
+    assert any("division by zero" in m and "1/x1" in m for m in messages), messages
+
+
 def test_uncertified_result_exits_3(capsys, tmp_path):
     """Starving the prolongation of orders leaves the kernel unstabilised;
     the analysis must flag itself and exit 3."""

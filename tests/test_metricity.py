@@ -35,6 +35,15 @@ from oracles import hom_constraint_kernel
 FAST = SolveOptions(grid_per_axis=5, steps_per_segment=16)
 
 
+def test_decide_metricity_leaves_caller_options_unchanged():
+    options = SolveOptions(
+        grid_per_axis=5, steps_per_segment=16, kernel_cutoff=1e-6, transport_tol=1e-5
+    )
+    decide_metricity(flat_connection(), options=options)
+    assert options.kernel_cutoff == 1e-6
+    assert options.transport_tol == 1e-5
+
+
 # ---------------------------------------------------------------------------
 # symmetric/antisymmetric split
 # ---------------------------------------------------------------------------

@@ -7,11 +7,13 @@ from metron.corpus import (
     flat_connection,
     half_plane_levi_civita,
     nilpotent_connection,
+    random_constant_metric,
     random_polynomial_connection,
     square_domain,
 )
 from metron.transport import (
     Grid,
+    GridTransporter,
     PolylinePath,
     loop_holonomy_hom,
     spanning_tree_extend,
@@ -19,7 +21,7 @@ from metron.transport import (
 )
 from metron import expr as ex
 from metron.bundle import Connection
-from oracles import constant_hom_transport
+from oracles import constant_hom_transport, rk4_flow_operator
 
 
 def _constant_connection(dom, matrices):
@@ -241,3 +243,34 @@ def test_base_point_must_be_grid_node():
     grid = Grid(conn.domain)
     with pytest.raises(ValueError):
         spanning_tree_extend(conn, conn, (0.017, 0.017), np.eye(2), grid, kind="hom")
+
+
+def _oracle_cases():
+    hyp, _ = half_plane_levi_civita()
+    hyp_dual = dual_connection(identity_metric(hyp.domain, 2), hyp)
+    rng = np.random.default_rng(11)
+    dom = square_domain(4)
+    rand = random_polynomial_connection(rng, dom, 3, scale=0.5)
+    rand_dual = dual_connection(random_constant_metric(rng, dom, 3), rand)
+    return [
+        ("hyperbolic-hom", "hom", hyp, hyp_dual, 5, 32),
+        ("hyperbolic-form", "form", hyp, None, 5, 32),
+        ("random-rank3-hom", "hom", rand, rand_dual, 4, 32),
+    ]
+
+
+@pytest.mark.parametrize("case", _oracle_cases(), ids=lambda c: c[0])
+def test_grid_edge_operators_match_pointwise_rk4_oracle(case):
+    """The batched frame operators of every grid edge agree with RK4 on
+    the Kronecker generator, integrated point by point per edge."""
+    _, kind, conn, dual, per_axis, steps = case
+    grid = Grid(conn.domain, (per_axis,) * conn.domain.m)
+    base = grid.nearest_node(conn.domain.center())
+    transporter = GridTransporter(kind, conn, dual, grid, base, steps)
+    edges = transporter.tree_edges + transporter.non_tree_edges
+    assert len(transporter.operators) == len(edges) == len(grid.edges)
+    worst = 0.0
+    for (u, v), op in zip(edges, transporter.operators):
+        want = rk4_flow_operator(kind, conn, dual, grid.nodes[u], grid.nodes[v], steps)
+        worst = max(worst, float(np.abs(op - want).max()))
+    assert worst <= 1e-8
