@@ -119,7 +119,10 @@ def _generator_nodes(conn: Connection, starts, ends, steps: int) -> np.ndarray:
     for lo in range(0, len(u), per_call):
         part = slice(lo, lo + per_call)
         gamma = conn.coeff_array(starts[part, None, :] + t[:, None] * u[part, None, :])
-        gu[part] = np.einsum("ei,enirs->enrs", u[part], gamma)
+        up = u[part, None, :, None, None]
+        gu[part] = up[:, :, 0] * gamma[:, :, 0]
+        for i in range(1, u.shape[1]):
+            gu[part] += up[:, :, i] * gamma[:, :, i]
     return gu
 
 
@@ -127,7 +130,8 @@ def _rk4(a: np.ndarray | None, b: np.ndarray | None, y: np.ndarray, steps: int):
     """Classical RK4 for Y' = A Y - Y B over the unit parameter interval,
     for a batch of segments at once. a and b hold the generators at the
     2s+1 nodes, (E, 2s+1, ...) broadcasting against the state y of
-    shape (E, ..., r, r); None stands for zero."""
+    shape (E, ..., r, r) or (..., r, r), the same start for every
+    segment; None stands for zero."""
 
     def rate(j, y):
         out = a[:, j] @ y if a is not None else 0.0
@@ -151,14 +155,14 @@ def segment_frames(
     frames W' = -W Gamma_u (W = U^{-1} up to truncation); both start at
     the identity."""
     gu = _generator_nodes(conn, starts, ends, steps)
-    eye = np.broadcast_to(np.eye(conn.r), (len(gu), conn.r, conn.r))
+    eye = np.eye(conn.r)
     return _rk4(None, gu, eye, steps) if inverse else _rk4(gu, None, eye, steps)
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Batched Kronecker product of (E, r, r) stacks."""
     e, r, _ = a.shape
-    return np.einsum("eij,ekl->eikjl", a, b).reshape(e, r * r, r * r)
+    return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(e, r * r, r * r)
 
 
 def _check_kind(kind: str, dual: Connection | None):
@@ -193,7 +197,7 @@ def flow_operators(
             b = -gu.swapaxes(-1, -2)
         else:
             b = _generator_nodes(dual, starts, ends, steps)[:, :, None]
-    y = _rk4(a, b, np.broadcast_to(basis, (len(gu),) + basis.shape), steps)
+    y = _rk4(a, b, basis, steps)
     return y.reshape(len(gu), len(basis), -1).transpose(0, 2, 1)
 
 
