@@ -5,7 +5,7 @@ no code with the implementation under test: finite differences instead
 of symbolic derivatives, quadrature instead of closed-form moments,
 matrix exponentials instead of Runge-Kutta, dense linear solves instead
 of the solver's prolongation, per-point Runge-Kutta on Kronecker
-generators instead of batched frame transport. Expected values frozen
+generators instead of batched frame transport over the grid. Expected values frozen
 into tests were produced by these functions.
 """
 from __future__ import annotations
@@ -234,8 +234,9 @@ def _kron_generator(kind: str, conn, dual, x, u) -> np.ndarray:
 def rk4_flow_operator(kind: str, conn, dual, a, b, steps: int) -> np.ndarray:
     """Flow operator of the hom or form transport along a -> b by the
     classical RK4 scheme applied point by point to the r^2 x r^2
-    Kronecker generator, one segment at a time (the library integrates
-    r x r frames for a whole batch of segments instead)."""
+    Kronecker generator, one segment at a time (the library's grid
+    transporters derive their operators from r x r frames integrated
+    for a whole batch of edges instead)."""
     a = np.asarray(a, float)
     u = np.asarray(b, float) - a
     h = 1.0 / steps
