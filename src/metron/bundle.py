@@ -183,19 +183,20 @@ class Connection:
         result has shape (..., m, r, r).
 
         Raises DomainError naming the subtree and the point at the first
-        point (in C order) where some coefficient is not finite.
+        point (in C order) where some coefficient leaves its domain,
+        also where only an intermediate value does.
         """
         x = np.asarray(x, dtype=float)
         out = np.empty(x.shape[:-1] + (len(self._entries),))
-        with np.errstate(all="ignore"):
-            for k, fn in enumerate(self._coeff_fns):
-                out[..., k] = fn(x)
-        bad = ~np.isfinite(out)
-        if bad.any():
-            *where, k = np.unravel_index(int(np.argmax(bad)), bad.shape)
-            point = [float(v) for v in x[tuple(where)]]
-            ex.evaluate(self._entries[k], point)
-            raise ex.DomainError("non-finite value", self._entries[k], point)
+        try:
+            with np.errstate(divide="raise", over="raise", invalid="raise", under="ignore"):
+                for k, fn in enumerate(self._coeff_fns):
+                    out[..., k] = fn(x)
+        except FloatingPointError as err:
+            for point in x.reshape(-1, x.shape[-1]).tolist():
+                for e in self._entries:
+                    ex.evaluate(e, point)
+            raise ex.DomainError(str(err)) from None
         return out.reshape(x.shape[:-1] + (self.domain.m, self.r, self.r))
 
     def coeff_at(self, x) -> np.ndarray:

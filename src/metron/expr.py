@@ -667,7 +667,7 @@ def _real_pow(a: float, b: float) -> float:
 
 # Function tables of the two code paths. The scalar path keeps Python's
 # real-arithmetic exceptions; the vectorised path computes with numpy,
-# where a domain failure yields inf or nan instead of raising.
+# where a domain failure sets a floating-point flag instead of raising.
 _SCALAR_TABLE = {
     "_exp": math.exp,
     "_log": math.log,
@@ -688,9 +688,9 @@ _VECTOR_TABLE = {
 }
 
 
-def _topo_order(roots):
+def _topo_order(e: ScalarExpression):
     order, seen = [], set()
-    stack = [(e, False) for e in reversed(roots)]
+    stack = [(e, False)]
     while stack:
         node, done = stack.pop()
         if done:
@@ -708,14 +708,14 @@ def _topo_order(roots):
     return order
 
 
-def _straight_line(roots, vectorised: bool):
+def _straight_line(e: ScalarExpression, vectorised: bool):
     """One assignment per node, in dependency order: (nodes, lines, names).
 
     The vectorised variant reads coordinate i as the array x[..., i] and
-    wraps constants as numpy scalars, so that 1/0 gives inf rather than
-    raising.
+    wraps constants as numpy scalars, so that 1/0 sets numpy's
+    divide-by-zero flag rather than raising ZeroDivisionError.
     """
-    order = _topo_order(roots)
+    order = _topo_order(e)
     names = {id(node): f"t{k}" for k, node in enumerate(order)}
     lines = []
     for node in order:
@@ -765,7 +765,7 @@ def compile_expr(e: ScalarExpression):
     cached = _COMPILE_CACHE.get(id(e))
     if cached is not None:
         return cached
-    _, lines, names = _straight_line((e,), vectorised=False)
+    _, lines, names = _straight_line(e, vectorised=False)
     result = names[id(e)]
     src = "def _compiled(x):\n" + "\n".join(lines) + (
         f"\n    if not _isfinite({result}):"
@@ -781,11 +781,12 @@ def compile_vectorized(e: ScalarExpression):
     """Compile to a numpy callable f(x) -> values, x of shape (..., m);
     the values broadcast to x.shape[:-1].
 
-    Domain failures come back as inf or nan (run under np.errstate to
-    silence numpy); evaluate() at the offending point names the subtree.
+    Domain failures set numpy's floating-point flags (run under
+    np.errstate(..., raise) to catch them, intermediate values
+    included); evaluate() at the offending point names the subtree.
     Nothing is cached here: the caller owns the function.
     """
-    order, lines, names = _straight_line((e,), vectorised=True)
+    order, lines, names = _straight_line(e, vectorised=True)
     # delete each temporary after its last use, so the arrays alive at
     # once stay at the width of the tree rather than its size
     last_use = {}
@@ -809,7 +810,7 @@ def compile_vectorized(e: ScalarExpression):
 def variables(e: ScalarExpression) -> set[int]:
     """Set of coordinate indices (1-based) the expression mentions."""
     out: set[int] = set()
-    for node in _topo_order((e,)):
+    for node in _topo_order(e):
         if isinstance(node, Var):
             out.add(node.index)
     return out

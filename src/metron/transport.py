@@ -9,28 +9,18 @@ of every segment in one vectorised call and all segments stepped
 together by stacked matrix products. Here Gamma_u = sum_i u_i Gamma_i
 along the segment's tangent u.
 
-Over the grid, each connection needs only its r x r frames
+The three fibre types are transported by their own equations,
 
-    U' = Gamma_u U,    W' = -W Gamma_u,    U(0) = W(0) = I,
+    hom     P' = Gamma_u P - P Gamma*_u     (A = Gamma_u, B = Gamma*_u)
+    form    Q' = Gamma_u Q + Q Gamma_u^T    (A = Gamma_u, B = -Gamma_u^T)
+    vector  v^T' = -v^T Gamma_u             (A = 0,       B = Gamma_u)
 
-integrated once per grid edge and cached on the connection; W is the
-inverse frame (U^{-1} up to truncation), integrated by the same scheme
-instead of inverting U. The three fibre types act on the flattened
-fibre (row-major vec) through operators derived from the frames:
-
-    hom     P' = Gamma_u P - P Gamma*_u     P -> U P W*,   kron(U, W*^T)
-    form    Q' = Gamma_u Q + Q Gamma_u^T    Q -> U Q U^T,  kron(U, U)
-    vector  v' = -Gamma_u^T v               v -> W^T v     (= U^{-T} v)
-
-where W* is the inverse frame of the target connection Gamma* along the
-same edge. The form transporter and every hom transporter of a
-connection share its U; each target connection adds only its W*.
-
-Along explicit polylines and loops, and for the short legs of the
-finite-difference stencils, the integrator runs on the fibre equation
-itself (A = Gamma_u and B = Gamma*_u, or -Gamma_u^T for forms), one
-state per fibre basis value, so a value whose right-hand side vanishes
-along the path is transported exactly.
+where Gamma* is the target connection of an intertwiner. Integrating
+one state per fibre basis value gives the flow operator of a segment
+on the flattened fibre (row-major vec); grid edges, polylines, loops
+and the short legs of the finite-difference stencils all use these
+operators. A value whose right-hand side vanishes along the path is
+transported exactly.
 
 A section is parallel exactly when it is constant under this
 transport, so loop holonomy and disagreement between alternative grid
@@ -50,8 +40,6 @@ __all__ = [
     "PolylinePath",
     "TransportResult",
     "Grid",
-    "segment_frames",
-    "flow_operators",
     "transport_hom",
     "transport_vector",
     "loop_holonomy_hom",
@@ -147,24 +135,6 @@ def _rk4(a: np.ndarray | None, b: np.ndarray | None, y: np.ndarray, steps: int):
     return y
 
 
-def segment_frames(
-    conn: Connection, starts, ends, steps: int, inverse: bool = False
-) -> np.ndarray:
-    """RK4 frames along every segment starts[e] -> ends[e] at once,
-    shape (E, r, r): U' = Gamma_u U, or with inverse=True the inverse
-    frames W' = -W Gamma_u (W = U^{-1} up to truncation); both start at
-    the identity."""
-    gu = _generator_nodes(conn, starts, ends, steps)
-    eye = np.eye(conn.r)
-    return _rk4(None, gu, eye, steps) if inverse else _rk4(gu, None, eye, steps)
-
-
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Batched Kronecker product of (E, r, r) stacks."""
-    e, r, _ = a.shape
-    return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(e, r * r, r * r)
-
-
 def _check_kind(kind: str, dual: Connection | None):
     if kind not in FIBRE_KINDS:
         raise ValueError(f"unknown fibre kind {kind!r}")
@@ -176,16 +146,8 @@ def flow_operators(
     kind: str, conn: Connection, dual: Connection | None, starts, ends, steps: int
 ) -> np.ndarray:
     """Flow operators on the flattened fibre along every segment
-    starts[e] -> ends[e]: (E, d, d).
-
-    Unlike the grid's frame-derived operators, these integrate the
-    fibre equation itself, one state per fibre basis value (a vector is
-    a 1 x r row: v^T' = -v^T Gamma_u). A value whose right-hand side
-    vanishes along the path is then kept exactly, and Runge-Kutta is
-    exact wherever the transported value is polynomial of degree <= 4
-    in the path parameter, even when the frames are not: loop holonomy
-    of a flat connection is checked to 1e-8 at 32 steps.
-    """
+    starts[e] -> ends[e]: (E, d, d), integrated from the fibre equation
+    with one state per fibre basis value (a vector is a 1 x r row)."""
     _check_kind(kind, dual)
     r = conn.r
     gu = _generator_nodes(conn, starts, ends, steps)[:, :, None]
@@ -331,23 +293,6 @@ class Grid:
         return tree, non_tree
 
 
-def _edge_frames(conn: Connection, grid: Grid, base_index: int, edges, steps, inverse=False):
-    """(Inverse) frames of conn along a transporter's directed edges
-    (tree edges, then non-tree edges). Cached on the connection beside
-    its transporters, so the form transporter and every hom transporter
-    of the connection over this grid share one integration."""
-    cache = conn.__dict__.setdefault("_frame_cache", {})
-    key = (grid.counts, base_index, steps, inverse)
-    frames = cache.get(key)
-    if frames is None:
-        ends = np.array(edges)
-        frames = segment_frames(
-            conn, grid.nodes[ends[:, 0]], grid.nodes[ends[:, 1]], steps, inverse
-        )
-        cache[key] = frames
-    return frames
-
-
 class GridTransporter:
     """Per-edge flow operators over a grid, shared by all candidates.
 
@@ -368,7 +313,6 @@ class GridTransporter:
         base_index: int,
         steps_per_segment: int = DEFAULT_STEPS_PER_SEGMENT,
     ):
-        _check_kind(kind, dual)
         self.kind = kind
         self.conn = conn
         self.dual = dual
@@ -377,18 +321,11 @@ class GridTransporter:
         self.steps = steps_per_segment
         self.fibre_dim = conn.r if kind == "vector" else conn.r * conn.r
         self.tree_edges, self.non_tree_edges = grid.spanning_tree(base_index)
-        edges = self.tree_edges + self.non_tree_edges
-
-        def frames(c, inverse=False):
-            return _edge_frames(c, grid, base_index, edges, self.steps, inverse)
-
+        ends = np.array(self.tree_edges + self.non_tree_edges)
         # operators of the tree edges, then of the non-tree edges: (E, d, d)
-        if kind == "form":
-            self.operators = _kron(frames(conn), frames(conn))
-        elif kind == "hom":
-            self.operators = _kron(frames(conn), frames(dual, inverse=True).transpose(0, 2, 1))
-        else:
-            self.operators = frames(conn, inverse=True).transpose(0, 2, 1)
+        self.operators = flow_operators(
+            kind, conn, dual, grid.nodes[ends[:, 0]], grid.nodes[ends[:, 1]], self.steps
+        )
 
     def extend(self, values: np.ndarray) -> np.ndarray:
         """values: (k, fibre_dim) at the base node -> (k, N, fibre_dim)."""

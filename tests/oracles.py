@@ -5,8 +5,8 @@ no code with the implementation under test: finite differences instead
 of symbolic derivatives, quadrature instead of closed-form moments,
 matrix exponentials instead of Runge-Kutta, dense linear solves instead
 of the solver's prolongation, per-point Runge-Kutta on Kronecker
-generators instead of batched frame transport over the grid. Expected values frozen
-into tests were produced by these functions.
+generators instead of the batched transport over the grid. Expected
+values frozen into tests were produced by these functions.
 """
 from __future__ import annotations
 
@@ -219,12 +219,15 @@ def nilpotent_parallel_forms(conn, symmetric: bool, points):
 def _kron_generator(kind: str, conn, dual, x, u) -> np.ndarray:
     """Generator of the transport ODE on the flattened fibre (row-major
     vec) at one point, read from conn.coeff_at only:
-    hom   P' = G P - P G*   ->  kron(G, I) - kron(I, G*^T)
-    form  Q' = G Q + Q G^T  ->  kron(G, I) + kron(I, G)
+    hom     P' = G P - P G*   ->  kron(G, I) - kron(I, G*^T)
+    form    Q' = G Q + Q G^T  ->  kron(G, I) + kron(I, G)
+    vector  v' = -G^T v       ->  -G^T
     with G = sum_i u_i Gamma_i(x)."""
     r = conn.r
     eye = np.eye(r)
     g = np.tensordot(u, conn.coeff_at(x), axes=(0, 0))
+    if kind == "vector":
+        return -g.T
     if kind == "form":
         return np.kron(g, eye) + np.kron(eye, g)
     gs = np.tensordot(u, dual.coeff_at(x), axes=(0, 0))
@@ -232,15 +235,14 @@ def _kron_generator(kind: str, conn, dual, x, u) -> np.ndarray:
 
 
 def rk4_flow_operator(kind: str, conn, dual, a, b, steps: int) -> np.ndarray:
-    """Flow operator of the hom or form transport along a -> b by the
-    classical RK4 scheme applied point by point to the r^2 x r^2
-    Kronecker generator, one segment at a time (the library's grid
-    transporters derive their operators from r x r frames integrated
-    for a whole batch of edges instead)."""
+    """Flow operator of the hom, form or vector transport along a -> b
+    by the classical RK4 scheme applied point by point to the generator
+    on the flattened fibre, one segment at a time (the library's grid
+    transporters integrate a whole batch of edges at once instead)."""
     a = np.asarray(a, float)
     u = np.asarray(b, float) - a
     h = 1.0 / steps
-    y = np.eye(conn.r * conn.r)
+    y = np.eye(conn.r if kind == "vector" else conn.r * conn.r)
     for k in range(steps):
         t0 = k * h
         m0 = _kron_generator(kind, conn, dual, a + t0 * u, u)

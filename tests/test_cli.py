@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from metron import cli
 
 REPO = Path(__file__).resolve().parents[1]
@@ -227,12 +229,15 @@ def test_singularity_inside_domain_exits_2(capsys, tmp_path):
     assert any("division by zero" in d["message"] for d in diags)
 
 
-def test_pole_at_a_runge_kutta_node_is_named(capsys, tmp_path):
+@pytest.mark.parametrize("entry", ["1/x1", "exp(-1/x1^2)"])
+def test_pole_at_a_runge_kutta_node_is_named(capsys, tmp_path, entry):
     """With 8 nodes per axis no grid node has x1 = 0, but the midpoint of
     the edges across x1 = 0 is a Runge-Kutta node: the diagnostic names
-    the failing subtree, not only the arithmetic exception."""
+    the failing subtree, not only the arithmetic exception. In
+    exp(-1/x1^2) only an intermediate value leaves the reals; the
+    coefficient itself would come out finite (0)."""
     problem = json.loads(json.dumps(BASE_PROBLEM))
-    problem["connection"][0][0][0] = "1/x1"
+    problem["connection"][0][0][0] = entry
     problem["domain"]["gridPerAxis"] = 8
     path = _write(tmp_path, "p.json", problem)
     code, out, _ = _run(capsys, "metricity", path, "--quiet")

@@ -255,14 +255,16 @@ def _oracle_cases():
     return [
         ("hyperbolic-hom", "hom", hyp, hyp_dual, 5, 32),
         ("hyperbolic-form", "form", hyp, None, 5, 32),
-        ("random-rank3-hom", "hom", rand, rand_dual, 4, 32),
+        ("hyperbolic-vector", "vector", hyp, None, 5, 32),
+        ("random-rank3-hom", "hom", rand, rand_dual, 4, 16),
     ]
 
 
 @pytest.mark.parametrize("case", _oracle_cases(), ids=lambda c: c[0])
 def test_grid_edge_operators_match_pointwise_rk4_oracle(case):
-    """The batched frame operators of every grid edge agree with RK4 on
-    the Kronecker generator, integrated point by point per edge."""
+    """The batched operators of every grid edge agree with RK4 on the
+    generator of the flattened fibre, integrated point by point per
+    edge."""
     _, kind, conn, dual, per_axis, steps = case
     grid = Grid(conn.domain, (per_axis,) * conn.domain.m)
     base = grid.nearest_node(conn.domain.center())
