@@ -44,7 +44,6 @@ from .homsolver import (  # noqa: F401
 from .metricity import (  # noqa: F401
     IndexReport,
     MetricityCertificate,
-    ToleranceProfile,
     decide_metricity,
     gauge_index,
     index_report,

@@ -29,6 +29,9 @@ from . import __version__
 from . import expr as ex
 from . import symmatrix as sm
 from .bundle import (
+    CONDITION_CEILING,
+    DET_REGULARITY_FLOOR,
+    RANK_REL_CUTOFF,
     ChartDomain,
     Connection,
     GaugeTransform,
@@ -40,14 +43,12 @@ from .bundle import (
     identity_metric,
 )
 from .homsolver import SolveOptions, solve_hom
-from .metricity import (
-    ToleranceProfile,
-    decide_metricity,
-    index_report,
-)
+from .metricity import decide_metricity, index_report
 from .statmodels import alpha_scan, get_family
 
 __all__ = ["main", "run_command", "validate_problem", "canonical_json"]
+
+SUBSTITUTION_RESIDUAL = 1e-6
 
 COMMANDS = (
     "dual",
@@ -278,22 +279,20 @@ class ProblemObjects:
         )
         self.seed = args.seed if args.seed is not None else data.get("seed", 0)
         tolerances = data.get("tolerances") or {}
-        self.tol = ToleranceProfile()
-        if args.tol_transport is not None:
-            self.tol.transport_residual = args.tol_transport
-        elif "transport" in tolerances:
-            self.tol.transport_residual = float(tolerances["transport"])
-        if args.tol_kernel is not None:
-            self.tol.kernel_cutoff = args.tol_kernel
-        elif "kernel" in tolerances:
-            self.tol.kernel_cutoff = float(tolerances["kernel"])
-        if "substitution" in tolerances:
-            self.tol.substitution_residual = float(tolerances["substitution"])
+        defaults = SolveOptions()
+
+        def pick(flag, key, default):
+            return float(flag if flag is not None else tolerances.get(key, default))
+
         self.options = SolveOptions(
-            max_order=args.max_order if args.max_order is not None else 3,
-            kernel_cutoff=self.tol.kernel_cutoff,
-            transport_tol=self.tol.transport_residual,
+            max_order=args.max_order if args.max_order is not None else defaults.max_order,
+            kernel_cutoff=pick(args.tol_kernel, "kernel", defaults.kernel_cutoff),
+            transport_tol=pick(args.tol_transport, "transport", defaults.transport_tol),
             seed=self.seed,
+        )
+        # echoed in the report; no check reads it
+        self.substitution_residual = float(
+            tolerances.get("substitution", SUBSTITUTION_RESIDUAL)
         )
 
     def base_metric(self) -> MetricField:
@@ -318,7 +317,7 @@ def _space_summary(space) -> dict:
     }
 
 
-def _certificate_dict(cert) -> dict:
+def _certificate_dict(cert, substitution_residual: float = SUBSTITUTION_RESIDUAL) -> dict:
     witness = None
     if cert.witness_base is not None:
         witness = {
@@ -340,15 +339,22 @@ def _certificate_dict(cert) -> dict:
         "certified": cert.certified,
         "flags": list(cert.flags),
         "basePoint": [_F(v, 12) for v in cert.base_point],
-        "toleranceProfile": cert.tolerances.as_dict(),
+        "toleranceProfile": {
+            "kernelCutoff": cert.options.kernel_cutoff,
+            "transportResidual": cert.options.transport_tol,
+            "substitutionResidual": substitution_residual,
+            "metricRegularDet": DET_REGULARITY_FLOOR,
+            "metricConditionMax": CONDITION_CEILING,
+            "rankRelCutoff": RANK_REL_CUTOFF,
+        },
     }
 
 
 def _cmd_metricity(p: ProblemObjects, args):
     # the certificate's dimension bookkeeping always uses the identity
     # base metric; a user metric enters through `index` and `dual`
-    cert = decide_metricity(p.connection, options=p.options, tol=p.tol)
-    return {"certificate": _certificate_dict(cert)}, cert.certified
+    cert = decide_metricity(p.connection, options=p.options)
+    return {"certificate": _certificate_dict(cert, p.substitution_residual)}, cert.certified
 
 
 def _cmd_index(p: ProblemObjects, args):
@@ -357,14 +363,9 @@ def _cmd_index(p: ProblemObjects, args):
         entries = json.loads(Path(args.metric_family).read_text(encoding="utf-8"))
         for k, mat in enumerate(entries):
             family.append(MetricField(p.domain, p.r, mat, declared_rank=p.r))
-    cert = decide_metricity(p.connection, options=p.options, tol=p.tol)
+    cert = decide_metricity(p.connection, options=p.options)
     report = index_report(
-        p.connection,
-        family,
-        p.options,
-        p.tol,
-        primary_metric=p.metric,
-        certificate=cert,
+        p.connection, family, p.options, primary_metric=p.metric, certificate=cert
     )
     result = {
         "indexReport": {
@@ -375,7 +376,7 @@ def _cmd_index(p: ProblemObjects, args):
             "familySize": report.family_size,
             "flags": list(report.flags),
         },
-        "certificate": _certificate_dict(cert),
+        "certificate": _certificate_dict(cert, p.substitution_residual),
     }
     return result, cert.certified
 

@@ -70,9 +70,10 @@ _FD_OFFSETS = (-3, -2, -1, 1, 2, 3)
 _FD_WEIGHTS = (-1.0, 9.0, -45.0, 45.0, -9.0, 1.0)  # divide by 60 h
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolveOptions:
-    """Knobs shared by the solvers; defaults match the shipped tolerances."""
+    """Knobs shared by the solvers, and the one carrier of the kernel and
+    transport tolerances; defaults match the shipped tolerances."""
 
     grid_per_axis: int | None = None
     steps_per_segment: int = DEFAULT_STEPS_PER_SEGMENT
@@ -175,11 +176,16 @@ def hom_curvature_operator(conn: Connection, dual: Connection, x, i: int, j: int
     """Curvature of the induced endomorphism connection at x for the
     coordinate pair (i, j), acting on row-major flattened matrices:
     P -> R_ij P - P R*_ij. Values of parallel sections lie in its kernel."""
-    r = conn.r
     rij = sm.eval_matrix(curvature(conn).entries[i][j], x)
     rsij = sm.eval_matrix(curvature(dual).entries[i][j], x)
-    eye = np.eye(r)
-    return np.kron(rij, eye) - np.kron(eye, rsij.T)
+    return _intertwining_operator(rij, rsij)
+
+
+def _intertwining_operator(b: np.ndarray, bs: np.ndarray) -> np.ndarray:
+    """Matrix of P -> B P - P B* on row-major flattened P; with B* = -B^T
+    it is the form operator Q -> B Q + Q B^T."""
+    eye = np.eye(len(b))
+    return np.kron(b, eye) - np.kron(eye, bs.T)
 
 
 def _commutator(a, b):
@@ -187,7 +193,8 @@ def _commutator(a, b):
 
 
 def _generator_orders(conn: Connection, dual: Connection | None, max_order: int):
-    """Symbolic constraint generators by prolongation order.
+    """Symbolic constraint generators, yielded order by order, so that
+    orders past the one where the solver stops are never built.
 
     For the hom system each generator is a pair (B, B*) acting as
     P -> B P - P B*; for forms a single B acting as Q -> B Q + Q B^T.
@@ -197,18 +204,17 @@ def _generator_orders(conn: Connection, dual: Connection | None, max_order: int)
     m = conn.domain.m
     curv = curvature(conn)
     dual_curv = curvature(dual) if dual is not None else None
-    order0 = []
+    gens = []
     for i in range(m):
         for j in range(i + 1, m):
             if dual is not None:
-                order0.append((curv.entries[i][j], dual_curv.entries[i][j]))
+                gens.append((curv.entries[i][j], dual_curv.entries[i][j]))
             else:
-                order0.append(curv.entries[i][j])
-    orders = [order0]
+                gens.append(curv.entries[i][j])
+    yield gens
     for _ in range(max_order):
-        prev = orders[-1]
         nxt = []
-        for gen in prev:
+        for gen in gens:
             for l in range(m):
                 if dual is not None:
                     b, bs = gen
@@ -222,27 +228,19 @@ def _generator_orders(conn: Connection, dual: Connection | None, max_order: int)
                     nxt.append(
                         sm.mat_sub(sm.mat_diff(gen, l + 1), _commutator(conn.gamma[l], gen))
                     )
-        orders.append(nxt)
-    return orders
+        gens = nxt
+        yield gens
 
 
-def _constraint_rows(gen, x, eye, subspace: np.ndarray, is_hom: bool, scale_ref: float):
+def _constraint_rows(gen, x, subspace: np.ndarray, is_hom: bool, scale_ref: float):
     """Rows of one generator's constraint operator restricted to the
     candidate subspace, normalised; None if the generator vanishes."""
-    if is_hom:
-        b = sm.eval_matrix(gen[0], x)
-        bs = sm.eval_matrix(gen[1], x)
-        magnitude = max(np.abs(b).max(), np.abs(bs).max())
-        if magnitude <= GENERATOR_DROP_REL * scale_ref:
-            return None, magnitude
-        op = np.kron(b, eye) - np.kron(eye, bs.T)
-    else:
-        b = sm.eval_matrix(gen, x)
-        magnitude = np.abs(b).max()
-        if magnitude <= GENERATOR_DROP_REL * scale_ref:
-            return None, magnitude
-        op = np.kron(b, eye) + np.kron(eye, b)
-    return (op @ subspace.T) / magnitude, magnitude
+    b = sm.eval_matrix(gen[0] if is_hom else gen, x)
+    bs = sm.eval_matrix(gen[1], x) if is_hom else -b.T
+    magnitude = max(np.abs(b).max(), np.abs(bs).max())
+    if magnitude <= GENERATOR_DROP_REL * scale_ref:
+        return None, magnitude
+    return (_intertwining_operator(b, bs) @ subspace.T) / magnitude, magnitude
 
 
 def stabilized_constraint_subspace(
@@ -263,10 +261,8 @@ def stabilized_constraint_subspace(
     `order` is the first order whose constraints added nothing (0 when
     the curvature constraints alone already close the intersection).
     """
-    r = conn.r
-    eye = np.eye(r)
     if subspace is None:
-        subspace = np.eye(r * r)
+        subspace = np.eye(conn.r * conn.r)
     generators = _generator_orders(conn, dual, max_order)
     is_hom = dual is not None
     blocks: list[np.ndarray] = []
@@ -276,7 +272,7 @@ def stabilized_constraint_subspace(
     stabilized = False
     for order, gens in enumerate(generators):
         for gen in gens:
-            rows, magnitude = _constraint_rows(gen, x0, eye, subspace, is_hom, scale_ref)
+            rows, magnitude = _constraint_rows(gen, x0, subspace, is_hom, scale_ref)
             scale_ref = max(scale_ref, magnitude)
             if rows is not None:
                 blocks.append(rows)

@@ -22,11 +22,13 @@ connection rather than assuming them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bundle import (
+    DET_REGULARITY_FLOOR,
+    RANK_REL_CUTOFF,
     Connection,
     MetricField,
     constant_metric,
@@ -44,7 +46,6 @@ from .homsolver import (
 )
 
 __all__ = [
-    "ToleranceProfile",
     "MetricityCertificate",
     "IndexReport",
     "AnalysisBundle",
@@ -64,26 +65,6 @@ RANDOM_FAMILY_SIZE = 8
 
 
 @dataclass
-class ToleranceProfile:
-    kernel_cutoff: float = 1e-8
-    transport_residual: float = 1e-7
-    substitution_residual: float = 1e-6
-    metric_regular_det: float = 1e-8
-    metric_condition_max: float = 1e8
-    rank_rel_cutoff: float = 1e-8
-
-    def as_dict(self) -> dict:
-        return {
-            "kernelCutoff": self.kernel_cutoff,
-            "transportResidual": self.transport_residual,
-            "substitutionResidual": self.substitution_residual,
-            "metricRegularDet": self.metric_regular_det,
-            "metricConditionMax": self.metric_condition_max,
-            "rankRelCutoff": self.rank_rel_cutoff,
-        }
-
-
-@dataclass
 class MetricityCertificate:
     verdict: str  # 'RegularlyMetric' | 'SingularMetricOnly' | 'NotMetric'
     max_witness_rank: int
@@ -97,7 +78,8 @@ class MetricityCertificate:
     witness_min_abs_det: float | None
     witness_transport_residual: float | None
     residuals: dict
-    tolerances: ToleranceProfile
+    options: SolveOptions  # the tolerances and knobs the certificate ran with
+    base_metric: MetricField
     stabilized: bool
     certified: bool
     flags: tuple[str, ...]
@@ -152,24 +134,13 @@ def induced_forms(g: np.ndarray, phi_sym: np.ndarray, phi_alt: np.ndarray):
     return phi_sym @ g, phi_alt @ g
 
 
-def _solve_options(tol: ToleranceProfile, options: SolveOptions | None) -> SolveOptions:
-    """A copy of the caller's options carrying the profile's tolerances."""
-    return replace(
-        options or SolveOptions(),
-        kernel_cutoff=tol.kernel_cutoff,
-        transport_tol=tol.transport_residual,
-    )
-
-
 def analyze(
     conn: Connection,
     base_metric: MetricField | None = None,
     options: SolveOptions | None = None,
-    tol: ToleranceProfile | None = None,
 ) -> AnalysisBundle:
     """Solve the three parallel-section problems once, for reuse."""
-    tol = tol or ToleranceProfile()
-    opts = _solve_options(tol, options)
+    opts = options or SolveOptions()
     base_metric = base_metric or identity_metric(conn.domain, conn.r)
     dual = dual_connection(base_metric, conn)
     hom_space = solve_hom(conn, dual, opts)
@@ -208,7 +179,6 @@ def decide_metricity(
     conn: Connection,
     base_metric: MetricField | None = None,
     options: SolveOptions | None = None,
-    tol: ToleranceProfile | None = None,
     bundle: AnalysisBundle | None = None,
 ) -> MetricityCertificate:
     """Produce a metricity certificate for the connection.
@@ -218,9 +188,8 @@ def decide_metricity(
     generic in the solution space, so with the deterministic seed the
     sampling is a reliable and reproducible witness finder.
     """
-    tol = tol or ToleranceProfile()
-    opts = _solve_options(tol, options)
-    bundle = bundle or analyze(conn, base_metric, opts, tol)
+    opts = options or SolveOptions()
+    bundle = bundle or analyze(conn, base_metric, opts)
     s2, o2, hom = bundle.sym_space, bundle.alt_space, bundle.hom_space
     dims_ok = hom.dimension == s2.dimension + o2.dimension
     stabilized = s2.stabilized and o2.stabilized and hom.stabilized
@@ -245,16 +214,16 @@ def decide_metricity(
     else:
         best = None  # (rank, matrix, field, min_abs_det, regular_ok)
         for cand in _rank_candidates(s2, opts.seed):
-            rank = numerical_rank(cand, tol.rank_rel_cutoff)
+            rank = numerical_rank(cand)
             max_rank = max(max_rank, rank)
             if best is not None and best[0] >= r:
                 continue
             if rank > (best[0] if best else -1):
                 fld = _combo_field(s2, cand)
                 dets = np.abs(np.linalg.det(fld))
-                ranks = [numerical_rank(f, tol.rank_rel_cutoff) for f in fld]
+                ranks = [numerical_rank(f) for f in fld]
                 constant_rank = all(rk == rank for rk in ranks)
-                regular_ok = rank == r and float(dets.min()) >= tol.metric_regular_det
+                regular_ok = rank == r and float(dets.min()) >= DET_REGULARITY_FLOOR
                 if constant_rank and (rank < r or regular_ok):
                     best = (rank, cand, fld, float(dets.min()), regular_ok)
         if best is None:
@@ -275,7 +244,7 @@ def decide_metricity(
     residuals["witnessTransport"] = witness_transport
     certified = stabilized and dims_ok
     if verdict == "RegularlyMetric" and witness_transport is not None:
-        certified = certified and witness_transport <= tol.transport_residual
+        certified = certified and witness_transport <= opts.transport_tol
     return MetricityCertificate(
         verdict=verdict,
         max_witness_rank=max_rank,
@@ -289,7 +258,8 @@ def decide_metricity(
         witness_min_abs_det=witness_det,
         witness_transport_residual=witness_transport,
         residuals=residuals,
-        tolerances=tol,
+        options=opts,
+        base_metric=bundle.base_metric,
         stabilized=stabilized,
         certified=certified,
         flags=tuple(flags),
@@ -302,7 +272,6 @@ def parallel_form_residuals(
     conn: Connection,
     bundle: AnalysisBundle,
     solution_index: int,
-    tol: ToleranceProfile | None = None,
 ) -> dict:
     """Check that the forms induced by a certified intertwiner are
     themselves parallel and of constant rank.
@@ -312,7 +281,6 @@ def parallel_form_residuals(
     parallel-form system; this asserts the consequence numerically by
     substituting the induced-form fields into the system node by node.
     """
-    tol = tol or ToleranceProfile()
     hom = bundle.hom_space
     grid = hom.grid
     field_phi = hom.extensions[solution_index]
@@ -325,11 +293,7 @@ def parallel_form_residuals(
         phi_sym, phi_alt = split_symmetric(g, field_phi[n])
         q_nodes[n], w_nodes[n] = induced_forms(g, phi_sym, phi_alt)
         phi_ranks.append(
-            numerical_rank(
-                phi_sym,
-                tol.rank_rel_cutoff,
-                scale=float(np.linalg.norm(field_phi[n])),
-            )
+            numerical_rank(phi_sym, scale=float(np.linalg.norm(field_phi[n])))
         )
     sym_like = SolutionSpace(
         kind="symmetric",
@@ -367,15 +331,13 @@ def gauge_index(
     conn: Connection,
     metric: MetricField,
     options: SolveOptions | None = None,
-    tol: ToleranceProfile | None = None,
     hom_space: SolutionSpace | None = None,
 ):
     """Minimal corank of the g-symmetric part over the certified
     intertwiner space, by sampling; (rank r, flagged) when the space is
     trivial so that downstream minima stay total.
     """
-    tol = tol or ToleranceProfile()
-    opts = _solve_options(tol, options)
+    opts = options or SolveOptions()
     if hom_space is None:
         dual = dual_connection(metric, conn)
         hom_space = solve_hom(conn, dual, opts)
@@ -387,9 +349,7 @@ def gauge_index(
     best = r
     for cand in _rank_candidates(hom_space, opts.seed):
         phi_sym, _ = split_symmetric(g0, cand)
-        rank = numerical_rank(
-            phi_sym, tol.rank_rel_cutoff, scale=float(np.linalg.norm(cand))
-        )
+        rank = numerical_rank(phi_sym, scale=float(np.linalg.norm(cand)))
         best = min(best, r - rank)
         if best == 0:
             break
@@ -402,7 +362,6 @@ def index_report(
     conn: Connection,
     metric_family: list[MetricField] | None = None,
     options: SolveOptions | None = None,
-    tol: ToleranceProfile | None = None,
     primary_metric: MetricField | None = None,
     certificate: MetricityCertificate | None = None,
 ) -> IndexReport:
@@ -413,8 +372,7 @@ def index_report(
     regular metrics; the identity metric is always included. The report
     records the family size so certificates stay reproducible.
     """
-    tol = tol or ToleranceProfile()
-    opts = _solve_options(tol, options)
+    opts = options or SolveOptions()
     primary = primary_metric or identity_metric(conn.domain, conn.r)
     family: list[MetricField] = [primary]
     for g in metric_family or []:
@@ -426,7 +384,7 @@ def index_report(
         family.append(
             random_constant_metric(rng, conn.domain, conn.r, indefinite=(k % 3 == 2))
         )
-    certificate = certificate or decide_metricity(conn, primary, opts, tol)
+    certificate = certificate or decide_metricity(conn, primary, opts)
     flags = list(certificate.flags)
     sb_given_g = None
     sb = None
@@ -434,7 +392,10 @@ def index_report(
         if not g.is_regular():
             flags.append(f"family-member-{idx}-not-regular-skipped")
             continue
-        value, gflags, _ = gauge_index(conn, g, opts, tol)
+        # the certificate already holds the hom space of its own base metric
+        reuse = g == certificate.base_metric and certificate.options == opts
+        hom_space = certificate.spaces["hom"] if reuse else None
+        value, gflags, _ = gauge_index(conn, g, opts, hom_space)
         flags.extend(gflags)
         if idx == 0:
             sb_given_g = value
@@ -451,9 +412,7 @@ def index_report(
     )
 
 
-def kernel_image_split(
-    g: np.ndarray, phi_sym_values: np.ndarray, tol: ToleranceProfile | None = None
-) -> dict:
+def kernel_image_split(g: np.ndarray, phi_sym_values: np.ndarray) -> dict:
     """Kernel/image decomposition of the symmetric part at grid points.
 
     phi_sym_values: (N, r, r) values of Phi. Requires a positive
@@ -462,7 +421,6 @@ def kernel_image_split(
     columns, so the operator matrix is Phi^T), the common ranks, and a
     directness margin: the smallest singular value of the stacked bases.
     """
-    tol = tol or ToleranceProfile()
     phi_sym_values = np.asarray(phi_sym_values, float)
     if phi_sym_values.ndim == 2:
         phi_sym_values = phi_sym_values[None, :, :]
@@ -474,11 +432,11 @@ def kernel_image_split(
     kernels, images = [], []
     for gm, pm in zip(g_values, phi_sym_values):
         eigvals = np.linalg.eigvalsh((gm + gm.T) / 2.0)
-        if eigvals.min() < tol.metric_regular_det:
+        if eigvals.min() < DET_REGULARITY_FLOOR:
             raise ValueError("decomposition requires a positive definite metric")
         op = pm.T  # operator on coefficient columns
         u, s, vt = np.linalg.svd(op)
-        rank = int((s > tol.rank_rel_cutoff * s[0]).sum()) if s[0] > 0 else 0
+        rank = int((s > RANK_REL_CUTOFF * s[0]).sum()) if s[0] > 0 else 0
         ranks.append(rank)
         image = u[:, :rank]
         kernel = vt[rank:].T
@@ -505,17 +463,14 @@ def dual_metricity_equivalence(
     conn: Connection,
     metrics: list[MetricField],
     options: SolveOptions | None = None,
-    tol: ToleranceProfile | None = None,
 ) -> bool:
     """The connection is regularly metric exactly when each of its
     metric-duals is; returns the conjunction of the equivalences over
     the supplied regular metrics."""
-    tol = tol or ToleranceProfile()
-    opts = _solve_options(tol, options)
-    base = decide_metricity(conn, options=opts, tol=tol).is_regular
+    base = decide_metricity(conn, options=options).is_regular
     for g in metrics:
         dual = dual_connection(g, conn)
-        other = decide_metricity(dual, options=opts, tol=tol).is_regular
+        other = decide_metricity(dual, options=options).is_regular
         if other != base:
             return False
     return True

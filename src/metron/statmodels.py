@@ -12,34 +12,26 @@ mixture structures through
 
     Gamma(alpha)^k_ij = Gamma(0)^k_ij - (alpha / 2) g^{kl} T_ijl,
 
-with Gamma(0) the Levi-Civita connection of g. The closed forms below
-are entered per family and certified in the test suite against direct
-quadrature of the defining expectations, never trusted as typed.
-
-Closed forms used (theta written in chart coordinates):
-
-    gaussian1d  theta = (mu, sigma) = (x1, x2):
-        g = diag(1/x2^2, 2/x2^2)
-        T: T_112 = 2/x2^3 (and permutations), T_222 = 8/x2^3, rest 0
-    bernoulli   theta = p = x1:
-        g = 1/(x1 (1 - x1)),  T_111 = (1 - 2 x1) / (x1 (1 - x1))^2
-    poisson     theta = lambda = x1:
-        g = 1/x1,  T_111 = 1/x1^2
-    exponential theta = lambda = x1:
-        g = 1/x1^2,  T_111 = -2/x1^3
+with Gamma(0) the Levi-Civita connection of g. The closed forms (Amari
+& Nagaoka, Methods of Information Geometry, 2000) live in one table of
+expression strings in chart coordinates: gaussian1d (mu, sigma) =
+(x1, x2); bernoulli p = x1; poisson and exponential lambda = x1. The
+test suite certifies them against direct quadrature of the defining
+expectations, never trusting them as typed.
 
 The duality g(dual of alpha) = (-alpha) and the flatness of the
 exponential/mixture ends in these families are checked numerically.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from . import expr as ex
 from . import symmatrix as sm
 from .bundle import ChartDomain, Connection, MetricField, levi_civita
 from .homsolver import SolveOptions
-from .metricity import MetricityCertificate, ToleranceProfile, decide_metricity
+from .metricity import MetricityCertificate, decide_metricity
 
 __all__ = [
     "StatisticalFamily",
@@ -55,6 +47,32 @@ __all__ = [
 ALPHA_SCAN_STEPS_PER_SEGMENT = 128
 ALPHA_SCAN_GRID = 7
 
+# name -> (parameter box kept away from boundary singularities,
+#          information metric entries,
+#          nonzero skewness entries T[i][j][k] for i <= j <= k)
+_CLOSED_FORMS = {
+    "gaussian1d": (
+        ChartDomain((-1.0, 0.5), (1.0, 2.0), (7, 7)),
+        (("1/(x2*x2)", "0"), ("0", "2/(x2*x2)")),
+        {(0, 0, 1): "2/(x2*(x2*x2))", (1, 1, 1): "8/(x2*(x2*x2))"},
+    ),
+    "bernoulli": (
+        ChartDomain((0.2,), (0.8,), (9,)),
+        (("1/(x1*(1-x1))",),),
+        {(0, 0, 0): "(1-2*x1)/((x1*(1-x1))*(x1*(1-x1)))"},
+    ),
+    "poisson": (
+        ChartDomain((0.5,), (3.0,), (9,)),
+        (("1/x1",),),
+        {(0, 0, 0): "1/(x1*x1)"},
+    ),
+    "exponential": (
+        ChartDomain((0.5,), (3.0,), (9,)),
+        (("1/(x1*x1)",),),
+        {(0, 0, 0): "-2/(x1*(x1*x1))"},
+    ),
+}
+
 
 @dataclass(frozen=True)
 class StatisticalFamily:
@@ -68,20 +86,9 @@ class StatisticalFamily:
         return self.domain.m
 
 
-def _default_domains() -> dict[str, StatisticalFamily]:
-    return {
-        "gaussian1d": StatisticalFamily(
-            "gaussian1d", ChartDomain((-1.0, 0.5), (1.0, 2.0), (7, 7))
-        ),
-        "bernoulli": StatisticalFamily("bernoulli", ChartDomain((0.2,), (0.8,), (9,))),
-        "poisson": StatisticalFamily("poisson", ChartDomain((0.5,), (3.0,), (9,))),
-        "exponential": StatisticalFamily(
-            "exponential", ChartDomain((0.5,), (3.0,), (9,))
-        ),
-    }
-
-
-FAMILIES = _default_domains()
+FAMILIES = {
+    name: StatisticalFamily(name, domain) for name, (domain, _, _) in _CLOSED_FORMS.items()
+}
 
 
 def get_family(name: str) -> StatisticalFamily:
@@ -94,52 +101,18 @@ def get_family(name: str) -> StatisticalFamily:
 
 
 def fisher_metric(family: StatisticalFamily) -> MetricField:
-    x1 = ex.var(1)
-    if family.name == "gaussian1d":
-        x2 = ex.var(2)
-        s2 = ex.mul(x2, x2)
-        entries = (
-            (ex.div(ex.ONE, s2), ex.ZERO),
-            (ex.ZERO, ex.div(ex.const(2.0), s2)),
-        )
-        return MetricField(family.domain, 2, entries, declared_rank=2)
-    if family.name == "bernoulli":
-        denom = ex.mul(x1, ex.sub(ex.ONE, x1))
-        return MetricField(family.domain, 1, ((ex.div(ex.ONE, denom),),), declared_rank=1)
-    if family.name == "poisson":
-        return MetricField(family.domain, 1, ((ex.div(ex.ONE, x1),),), declared_rank=1)
-    if family.name == "exponential":
-        return MetricField(
-            family.domain, 1, ((ex.div(ex.ONE, ex.mul(x1, x1)),),), declared_rank=1
-        )
-    raise ValueError(f"no information metric for {family.name!r}")
+    entries = _CLOSED_FORMS[family.name][1]
+    return MetricField(family.domain, family.m, entries, declared_rank=family.m)
 
 
 def skewness_tensor(family: StatisticalFamily):
     """Totally symmetric T[i][j][k] as expressions."""
     m = family.m
-    x1 = ex.var(1)
-    t = [[[ex.ZERO for _ in range(m)] for _ in range(m)] for _ in range(m)]
-    if family.name == "gaussian1d":
-        x2 = ex.var(2)
-        cube = ex.mul(x2, ex.mul(x2, x2))
-        t112 = ex.div(ex.const(2.0), cube)
-        t222 = ex.div(ex.const(8.0), cube)
-        for perm in ((0, 0, 1), (0, 1, 0), (1, 0, 0)):
-            i, j, k = perm
-            t[i][j][k] = t112
-        t[1][1][1] = t222
-    elif family.name == "bernoulli":
-        denom = ex.mul(x1, ex.sub(ex.ONE, x1))
-        t[0][0][0] = ex.div(
-            ex.sub(ex.ONE, ex.mul(ex.const(2.0), x1)), ex.mul(denom, denom)
-        )
-    elif family.name == "poisson":
-        t[0][0][0] = ex.div(ex.ONE, ex.mul(x1, x1))
-    elif family.name == "exponential":
-        t[0][0][0] = ex.div(ex.const(-2.0), ex.mul(x1, ex.mul(x1, x1)))
-    else:
-        raise ValueError(f"no skewness tensor for {family.name!r}")
+    t = [[[ex.ZERO] * m for _ in range(m)] for _ in range(m)]
+    for index, text in _CLOSED_FORMS[family.name][2].items():
+        entry = ex.parse(text)
+        for i, j, k in itertools.permutations(index):
+            t[i][j][k] = entry
     return tuple(tuple(tuple(row) for row in plane) for plane in t)
 
 
@@ -182,7 +155,6 @@ def alpha_scan(
     family: StatisticalFamily,
     alphas,
     options: SolveOptions | None = None,
-    tol: ToleranceProfile | None = None,
 ) -> AlphaScanReport:
     """Metricity certificates for each alpha in the scan.
 
@@ -203,7 +175,7 @@ def alpha_scan(
     certificates = []
     for a in alphas:
         conn = alpha_connection(family, a)
-        certificates.append(decide_metricity(conn, options=options, tol=tol))
+        certificates.append(decide_metricity(conn, options=options))
     positive = [c for a, c in zip(alphas, certificates) if a > 0.0]
     all_positive_regular = bool(positive) and all(c.is_regular for c in positive)
     some_not_regular = any(not c.is_regular for c in certificates)

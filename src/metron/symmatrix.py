@@ -156,10 +156,18 @@ def _compiled_matrix(entries: tuple):
 
     def evaluator(x) -> np.ndarray:
         out = np.empty((rows, cols))
-        for i in range(rows):
-            fr = fns[i]
-            for j in range(cols):
-                out[i, j] = fr[j](x)
+        try:
+            for i in range(rows):
+                fr = fns[i]
+                for j in range(cols):
+                    out[i, j] = fr[j](x)
+        except (ArithmeticError, ValueError):
+            # re-evaluate to raise a DomainError naming the subtree and point
+            point = np.asarray(x, dtype=float).tolist()
+            for row in entries:
+                for e in row:
+                    ex.evaluate(e, point)
+            raise
         return out
 
     return evaluator

@@ -370,10 +370,12 @@ def get_transporter(
     outlive or collide with recycled objects.
     """
     cache = conn.__dict__.setdefault("_transporter_cache", [])
+    box = (grid.domain.lower, grid.domain.upper)
     for entry in cache:
         if (
             entry["kind"] == kind
             and entry["dual"] is dual
+            and entry["box"] == box
             and entry["counts"] == grid.counts
             and entry["base"] == base_index
             and entry["steps"] == steps_per_segment
@@ -384,6 +386,7 @@ def get_transporter(
         {
             "kind": kind,
             "dual": dual,
+            "box": box,
             "counts": grid.counts,
             "base": base_index,
             "steps": steps_per_segment,
@@ -414,7 +417,7 @@ def spanning_tree_extend(
     if not np.allclose(grid.nodes[base_index], np.asarray(x0, float), atol=1e-12):
         raise ValueError("base point must be a grid node")
     value0 = np.asarray(value0, dtype=float)
-    transporter = GridTransporter(kind, conn, dual, grid, base_index, steps_per_segment)
+    transporter = get_transporter(kind, conn, dual, grid, base_index, steps_per_segment)
     fields = transporter.extend(value0.reshape(1, -1))
     residual = float(transporter.residuals(fields)[0])
     shape = (len(grid.nodes),) + value0.shape

@@ -246,6 +246,23 @@ def test_pole_at_a_runge_kutta_node_is_named(capsys, tmp_path, entry):
     assert any("division by zero" in m and "1/x1" in m for m in messages), messages
 
 
+@pytest.mark.parametrize(
+    "entry, subtree",
+    [("sqrt(x1-0.99)", "sqrt(x1 - 0.99)"), ("1/exp(800*(1-x1))", "exp(800*(1 - x1))")],
+)
+def test_pole_at_the_base_point_is_named(capsys, tmp_path, entry, subtree):
+    """The prolongation evaluates its constraints at the base point; a
+    domain error there names the failing subtree and the point."""
+    problem = json.loads(json.dumps(BASE_PROBLEM))
+    problem["connection"][0][0][0] = entry
+    problem["domain"]["gridPerAxis"] = 8
+    path = _write(tmp_path, "p.json", problem)
+    code, out, _ = _run(capsys, "metricity", path, "--quiet")
+    assert code == 2
+    messages = [d["message"] for d in json.loads(out)["result"]["diagnostics"]]
+    assert any(f"'{subtree}' at (" in m for m in messages), messages
+
+
 def test_uncertified_result_exits_3(capsys, tmp_path):
     """Starving the prolongation of orders leaves the kernel unstabilised;
     the analysis must flag itself and exit 3."""

@@ -1,6 +1,10 @@
-import numpy as np
+import dataclasses
 
-from metron.bundle import dual_connection, identity_metric, apply_gauge
+import numpy as np
+import pytest
+
+from metron import symmatrix as sm
+from metron.bundle import apply_gauge, curvature, dual_connection, identity_metric
 from metron.corpus import (
     NILPOTENT_MATRIX,
     flat_connection,
@@ -130,6 +134,28 @@ def test_generic_polynomial_kernel_matches_pointwise_intersection():
     brute_dim = 4 - int((s > 1e-8 * s[0]).sum())
     assert k.shape[0] <= brute_dim  # derivative constraints only cut further
     assert k.shape[0] == brute_dim == 0  # generic case collapses entirely
+
+
+def test_generic_connection_builds_no_prolongation_order(monkeypatch):
+    """A generic connection's kernel closes on the curvature alone, so
+    the covariant-derivative orders must never be built symbolically."""
+    rng = np.random.default_rng(0)
+    conn = random_polynomial_connection(rng, square_domain(5), 2)
+    dual = dual_connection(identity_metric(conn.domain, 2), conn)
+    curvature(conn), curvature(dual)  # cached on the connections
+    calls = []
+    mat_diff = sm.mat_diff
+    monkeypatch.setattr(sm, "mat_diff", lambda a, i: calls.append(i) or mat_diff(a, i))
+    space = solve_hom(conn, dual, SolveOptions(grid_per_axis=5, steps_per_segment=16))
+    assert space.dimension == 0 and space.stabilization_order == 0
+    assert calls == []
+
+
+def test_solve_options_are_frozen():
+    options = SolveOptions(grid_per_axis=5, steps_per_segment=16)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        options.transport_tol = 1.0
+    assert options.transport_tol == 1e-7
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from metron import metricity
 from metron.bundle import (
     apply_gauge,
     identity_metric,
@@ -42,6 +43,34 @@ def test_decide_metricity_leaves_caller_options_unchanged():
     decide_metricity(flat_connection(), options=options)
     assert options.kernel_cutoff == 1e-6
     assert options.transport_tol == 1e-5
+
+
+def test_decide_metricity_honours_caller_tolerances():
+    """Hyperbolic's genuine solutions carry roundoff-level transport
+    residuals, so a 1e-30 gate must reject every one of them."""
+    conn, _ = half_plane_levi_civita()
+    strict = SolveOptions(grid_per_axis=5, steps_per_segment=16, transport_tol=1e-30)
+    cert = decide_metricity(conn, options=strict)
+    assert cert.options is strict
+    assert cert.verdict == "NotMetric"
+    assert cert.dim_j == cert.dim_s2 == cert.dim_omega2 == 0
+    assert "transport-rejected-stabilized-directions" in cert.flags
+    assert decide_metricity(conn, options=FAST).verdict == "RegularlyMetric"
+
+
+def test_index_report_reuses_the_certificate_hom_space(monkeypatch):
+    """The identity family member is the certificate's base metric, so
+    only the other nine members need a hom solve."""
+    conn, metric = half_plane_levi_civita()
+    cert = decide_metricity(conn, options=FAST)
+    solves = []
+    solve = metricity.solve_hom
+    monkeypatch.setattr(
+        metricity, "solve_hom", lambda *a, **k: solves.append(1) or solve(*a, **k)
+    )
+    report = index_report(conn, None, FAST, primary_metric=metric, certificate=cert)
+    assert report.family_size == 10
+    assert len(solves) == 9
 
 
 # ---------------------------------------------------------------------------
