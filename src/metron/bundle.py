@@ -57,8 +57,9 @@ RANK_REL_CUTOFF = 1e-8
 
 def numerical_rank(
     matrix: np.ndarray, rel_cutoff: float = RANK_REL_CUTOFF, scale: float | None = None
-) -> int:
-    """Rank by SVD with a cutoff relative to the largest singular value.
+):
+    """Rank by SVD with a cutoff relative to the largest singular value;
+    for a stack of matrices (..., a, b), an integer array of their ranks.
 
     Pass `scale` when the matrix is derived from data of a known size
     (for example the symmetric part of a unit-norm endomorphism): the
@@ -66,12 +67,12 @@ def numerical_rank(
     that is pure roundoff relative to its source counts as rank zero.
     """
     s = np.linalg.svd(matrix, compute_uv=False)
-    if s.size == 0:
-        return 0
-    reference = max(float(s[0]), float(scale) if scale is not None else 0.0)
-    if reference <= 0.0:
-        return 0
-    return int((s > rel_cutoff * reference).sum())
+    if s.shape[-1] == 0:
+        ranks = np.zeros(s.shape[:-1], dtype=int)
+    else:
+        reference = np.maximum(s[..., :1], 0.0 if scale is None else float(scale))
+        ranks = ((s > rel_cutoff * reference) & (reference > 0.0)).sum(axis=-1)
+    return int(ranks) if ranks.ndim == 0 else ranks
 
 
 @dataclass
@@ -141,14 +142,18 @@ class ChartDomain:
         return ChartDomain(self.lower, self.upper, (per_axis,) * self.m)
 
 
-def _validate_entries(entries, domain: ChartDomain, what: str):
-    for row in entries:
-        for e in row:
-            bad = [i for i in ex.variables(e) if i > domain.m]
-            if bad:
-                raise ValueError(
-                    f"{what} uses x{bad[0]} but the chart has dimension {domain.m}"
-                )
+def _validate_entries(rows, domain: ChartDomain, what: str):
+    """Reject coordinates beyond the chart: one walk over all entries,
+    and a walk per entry only to name the first offender."""
+    entries = [e for row in rows for e in row]
+    if max(ex.variables(*entries), default=0) <= domain.m:
+        return
+    for e in entries:
+        bad = [i for i in ex.variables(e) if i > domain.m]
+        if bad:
+            raise ValueError(
+                f"{what} uses x{bad[0]} but the chart has dimension {domain.m}"
+            )
 
 
 @dataclass
@@ -168,15 +173,13 @@ class Connection:
         for g in self.gamma:
             if len(g) != self.r or any(len(row) != self.r for row in g):
                 raise ValueError(f"coefficient matrices must be {self.r}x{self.r}")
-            _validate_entries(g, self.domain, "connection coefficient")
+        _validate_entries(
+            [row for g in self.gamma for row in g], self.domain, "connection coefficient"
+        )
 
     @cached_property
-    def _entries(self) -> tuple:
-        return tuple(e for g in self.gamma for row in g for e in row)
-
-    @cached_property
-    def _coeff_fns(self) -> tuple:
-        return tuple(ex.compile_vectorized(e) for e in self._entries)
+    def _evaluator(self) -> ex.Evaluator:
+        return ex.Evaluator(e for g in self.gamma for row in g for e in row)
 
     def coeff_array(self, x) -> np.ndarray:
         """Evaluate all coefficients at points x of shape (..., m); the
@@ -187,17 +190,7 @@ class Connection:
         also where only an intermediate value does.
         """
         x = np.asarray(x, dtype=float)
-        out = np.empty(x.shape[:-1] + (len(self._entries),))
-        try:
-            with np.errstate(divide="raise", over="raise", invalid="raise", under="ignore"):
-                for k, fn in enumerate(self._coeff_fns):
-                    out[..., k] = fn(x)
-        except FloatingPointError as err:
-            for point in x.reshape(-1, x.shape[-1]).tolist():
-                for e in self._entries:
-                    ex.evaluate(e, point)
-            raise ex.DomainError(str(err)) from None
-        return out.reshape(x.shape[:-1] + (self.domain.m, self.r, self.r))
+        return self._evaluator(x).reshape(x.shape[:-1] + (self.domain.m, self.r, self.r))
 
     def coeff_at(self, x) -> np.ndarray:
         """Evaluate all coefficients at a point, shape (m, r, r)."""
@@ -229,34 +222,33 @@ class MetricField:
         if self.declared_rank is None:
             self.declared_rank = self.r
         sign = -1.0 if self.antisymmetric else 1.0
-        for p in self.domain.sample_points():
-            mat = self.matrix_at(p)
-            if float(np.abs(mat - sign * mat.T).max()) > 1e-9 * (1.0 + np.abs(mat).max()):
-                kind = "antisymmetric" if self.antisymmetric else "symmetric"
-                raise ValueError(f"form is not {kind} at sample point {tuple(p)}")
+        pts = self.domain.sample_points()
+        mats = self.matrix_at(pts)
+        skew = np.abs(mats - sign * mats.swapaxes(-1, -2)).max(axis=(-2, -1))
+        bad = np.flatnonzero(skew > 1e-9 * (1.0 + np.abs(mats).max(axis=(-2, -1))))
+        if bad.size:
+            kind = "antisymmetric" if self.antisymmetric else "symmetric"
+            raise ValueError(f"form is not {kind} at sample point {tuple(pts[bad[0]])}")
 
     @cached_property
     def _fn(self):
         return sm.compile_matrix(self.entries)
 
     def matrix_at(self, x) -> np.ndarray:
+        """The form's matrix at x, or at each point of a stack (..., m)."""
         return self._fn(x)
 
     def verify_declared_rank(self, rel_cutoff: float = RANK_REL_CUTOFF) -> bool:
-        return all(
-            numerical_rank(self.matrix_at(p), rel_cutoff) == self.declared_rank
-            for p in self.domain.sample_points()
-        )
+        ranks = numerical_rank(self.matrix_at(self.domain.sample_points()), rel_cutoff)
+        return bool(np.all(ranks == self.declared_rank))
 
     def regularity_margin(self) -> tuple[float, float]:
         """(min |det|, max condition number) over the sample grid."""
-        min_det, max_cond = np.inf, 0.0
-        for p in self.domain.sample_points():
-            mat = self.matrix_at(p)
-            min_det = min(min_det, abs(float(np.linalg.det(mat))))
-            s = np.linalg.svd(mat, compute_uv=False)
-            max_cond = max(max_cond, np.inf if s[-1] == 0 else float(s[0] / s[-1]))
-        return min_det, max_cond
+        mats = self.matrix_at(self.domain.sample_points())
+        s = np.linalg.svd(mats, compute_uv=False)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cond = np.where(s[:, -1] == 0, np.inf, s[:, 0] / s[:, -1])
+        return float(np.abs(np.linalg.det(mats)).min()), float(cond.max())
 
     def is_regular(self) -> bool:
         if self.declared_rank != self.r:
@@ -296,13 +288,12 @@ class GaugeTransform:
         return sm.compile_matrix(self.entries)
 
     def matrix_at(self, x) -> np.ndarray:
+        """The map's matrix at x, or at each point of a stack (..., m)."""
         return self._fn(x)
 
     def min_abs_det_on_grid(self) -> float:
-        return min(
-            abs(float(np.linalg.det(self.matrix_at(p))))
-            for p in self.domain.sample_points()
-        )
+        dets = np.linalg.det(self.matrix_at(self.domain.sample_points()))
+        return float(np.abs(dets).min())
 
     def require_invertible(self, floor: float = DET_REGULARITY_FLOOR):
         worst = self.min_abs_det_on_grid()
@@ -328,11 +319,10 @@ class CurvatureField:
         return [(i, j) for i in range(m) for j in range(i + 1, m)]
 
     def max_abs_on_grid(self) -> float:
-        worst = 0.0
-        for p in self.domain.sample_points():
-            for i, j in self.pairs():
-                worst = max(worst, float(np.abs(self.matrix_at(p, i, j)).max()))
-        return worst
+        rows = [row for i, j in self.pairs() for row in self.entries[i][j]]
+        if not rows:
+            return 0.0
+        return sm.max_abs_on_points(rows, self.domain.sample_points())
 
     def is_flat(self, tol: float = 1e-9) -> bool:
         return self.max_abs_on_grid() <= tol
@@ -426,8 +416,8 @@ def metric_covariant_derivative(conn: Connection, metric: MetricField):
                 sm.mat_mul(g, sm.mat_transpose(gi)),
             )
         )
-    pts = conn.domain.sample_points()
-    residual = max(sm.max_abs_on_points(fe, pts) for fe in field_entries)
+    rows = [row for fe in field_entries for row in fe]
+    residual = sm.max_abs_on_points(rows, conn.domain.sample_points())
     return tuple(field_entries), residual
 
 
@@ -442,12 +432,8 @@ def dual_gauge_compatibility_residual(
     """
     lhs = apply_gauge(phi, dual_connection(metric, conn))
     rhs = dual_connection(pushforward_metric(phi, metric), apply_gauge(phi, conn))
-    pts = conn.domain.sample_points()
-    worst = 0.0
-    for a, b in zip(lhs.gamma, rhs.gamma):
-        diff = sm.mat_sub(a, b)
-        worst = max(worst, sm.max_abs_on_points(diff, pts))
-    return worst
+    rows = [row for a, b in zip(lhs.gamma, rhs.gamma) for row in sm.mat_sub(a, b)]
+    return sm.max_abs_on_points(rows, conn.domain.sample_points())
 
 
 def levi_civita(metric: MetricField) -> Connection:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -49,6 +50,7 @@ from .statmodels import alpha_scan, get_family
 __all__ = ["main", "run_command", "validate_problem", "canonical_json"]
 
 SUBSTITUTION_RESIDUAL = 1e-6
+TOLERANCE_MESSAGE = "tolerance must be positive and finite"
 
 COMMANDS = (
     "dual",
@@ -148,26 +150,40 @@ def _expect_shape(value, dims: tuple[int, ...], path: str, diagnostics: list) ->
     return ok
 
 
-def _check_expressions(value, dim: int, path: str, diagnostics: list):
+def _parsed_leaves(value, path: str):
+    """(path, expression or ParseError) for every string leaf, in order."""
     if isinstance(value, str):
         try:
-            e = ex.parse(value)
+            yield path, ex.parse(value)
         except ex.ParseError as err:
-            diagnostics.append(_diag(path, "parse", err.message, err.offset))
-            return
-        bad = sorted(i for i in ex.variables(e) if i > dim)
+            yield path, err
+    elif isinstance(value, list):
+        for idx, item in enumerate(value):
+            yield from _parsed_leaves(item, f"{path}[{idx}]")
+
+
+def _check_expressions(value, dim: int, path: str, diagnostics: list):
+    leaves = list(_parsed_leaves(value, path))
+    parsed = [e for _, e in leaves if not isinstance(e, ex.ParseError)]
+    # one walk over all entries; a walk per entry only to name offenders
+    outside = max(ex.variables(*parsed), default=0) > dim
+    for leaf_path, e in leaves:
+        if isinstance(e, ex.ParseError):
+            diagnostics.append(_diag(leaf_path, "parse", e.message, e.offset))
+            continue
+        bad = sorted(i for i in ex.variables(e) if i > dim) if outside else []
         if bad:
             diagnostics.append(
                 _diag(
-                    path,
+                    leaf_path,
                     "unknown-variable",
                     f"expression uses x{bad[0]} but the problem has dim {dim}",
                 )
             )
-        return
-    if isinstance(value, list):
-        for idx, item in enumerate(value):
-            _check_expressions(item, dim, f"{path}[{idx}]", diagnostics)
+
+
+def _is_tolerance(value) -> bool:
+    return isinstance(value, (int, float)) and math.isfinite(value) and value > 0
 
 
 def validate_problem(data) -> list[dict]:
@@ -242,10 +258,8 @@ def validate_problem(data) -> list[dict]:
                     diagnostics.append(
                         _diag(f"tolerances.{key}", "unknown-key", "unknown tolerance override")
                     )
-                elif not isinstance(v, (int, float)) or v <= 0:
-                    diagnostics.append(
-                        _diag(f"tolerances.{key}", "value", "tolerance must be positive")
-                    )
+                elif not _is_tolerance(v):
+                    diagnostics.append(_diag(f"tolerances.{key}", "value", TOLERANCE_MESSAGE))
     return diagnostics
 
 
@@ -385,10 +399,8 @@ def _cmd_dual(p: ProblemObjects, args):
     metric = p.base_metric()
     dual = dual_connection(metric, p.connection)
     back = dual_connection(metric, dual)
-    pts = p.domain.sample_points()
-    residual = 0.0
-    for a, b in zip(back.gamma, p.connection.gamma):
-        residual = max(residual, sm.max_abs_on_points(sm.mat_sub(a, b), pts))
+    rows = [row for a, b in zip(back.gamma, p.connection.gamma) for row in sm.mat_sub(a, b)]
+    residual = sm.max_abs_on_points(rows, p.domain.sample_points())
     result = {
         "dualConnection": [
             [[ex.to_string(e) for e in row] for row in g] for g in dual.gamma
@@ -431,21 +443,17 @@ def _cmd_gauge_check(p: ProblemObjects, args):
     transformed = apply_gauge(phi, p.connection)
     back = apply_gauge(phi_inv, transformed)
     pts = p.domain.sample_points()
-    round_trip = 0.0
-    for a, b in zip(back.gamma, p.connection.gamma):
-        round_trip = max(round_trip, sm.max_abs_on_points(sm.mat_sub(a, b), pts))
+    rows = [row for a, b in zip(back.gamma, p.connection.gamma) for row in sm.mat_sub(a, b)]
+    round_trip = sm.max_abs_on_points(rows, pts)
     compat = dual_gauge_compatibility_residual(phi, p.base_metric(), p.connection)
     base_curv = curvature(p.connection)
     trans_curv = curvature(transformed)
+    pm = phi.matrix_at(pts)
+    pm_inv = np.linalg.inv(pm)
     conj = 0.0
-    for x in pts:
-        pm = phi.matrix_at(x)
-        pm_inv = np.linalg.inv(pm)
-        for i, j in base_curv.pairs():
-            expected = pm_inv @ base_curv.matrix_at(x, i, j) @ pm
-            conj = max(
-                conj, float(np.abs(trans_curv.matrix_at(x, i, j) - expected).max())
-            )
+    for i, j in base_curv.pairs():
+        expected = pm_inv @ base_curv.matrix_at(pts, i, j) @ pm
+        conj = max(conj, float(np.abs(trans_curv.matrix_at(pts, i, j) - expected).max()))
     result = {
         "gaugeRoundTripResidual": round_trip,
         "dualGaugeCompatibilityResidual": compat,
@@ -507,6 +515,16 @@ def run_command(args) -> tuple[dict, int]:
     started = time.perf_counter()
     report: dict = {"toolVersion": __version__, "command": args.command, "seed": 0}
     try:
+        bad_flags = [
+            _diag(flag, "value", TOLERANCE_MESSAGE)
+            for flag, value in (
+                ("--tol-transport", args.tol_transport),
+                ("--tol-kernel", args.tol_kernel),
+            )
+            if value is not None and not _is_tolerance(value)
+        ]
+        if bad_flags:
+            raise _InputError(bad_flags)
         if args.command == "alpha-scan":
             if not args.family:
                 raise _InputError(

@@ -1,10 +1,11 @@
 """Closed-form scalar expressions over chart coordinates x1..x9.
 
 Immutable expression trees with exact symbolic partial derivatives, a
-recursive-descent parser for the small coefficient grammar, and a code
-generator that turns trees into straight-line Python callables: a
-scalar one for single points and a numpy-vectorised one that evaluates
-many points per call (transport integration, grid residuals).
+recursive-descent parser for the small coefficient grammar, a walker
+that evaluates one tree at one point and names the subtree that leaves
+the real domain, and an evaluator that runs the union DAG of many trees
+as numpy operations over many points at once (transport integration,
+constraint rows, grid residuals).
 
 Grammar (EBNF):
 
@@ -58,8 +59,7 @@ __all__ = [
     "evaluate",
     "differentiate",
     "to_string",
-    "compile_expr",
-    "compile_vectorized",
+    "Evaluator",
     "variables",
     "ZERO",
     "ONE",
@@ -440,7 +440,12 @@ def evaluate(e: ScalarExpression, point) -> float:
     zero, log/sqrt outside their domains, fractional powers of negative
     numbers, and overflow.
     """
-    memo: dict[int, float] = {}
+    return _evaluate(e, point, {})
+
+
+def _evaluate(e: ScalarExpression, point, memo: dict) -> float:
+    """evaluate() with a memo that the caller may share between
+    expressions at the same point."""
     stack = [e]
     while stack:
         node = stack[-1]
@@ -653,164 +658,131 @@ def to_string(e: ScalarExpression) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Compilation to straight-line Python callables
+# Numpy evaluation of many expressions over many points
 # ---------------------------------------------------------------------------
 
-_COMPILE_CACHE: dict[int, object] = {}
 
+def _topo_order(roots) -> list:
+    """Distinct nodes of the union DAG of roots, each after its children.
 
-def _real_pow(a: float, b: float) -> float:
-    if a < 0.0 and b != math.floor(b):
-        raise ValueError("negative number raised to a fractional power")
-    return a ** b
-
-
-# Function tables of the two code paths. The scalar path keeps Python's
-# real-arithmetic exceptions; the vectorised path computes with numpy,
-# where a domain failure sets a floating-point flag instead of raising.
-_SCALAR_TABLE = {
-    "_exp": math.exp,
-    "_log": math.log,
-    "_sin": math.sin,
-    "_cos": math.cos,
-    "_sqrt": math.sqrt,
-    "_isfinite": math.isfinite,
-    "_pow": _real_pow,
-}
-_VECTOR_TABLE = {
-    "_exp": np.exp,
-    "_log": np.log,
-    "_sin": np.sin,
-    "_cos": np.cos,
-    "_sqrt": np.sqrt,
-    "_pow": np.power,
-    "_num": np.float64,
-}
-
-
-def _topo_order(e: ScalarExpression):
+    Hash-consing makes a shared subtree one node, so it appears once.
+    """
     order, seen = [], set()
-    stack = [(e, False)]
+    stack = [(root, False) for root in roots]
     while stack:
         node, done = stack.pop()
         if done:
             order.append(node)
             continue
-        if id(node) in seen:
+        key = id(node)
+        if key in seen:
             continue
-        seen.add(id(node))
+        seen.add(key)
         stack.append((node, True))
-        if isinstance(node, Unary):
-            stack.append((node.arg, False))
-        elif isinstance(node, Binary):
+        if type(node) is Binary:
             stack.append((node.right, False))
             stack.append((node.left, False))
+        elif type(node) is Unary:
+            stack.append((node.arg, False))
     return order
 
 
-def _straight_line(e: ScalarExpression, vectorised: bool):
-    """One assignment per node, in dependency order: (nodes, lines, names).
+def variables(*roots: ScalarExpression) -> set[int]:
+    """Set of coordinate indices (1-based) that the expressions mention,
+    from one walk over their union."""
+    return {node.index for node in _topo_order(roots) if type(node) is Var}
 
-    The vectorised variant reads coordinate i as the array x[..., i] and
-    wraps constants as numpy scalars, so that 1/0 sets numpy's
-    divide-by-zero flag rather than raising ZeroDivisionError.
+
+_UNARY_UFUNCS = {
+    "neg": np.negative,
+    "exp": np.exp,
+    "log": np.log,
+    "sin": np.sin,
+    "cos": np.cos,
+    "sqrt": np.sqrt,
+}
+_BINARY_UFUNCS = {
+    "+": np.add,
+    "-": np.subtract,
+    "*": np.multiply,
+    "/": np.divide,
+    "^": np.power,
+}
+
+
+class Evaluator:
+    """Evaluate several expressions at many points with one numpy
+    operation per distinct node of their union DAG.
+
+    Evaluator(roots)(x), with x of shape (..., m), returns an array of
+    shape (..., len(roots)). Subtrees that roots share are computed
+    once, and each temporary is dropped after its last use, so the
+    arrays alive at once stay at the width of the DAG rather than its
+    size. Nothing is cached across evaluators: the owner of an
+    evaluator decides how long its step list lives.
+
+    Domain failures, intermediate values included, raise DomainError:
+    the points are walked again in C order with evaluate(), which names
+    the first subtree and point that leave the real domain.
     """
-    order = _topo_order(e)
-    names = {id(node): f"t{k}" for k, node in enumerate(order)}
-    lines = []
-    for node in order:
-        name = names[id(node)]
-        if isinstance(node, Const):
-            value = f"_num({node.value!r})" if vectorised else repr(node.value)
-            lines.append(f"    {name} = {value}")
-        elif isinstance(node, Var):
-            # the scalar path reads plain floats: they keep real-arithmetic
-            # error semantics (numpy scalars would turn 1/0 into inf) and
-            # are faster besides
-            i = node.index - 1
-            read = f"x[..., {i}]" if vectorised else f"float(x[{i}])"
-            lines.append(f"    {name} = {read}")
-        elif isinstance(node, Unary):
-            a = names[id(node.arg)]
-            if node.op == "neg":
-                lines.append(f"    {name} = -{a}")
-            else:
-                lines.append(f"    {name} = _{node.op}({a})")
-        elif node.op == "^":
-            a, b = names[id(node.left)], names[id(node.right)]
-            if isinstance(node.right, Const) and node.right.value == int(node.right.value):
-                lines.append(f"    {name} = {a} ** {b}")
-            else:
-                lines.append(f"    {name} = _pow({a}, {b})")
-        else:
-            a, b = names[id(node.left)], names[id(node.right)]
-            lines.append(f"    {name} = {a} {node.op} {b}")
-    return order, lines, names
 
+    __slots__ = ("roots", "_init", "_vars", "_steps", "_outputs")
 
-def _build(src: str, table: dict):
-    namespace = dict(table)
-    exec(src, namespace)  # noqa: S102 - source is generated from the AST only
-    return namespace["_compiled"]
+    def __init__(self, roots):
+        self.roots = tuple(roots)
+        order = _topo_order(self.roots)
+        slot = {id(node): k for k, node in enumerate(order)}
+        init: list = [None] * len(order)
+        coords, steps, last_use = [], [], {}
+        for k, node in enumerate(order):
+            kind = type(node)
+            if kind is Const:
+                init[k] = np.float64(node.value)
+                continue
+            if kind is Var:
+                coords.append((k, node.index - 1))
+                continue
+            if kind is Unary:
+                a = slot[id(node.arg)]
+                last_use[a] = len(steps)
+                steps.append((_UNARY_UFUNCS[node.op], k, a, None))
+                continue
+            a, b = slot[id(node.left)], slot[id(node.right)]
+            last_use[a] = last_use[b] = len(steps)
+            steps.append((_BINARY_UFUNCS[node.op], k, a, b))
+        outputs = tuple(slot[id(root)] for root in self.roots)
+        for k in outputs:
+            last_use.pop(k, None)
+        dead_after: list[list[int]] = [[] for _ in steps]
+        for k, n in last_use.items():
+            dead_after[n].append(k)
+        self._init = init
+        self._vars = tuple(coords)
+        self._steps = tuple(step + (tuple(dead),) for step, dead in zip(steps, dead_after))
+        self._outputs = outputs
 
+    def __call__(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        points = x.reshape(-1, x.shape[-1])
+        vals = list(self._init)
+        for k, i in self._vars:
+            vals[k] = points[:, i]
+        try:
+            with np.errstate(divide="raise", over="raise", invalid="raise", under="ignore"):
+                for fn, k, a, b, dead in self._steps:
+                    vals[k] = fn(vals[a]) if b is None else fn(vals[a], vals[b])
+                    for d in dead:
+                        vals[d] = None
+        except FloatingPointError as err:
+            self._locate(points, str(err))
+        out = np.empty((len(points), len(self._outputs)))
+        for j, k in enumerate(self._outputs):
+            out[:, j] = vals[k]
+        return out.reshape(x.shape[:-1] + (len(self._outputs),))
 
-def compile_expr(e: ScalarExpression):
-    """Compile to a callable f(point) -> float.
-
-    The compiled function raises the usual arithmetic exceptions
-    (ZeroDivisionError, ValueError, OverflowError) on domain failures;
-    use evaluate() when precise subtree reporting matters. Results are
-    cached per node, so repeated compilation is free.
-    """
-    cached = _COMPILE_CACHE.get(id(e))
-    if cached is not None:
-        return cached
-    _, lines, names = _straight_line(e, vectorised=False)
-    result = names[id(e)]
-    src = "def _compiled(x):\n" + "\n".join(lines) + (
-        f"\n    if not _isfinite({result}):"
-        "\n        raise ValueError('non-finite value')"
-        f"\n    return {result}\n"
-    )
-    fn = _build(src, _SCALAR_TABLE)
-    _COMPILE_CACHE[id(e)] = fn
-    return fn
-
-
-def compile_vectorized(e: ScalarExpression):
-    """Compile to a numpy callable f(x) -> values, x of shape (..., m);
-    the values broadcast to x.shape[:-1].
-
-    Domain failures set numpy's floating-point flags (run under
-    np.errstate(..., raise) to catch them, intermediate values
-    included); evaluate() at the offending point names the subtree.
-    Nothing is cached here: the caller owns the function.
-    """
-    order, lines, names = _straight_line(e, vectorised=True)
-    # delete each temporary after its last use, so the arrays alive at
-    # once stay at the width of the tree rather than its size
-    last_use = {}
-    for k, node in enumerate(order):
-        if isinstance(node, Unary):
-            last_use[id(node.arg)] = k
-        elif isinstance(node, Binary):
-            last_use[id(node.left)] = last_use[id(node.right)] = k
-    dead_after: dict[int, list[str]] = {}
-    for key, k in last_use.items():
-        dead_after.setdefault(k, []).append(names[key])
-    body = []
-    for k, line in enumerate(lines):
-        body.append(line)
-        if k in dead_after:
-            body.append(f"    del {', '.join(sorted(dead_after[k]))}")
-    src = "def _compiled(x):\n" + "\n".join(body) + f"\n    return {names[id(e)]}\n"
-    return _build(src, _VECTOR_TABLE)
-
-
-def variables(e: ScalarExpression) -> set[int]:
-    """Set of coordinate indices (1-based) the expression mentions."""
-    out: set[int] = set()
-    for node in _topo_order(e):
-        if isinstance(node, Var):
-            out.add(node.index)
-    return out
+    def _locate(self, points: np.ndarray, message: str):
+        for point in points.tolist():
+            memo: dict[int, float] = {}
+            for root in self.roots:
+                _evaluate(root, point, memo)
+        raise DomainError(message) from None

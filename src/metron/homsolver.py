@@ -176,9 +176,10 @@ def hom_curvature_operator(conn: Connection, dual: Connection, x, i: int, j: int
     """Curvature of the induced endomorphism connection at x for the
     coordinate pair (i, j), acting on row-major flattened matrices:
     P -> R_ij P - P R*_ij. Values of parallel sections lie in its kernel."""
-    rij = sm.eval_matrix(curvature(conn).entries[i][j], x)
-    rsij = sm.eval_matrix(curvature(dual).entries[i][j], x)
-    return _intertwining_operator(rij, rsij)
+    r = conn.r
+    both = curvature(conn).entries[i][j] + curvature(dual).entries[i][j]
+    values = sm.eval_matrix(both, x)
+    return _intertwining_operator(values[:r], values[r:])
 
 
 def _intertwining_operator(b: np.ndarray, bs: np.ndarray) -> np.ndarray:
@@ -232,11 +233,22 @@ def _generator_orders(conn: Connection, dual: Connection | None, max_order: int)
         yield gens
 
 
-def _constraint_rows(gen, x, subspace: np.ndarray, is_hom: bool, scale_ref: float):
+def _generator_values(gens, x, is_hom: bool):
+    """Every generator of one order at x, from one evaluation, as pairs
+    (B, B*); for forms B* = -B^T."""
+    mats = [mat for gen in gens for mat in gen] if is_hom else gens
+    if not mats:  # a one-dimensional chart has no curvature
+        return []
+    r = len(mats[0])
+    values = sm.eval_matrix([row for mat in mats for row in mat], x).reshape(-1, r, r)
+    if is_hom:
+        return zip(values[0::2], values[1::2])
+    return ((b, -b.T) for b in values)
+
+
+def _constraint_rows(b, bs, subspace: np.ndarray, scale_ref: float):
     """Rows of one generator's constraint operator restricted to the
     candidate subspace, normalised; None if the generator vanishes."""
-    b = sm.eval_matrix(gen[0] if is_hom else gen, x)
-    bs = sm.eval_matrix(gen[1], x) if is_hom else -b.T
     magnitude = max(np.abs(b).max(), np.abs(bs).max())
     if magnitude <= GENERATOR_DROP_REL * scale_ref:
         return None, magnitude
@@ -271,8 +283,8 @@ def stabilized_constraint_subspace(
     dims: list[int] = []
     stabilized = False
     for order, gens in enumerate(generators):
-        for gen in gens:
-            rows, magnitude = _constraint_rows(gen, x0, subspace, is_hom, scale_ref)
+        for b, bs in _generator_values(gens, x0, is_hom):
+            rows, magnitude = _constraint_rows(b, bs, subspace, scale_ref)
             scale_ref = max(scale_ref, magnitude)
             if rows is not None:
                 blocks.append(rows)

@@ -221,8 +221,7 @@ def decide_metricity(
             if rank > (best[0] if best else -1):
                 fld = _combo_field(s2, cand)
                 dets = np.abs(np.linalg.det(fld))
-                ranks = [numerical_rank(f) for f in fld]
-                constant_rank = all(rk == rank for rk in ranks)
+                constant_rank = bool(np.all(numerical_rank(fld) == rank))
                 regular_ok = rank == r and float(dets.min()) >= DET_REGULARITY_FLOOR
                 if constant_rank and (rank < r or regular_ok):
                     best = (rank, cand, fld, float(dets.min()), regular_ok)
@@ -284,12 +283,11 @@ def parallel_form_residuals(
     hom = bundle.hom_space
     grid = hom.grid
     field_phi = hom.extensions[solution_index]
-    g_fn = bundle.base_metric.matrix_at
+    g_nodes = bundle.base_metric.matrix_at(grid.nodes)
     q_nodes = np.empty_like(field_phi)
     w_nodes = np.empty_like(field_phi)
     phi_ranks = []
-    for n, x in enumerate(grid.nodes):
-        g = g_fn(x)
+    for n, g in enumerate(g_nodes):
         phi_sym, phi_alt = split_symmetric(g, field_phi[n])
         q_nodes[n], w_nodes[n] = induced_forms(g, phi_sym, phi_alt)
         phi_ranks.append(

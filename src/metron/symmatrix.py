@@ -7,8 +7,6 @@ bounds this to rank <= 4, which covers every chart handled here.
 """
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from . import expr as ex
@@ -149,33 +147,18 @@ def inverse_mat(a):
     return tuple(tuple(ex.div(adj[i][j], det) for j in range(r)) for i in range(r))
 
 
-@lru_cache(maxsize=None)
-def _compiled_matrix(entries: tuple):
-    fns = tuple(tuple(ex.compile_expr(e) for e in row) for row in entries)
-    rows, cols = len(entries), len(entries[0])
-
-    def evaluator(x) -> np.ndarray:
-        out = np.empty((rows, cols))
-        try:
-            for i in range(rows):
-                fr = fns[i]
-                for j in range(cols):
-                    out[i, j] = fr[j](x)
-        except (ArithmeticError, ValueError):
-            # re-evaluate to raise a DomainError naming the subtree and point
-            point = np.asarray(x, dtype=float).tolist()
-            for row in entries:
-                for e in row:
-                    ex.evaluate(e, point)
-            raise
-        return out
-
-    return evaluator
-
-
 def compile_matrix(entries):
-    """Callable x -> ndarray for a matrix of expressions (cached)."""
-    return _compiled_matrix(tuple(tuple(row) for row in entries))
+    """Callable x -> array for a matrix of expressions: at points x of
+    shape (..., m) it returns shape (..., rows, cols). One evaluator
+    serves all entries; the callable owns it."""
+    shape = (len(entries), len(entries[0]))
+    fn = ex.Evaluator(e for row in entries for e in row)
+
+    def evaluate(x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        return fn(x).reshape(x.shape[:-1] + shape)
+
+    return evaluate
 
 
 def eval_matrix(entries, x) -> np.ndarray:
@@ -183,8 +166,5 @@ def eval_matrix(entries, x) -> np.ndarray:
 
 
 def max_abs_on_points(entries, points) -> float:
-    fn = compile_matrix(entries)
-    worst = 0.0
-    for p in points:
-        worst = max(worst, float(np.abs(fn(p)).max()))
-    return worst
+    """Largest absolute entry over all points, in one evaluation."""
+    return float(np.abs(eval_matrix(entries, points)).max(initial=0.0))

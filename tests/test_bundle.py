@@ -358,6 +358,18 @@ def test_metric_field_rejects_asymmetric_entries():
         MetricField(dom, 2, (("1", "x1"), ("0", "1")), declared_rank=2)
 
 
+def test_metric_pole_hit_only_by_an_intermediate_value_is_named():
+    """The entry is finite at x1 = 0.5 (1/inf = 0), but its inner
+    1/(x1 - 0.5) divides by zero there; the error names that subtree and
+    the first such sample point in C order."""
+    dom = ChartDomain((0.0, 0.0), (1.0, 1.0), (5, 5))
+    with pytest.raises(ex.DomainError) as err:
+        MetricField(dom, 2, [["1 + 1/(1/(x1 - 0.5))", "0"], ["0", "1"]])
+    assert str(err.value) == (
+        f"division by zero in '1/(x1 - 0.5)' at {(0.5, 1.0 / 6.0)}"
+    )
+
+
 def test_metric_rank_verification():
     dom = square_domain(3)
     singular = MetricField(dom, 2, (("1", "1"), ("1", "1")), declared_rank=1)

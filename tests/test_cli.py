@@ -195,6 +195,30 @@ def test_validate_unknown_variable(capsys, tmp_path):
     )
 
 
+@pytest.mark.parametrize("flag", ["--tol-transport", "--tol-kernel"])
+@pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+def test_non_positive_tolerance_flag_is_rejected(capsys, flag, value):
+    """A tolerance flag gets the same check as the problem file's
+    tolerances; before, --tol-transport -1 certified a NotMetric verdict
+    for the RegularlyMetric half plane."""
+    code, out, _ = _run(
+        capsys, "metricity", str(PROBLEMS / "hyperbolic.json"), "--quiet", flag, value
+    )
+    assert code == 2
+    diags = json.loads(out)["result"]["diagnostics"]
+    assert [(d["path"], d["code"]) for d in diags] == [(flag, "value")]
+
+
+def test_non_finite_file_tolerance_is_rejected(capsys, tmp_path):
+    problem = json.loads(json.dumps(BASE_PROBLEM))
+    problem["tolerances"] = {"transport": float("nan")}
+    path = _write(tmp_path, "p.json", problem)
+    code, out, _ = _run(capsys, "validate", path, "--quiet")
+    assert code == 2
+    diags = json.loads(out)["result"]["diagnostics"]
+    assert [(d["path"], d["code"]) for d in diags] == [("tolerances.transport", "value")]
+
+
 def test_malformed_json_exit_2_with_location(capsys, tmp_path):
     path = _write(tmp_path, "bad.json", '{"dim": 2,,}')
     code, out, _ = _run(capsys, "metricity", path, "--quiet")

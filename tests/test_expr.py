@@ -81,14 +81,37 @@ def test_domain_errors():
     assert ex.evaluate(ex.parse("x1^3"), (-2.0,)) == pytest.approx(-8.0)
 
 
-def test_compiled_matches_walker():
+def test_evaluator_matches_walker():
     source = "exp(x1*x2) - sin(x2)/(1 + x1^2) + sqrt(x2 + 2)"
     e = ex.parse(source)
-    f = ex.compile_expr(e)
     rng = np.random.default_rng(5)
-    for _ in range(50):
-        p = tuple(rng.uniform(-1, 1, size=2))
-        assert f(p) == pytest.approx(ex.evaluate(e, p), abs=1e-15)
+    points = [tuple(rng.uniform(-1, 1, size=2)) for _ in range(50)]
+    values = ex.Evaluator([e])(np.array(points))
+    assert values.shape == (50, 1)
+    for p, v in zip(points, values[:, 0]):
+        assert v == pytest.approx(ex.evaluate(e, p), abs=1e-15)
+
+
+def test_evaluator_shares_subtrees_between_roots():
+    shared = ex.parse("exp(x1*x2) + x2")
+    first = ex.mul(shared, ex.parse("x1"))
+    second = ex.func("sqrt", ex.add(shared, ex.const(2.0)))
+    rng = np.random.default_rng(6)
+    points = rng.uniform(-1, 1, size=(7, 3, 2))
+    values = ex.Evaluator([first, second, first])(points)
+    assert values.shape == (7, 3, 3)
+    for p, row in zip(points.reshape(-1, 2).tolist(), values.reshape(-1, 3)):
+        for root, v in zip((first, second, first), row):
+            assert v == pytest.approx(ex.evaluate(root, p), abs=1e-15)
+    # one point without a batch axis gives one value per root
+    assert ex.Evaluator([first, second])(points[0, 0]).shape == (2,)
+
+
+def test_evaluator_names_a_pole_only_an_intermediate_value_hits():
+    e = ex.parse("1 + 1/(1/(x1 - 0.5))")
+    points = np.array([[0.25, 0.0], [0.5, 0.1], [0.5, 0.2]])
+    with pytest.raises(ex.DomainError, match=r"'1/\(x1 - 0.5\)' at \(0.5, 0.1\)"):
+        ex.Evaluator([ex.ONE, e])(points)
 
 
 def test_variables():

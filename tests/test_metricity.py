@@ -1,8 +1,11 @@
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from metron import expr as ex
 from metron import metricity
 from metron.bundle import (
     apply_gauge,
@@ -43,6 +46,25 @@ def test_decide_metricity_leaves_caller_options_unchanged():
     decide_metricity(flat_connection(), options=options)
     assert options.kernel_cutoff == 1e-6
     assert options.transport_tol == 1e-5
+
+
+def test_no_evaluator_outlives_an_analysis():
+    """Evaluators belong to the connections, metrics and gauge maps that
+    build them; once the analysis and its inputs are dropped, none is
+    left, so no process-wide compile cache holds them."""
+    gc.collect()
+    before = [o for o in gc.get_objects() if isinstance(o, ex.Evaluator)]
+    conn = half_plane_levi_civita()[0]
+    cert = decide_metricity(conn, options=FAST)
+    assert cert.verdict == "RegularlyMetric"
+    del conn, cert
+    gc.collect()
+    left = [
+        o
+        for o in gc.get_objects()
+        if isinstance(o, ex.Evaluator) and not any(o is b for b in before)
+    ]
+    assert left == []
 
 
 def test_decide_metricity_honours_caller_tolerances():
