@@ -54,17 +54,21 @@ def test_no_evaluator_outlives_an_analysis():
     left, so no process-wide compile cache holds them."""
     gc.collect()
     before = [o for o in gc.get_objects() if isinstance(o, ex.Evaluator)]
+
+    def new_evaluators():
+        return [
+            o
+            for o in gc.get_objects()
+            if isinstance(o, ex.Evaluator) and not any(o is b for b in before)
+        ]
+
     conn = half_plane_levi_civita()[0]
     cert = decide_metricity(conn, options=FAST)
     assert cert.verdict == "RegularlyMetric"
+    assert new_evaluators()  # held by the connection, its dual and the metric
     del conn, cert
     gc.collect()
-    left = [
-        o
-        for o in gc.get_objects()
-        if isinstance(o, ex.Evaluator) and not any(o is b for b in before)
-    ]
-    assert left == []
+    assert new_evaluators() == []
 
 
 def test_decide_metricity_honours_caller_tolerances():
