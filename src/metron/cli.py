@@ -150,20 +150,23 @@ def _expect_shape(value, dims: tuple[int, ...], path: str, diagnostics: list) ->
     return ok
 
 
-def _parsed_leaves(value, path: str):
-    """(path, expression or ParseError) for every string leaf, in order."""
+def _parsed(value, path: str, leaves: list):
+    """value with every string leaf parsed; (path, expression or
+    ParseError) of each leaf is appended to leaves, in order."""
     if isinstance(value, str):
         try:
-            yield path, ex.parse(value)
+            tree = ex.parse(value)
         except ex.ParseError as err:
-            yield path, err
-    elif isinstance(value, list):
-        for idx, item in enumerate(value):
-            yield from _parsed_leaves(item, f"{path}[{idx}]")
+            tree = err
+        leaves.append((path, tree))
+        return tree
+    return [_parsed(item, f"{path}[{idx}]", leaves) for idx, item in enumerate(value)]
 
 
 def _check_expressions(value, dim: int, path: str, diagnostics: list):
-    leaves = list(_parsed_leaves(value, path))
+    """Diagnose every expression of value; returns the parsed value."""
+    leaves: list = []
+    tree = _parsed(value, path, leaves)
     parsed = [e for _, e in leaves if not isinstance(e, ex.ParseError)]
     # one walk over all entries; a walk per entry only to name offenders
     outside = max(ex.variables(*parsed), default=0) > dim
@@ -180,6 +183,7 @@ def _check_expressions(value, dim: int, path: str, diagnostics: list):
                     f"expression uses x{bad[0]} but the problem has dim {dim}",
                 )
             )
+    return tree
 
 
 def _is_tolerance(value) -> bool:
@@ -188,9 +192,15 @@ def _is_tolerance(value) -> bool:
 
 def validate_problem(data) -> list[dict]:
     """Structural and expression diagnostics, without running analyses."""
+    return _validate(data)[0]
+
+
+def _validate(data) -> tuple[list[dict], dict]:
+    """The diagnostics, and the parsed expression arrays by key."""
     diagnostics: list[dict] = []
+    trees: dict = {}
     if not isinstance(data, dict):
-        return [_diag("$", "type", "problem file must be a JSON object")]
+        return [_diag("$", "type", "problem file must be a JSON object")], trees
     dim = data.get("dim")
     rank = data.get("rank")
     if not isinstance(dim, int) or not 1 <= dim <= ex.MAX_VARIABLES:
@@ -236,7 +246,9 @@ def validate_problem(data) -> list[dict]:
         if "connection" in data and _expect_shape(
             data["connection"], (dim, rank, rank), "connection", diagnostics
         ):
-            _check_expressions(data["connection"], dim, "connection", diagnostics)
+            trees["connection"] = _check_expressions(
+                data["connection"], dim, "connection", diagnostics
+            )
         for key, dims in (
             ("metric", (rank, rank)),
             ("gauge", (rank, rank)),
@@ -244,7 +256,7 @@ def validate_problem(data) -> list[dict]:
         ):
             if key in data and data[key] is not None:
                 if _expect_shape(data[key], dims, key, diagnostics):
-                    _check_expressions(data[key], dim, key, diagnostics)
+                    trees[key] = _check_expressions(data[key], dim, key, diagnostics)
     seed = data.get("seed")
     if seed is not None and not isinstance(seed, int):
         diagnostics.append(_diag("seed", "type", "seed must be an integer"))
@@ -260,7 +272,7 @@ def validate_problem(data) -> list[dict]:
                     )
                 elif not _is_tolerance(v):
                     diagnostics.append(_diag(f"tolerances.{key}", "value", TOLERANCE_MESSAGE))
-    return diagnostics
+    return diagnostics, trees
 
 
 def _problem_hash(data) -> str:
@@ -268,7 +280,9 @@ def _problem_hash(data) -> str:
 
 
 class ProblemObjects:
-    def __init__(self, data: dict, args):
+    def __init__(self, data: dict, args, trees: dict):
+        """Build the analysis objects of a validated problem from the
+        expression arrays its validation parsed (`trees`, by key)."""
         self.data = data
         m, r = data["dim"], data["rank"]
         dom = data["domain"]
@@ -277,17 +291,17 @@ class ProblemObjects:
             tuple(dom["lower"]), tuple(dom["upper"]), (grid,) * m
         )
         self.r = r
-        self.connection = Connection(self.domain, r, data["connection"])
+        self.connection = Connection(self.domain, r, trees["connection"])
         self.metric = (
-            MetricField(self.domain, r, data["metric"], declared_rank=r)
+            MetricField(self.domain, r, trees["metric"], declared_rank=r)
             if data.get("metric")
             else None
         )
         self.gauge = (
-            GaugeTransform(self.domain, r, data["gauge"]) if data.get("gauge") else None
+            GaugeTransform(self.domain, r, trees["gauge"]) if data.get("gauge") else None
         )
         self.dual = (
-            Connection(self.domain, r, data["dualConnection"])
+            Connection(self.domain, r, trees["dualConnection"])
             if data.get("dualConnection")
             else None
         )
@@ -538,7 +552,7 @@ def run_command(args) -> tuple[dict, int]:
                     [_diag("problem", "missing", f"{args.command} needs a problem file")]
                 )
             data = _load_json(args.problem)
-            diagnostics = validate_problem(data)
+            diagnostics, trees = _validate(data)
             if args.command == "validate":
                 report["problemEcho"] = {
                     "sha256": _problem_hash(data),
@@ -550,7 +564,7 @@ def run_command(args) -> tuple[dict, int]:
                 return report, 0 if not diagnostics else 2
             if diagnostics:
                 raise _InputError(diagnostics)
-            problem = ProblemObjects(data, args)
+            problem = ProblemObjects(data, args, trees)
             report["seed"] = problem.seed
             report["problemEcho"] = {
                 "sha256": _problem_hash(data),

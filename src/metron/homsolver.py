@@ -23,7 +23,11 @@ therefore runs two independent mechanisms:
        form:   B      ->  d_l B - [Gamma_l, B]
 
    generate each new order symbolically, so no discretisation error
-   enters the constraints.
+   enters the constraints. The form generators are exactly the B
+   components of the hom pairs, so one prolongation serves the hom,
+   symmetric and antisymmetric kinds of an analysis (`solve_spaces`):
+   each order is built and evaluated once, every kind cuts its own
+   candidate subspace with its own scale, and each stops on its own.
 
 2. Transport: extend every stabilised candidate over the sample grid
    through the spanning tree and measure the mismatch on the redundant
@@ -55,6 +59,7 @@ __all__ = [
     "SolutionSpace",
     "hom_curvature_operator",
     "stabilized_constraint_subspace",
+    "solve_spaces",
     "solve_hom",
     "solve_parallel_forms",
     "local_system_residual",
@@ -147,7 +152,7 @@ def antisymmetric_basis(r: int) -> np.ndarray:
             e[i, j] = inv_sqrt2
             e[j, i] = -inv_sqrt2
             rows.append(e.reshape(-1))
-    return np.array(rows)
+    return np.array(rows).reshape(-1, r * r)  # (0, 1) for r = 1
 
 
 NULLSPACE_NOISE_FLOOR = 1e-10
@@ -233,17 +238,18 @@ def _generator_orders(conn: Connection, dual: Connection | None, max_order: int)
         yield gens
 
 
-def _generator_values(gens, x, is_hom: bool):
+def _generator_values(gens, x, has_dual: bool) -> list:
     """Every generator of one order at x, from one evaluation, as pairs
-    (B, B*); for forms B* = -B^T."""
-    mats = [mat for gen in gens for mat in gen] if is_hom else gens
+    (B, B*); without a dual B* is None. The B of a hom pair is the form
+    generator of the same order, so form kinds read it from the pair."""
+    mats = [mat for gen in gens for mat in gen] if has_dual else gens
     if not mats:  # a one-dimensional chart has no curvature
         return []
     r = len(mats[0])
     values = sm.eval_matrix([row for mat in mats for row in mat], x).reshape(-1, r, r)
-    if is_hom:
-        return zip(values[0::2], values[1::2])
-    return ((b, -b.T) for b in values)
+    if has_dual:
+        return list(zip(values[0::2], values[1::2]))
+    return [(b, None) for b in values]
 
 
 def _constraint_rows(b, bs, subspace: np.ndarray, scale_ref: float):
@@ -255,54 +261,85 @@ def _constraint_rows(b, bs, subspace: np.ndarray, scale_ref: float):
     return (_intertwining_operator(b, bs) @ subspace.T) / magnitude, magnitude
 
 
+class _Intersection:
+    """One kind's kernel intersection at the base point, grown order by
+    order, with its own constraint blocks, scale and dimensions."""
+
+    def __init__(self, subspace: np.ndarray, hom: bool):
+        self.subspace = subspace
+        self.hom = hom  # rows from (B, B*); a form kind's from (B, -B^T)
+        self.blocks: list[np.ndarray] = []
+        self.scale_ref = 1.0
+        self.dims: list[int] = []
+        self.kernel: np.ndarray | None = None  # set by the first order
+        self.stopped = False
+
+    def add_order(self, values, kernel_cutoff: float) -> None:
+        for b, bs in values:
+            rows, magnitude = _constraint_rows(
+                b, bs if self.hom else -b.T, self.subspace, self.scale_ref
+            )
+            self.scale_ref = max(self.scale_ref, magnitude)
+            if rows is not None:
+                self.blocks.append(rows)
+        stacked = (
+            np.vstack(self.blocks) if self.blocks else np.zeros((0, self.subspace.shape[0]))
+        )
+        self.kernel = nullspace(stacked, kernel_cutoff)
+        dim = self.kernel.shape[0]
+        previous = self.dims[-1] if self.dims else self.subspace.shape[0]
+        self.dims.append(dim)
+        self.stopped = dim == previous or dim == 0
+
+    def result(self, max_order: int):
+        # the first order whose constraints already pinned the final
+        # space (later orders added nothing)
+        order = self.dims.index(self.dims[-1]) if self.stopped else max_order
+        return self.kernel @ self.subspace, self.stopped, order
+
+
 def stabilized_constraint_subspace(
     conn: Connection,
     dual: Connection | None,
     x0,
     max_order: int = 3,
     kernel_cutoff: float = 1e-8,
-    subspace: np.ndarray | None = None,
-):
+    subspaces: dict | None = None,
+) -> dict:
     """Intersect kernels of the induced curvature and its covariant
-    derivatives at x0, order by order, until two consecutive dimensions
-    agree.
+    derivatives at x0, order by order, for several kinds at once, until
+    two consecutive dimensions of a kind agree.
 
-    Returns (candidates, stabilized, order): candidates has orthonormal
-    rows in flattened-matrix coordinates, all inside `subspace` when one
-    is given. Every genuine solution's value at x0 lies in the span.
-    `order` is the first order whose constraints added nothing (0 when
-    the curvature constraints alone already close the intersection).
+    `subspaces` maps each kind to its candidate subspace (orthonormal
+    rows in flattened-matrix coordinates; None for all matrices). The
+    kind 'hom' is cut out by P -> B P - P B* and needs `dual`; every
+    other kind is a form kind, cut out by Q -> B Q + Q B^T. The default
+    is {'hom': None}. Each generator order is built and evaluated once
+    for all kinds, and no order past the last kind's stop is built.
+
+    Returns {kind: (candidates, stabilized, order)}: candidates has
+    orthonormal rows inside the kind's subspace, and every genuine
+    solution's value at x0 lies in their span. `order` is the first
+    order whose constraints added nothing (0 when the curvature
+    constraints alone already close the intersection).
     """
-    if subspace is None:
-        subspace = np.eye(conn.r * conn.r)
-    generators = _generator_orders(conn, dual, max_order)
-    is_hom = dual is not None
-    blocks: list[np.ndarray] = []
-    scale_ref = 1.0
-    dim_prev = subspace.shape[0]
-    dims: list[int] = []
-    stabilized = False
-    for order, gens in enumerate(generators):
-        for b, bs in _generator_values(gens, x0, is_hom):
-            rows, magnitude = _constraint_rows(b, bs, subspace, scale_ref)
-            scale_ref = max(scale_ref, magnitude)
-            if rows is not None:
-                blocks.append(rows)
-        stacked = (
-            np.vstack(blocks) if blocks else np.zeros((0, subspace.shape[0]))
-        )
-        kernel = nullspace(stacked, kernel_cutoff)
-        dims.append(kernel.shape[0])
-        if kernel.shape[0] == dim_prev or kernel.shape[0] == 0:
-            stabilized = True
+    if subspaces is None:
+        subspaces = {"hom": None}
+    if dual is None and "hom" in subspaces:
+        raise ValueError("the hom kind needs the target connection")
+    full = np.eye(conn.r * conn.r)
+    kinds = {
+        kind: _Intersection(full if sub is None else sub, kind == "hom")
+        for kind, sub in subspaces.items()
+    }
+    for gens in _generator_orders(conn, dual, max_order):
+        values = _generator_values(gens, x0, dual is not None)
+        for kind in kinds.values():
+            if not kind.stopped:
+                kind.add_order(values, kernel_cutoff)
+        if all(kind.stopped for kind in kinds.values()):
             break
-        dim_prev = kernel.shape[0]
-    candidates = kernel @ subspace
-    final_dim = dims[-1]
-    # report the first order whose constraints already pinned the final
-    # space (later orders added nothing)
-    settle_order = next(k for k, d in enumerate(dims) if d == final_dim)
-    return candidates, stabilized, settle_order if stabilized else max_order
+    return {name: kind.result(max_order) for name, kind in kinds.items()}
 
 
 def _canonical_sign(vector: np.ndarray) -> np.ndarray:
@@ -316,22 +353,16 @@ def _solve(
     kind: str,
     conn: Connection,
     dual: Connection | None,
-    subspace: np.ndarray | None,
+    grid: Grid,
+    base_index: int,
+    prolonged: tuple,
     options: SolveOptions,
 ) -> SolutionSpace:
+    """Certify one kind's prolongation candidates by transport over the
+    grid from the base node."""
     r = conn.r
-    grid = Grid(conn.domain, options.grid_counts(conn.domain))
-    x0_req = options.base_point if options.base_point is not None else conn.domain.center()
-    base_index = grid.nearest_node(x0_req)
     x0 = grid.nodes[base_index]
-    candidates, stabilized, order = stabilized_constraint_subspace(
-        conn,
-        dual,
-        x0,
-        max_order=options.max_order,
-        kernel_cutoff=options.kernel_cutoff,
-        subspace=subspace,
-    )
+    candidates, stabilized, order = prolonged
     flags: list[str] = []
     if not stabilized:
         flags.append("stabilization-not-reached:lower-bound-only")
@@ -360,7 +391,7 @@ def _solve(
         coeffs = np.eye(k)
         residuals = np.zeros(k)
     else:
-        _, _, vt = np.linalg.svd(disc.T, full_matrices=True)
+        _, _, vt = np.linalg.svd(disc.T, full_matrices=False)
         # rows of vt: coefficient directions in the candidate space, by
         # decreasing discrepancy; walk them in reverse so the most
         # solution-like direction comes first.
@@ -398,9 +429,45 @@ def _solve(
     )
 
 
+_KIND_SUBSPACES = {
+    "hom": lambda r: None,
+    "symmetric": symmetric_basis,
+    "antisymmetric": antisymmetric_basis,
+}
+
+
+def solve_spaces(
+    conn: Connection,
+    dual: Connection | None,
+    kinds,
+    options: SolveOptions | None = None,
+) -> dict[str, SolutionSpace]:
+    """Certified solution spaces of several kinds ('hom', 'symmetric',
+    'antisymmetric') from one grid, one base node and one prolongation;
+    'hom' intertwines conn and dual."""
+    options = options or SolveOptions()
+    grid = Grid(conn.domain, options.grid_counts(conn.domain))
+    x0_req = options.base_point if options.base_point is not None else conn.domain.center()
+    base_index = grid.nearest_node(x0_req)
+    prolonged = stabilized_constraint_subspace(
+        conn,
+        dual,
+        grid.nodes[base_index],
+        max_order=options.max_order,
+        kernel_cutoff=options.kernel_cutoff,
+        subspaces={kind: _KIND_SUBSPACES[kind](conn.r) for kind in kinds},
+    )
+    return {
+        kind: _solve(
+            kind, conn, dual if kind == "hom" else None, grid, base_index, prolonged[kind], options
+        )
+        for kind in kinds
+    }
+
+
 def solve_hom(conn: Connection, dual: Connection, options: SolveOptions | None = None) -> SolutionSpace:
     """Certified basis of endomorphism fields intertwining conn and dual."""
-    return _solve("hom", conn, dual, None, options or SolveOptions())
+    return solve_spaces(conn, dual, ("hom",), options)["hom"]
 
 
 def solve_parallel_forms(
@@ -409,22 +476,7 @@ def solve_parallel_forms(
     """Certified basis of parallel symmetric or antisymmetric forms."""
     if symmetry not in ("symmetric", "antisymmetric"):
         raise ValueError("symmetry must be 'symmetric' or 'antisymmetric'")
-    sub = symmetric_basis(conn.r) if symmetry == "symmetric" else antisymmetric_basis(conn.r)
-    if sub.shape[0] == 0:
-        grid = Grid(conn.domain, (options or SolveOptions()).grid_counts(conn.domain))
-        return SolutionSpace(
-            kind=symmetry,
-            base_point=tuple(conn.domain.center()),
-            basis=np.zeros((0, conn.r, conn.r)),
-            dimension=0,
-            certified_residual=0.0,
-            stabilized=True,
-            stabilization_order=0,
-            constraint_dim=0,
-            grid=grid,
-            extensions=np.zeros((0, len(grid.nodes), conn.r, conn.r)),
-        )
-    return _solve(symmetry, conn, None, sub, options or SolveOptions())
+    return solve_spaces(conn, None, (symmetry,), options)[symmetry]
 
 
 def _owner_index(grid: Grid, node_multi, axis: int, direction: int):

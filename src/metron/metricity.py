@@ -37,12 +37,16 @@ from .bundle import (
     numerical_rank,
 )
 from .corpus import random_constant_metric
-from .homsolver import (
+# solve_parallel_forms is not called here; it stays importable from this
+# module because perfbench/spans.py wraps the solvers where metricity
+# looks them up
+from .homsolver import (  # noqa: F401
     SolutionSpace,
     SolveOptions,
     local_system_residual,
     solve_hom,
     solve_parallel_forms,
+    solve_spaces,
 )
 
 __all__ = [
@@ -139,14 +143,19 @@ def analyze(
     base_metric: MetricField | None = None,
     options: SolveOptions | None = None,
 ) -> AnalysisBundle:
-    """Solve the three parallel-section problems once, for reuse."""
+    """Solve the three parallel-section problems once, for reuse.
+
+    The three spaces share one grid, one base node and one prolongation:
+    the form generators are the B components of the hom pairs (B, B*).
+    They equal what solve_hom and solve_parallel_forms return alone.
+    """
     opts = options or SolveOptions()
     base_metric = base_metric or identity_metric(conn.domain, conn.r)
     dual = dual_connection(base_metric, conn)
-    hom_space = solve_hom(conn, dual, opts)
-    sym_space = solve_parallel_forms(conn, "symmetric", opts)
-    alt_space = solve_parallel_forms(conn, "antisymmetric", opts)
-    return AnalysisBundle(conn, base_metric, dual, hom_space, sym_space, alt_space)
+    spaces = solve_spaces(conn, dual, ("hom", "symmetric", "antisymmetric"), opts)
+    return AnalysisBundle(
+        conn, base_metric, dual, spaces["hom"], spaces["symmetric"], spaces["antisymmetric"]
+    )
 
 
 def _rank_candidates(space: SolutionSpace, seed: int) -> list[np.ndarray]:

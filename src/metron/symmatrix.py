@@ -20,7 +20,6 @@ __all__ = [
     "mat_sub",
     "mat_neg",
     "mat_mul",
-    "mat_scale",
     "mat_transpose",
     "mat_diff",
     "det_expr",
@@ -87,11 +86,6 @@ def mat_mul(a, b):
             row.append(acc)
         out.append(tuple(row))
     return tuple(out)
-
-
-def mat_scale(s, a):
-    s = as_expr(s)
-    return tuple(tuple(ex.mul(s, x) for x in row) for row in a)
 
 
 def mat_transpose(a):

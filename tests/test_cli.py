@@ -195,6 +195,50 @@ def test_validate_unknown_variable(capsys, tmp_path):
     )
 
 
+def _string_leaves(value) -> int:
+    if isinstance(value, str):
+        return 1
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return sum(_string_leaves(v) for v in value)
+    return 0
+
+
+RANK3_PROBLEM = {
+    "dim": 2,
+    "rank": 3,
+    "domain": {"lower": [-1.0, -1.0], "upper": [1.0, 1.0], "gridPerAxis": 5},
+    "connection": [
+        [[f"{i + 1}/{j + 5}*x{i + 1} - {k}/7*x{2 - i}^2" for k in range(3)] for j in range(3)]
+        for i in range(2)
+    ],
+}
+GAUGED_PROBLEM = dict(
+    BASE_PROBLEM,
+    metric=[["2", "x1/4"], ["x1/4", "1"]],
+    gauge=[["1", "x2/4"], ["0", "1"]],
+    dualConnection=BASE_PROBLEM["connection"],
+)
+
+
+@pytest.mark.parametrize(
+    "command, problem", [("metricity", RANK3_PROBLEM), ("gauge-check", GAUGED_PROBLEM)]
+)
+def test_each_expression_is_parsed_once(monkeypatch, tmp_path, command, problem):
+    """Validation hands its parsed trees to the problem objects, so a run
+    parses every expression string of the file exactly once."""
+    from metron import expr as ex
+
+    calls = []
+    parse = ex.parse
+    monkeypatch.setattr(ex, "parse", lambda text: calls.append(text) or parse(text))
+    path = _write(tmp_path, "p.json", problem)
+    _, code = cli.run_command(cli.build_parser().parse_args([command, path]))
+    assert code == 0
+    assert len(calls) == _string_leaves(problem) == (18 if command == "metricity" else 24)
+
+
 @pytest.mark.parametrize("flag", ["--tol-transport", "--tol-kernel"])
 @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
 def test_non_positive_tolerance_flag_is_rejected(capsys, flag, value):

@@ -6,9 +6,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from metron import expr as ex
-from metron import metricity
+from metron import homsolver, metricity
 from metron.bundle import (
+    ChartDomain,
+    Connection,
     apply_gauge,
+    dual_connection,
     identity_metric,
     numerical_rank,
 )
@@ -19,6 +22,7 @@ from metron.corpus import (
     nilpotent_connection,
     random_constant_gauge,
     random_constant_metric,
+    random_polynomial_connection,
     random_polynomial_gauge,
     square_domain,
 )
@@ -34,6 +38,7 @@ from metron.metricity import (
     parallel_form_residuals,
     split_symmetric,
 )
+from metron.statmodels import alpha_connection, get_family
 from oracles import hom_constraint_kernel
 
 FAST = SolveOptions(grid_per_axis=5, steps_per_segment=16)
@@ -97,6 +102,90 @@ def test_index_report_reuses_the_certificate_hom_space(monkeypatch):
     report = index_report(conn, None, FAST, primary_metric=metric, certificate=cert)
     assert report.family_size == 10
     assert len(solves) == 9
+
+
+# ---------------------------------------------------------------------------
+# one prolongation per analysis
+# ---------------------------------------------------------------------------
+
+
+def _generator_evaluations(monkeypatch, run):
+    """(number of prolongation-order evaluations, result) of run()."""
+    calls = []
+    evaluate = homsolver._generator_values
+    monkeypatch.setattr(
+        homsolver, "_generator_values", lambda *a: calls.append(1) or evaluate(*a)
+    )
+    result = run()
+    monkeypatch.setattr(homsolver, "_generator_values", evaluate)
+    return len(calls), result
+
+
+def _standalone_solves(conn, options):
+    """Zero-argument standalone solves of the three kinds of analyze."""
+    dual = dual_connection(identity_metric(conn.domain, conn.r), conn)
+    return {
+        "hom": lambda: homsolver.solve_hom(conn, dual, options),
+        "symmetric": lambda: homsolver.solve_parallel_forms(conn, "symmetric", options),
+        "antisymmetric": lambda: homsolver.solve_parallel_forms(conn, "antisymmetric", options),
+    }
+
+
+def test_analysis_evaluates_each_prolongation_order_once(monkeypatch):
+    """hom, S2 and Omega2 read one evaluation per order: a generic
+    connection stops every kind at order 0, so analyze evaluates once
+    where three standalone solves evaluate three times."""
+    rng = np.random.default_rng(20240811)
+    conn = random_polynomial_connection(rng, square_domain(5), 2, scale=0.4)
+    shared, bundle = _generator_evaluations(monkeypatch, lambda: analyze(conn, options=FAST))
+    alone = sum(
+        _generator_evaluations(monkeypatch, solve)[0]
+        for solve in _standalone_solves(conn, FAST).values()
+    )
+    assert bundle.sym_space.dimension == bundle.hom_space.dimension == 0
+    assert (shared, alone) == (1, 3)
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 0.5])
+def test_shared_prolongation_matches_standalone_solves(monkeypatch, alpha):
+    """Each kind keeps its own stopping order in the shared loop, and its
+    space is exactly what the standalone solver returns."""
+    conn = alpha_connection(get_family("gaussian1d"), alpha)
+    shared, bundle = _generator_evaluations(monkeypatch, lambda: analyze(conn, options=FAST))
+    alone = {
+        kind: _generator_evaluations(monkeypatch, solve)
+        for kind, solve in _standalone_solves(conn, FAST).items()
+    }
+    spaces = {
+        "hom": bundle.hom_space,
+        "symmetric": bundle.sym_space,
+        "antisymmetric": bundle.alt_space,
+    }
+    assert [space.stabilization_order for space in spaces.values()] == [1, 1, 0]
+    assert shared == max(calls for calls, _ in alone.values())
+    for kind, space in spaces.items():
+        other = alone[kind][1]
+        assert np.array_equal(space.basis, other.basis)
+        assert np.array_equal(space.extensions, other.extensions)
+        assert space.base_point == other.base_point
+        assert space.stabilization_order == other.stabilization_order
+        assert space.constraint_dim == other.constraint_dim
+        assert space.flags == other.flags
+        assert space.certified_residual == other.certified_residual
+
+
+def test_rank_one_spaces_share_the_base_point():
+    """The antisymmetric space of a rank-1 bundle is zero; it still comes
+    from the shared grid and base node, like hom and S2."""
+    dom = ChartDomain((0.1, 0.1), (1.0, 1.3), (6, 6))
+    conn = Connection(dom, 1, ((("x2",),), (("x1*x1",),)))
+    cert = decide_metricity(conn)
+    points = {kind: space.base_point for kind, space in cert.spaces.items()}
+    assert cert.spaces["antisymmetric"].dimension == 0
+    assert points["hom"] == points["symmetric"] == points["antisymmetric"] == cert.base_point
+    alone = homsolver.solve_parallel_forms(conn, "antisymmetric")
+    assert alone.base_point == cert.base_point
+    assert (alone.stabilized, alone.stabilization_order, alone.constraint_dim) == (True, 0, 0)
 
 
 # ---------------------------------------------------------------------------
