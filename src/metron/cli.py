@@ -280,9 +280,13 @@ def _problem_hash(data) -> str:
 
 
 class ProblemObjects:
-    def __init__(self, data: dict, args, trees: dict):
-        """Build the analysis objects of a validated problem from the
-        expression arrays its validation parsed (`trees`, by key)."""
+    def __init__(self, data: dict, args):
+        """Validate the problem and build its analysis objects from the
+        expression arrays the validation parsed; an invalid problem
+        raises _InputError with its diagnostics."""
+        diagnostics, trees = _validate(data)
+        if diagnostics:
+            raise _InputError(diagnostics)
         self.data = data
         m, r = data["dim"], data["rank"]
         dom = data["domain"]
@@ -552,8 +556,8 @@ def run_command(args) -> tuple[dict, int]:
                     [_diag("problem", "missing", f"{args.command} needs a problem file")]
                 )
             data = _load_json(args.problem)
-            diagnostics, trees = _validate(data)
             if args.command == "validate":
+                diagnostics = validate_problem(data)
                 report["problemEcho"] = {
                     "sha256": _problem_hash(data),
                 }
@@ -562,9 +566,7 @@ def run_command(args) -> tuple[dict, int]:
                     int((time.perf_counter() - started) * 1000) if args.timings else 0
                 )
                 return report, 0 if not diagnostics else 2
-            if diagnostics:
-                raise _InputError(diagnostics)
-            problem = ProblemObjects(data, args, trees)
+            problem = ProblemObjects(data, args)
             report["seed"] = problem.seed
             report["problemEcho"] = {
                 "sha256": _problem_hash(data),

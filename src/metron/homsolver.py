@@ -24,10 +24,11 @@ therefore runs two independent mechanisms:
 
    generate each new order symbolically, so no discretisation error
    enters the constraints. The form generators are exactly the B
-   components of the hom pairs, so one prolongation serves the hom,
-   symmetric and antisymmetric kinds of an analysis (`solve_spaces`):
-   each order is built and evaluated once, every kind cuts its own
-   candidate subspace with its own scale, and each stops on its own.
+   components of the hom pairs, so the hom, symmetric and
+   antisymmetric solves of an analysis share one `Prolongation`: one
+   grid, one base node, and each order built and evaluated once. Every
+   kind cuts its own candidate subspace with its own scale and stops
+   on its own.
 
 2. Transport: extend every stabilised candidate over the sample grid
    through the spanning tree and measure the mismatch on the redundant
@@ -41,6 +42,7 @@ stabilised.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,7 +61,7 @@ __all__ = [
     "SolutionSpace",
     "hom_curvature_operator",
     "stabilized_constraint_subspace",
-    "solve_spaces",
+    "Prolongation",
     "solve_hom",
     "solve_parallel_forms",
     "local_system_residual",
@@ -261,41 +263,36 @@ def _constraint_rows(b, bs, subspace: np.ndarray, scale_ref: float):
     return (_intertwining_operator(b, bs) @ subspace.T) / magnitude, magnitude
 
 
-class _Intersection:
-    """One kind's kernel intersection at the base point, grown order by
-    order, with its own constraint blocks, scale and dimensions."""
+class Prolongation:
+    """The grid, base node and evaluated constraint generators that the
+    solves of one analysis share.
 
-    def __init__(self, subspace: np.ndarray, hom: bool):
-        self.subspace = subspace
-        self.hom = hom  # rows from (B, B*); a form kind's from (B, -B^T)
-        self.blocks: list[np.ndarray] = []
-        self.scale_ref = 1.0
-        self.dims: list[int] = []
-        self.kernel: np.ndarray | None = None  # set by the first order
-        self.stopped = False
+    Built with the hom target `dual`, it serves the hom solve and both
+    form solves of conn; built with dual None, form solves only. Each
+    order is built and evaluated when a solve first reaches it, once,
+    and kept for the solves after it, so no order past the last solve's
+    stop is built.
+    """
 
-    def add_order(self, values, kernel_cutoff: float) -> None:
-        for b, bs in values:
-            rows, magnitude = _constraint_rows(
-                b, bs if self.hom else -b.T, self.subspace, self.scale_ref
-            )
-            self.scale_ref = max(self.scale_ref, magnitude)
-            if rows is not None:
-                self.blocks.append(rows)
-        stacked = (
-            np.vstack(self.blocks) if self.blocks else np.zeros((0, self.subspace.shape[0]))
-        )
-        self.kernel = nullspace(stacked, kernel_cutoff)
-        dim = self.kernel.shape[0]
-        previous = self.dims[-1] if self.dims else self.subspace.shape[0]
-        self.dims.append(dim)
-        self.stopped = dim == previous or dim == 0
+    def __init__(self, conn: Connection, dual: Connection | None, options: SolveOptions):
+        self.conn, self.dual, self.options = conn, dual, options
+        self.grid = Grid(conn.domain, options.grid_counts(conn.domain))
+        x0_req = options.base_point if options.base_point is not None else conn.domain.center()
+        self.base_index = self.grid.nearest_node(x0_req)
+        self.x0 = self.grid.nodes[self.base_index]
+        self._generators = _generator_orders(conn, dual, options.max_order)
+        self._values: list[list] = []
 
-    def result(self, max_order: int):
-        # the first order whose constraints already pinned the final
-        # space (later orders added nothing)
-        order = self.dims.index(self.dims[-1]) if self.stopped else max_order
-        return self.kernel @ self.subspace, self.stopped, order
+    def orders(self):
+        """The evaluated generators, order by order from order zero, as
+        lists of pairs (B, B*)."""
+        for order in itertools.count():
+            if order == len(self._values):
+                gens = next(self._generators, None)
+                if gens is None:
+                    return
+                self._values.append(_generator_values(gens, self.x0, self.dual is not None))
+            yield self._values[order]
 
 
 def stabilized_constraint_subspace(
@@ -304,42 +301,60 @@ def stabilized_constraint_subspace(
     x0,
     max_order: int = 3,
     kernel_cutoff: float = 1e-8,
-    subspaces: dict | None = None,
-) -> dict:
+    subspace: np.ndarray | None = None,
+    orders=None,
+):
     """Intersect kernels of the induced curvature and its covariant
-    derivatives at x0, order by order, for several kinds at once, until
-    two consecutive dimensions of a kind agree.
+    derivatives at x0, order by order, until two consecutive dimensions
+    agree.
 
-    `subspaces` maps each kind to its candidate subspace (orthonormal
-    rows in flattened-matrix coordinates; None for all matrices). The
-    kind 'hom' is cut out by P -> B P - P B* and needs `dual`; every
-    other kind is a form kind, cut out by Q -> B Q + Q B^T. The default
-    is {'hom': None}. Each generator order is built and evaluated once
-    for all kinds, and no order past the last kind's stop is built.
+    With a dual the constraints are P -> B P - P B*; without one, the
+    form constraints Q -> B Q + Q B^T. `orders` yields the generators
+    already evaluated at x0, order by order, as pairs (B, B*) (a
+    `Prolongation`'s; a form solve reads only B); by default they are
+    built and evaluated here.
 
-    Returns {kind: (candidates, stabilized, order)}: candidates has
-    orthonormal rows inside the kind's subspace, and every genuine
-    solution's value at x0 lies in their span. `order` is the first
-    order whose constraints added nothing (0 when the curvature
-    constraints alone already close the intersection).
+    Returns (candidates, stabilized, order): candidates has orthonormal
+    rows in flattened-matrix coordinates, all inside `subspace` when one
+    is given. Every genuine solution's value at x0 lies in the span.
+    `order` is the first order whose constraints added nothing (0 when
+    the curvature constraints alone already close the intersection).
     """
-    if subspaces is None:
-        subspaces = {"hom": None}
-    if dual is None and "hom" in subspaces:
-        raise ValueError("the hom kind needs the target connection")
-    full = np.eye(conn.r * conn.r)
-    kinds = {
-        kind: _Intersection(full if sub is None else sub, kind == "hom")
-        for kind, sub in subspaces.items()
-    }
-    for gens in _generator_orders(conn, dual, max_order):
-        values = _generator_values(gens, x0, dual is not None)
-        for kind in kinds.values():
-            if not kind.stopped:
-                kind.add_order(values, kernel_cutoff)
-        if all(kind.stopped for kind in kinds.values()):
+    if subspace is None:
+        subspace = np.eye(conn.r * conn.r)
+    if orders is None:
+        orders = (
+            _generator_values(gens, x0, dual is not None)
+            for gens in _generator_orders(conn, dual, max_order)
+        )
+    blocks: list[np.ndarray] = []
+    scale_ref = 1.0
+    dim_prev = subspace.shape[0]
+    dims: list[int] = []
+    stabilized = False
+    for values in orders:
+        for b, bs in values:
+            rows, magnitude = _constraint_rows(
+                b, bs if dual is not None else -b.T, subspace, scale_ref
+            )
+            scale_ref = max(scale_ref, magnitude)
+            if rows is not None:
+                blocks.append(rows)
+        stacked = (
+            np.vstack(blocks) if blocks else np.zeros((0, subspace.shape[0]))
+        )
+        kernel = nullspace(stacked, kernel_cutoff)
+        dims.append(kernel.shape[0])
+        if kernel.shape[0] == dim_prev or kernel.shape[0] == 0:
+            stabilized = True
             break
-    return {name: kind.result(max_order) for name, kind in kinds.items()}
+        dim_prev = kernel.shape[0]
+    candidates = kernel @ subspace
+    final_dim = dims[-1]
+    # report the first order whose constraints already pinned the final
+    # space (later orders added nothing)
+    settle_order = next(k for k, d in enumerate(dims) if d == final_dim)
+    return candidates, stabilized, settle_order if stabilized else max_order
 
 
 def _canonical_sign(vector: np.ndarray) -> np.ndarray:
@@ -353,16 +368,31 @@ def _solve(
     kind: str,
     conn: Connection,
     dual: Connection | None,
-    grid: Grid,
-    base_index: int,
-    prolonged: tuple,
+    subspace: np.ndarray | None,
     options: SolveOptions,
+    shared: Prolongation | None,
 ) -> SolutionSpace:
-    """Certify one kind's prolongation candidates by transport over the
-    grid from the base node."""
+    """Prolong one kind at the shared base node and certify its
+    candidates by transport over the shared grid."""
+    if shared is None:
+        shared = Prolongation(conn, dual, options)
+    elif (
+        shared.conn is not conn
+        or shared.options != options
+        or (dual is not None and dual is not shared.dual)
+    ):
+        raise ValueError("the shared prolongation belongs to another problem or options")
     r = conn.r
-    x0 = grid.nodes[base_index]
-    candidates, stabilized, order = prolonged
+    grid, base_index, x0 = shared.grid, shared.base_index, shared.x0
+    candidates, stabilized, order = stabilized_constraint_subspace(
+        conn,
+        dual,
+        x0,
+        max_order=options.max_order,
+        kernel_cutoff=options.kernel_cutoff,
+        subspace=subspace,
+        orders=shared.orders(),
+    )
     flags: list[str] = []
     if not stabilized:
         flags.append("stabilization-not-reached:lower-bound-only")
@@ -429,54 +459,29 @@ def _solve(
     )
 
 
-_KIND_SUBSPACES = {
-    "hom": lambda r: None,
-    "symmetric": symmetric_basis,
-    "antisymmetric": antisymmetric_basis,
-}
-
-
-def solve_spaces(
+def solve_hom(
     conn: Connection,
-    dual: Connection | None,
-    kinds,
+    dual: Connection,
     options: SolveOptions | None = None,
-) -> dict[str, SolutionSpace]:
-    """Certified solution spaces of several kinds ('hom', 'symmetric',
-    'antisymmetric') from one grid, one base node and one prolongation;
-    'hom' intertwines conn and dual."""
-    options = options or SolveOptions()
-    grid = Grid(conn.domain, options.grid_counts(conn.domain))
-    x0_req = options.base_point if options.base_point is not None else conn.domain.center()
-    base_index = grid.nearest_node(x0_req)
-    prolonged = stabilized_constraint_subspace(
-        conn,
-        dual,
-        grid.nodes[base_index],
-        max_order=options.max_order,
-        kernel_cutoff=options.kernel_cutoff,
-        subspaces={kind: _KIND_SUBSPACES[kind](conn.r) for kind in kinds},
-    )
-    return {
-        kind: _solve(
-            kind, conn, dual if kind == "hom" else None, grid, base_index, prolonged[kind], options
-        )
-        for kind in kinds
-    }
-
-
-def solve_hom(conn: Connection, dual: Connection, options: SolveOptions | None = None) -> SolutionSpace:
-    """Certified basis of endomorphism fields intertwining conn and dual."""
-    return solve_spaces(conn, dual, ("hom",), options)["hom"]
+    shared: Prolongation | None = None,
+) -> SolutionSpace:
+    """Certified basis of endomorphism fields intertwining conn and dual;
+    `shared` is a Prolongation of conn and dual to read orders from."""
+    return _solve("hom", conn, dual, None, options or SolveOptions(), shared)
 
 
 def solve_parallel_forms(
-    conn: Connection, symmetry: str, options: SolveOptions | None = None
+    conn: Connection,
+    symmetry: str,
+    options: SolveOptions | None = None,
+    shared: Prolongation | None = None,
 ) -> SolutionSpace:
-    """Certified basis of parallel symmetric or antisymmetric forms."""
+    """Certified basis of parallel symmetric or antisymmetric forms;
+    `shared` is a Prolongation of conn to read orders from."""
     if symmetry not in ("symmetric", "antisymmetric"):
         raise ValueError("symmetry must be 'symmetric' or 'antisymmetric'")
-    return solve_spaces(conn, None, (symmetry,), options)[symmetry]
+    sub = symmetric_basis(conn.r) if symmetry == "symmetric" else antisymmetric_basis(conn.r)
+    return _solve(symmetry, conn, None, sub, options or SolveOptions(), shared)
 
 
 def _owner_index(grid: Grid, node_multi, axis: int, direction: int):

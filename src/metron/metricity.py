@@ -37,16 +37,13 @@ from .bundle import (
     numerical_rank,
 )
 from .corpus import random_constant_metric
-# solve_parallel_forms is not called here; it stays importable from this
-# module because perfbench/spans.py wraps the solvers where metricity
-# looks them up
-from .homsolver import (  # noqa: F401
+from .homsolver import (
+    Prolongation,
     SolutionSpace,
     SolveOptions,
     local_system_residual,
     solve_hom,
     solve_parallel_forms,
-    solve_spaces,
 )
 
 __all__ = [
@@ -145,17 +142,18 @@ def analyze(
 ) -> AnalysisBundle:
     """Solve the three parallel-section problems once, for reuse.
 
-    The three spaces share one grid, one base node and one prolongation:
+    The three solves share one grid, one base node and one prolongation:
     the form generators are the B components of the hom pairs (B, B*).
-    They equal what solve_hom and solve_parallel_forms return alone.
+    Each space equals what its solver returns alone.
     """
     opts = options or SolveOptions()
     base_metric = base_metric or identity_metric(conn.domain, conn.r)
     dual = dual_connection(base_metric, conn)
-    spaces = solve_spaces(conn, dual, ("hom", "symmetric", "antisymmetric"), opts)
-    return AnalysisBundle(
-        conn, base_metric, dual, spaces["hom"], spaces["symmetric"], spaces["antisymmetric"]
-    )
+    shared = Prolongation(conn, dual, opts)
+    hom_space = solve_hom(conn, dual, opts, shared)
+    sym_space = solve_parallel_forms(conn, "symmetric", opts, shared)
+    alt_space = solve_parallel_forms(conn, "antisymmetric", opts, shared)
+    return AnalysisBundle(conn, base_metric, dual, hom_space, sym_space, alt_space)
 
 
 def _rank_candidates(space: SolutionSpace, seed: int) -> list[np.ndarray]:

@@ -96,7 +96,7 @@ def test_hom_curvature_kernel_matches_brute_force():
 def test_flat_stabilizes_immediately_with_full_space():
     conn = flat_connection()
     dual = dual_connection(identity_metric(conn.domain, 2), conn)
-    k, stabilized, order = stabilized_constraint_subspace(conn, dual, conn.domain.center())["hom"]
+    k, stabilized, order = stabilized_constraint_subspace(conn, dual, conn.domain.center())
     assert stabilized and order == 0
     assert k.shape[0] == 4
 
@@ -104,7 +104,7 @@ def test_flat_stabilizes_immediately_with_full_space():
 def test_nilpotent_stabilizes_at_order_zero():
     """Covariant derivatives of the constant curvature add nothing."""
     conn = nilpotent_connection()
-    k, stabilized, order = stabilized_constraint_subspace(conn, conn, conn.domain.center())["hom"]
+    k, stabilized, order = stabilized_constraint_subspace(conn, conn, conn.domain.center())
     assert stabilized and order == 0
     assert k.shape[0] == 2
     assert _same_span([v.reshape(2, 2) for v in k], [np.eye(2), NILPOTENT_MATRIX])
@@ -118,7 +118,7 @@ def test_generic_polynomial_kernel_matches_pointwise_intersection():
     dom = square_domain(5)
     conn = random_polynomial_connection(rng, dom, 2, scale=0.4)
     dual = dual_connection(identity_metric(dom, 2), conn)
-    k, stabilized, _ = stabilized_constraint_subspace(conn, dual, dom.center())["hom"]
+    k, stabilized, _ = stabilized_constraint_subspace(conn, dual, dom.center())
     assert stabilized
     from metron.bundle import curvature
     from metron import symmatrix as sm

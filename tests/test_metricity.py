@@ -188,6 +188,25 @@ def test_rank_one_spaces_share_the_base_point():
     assert (alone.stabilized, alone.stabilization_order, alone.constraint_dim) == (True, 0, 0)
 
 
+def test_shared_prolongation_serves_only_its_problem():
+    """A solve refuses a prolongation built for another connection, hom
+    target or options: its orders would be another problem's constraints."""
+    conn = nilpotent_connection()
+    dual = dual_connection(identity_metric(conn.domain, conn.r), conn)
+    shared = homsolver.Prolongation(conn, dual, FAST)
+    forms_only = homsolver.Prolongation(conn, None, FAST)
+    for solve in (
+        lambda: homsolver.solve_hom(conn, dual, SolveOptions(), shared),
+        lambda: homsolver.solve_hom(conn, dual, FAST, forms_only),
+        lambda: homsolver.solve_parallel_forms(flat_connection(), "symmetric", FAST, shared),
+    ):
+        with pytest.raises(ValueError, match="another problem"):
+            solve()
+    space = homsolver.solve_parallel_forms(conn, "symmetric", FAST, forms_only)
+    alone = homsolver.solve_parallel_forms(conn, "symmetric", FAST)
+    assert np.array_equal(space.basis, alone.basis)
+
+
 # ---------------------------------------------------------------------------
 # symmetric/antisymmetric split
 # ---------------------------------------------------------------------------
