@@ -7,6 +7,9 @@ Runs, in one process and through the same code path as `metron`:
 - with --bench-inputs, the benchmark inputs of seed 1: `metricity` on
   gauged-flat-r4 and on each corpus-notmetric file, `solve-fe` on
   gauged-flat-r4 and `index --grid 5` on perfbench/inputs/hyperbolic.json;
+- with --error-paths, a fixed set of rejected inputs: bad integer flags,
+  a negative problem seed, an expression parse error, a pole at the base
+  point, a malformed problem file and bad --metric-family files;
 - each extra command given with --also.
 
 Each run prints one line, `<sha256>  <command>  (exit <code>)`, so two
@@ -20,12 +23,17 @@ Problem paths are taken relative to the working directory, and metron is
 imported from the Python path, so the script measures whichever checkout
 PYTHONPATH points at. The benchmark inputs are written to a temporary
 directory by perfbench/gen.py of the working directory, and shown as
-<bench-inputs> in the output.
+<bench-inputs> in the output. The rejected inputs are written to a
+temporary directory too, and run from inside it with relative paths, so
+that the file names their diagnostics quote do not change between runs;
+a run that raises prints `crash: <exception>` in place of its digest.
 """
 from __future__ import annotations
 
 import argparse
 import hashlib
+import json
+import os
 import shlex
 import sys
 import tempfile
@@ -63,6 +71,60 @@ def bench_commands(out: Path) -> list[list[str]]:
     return commands
 
 
+def error_commands(out: Path) -> list[list[str]]:
+    """Write the rejected inputs under out and return the commands that
+    run on them, with paths relative to out."""
+    half_plane = json.loads(Path("problems/hyperbolic.json").read_text(encoding="utf-8"))
+
+    def variant(**changes):
+        problem = json.loads(json.dumps(half_plane))
+        problem.update(changes)
+        return problem
+
+    def entry(text):
+        connection = json.loads(json.dumps(half_plane["connection"]))
+        connection[0][0][0] = text
+        return connection
+
+    files = {
+        "half-plane.json": half_plane,
+        "negative-seed.json": variant(seed=-1),
+        "parse-error.json": variant(connection=entry("x1+")),
+        # x1 < 0 at the base node nearest the centre of an 8 x 8 grid
+        "pole-at-base.json": variant(
+            connection=entry("sqrt(x1-0.99)"),
+            domain=dict(half_plane["domain"], gridPerAxis=8),
+        ),
+        "family-parse-error.json": [[["x1+", "0"], ["0", "1"]]],
+        "family-bare-number.json": [[["1", "0"], ["0", 1]]],
+        "family-not-a-list.json": {"metric": [["1", "0"], ["0", "1"]]},
+    }
+    for name, payload in files.items():
+        (out / name).write_text(json.dumps(payload), encoding="utf-8")
+    (out / "malformed.json").write_text('{"dim": 2,,}', encoding="utf-8")
+    (out / "family-malformed.json").write_text("[[1, 2", encoding="utf-8")
+    commands = [
+        ["metricity", "half-plane.json", flag, value]
+        for flag, value in (
+            ("--grid", "0"),
+            ("--grid", "2"),
+            ("--max-order", "-1"),
+            ("--seed", "-5"),
+        )
+    ]
+    for name in ("negative-seed.json", "parse-error.json", "pole-at-base.json", "malformed.json"):
+        commands.append(["metricity", name])
+    for name in (
+        "missing.json",
+        "family-parse-error.json",
+        "family-bare-number.json",
+        "family-not-a-list.json",
+        "family-malformed.json",
+    ):
+        commands.append(["index", "half-plane.json", "--metric-family", name])
+    return commands
+
+
 def report_digest(argv: list[str]) -> tuple[str, int]:
     args = cli.build_parser().parse_args(argv)
     report, code = cli.run_command(args)
@@ -84,6 +146,11 @@ def main(argv=None) -> int:
         action="store_true",
         help=f"also run on the benchmark inputs of seed {BENCH_SEED}",
     )
+    parser.add_argument(
+        "--error-paths",
+        action="store_true",
+        help="also run a fixed set of rejected inputs",
+    )
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         commands = default_commands()
@@ -94,6 +161,20 @@ def main(argv=None) -> int:
             digest, code = report_digest(command)
             shown = shlex.join(command).replace(tmp, BENCH_SHOWN)
             print(f"{digest}  {shown}  (exit {code})", flush=True)
+    if args.error_paths:
+        with tempfile.TemporaryDirectory() as tmp:
+            commands = error_commands(Path(tmp))
+            cwd = os.getcwd()
+            os.chdir(tmp)
+            try:
+                for command in commands:
+                    try:
+                        digest, code = report_digest(command)
+                    except Exception as err:  # an uncaught error exits 1 from `metron`
+                        digest, code = f"crash: {type(err).__name__}", 1
+                    print(f"{digest}  {shlex.join(command)}  (exit {code})", flush=True)
+            finally:
+                os.chdir(cwd)
     return 0
 
 

@@ -138,9 +138,6 @@ class ChartDomain:
         up = np.asarray(self.upper) - margin
         return bool(np.all(p > lo) and np.all(p < up))
 
-    def with_samples(self, per_axis: int) -> "ChartDomain":
-        return ChartDomain(self.lower, self.upper, (per_axis,) * self.m)
-
 
 def _validate_entries(rows, domain: ChartDomain, what: str):
     """Reject coordinates beyond the chart: one walk over all entries,

@@ -8,7 +8,8 @@ Exit codes separate three situations that CI pipelines must tell apart:
     2   the input was rejected (malformed JSON, bad shapes, expression
         parse errors); diagnostics name the offending field
     3   the analysis ran but is not certified (kernel stabilisation not
-        reached, or a residual gate failed)
+        reached, or a residual gate failed), or it failed inside its
+        linear algebra (diagnostic code "internal")
 
 Reports are byte-identical across runs for a fixed problem file and
 seed: floats are serialised with 17 significant digits, keys are sorted,
@@ -260,6 +261,8 @@ def _validate(data) -> tuple[list[dict], dict]:
     seed = data.get("seed")
     if seed is not None and not isinstance(seed, int):
         diagnostics.append(_diag("seed", "type", "seed must be an integer"))
+    elif seed is not None and seed < 0:
+        diagnostics.append(_diag("seed", "value", "seed must be an integer >= 0"))
     tolerances = data.get("tolerances")
     if tolerances is not None:
         if not isinstance(tolerances, dict):
@@ -389,12 +392,28 @@ def _cmd_metricity(p: ProblemObjects, args):
     return {"certificate": _certificate_dict(cert, p.substitution_residual)}, cert.certified
 
 
+def _metric_family(p: ProblemObjects, path: str) -> list[MetricField]:
+    """The metrics of a --metric-family file, each entry checked by the
+    problem file's `metric` rules and parsed once; an invalid file
+    raises _InputError."""
+    entries = _load_json(path)
+    if not isinstance(entries, list):
+        raise _InputError(
+            [_diag("--metric-family", "type", "metric family must be a list of matrices")]
+        )
+    diagnostics: list[dict] = []
+    trees = []
+    for k, mat in enumerate(entries):
+        where = f"--metric-family[{k}]"
+        if _expect_shape(mat, (p.r, p.r), where, diagnostics):
+            trees.append(_check_expressions(mat, p.domain.m, where, diagnostics))
+    if diagnostics:
+        raise _InputError(diagnostics)
+    return [MetricField(p.domain, p.r, tree, declared_rank=p.r) for tree in trees]
+
+
 def _cmd_index(p: ProblemObjects, args):
-    family = []
-    if args.metric_family:
-        entries = json.loads(Path(args.metric_family).read_text(encoding="utf-8"))
-        for k, mat in enumerate(entries):
-            family.append(MetricField(p.domain, p.r, mat, declared_rank=p.r))
+    family = _metric_family(p, args.metric_family) if args.metric_family else []
     cert = decide_metricity(p.connection, options=p.options)
     report = index_report(
         p.connection, family, p.options, primary_metric=p.metric, certificate=cert
@@ -540,6 +559,14 @@ def run_command(args) -> tuple[dict, int]:
                 ("--tol-kernel", args.tol_kernel),
             )
             if value is not None and not _is_tolerance(value)
+        ] + [
+            _diag(flag, "value", f"{flag[2:]} must be an integer >= {low}")
+            for flag, value, low in (
+                ("--grid", args.grid, 3),
+                ("--max-order", args.max_order, 0),
+                ("--seed", args.seed, 0),
+            )
+            if value is not None and value < low
         ]
         if bad_flags:
             raise _InputError(bad_flags)
@@ -586,6 +613,12 @@ def run_command(args) -> tuple[dict, int]:
         report["result"] = {"diagnostics": err.diagnostics}
         report["timingMs"] = 0
         return report, 2
+    except np.linalg.LinAlgError as err:
+        # a ValueError too, but a failure of the analysis, not of the input
+        message = f"linear algebra failed: {err}"
+        report["result"] = {"diagnostics": [_diag("$", "internal", message)]}
+        report["timingMs"] = 0
+        return report, 3
     except (ex.DomainError, ValueError, ArithmeticError) as err:
         message = str(err) or type(err).__name__
         report["result"] = {"diagnostics": [_diag("$", "error", message)]}

@@ -17,16 +17,17 @@ therefore runs two independent mechanisms:
 
 1. Infinitesimal: intersect the kernels of the induced curvature
    operators and their covariant derivatives at the base point until the
-   dimension stabilises (prolongation). The recursions
+   dimension stabilises (prolongation). One recursion per connection,
 
-       hom:   (B, B*) -> (d_l B - [Gamma_l, B], d_l B* - [Gamma*_l, B*])
-       form:   B      ->  d_l B - [Gamma_l, B]
+       B -> d_l B - [Gamma_l, B]     (starting from the curvature R_ij),
 
-   generate each new order symbolically, so no discretisation error
-   enters the constraints. The form generators are exactly the B
-   components of the hom pairs, so the hom, symmetric and
+   generates each new order symbolically, so no discretisation error
+   enters the constraints. The hom system pairs the generators B of
+   conn with those B* of its target, P -> B P - P B*; the form systems
+   use conn's alone, Q -> B Q + Q B^T. So the hom, symmetric and
    antisymmetric solves of an analysis share one `Prolongation`: one
-   grid, one base node, and each order built and evaluated once. Every
+   grid, one base node, each order built and evaluated once, and the
+   grid transporters, which live only as long as the analysis. Every
    kind cuts its own candidate subspace with its own scale and stops
    on its own.
 
@@ -49,12 +50,7 @@ import numpy as np
 
 from . import symmatrix as sm
 from .bundle import ChartDomain, Connection, curvature
-from .transport import (
-    DEFAULT_STEPS_PER_SEGMENT,
-    Grid,
-    flow_operators,
-    get_transporter,
-)
+from .transport import DEFAULT_STEPS_PER_SEGMENT, Grid, GridTransporter, flow_operators
 
 __all__ = [
     "SolveOptions",
@@ -87,7 +83,6 @@ class SolveOptions:
     max_order: int = 3
     kernel_cutoff: float = 1e-8
     transport_tol: float = 1e-7
-    base_point: tuple | None = None
     seed: int = 0
 
     def grid_counts(self, domain: ChartDomain) -> tuple[int, ...]:
@@ -111,10 +106,6 @@ class SolutionSpace:
     grid: Grid | None
     extensions: np.ndarray  # (dimension, n_nodes, r, r)
     flags: tuple[str, ...] = ()
-
-    @property
-    def certified_upper_bound(self) -> bool:
-        return self.stabilized
 
     def contains(self, matrix: np.ndarray, tol: float = 1e-8) -> bool:
         """Whether a matrix lies in the span of the basis (Frobenius)."""
@@ -200,58 +191,34 @@ def _commutator(a, b):
     return sm.mat_sub(sm.mat_mul(a, b), sm.mat_mul(b, a))
 
 
-def _generator_orders(conn: Connection, dual: Connection | None, max_order: int):
-    """Symbolic constraint generators, yielded order by order, so that
-    orders past the one where the solver stops are never built.
-
-    For the hom system each generator is a pair (B, B*) acting as
-    P -> B P - P B*; for forms a single B acting as Q -> B Q + Q B^T.
-    Order zero is the curvature; each next order applies the covariant
-    derivative recursion along every axis.
-    """
+def _generator_orders(conn: Connection, max_order: int):
+    """Symbolic constraint generators of one connection, yielded order by
+    order, so that orders past the one where the solver stops are never
+    built. Order zero is the curvature R_ij (i < j); each next order
+    applies B -> d_l B - [Gamma_l, B] along every axis l."""
     m = conn.domain.m
-    curv = curvature(conn)
-    dual_curv = curvature(dual) if dual is not None else None
-    gens = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            if dual is not None:
-                gens.append((curv.entries[i][j], dual_curv.entries[i][j]))
-            else:
-                gens.append(curv.entries[i][j])
+    entries = curvature(conn).entries
+    gens = [entries[i][j] for i in range(m) for j in range(i + 1, m)]
     yield gens
     for _ in range(max_order):
-        nxt = []
-        for gen in gens:
-            for l in range(m):
-                if dual is not None:
-                    b, bs = gen
-                    nxt.append(
-                        (
-                            sm.mat_sub(sm.mat_diff(b, l + 1), _commutator(conn.gamma[l], b)),
-                            sm.mat_sub(sm.mat_diff(bs, l + 1), _commutator(dual.gamma[l], bs)),
-                        )
-                    )
-                else:
-                    nxt.append(
-                        sm.mat_sub(sm.mat_diff(gen, l + 1), _commutator(conn.gamma[l], gen))
-                    )
-        gens = nxt
+        gens = [
+            sm.mat_sub(sm.mat_diff(b, l + 1), _commutator(conn.gamma[l], b))
+            for b in gens
+            for l in range(m)
+        ]
         yield gens
 
 
-def _generator_values(gens, x, has_dual: bool) -> list:
-    """Every generator of one order at x, from one evaluation, as pairs
-    (B, B*); without a dual B* is None. The B of a hom pair is the form
-    generator of the same order, so form kinds read it from the pair."""
-    mats = [mat for gen in gens for mat in gen] if has_dual else gens
+def _generator_values(gens, x) -> list:
+    """One order of each recursion in gens (conn's, then the hom
+    target's) at x, from one evaluation, zipped into tuples (B, B*), or
+    (B,) for conn alone. A form solve reads B from either."""
+    mats = [mat for seq in gens for mat in seq]
     if not mats:  # a one-dimensional chart has no curvature
         return []
     r = len(mats[0])
-    values = sm.eval_matrix([row for mat in mats for row in mat], x).reshape(-1, r, r)
-    if has_dual:
-        return list(zip(values[0::2], values[1::2]))
-    return [(b, None) for b in values]
+    values = sm.eval_matrix([row for mat in mats for row in mat], x)
+    return list(zip(*values.reshape(len(gens), -1, r, r)))
 
 
 def _constraint_rows(b, bs, subspace: np.ndarray, scale_ref: float):
@@ -264,35 +231,54 @@ def _constraint_rows(b, bs, subspace: np.ndarray, scale_ref: float):
 
 
 class Prolongation:
-    """The grid, base node and evaluated constraint generators that the
-    solves of one analysis share.
+    """What the solves of one analysis share: the grid, the base node,
+    the evaluated constraint generators and the grid transporters.
 
     Built with the hom target `dual`, it serves the hom solve and both
     form solves of conn; built with dual None, form solves only. Each
     order is built and evaluated when a solve first reaches it, once,
     and kept for the solves after it, so no order past the last solve's
-    stop is built.
+    stop is built. The transporters live as long as the analysis does.
     """
 
     def __init__(self, conn: Connection, dual: Connection | None, options: SolveOptions):
         self.conn, self.dual, self.options = conn, dual, options
         self.grid = Grid(conn.domain, options.grid_counts(conn.domain))
-        x0_req = options.base_point if options.base_point is not None else conn.domain.center()
-        self.base_index = self.grid.nearest_node(x0_req)
+        self.base_index = self.grid.nearest_node(conn.domain.center())
         self.x0 = self.grid.nodes[self.base_index]
-        self._generators = _generator_orders(conn, dual, options.max_order)
+        self.transporters: dict[str, GridTransporter] = {}
+        self._generators = zip(
+            *(_generator_orders(c, options.max_order) for c in (conn, dual) if c is not None)
+        )
         self._values: list[list] = []
 
     def orders(self):
         """The evaluated generators, order by order from order zero, as
-        lists of pairs (B, B*)."""
+        lists of tuples (B, B*), or (B,) without a hom target."""
         for order in itertools.count():
             if order == len(self._values):
                 gens = next(self._generators, None)
                 if gens is None:
                     return
-                self._values.append(_generator_values(gens, self.x0, self.dual is not None))
+                self._values.append(_generator_values(gens, self.x0))
             yield self._values[order]
+
+
+def get_transporter(shared: Prolongation, kind: str) -> GridTransporter:
+    """The analysis's transporter of one fibre kind ('hom' or 'form'),
+    built the first time a solve needs it; the symmetric and
+    antisymmetric solves share the form one."""
+    transporter = shared.transporters.get(kind)
+    if transporter is None:
+        transporter = shared.transporters[kind] = GridTransporter(
+            kind,
+            shared.conn,
+            shared.dual if kind == "hom" else None,
+            shared.grid,
+            shared.base_index,
+            shared.options.steps_per_segment,
+        )
+    return transporter
 
 
 def stabilized_constraint_subspace(
@@ -310,9 +296,9 @@ def stabilized_constraint_subspace(
 
     With a dual the constraints are P -> B P - P B*; without one, the
     form constraints Q -> B Q + Q B^T. `orders` yields the generators
-    already evaluated at x0, order by order, as pairs (B, B*) (a
-    `Prolongation`'s; a form solve reads only B); by default they are
-    built and evaluated here.
+    already evaluated at x0, order by order, as tuples (B, B*) or (B,)
+    (a `Prolongation`'s; a form solve reads only B); by default the
+    recursions of conn and dual are built, evaluated here and zipped.
 
     Returns (candidates, stabilized, order): candidates has orthonormal
     rows in flattened-matrix coordinates, all inside `subspace` when one
@@ -323,19 +309,18 @@ def stabilized_constraint_subspace(
     if subspace is None:
         subspace = np.eye(conn.r * conn.r)
     if orders is None:
-        orders = (
-            _generator_values(gens, x0, dual is not None)
-            for gens in _generator_orders(conn, dual, max_order)
-        )
+        recursions = [_generator_orders(c, max_order) for c in (conn, dual) if c is not None]
+        orders = (_generator_values(gens, x0) for gens in zip(*recursions))
     blocks: list[np.ndarray] = []
     scale_ref = 1.0
     dim_prev = subspace.shape[0]
     dims: list[int] = []
     stabilized = False
     for values in orders:
-        for b, bs in values:
+        for gen in values:
+            b = gen[0]
             rows, magnitude = _constraint_rows(
-                b, bs if dual is not None else -b.T, subspace, scale_ref
+                b, gen[1] if dual is not None else -b.T, subspace, scale_ref
             )
             scale_ref = max(scale_ref, magnitude)
             if rows is not None:
@@ -383,7 +368,7 @@ def _solve(
     ):
         raise ValueError("the shared prolongation belongs to another problem or options")
     r = conn.r
-    grid, base_index, x0 = shared.grid, shared.base_index, shared.x0
+    grid, x0 = shared.grid, shared.x0
     candidates, stabilized, order = stabilized_constraint_subspace(
         conn,
         dual,
@@ -411,10 +396,7 @@ def _solve(
             extensions=np.zeros((0, len(grid.nodes), r, r)),
             flags=tuple(flags),
         )
-    transport_kind = "hom" if dual is not None else "form"
-    transporter = get_transporter(
-        transport_kind, conn, dual, grid, base_index, options.steps_per_segment
-    )
+    transporter = get_transporter(shared, "hom" if dual is not None else "form")
     fields = transporter.extend(candidates)  # (k, N, r*r)
     disc = transporter.discrepancies(fields).reshape(k, -1)  # (k, E*d)
     if disc.shape[1] == 0:
@@ -497,8 +479,6 @@ def local_system_residual(
     space: SolutionSpace,
     conn: Connection,
     dual: Connection | None = None,
-    h_fraction: float = FD_STENCIL_FRACTION,
-    steps_multiplier: int = 2,
 ) -> float:
     """Direct-substitution residual of every basis extension.
 
@@ -518,9 +498,9 @@ def local_system_residual(
     grid = space.grid
     m, r = conn.domain.m, conn.r
     n_nodes = len(grid.nodes)
-    hs = h_fraction * conn.domain.span
+    hs = FD_STENCIL_FRACTION * conn.domain.span
     fields = space.extensions.reshape(space.dimension, n_nodes, -1)
-    steps = max(16, steps_multiplier * DEFAULT_STEPS_PER_SEGMENT)
+    steps = 2 * DEFAULT_STEPS_PER_SEGMENT  # for the first, longest legs
     unit = np.eye(m)
     weight_of = dict(zip(_FD_OFFSETS, _FD_WEIGHTS))
     dual_for_transport = dual if kind == "hom" else None

@@ -142,9 +142,9 @@ def analyze(
 ) -> AnalysisBundle:
     """Solve the three parallel-section problems once, for reuse.
 
-    The three solves share one grid, one base node and one prolongation:
-    the form generators are the B components of the hom pairs (B, B*).
-    Each space equals what its solver returns alone.
+    The three solves share one grid, one base node, one prolongation
+    and the transporters: the form generators are conn's half of the
+    hom pairs (B, B*). Each space equals what its solver returns alone.
     """
     opts = options or SolveOptions()
     base_metric = base_metric or identity_metric(conn.domain, conn.r)
@@ -186,7 +186,6 @@ def decide_metricity(
     conn: Connection,
     base_metric: MetricField | None = None,
     options: SolveOptions | None = None,
-    bundle: AnalysisBundle | None = None,
 ) -> MetricityCertificate:
     """Produce a metricity certificate for the connection.
 
@@ -196,7 +195,7 @@ def decide_metricity(
     sampling is a reliable and reproducible witness finder.
     """
     opts = options or SolveOptions()
-    bundle = bundle or analyze(conn, base_metric, opts)
+    bundle = analyze(conn, base_metric, opts)
     s2, o2, hom = bundle.sym_space, bundle.alt_space, bundle.hom_space
     dims_ok = hom.dimension == s2.dimension + o2.dimension
     stabilized = s2.stabilized and o2.stabilized and hom.stabilized

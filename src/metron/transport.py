@@ -353,49 +353,6 @@ class GridTransporter:
         return np.abs(d).reshape(fields.shape[0], -1).max(axis=1)
 
 
-def get_transporter(
-    kind: str,
-    conn: Connection,
-    dual: Connection | None,
-    grid: Grid,
-    base_index: int,
-    steps_per_segment: int,
-) -> GridTransporter:
-    """GridTransporter with per-connection caching.
-
-    Building the per-edge flow operators dominates a solve; the cache
-    lets the symmetric and antisymmetric form solves (and a metricity
-    certificate plus its index computation) share one construction. The
-    cache lives on the connection object itself so entries cannot
-    outlive or collide with recycled objects.
-    """
-    cache = conn.__dict__.setdefault("_transporter_cache", [])
-    box = (grid.domain.lower, grid.domain.upper)
-    for entry in cache:
-        if (
-            entry["kind"] == kind
-            and entry["dual"] is dual
-            and entry["box"] == box
-            and entry["counts"] == grid.counts
-            and entry["base"] == base_index
-            and entry["steps"] == steps_per_segment
-        ):
-            return entry["transporter"]
-    transporter = GridTransporter(kind, conn, dual, grid, base_index, steps_per_segment)
-    cache.append(
-        {
-            "kind": kind,
-            "dual": dual,
-            "box": box,
-            "counts": grid.counts,
-            "base": base_index,
-            "steps": steps_per_segment,
-            "transporter": transporter,
-        }
-    )
-    return transporter
-
-
 def spanning_tree_extend(
     conn: Connection,
     dual: Connection | None,
@@ -417,7 +374,7 @@ def spanning_tree_extend(
     if not np.allclose(grid.nodes[base_index], np.asarray(x0, float), atol=1e-12):
         raise ValueError("base point must be a grid node")
     value0 = np.asarray(value0, dtype=float)
-    transporter = get_transporter(kind, conn, dual, grid, base_index, steps_per_segment)
+    transporter = GridTransporter(kind, conn, dual, grid, base_index, steps_per_segment)
     fields = transporter.extend(value0.reshape(1, -1))
     residual = float(transporter.residuals(fields)[0])
     shape = (len(grid.nodes),) + value0.shape

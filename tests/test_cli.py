@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from metron import cli
@@ -251,6 +252,72 @@ def test_non_positive_tolerance_flag_is_rejected(capsys, flag, value):
     assert code == 2
     diags = json.loads(out)["result"]["diagnostics"]
     assert [(d["path"], d["code"]) for d in diags] == [(flag, "value")]
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--grid", "0"), ("--grid", "2"), ("--max-order", "-1"), ("--seed", "-5")]
+)
+def test_out_of_range_integer_flag_is_rejected(capsys, flag, value):
+    """Before, --grid 0 fell back to gridPerAxis and certified, --max-order
+    -1 ran to exit 3, and --grid 2 and --seed -5 were rejected at $."""
+    code, out, _ = _run(
+        capsys, "metricity", str(PROBLEMS / "hyperbolic.json"), "--quiet", flag, value
+    )
+    assert code == 2
+    diags = json.loads(out)["result"]["diagnostics"]
+    assert [(d["path"], d["code"]) for d in diags] == [(flag, "value")]
+
+
+def test_negative_file_seed_is_rejected(capsys, tmp_path):
+    path = _write(tmp_path, "p.json", dict(BASE_PROBLEM, seed=-1))
+    code, out, _ = _run(capsys, "metricity", path, "--quiet")
+    assert code == 2
+    diags = json.loads(out)["result"]["diagnostics"]
+    assert [(d["path"], d["code"]) for d in diags] == [("seed", "value")]
+
+
+@pytest.mark.parametrize(
+    "payload, path, code",
+    [
+        (None, "missing.json", "io"),
+        ("[[1, 2", "metrics.json", "json"),
+        ({"metric": [["1", "0"], ["0", "1"]]}, "--metric-family", "type"),
+        ([[["x1+", "0"], ["0", "1"]]], "--metric-family[0][0][0]", "parse"),
+        ([[["1", "0"], ["0", 1]]], "--metric-family[0][1][1]", "type"),
+        ([[["1", "0"]]], "--metric-family[0]", "shape"),
+        ([[["1", "0"], ["0", "x3"]]], "--metric-family[0][1][1]", "unknown-variable"),
+    ],
+    ids=["missing", "malformed", "not-a-list", "parse", "bare-number", "shape", "unknown-variable"],
+)
+def test_bad_metric_family_file_is_rejected(capsys, tmp_path, monkeypatch, payload, path, code):
+    """Each entry follows the problem file's `metric` rules; before, a
+    missing file or a parse error was a traceback with exit 1."""
+    monkeypatch.chdir(tmp_path)
+    problem = _write(tmp_path, "p.json", BASE_PROBLEM)
+    if payload is not None:
+        _write(tmp_path, "metrics.json", payload)
+    family = "missing.json" if payload is None else "metrics.json"
+    exit_code, out, _ = _run(
+        capsys, "index", problem, "--quiet", "--grid", "5", "--metric-family", family
+    )
+    assert exit_code == 2
+    diags = json.loads(out)["result"]["diagnostics"]
+    assert [(d["path"], d["code"]) for d in diags] == [(path, code)]
+
+
+def test_linear_algebra_failure_is_internal_not_rejected_input(capsys, monkeypatch):
+    """np.linalg.LinAlgError subclasses ValueError; it is a failure of
+    the analysis, so exit 3, not the exit 2 of rejected input."""
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    code, out, _ = _run(capsys, "metricity", str(PROBLEMS / "hyperbolic.json"), "--quiet")
+    assert code == 3
+    diags = json.loads(out)["result"]["diagnostics"]
+    assert [(d["path"], d["code"]) for d in diags] == [("$", "internal")]
+    assert "SVD did not converge" in diags[0]["message"]
 
 
 def test_non_finite_file_tolerance_is_rejected(capsys, tmp_path):

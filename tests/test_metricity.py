@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from metron import expr as ex
-from metron import homsolver, metricity
+from metron import homsolver, metricity, transport
 from metron.bundle import (
     ChartDomain,
     Connection,
@@ -205,6 +205,49 @@ def test_shared_prolongation_serves_only_its_problem():
     space = homsolver.solve_parallel_forms(conn, "symmetric", FAST, forms_only)
     alone = homsolver.solve_parallel_forms(conn, "symmetric", FAST)
     assert np.array_equal(space.basis, alone.basis)
+
+
+def test_no_transporter_outlives_an_analysis():
+    """The analysis owns its grid transporters: with the connection still
+    held after decide_metricity, none is alive and the connection keeps
+    no transporter state."""
+    conn, _ = half_plane_levi_civita()
+    decide_metricity(conn, options=FAST)
+    gc.collect()
+    assert [o for o in gc.get_objects() if isinstance(o, transport.GridTransporter)] == []
+    assert not any("transporter" in key for key in conn.__dict__)
+
+
+def test_each_analysis_builds_one_hom_and_one_form_transporter(monkeypatch):
+    """hom, and one form transporter that S2 and Omega2 share; a second
+    analysis of the same connection builds its own two again."""
+    conn, _ = half_plane_levi_civita()
+    built = []
+    init = transport.GridTransporter.__init__
+    monkeypatch.setattr(
+        transport.GridTransporter,
+        "__init__",
+        lambda self, kind, *a: built.append(kind) or init(self, kind, *a),
+    )
+    for _ in range(2):
+        built.clear()
+        cert = decide_metricity(conn, options=FAST)
+        assert (cert.dim_j, cert.dim_s2, cert.dim_omega2) == (2, 1, 1)
+        assert built == ["hom", "form"]
+
+
+def test_target_generators_are_its_own_recursion():
+    """The B* of the hom pairs are the generators of the target's own
+    recursion, bit for bit: pairing evaluates each node as alone."""
+    conn, _ = half_plane_levi_civita()
+    dual = dual_connection(identity_metric(conn.domain, conn.r), conn)
+    pairs = list(homsolver.Prolongation(conn, dual, FAST).orders())
+    alone = list(homsolver.Prolongation(dual, None, FAST).orders())
+    assert len(pairs) == len(alone) == FAST.max_order + 1
+    for pair_order, own_order in zip(pairs, alone):
+        assert len(pair_order) == len(own_order) > 0
+        for (_, bs), (b,) in zip(pair_order, own_order):
+            assert np.array_equal(bs, b)
 
 
 # ---------------------------------------------------------------------------
