@@ -2,14 +2,18 @@
 """Print the sha256 of the JSON report of a fixed set of CLI runs.
 
 Runs, in one process and through the same code path as `metron`:
-- `metricity`, `index` and `solve-fe` on each problems/*.json;
+- `metricity`, `index`, `solve-fe`, `dual` and `curvature` on each
+  problems/*.json (`dual` and `curvature` print expressions);
 - `alpha-scan --alphas -1,-0.5,0,0.5,1` for every statistical family;
 - with --bench-inputs, the benchmark inputs of seed 1: `metricity` on
   gauged-flat-r4 and on each corpus-notmetric file, `solve-fe` on
   gauged-flat-r4 and `index --grid 5` on perfbench/inputs/hyperbolic.json;
-- with --error-paths, a fixed set of rejected inputs: bad integer flags,
-  a negative problem seed, an expression parse error, a pole at the base
-  point, a malformed problem file and bad --metric-family files;
+- with --error-paths, a fixed set of rejected or extreme inputs: bad
+  integer flags, a negative problem seed, an expression parse error, a
+  pole at the base point, a malformed problem file, bad --metric-family
+  files, a 1,000-term sum, nesting past the parser's limit, an
+  overflowing number literal, JSON nested too deep, asymmetric metrics
+  and a null seed;
 - each extra command given with --also.
 
 Each run prints one line, `<sha256>  <command>  (exit <code>)`, so two
@@ -50,7 +54,7 @@ BENCH_SHOWN = "<bench-inputs>"
 def default_commands() -> list[list[str]]:
     commands = []
     for problem in sorted(Path("problems").glob("*.json")):
-        for command in ("metricity", "index", "solve-fe"):
+        for command in ("metricity", "index", "solve-fe", "dual", "curvature"):
             commands.append([command, str(problem)])
     for family in sorted(FAMILIES):
         commands.append(["alpha-scan", "--family", family, f"--alphas={ALPHAS}"])
@@ -86,6 +90,9 @@ def error_commands(out: Path) -> list[list[str]]:
         connection[0][0][0] = text
         return connection
 
+    deep = {}
+    for _ in range(600):
+        deep = {"k": deep}
     files = {
         "half-plane.json": half_plane,
         "negative-seed.json": variant(seed=-1),
@@ -98,11 +105,20 @@ def error_commands(out: Path) -> list[list[str]]:
         "family-parse-error.json": [[["x1+", "0"], ["0", "1"]]],
         "family-bare-number.json": [[["1", "0"], ["0", 1]]],
         "family-not-a-list.json": {"metric": [["1", "0"], ["0", "1"]]},
+        "deep-sum.json": variant(connection=entry(" + ".join(f"x1/{k}" for k in range(1, 1001)))),
+        "deep-parentheses.json": variant(connection=entry("(" * 250 + "x1" + ")" * 250)),
+        "unary-minus-chain.json": variant(connection=entry("-" * 251 + "x1")),
+        "overflowing-literal.json": variant(connection=entry("1e999*x1")),
+        "deep-unknown-key.json": variant(extra=deep),
+        "asymmetric-metric.json": variant(metric=[["1", "0.2"], ["0", "1"]]),
+        "null-seed.json": variant(seed=None),
+        "family-asymmetric.json": [[["1", "0"], ["0", "1"]], [["1", "0.2"], ["0", "1"]]],
     }
     for name, payload in files.items():
         (out / name).write_text(json.dumps(payload), encoding="utf-8")
     (out / "malformed.json").write_text('{"dim": 2,,}', encoding="utf-8")
     (out / "family-malformed.json").write_text("[[1, 2", encoding="utf-8")
+    (out / "deep-array.json").write_text("[" * 5000 + "]" * 5000, encoding="utf-8")
     commands = [
         ["metricity", "half-plane.json", flag, value]
         for flag, value in (
@@ -122,6 +138,21 @@ def error_commands(out: Path) -> list[list[str]]:
         "family-malformed.json",
     ):
         commands.append(["index", "half-plane.json", "--metric-family", name])
+    for name in (
+        "deep-sum.json",
+        "deep-parentheses.json",
+        "unary-minus-chain.json",
+        "overflowing-literal.json",
+        "deep-unknown-key.json",
+        "deep-array.json",
+    ):
+        commands += [["metricity", name], ["validate", name]]
+    commands += [
+        ["dual", "overflowing-literal.json"],
+        ["index", "asymmetric-metric.json"],
+        ["index", "null-seed.json"],
+        ["index", "half-plane.json", "--metric-family", "family-asymmetric.json"],
+    ]
     return commands
 
 

@@ -225,7 +225,7 @@ class MetricField:
         bad = np.flatnonzero(skew > 1e-9 * (1.0 + np.abs(mats).max(axis=(-2, -1))))
         if bad.size:
             kind = "antisymmetric" if self.antisymmetric else "symmetric"
-            raise ValueError(f"form is not {kind} at sample point {tuple(pts[bad[0]])}")
+            raise ValueError(f"form is not {kind} at sample point {tuple(pts[bad[0]].tolist())}")
 
     @cached_property
     def _fn(self):

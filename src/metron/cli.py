@@ -21,8 +21,10 @@ import argparse
 import hashlib
 import json
 import math
+import re
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -46,12 +48,15 @@ from .bundle import (
 )
 from .homsolver import SolveOptions, solve_hom
 from .metricity import decide_metricity, index_report
-from .statmodels import alpha_scan, get_family
+from .statmodels import ALPHA_SCAN_OPTIONS, alpha_scan, get_family
 
 __all__ = ["main", "run_command", "validate_problem", "canonical_json"]
 
 SUBSTITUTION_RESIDUAL = 1e-6
 TOLERANCE_MESSAGE = "tolerance must be positive and finite"
+# arrays and objects inside one another: a problem file's connection
+# (object > dim > rank > rank) is the deepest part of either input format
+MAX_JSON_DEPTH = 4
 
 COMMANDS = (
     "dual",
@@ -282,6 +287,33 @@ def _problem_hash(data) -> str:
     return hashlib.sha256(canonical_json(data).encode("utf-8")).hexdigest()
 
 
+def _solve_options(args, defaults: SolveOptions, tolerances: dict) -> SolveOptions:
+    """defaults, overridden by the problem file's tolerances and then by
+    every flag that is set."""
+    given = {
+        "kernel_cutoff": tolerances.get("kernel"),
+        "transport_tol": tolerances.get("transport"),
+    }
+    options = replace(defaults, **{k: float(v) for k, v in given.items() if v is not None})
+    flags = {
+        "grid_per_axis": args.grid,
+        "max_order": args.max_order,
+        "kernel_cutoff": args.tol_kernel,
+        "transport_tol": args.tol_transport,
+        "seed": args.seed,
+    }
+    return replace(options, **{k: v for k, v in flags.items() if v is not None})
+
+
+def _metric_field(domain: ChartDomain, r: int, tree, path: str) -> MetricField:
+    """The metric of a validated entry array; a form that is not
+    symmetric on the grid raises _InputError at path."""
+    try:
+        return MetricField(domain, r, tree, declared_rank=r)
+    except ValueError as err:
+        raise _InputError([_diag(path, "value", str(err))]) from None
+
+
 class ProblemObjects:
     def __init__(self, data: dict, args):
         """Validate the problem and build its analysis objects from the
@@ -300,7 +332,7 @@ class ProblemObjects:
         self.r = r
         self.connection = Connection(self.domain, r, trees["connection"])
         self.metric = (
-            MetricField(self.domain, r, trees["metric"], declared_rank=r)
+            _metric_field(self.domain, r, trees["metric"], "metric")
             if data.get("metric")
             else None
         )
@@ -312,19 +344,8 @@ class ProblemObjects:
             if data.get("dualConnection")
             else None
         )
-        self.seed = args.seed if args.seed is not None else data.get("seed", 0)
         tolerances = data.get("tolerances") or {}
-        defaults = SolveOptions()
-
-        def pick(flag, key, default):
-            return float(flag if flag is not None else tolerances.get(key, default))
-
-        self.options = SolveOptions(
-            max_order=args.max_order if args.max_order is not None else defaults.max_order,
-            kernel_cutoff=pick(args.tol_kernel, "kernel", defaults.kernel_cutoff),
-            transport_tol=pick(args.tol_transport, "transport", defaults.transport_tol),
-            seed=self.seed,
-        )
+        self.options = _solve_options(args, SolveOptions(seed=data.get("seed") or 0), tolerances)
         # echoed in the report; no check reads it
         self.substitution_residual = float(
             tolerances.get("substitution", SUBSTITUTION_RESIDUAL)
@@ -409,7 +430,10 @@ def _metric_family(p: ProblemObjects, path: str) -> list[MetricField]:
             trees.append(_check_expressions(mat, p.domain.m, where, diagnostics))
     if diagnostics:
         raise _InputError(diagnostics)
-    return [MetricField(p.domain, p.r, tree, declared_rank=p.r) for tree in trees]
+    return [
+        _metric_field(p.domain, p.r, tree, f"--metric-family[{k}]")
+        for k, tree in enumerate(trees)
+    ]
 
 
 def _cmd_index(p: ProblemObjects, args):
@@ -501,12 +525,12 @@ def _cmd_gauge_check(p: ProblemObjects, args):
     return result, ok
 
 
-def _cmd_alpha_scan(args):
+def _cmd_alpha_scan(args, options: SolveOptions):
     family = get_family(args.family)
     alphas = [float(a) for a in args.alphas.split(",") if a.strip() != ""]
     if not alphas:
         raise _InputError([_diag("--alphas", "value", "need at least one alpha")])
-    report = alpha_scan(family, alphas)
+    report = alpha_scan(family, alphas, options)
     per_alpha = []
     certified = True
     for a, cert in zip(report.alphas, report.certificates):
@@ -528,11 +552,28 @@ class _InputError(Exception):
         self.diagnostics = diagnostics
 
 
+_JSON_STRING = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"')
+_NOT_A_BRACKET = re.compile(r"[^][{}]+")
+
+
+def _json_depth(text: str) -> int:
+    """How deep arrays and objects nest in JSON text, strings skipped."""
+    depth = deepest = 0
+    for c in _NOT_A_BRACKET.sub("", _JSON_STRING.sub("", text)):
+        depth += 1 if c in "[{" else -1
+        deepest = max(deepest, depth)
+    return deepest
+
+
 def _load_json(path: str):
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as err:
         raise _InputError([_diag(path, "io", str(err))]) from None
+    if _json_depth(text) > MAX_JSON_DEPTH:
+        raise _InputError(
+            [_diag(path, "json", f"arrays and objects nest deeper than {MAX_JSON_DEPTH} levels")]
+        )
     try:
         return json.loads(text)
     except json.JSONDecodeError as err:
@@ -575,8 +616,10 @@ def run_command(args) -> tuple[dict, int]:
                 raise _InputError(
                     [_diag("--family", "missing", "alpha-scan needs --family NAME")]
                 )
+            options = _solve_options(args, ALPHA_SCAN_OPTIONS, {})
+            report["seed"] = options.seed
             report["problemEcho"] = {"family": args.family, "alphas": args.alphas}
-            result, certified = _cmd_alpha_scan(args)
+            result, certified = _cmd_alpha_scan(args, options)
         else:
             if not args.problem:
                 raise _InputError(
@@ -594,7 +637,7 @@ def run_command(args) -> tuple[dict, int]:
                 )
                 return report, 0 if not diagnostics else 2
             problem = ProblemObjects(data, args)
-            report["seed"] = problem.seed
+            report["seed"] = problem.options.seed
             report["problemEcho"] = {
                 "sha256": _problem_hash(data),
                 "dim": data["dim"],

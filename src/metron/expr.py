@@ -5,7 +5,9 @@ recursive-descent parser for the small coefficient grammar, a walker
 that evaluates one tree at one point and names the subtree that leaves
 the real domain, and an evaluator that runs the union DAG of many trees
 as numpy operations over many points at once (transport integration,
-constraint rows, grid residuals).
+constraint rows, grid residuals). Every algorithm over a tree runs over
+one iterative post-order walk (_topo_order), so a tree of any depth,
+such as a sum of thousands of terms, needs no recursion.
 
 Grammar (EBNF):
 
@@ -17,8 +19,9 @@ Grammar (EBNF):
     ident  := 'x1' .. 'x9'
 
 Numbers are decimal literals, optionally with a fractional part and an
-exponent (2, 0.5, 1e-3). Unary minus binds at the base level, so
-"-x1^2" parses as (-x1)^2.
+exponent (2, 0.5, 1e-3), and must be finite. Unary minus binds at the
+base level, so "-x1^2" parses as (-x1)^2. Parentheses, unary minus and
+'^' operands nest at most MAX_NESTING deep.
 
 Nodes are hash-consed: structurally identical subtrees are the same
 Python object. Construction goes through the factory functions below
@@ -67,6 +70,8 @@ __all__ = [
 
 FUNCTIONS = ("exp", "log", "sin", "cos", "sqrt")
 MAX_VARIABLES = 9
+# the parser recurses at most 7 frames per level, far inside the default limit
+MAX_NESTING = 50
 
 
 class ExpressionError(Exception):
@@ -113,7 +118,8 @@ class DomainError(ExpressionError):
 
 @dataclass(frozen=True, eq=False)
 class ScalarExpression:
-    """Base node type. Identity comparison is structural equality (hash-consing)."""
+    """Base node type. Identity comparison is structural equality (hash-consing),
+    and nodes hash by identity, so a dict keyed by node is a memo."""
 
     __slots__ = ()
 
@@ -277,6 +283,7 @@ def func(name: str, a: ScalarExpression) -> ScalarExpression:
 # ---------------------------------------------------------------------------
 
 _NUM_START = set("0123456789.")
+_COORDINATES = {f"x{i}": i for i in range(1, MAX_VARIABLES + 1)}
 
 
 def _tokenize(source: str):
@@ -312,6 +319,8 @@ def _tokenize(source: str):
                 value = float(text)
             except ValueError:
                 raise ParseError(f"malformed number {text!r}", i, ("number",))
+            if math.isinf(value):
+                raise ParseError(f"number {text!r} overflows", i, ("number",))
             tokens.append(("num", value, i))
             i = j
             continue
@@ -329,9 +338,18 @@ def _tokenize(source: str):
 
 class _Parser:
     def __init__(self, source: str):
-        self.source = source
         self.tokens = _tokenize(source)
         self.pos = 0
+        self.depth = 0
+
+    def _nested(self, parse, offset: int):
+        """parse() one level deeper; a ParseError at offset past MAX_NESTING."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", offset, ())
+        self.depth += 1
+        e = parse()
+        self.depth -= 1
+        return e
 
     def _peek(self):
         return self.tokens[self.pos]
@@ -373,9 +391,8 @@ class _Parser:
     def _factor(self):
         base = self._base()
         if self._peek()[0] == "^":
-            self._advance()
-            exponent = self._factor()
-            return pow_(base, exponent)
+            offset = self._advance()[2]
+            return pow_(base, self._nested(self._factor, offset))
         return base
 
     def _base(self):
@@ -385,10 +402,10 @@ class _Parser:
             return const(value)
         if kind == "-":
             self._advance()
-            return neg(self._base())
+            return neg(self._nested(self._base, offset))
         if kind == "(":
             self._advance()
-            e = self._expr()
+            e = self._nested(self._expr, offset)
             self._expect(")", "')'")
             return e
         if kind == "ident":
@@ -398,17 +415,9 @@ class _Parser:
                     raise ArityError(
                         f"function {value!r} needs an argument list", offset, ("'('",)
                     )
-                self._advance()
-                arg = self._expr()
-                self._expect(")", "')'")
-                return func(value, arg)
-            if (
-                len(value) == 2
-                and value[0] == "x"
-                and value[1].isdigit()
-                and value[1] != "0"
-            ):
-                return var(int(value[1]))
+                return func(value, self._base())  # the '(' expr ')' branch
+            if value in _COORDINATES:
+                return var(_COORDINATES[value])
             raise UnknownIdentifierError(f"unknown identifier {value!r}", offset, ())
         raise ParseError(
             "expected a number, coordinate, function or '('",
@@ -423,7 +432,44 @@ def parse(source: str) -> ScalarExpression:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation (iterative walker with per-call memo; reports offending subtree)
+# The one walk over the DAG
+# ---------------------------------------------------------------------------
+
+
+def _topo_order(roots, known=()) -> list:
+    """Distinct nodes of the union DAG of roots in recursive post-order
+    (children first, left subtree before right), leaving out the nodes in
+    known and nodes reachable only through them. Every algorithm below
+    runs over this list, so no depth reaches the recursion limit."""
+    order, seen = [], set()
+    stack = list(roots)
+    pop, emit = stack.pop, order.append
+    while stack:
+        node = pop()
+        if node is None:  # marks that the node below has its children in order
+            emit(pop())
+            continue
+        if node in seen or node in known:
+            continue
+        seen.add(node)
+        kind = type(node)
+        if kind is Binary:
+            stack += (node, None, node.right, node.left)
+        elif kind is Unary:
+            stack += (node, None, node.arg)
+        else:
+            emit(node)
+    return order
+
+
+def variables(*roots: ScalarExpression) -> set[int]:
+    """Set of coordinate indices (1-based) that the expressions mention,
+    from one walk over their union."""
+    return {node.index for node in _topo_order(roots) if type(node) is Var}
+
+
+# ---------------------------------------------------------------------------
+# Evaluation at one point (per-call memo; reports the offending subtree)
 # ---------------------------------------------------------------------------
 
 
@@ -446,142 +492,116 @@ def evaluate(e: ScalarExpression, point) -> float:
 def _evaluate(e: ScalarExpression, point, memo: dict) -> float:
     """evaluate() with a memo that the caller may share between
     expressions at the same point."""
-    stack = [e]
-    while stack:
-        node = stack[-1]
-        key = id(node)
-        if key in memo:
-            stack.pop()
-            continue
-        if isinstance(node, Const):
-            memo[key] = node.value
-            stack.pop()
-            continue
-        if isinstance(node, Var):
+    for node in _topo_order((e,), memo):
+        kind = type(node)
+        if kind is Const:
+            v = node.value
+        elif kind is Var:
             if node.index > len(point):
                 raise DomainError(
                     f"point has {len(point)} coordinates, expression uses x{node.index}",
                     node,
                     point,
                 )
-            memo[key] = _check_finite(float(point[node.index - 1]), node, point)
-            stack.pop()
-            continue
-        if isinstance(node, Unary):
-            aid = id(node.arg)
-            if aid not in memo:
-                stack.append(node.arg)
-                continue
-            a = memo[aid]
+            v = _check_finite(float(point[node.index - 1]), node, point)
+        elif kind is Unary:
+            a = memo[node.arg]
             if node.op == "neg":
-                memo[key] = -a
+                v = -a
             elif node.op == "log":
                 if a <= 0.0:
                     raise DomainError("log of a non-positive number", node, point)
-                memo[key] = math.log(a)
+                v = math.log(a)
             elif node.op == "sqrt":
                 if a < 0.0:
                     raise DomainError("sqrt of a negative number", node, point)
-                memo[key] = math.sqrt(a)
+                v = math.sqrt(a)
             else:  # exp, sin, cos
                 try:
-                    memo[key] = _check_finite(getattr(math, node.op)(a), node, point)
+                    v = _check_finite(getattr(math, node.op)(a), node, point)
                 except OverflowError:
                     raise DomainError("overflow", node, point) from None
-            stack.pop()
-            continue
-        # Binary
-        lid, rid = id(node.left), id(node.right)
-        if lid not in memo:
-            stack.append(node.left)
-            continue
-        if rid not in memo:
-            stack.append(node.right)
-            continue
-        a, b = memo[lid], memo[rid]
-        op = node.op
-        if op == "+":
-            v = a + b
-        elif op == "-":
-            v = a - b
-        elif op == "*":
-            v = a * b
-        elif op == "/":
-            if b == 0.0:
-                raise DomainError("division by zero", node, point)
-            v = a / b
-        else:  # '^'
-            if a == 0.0 and b < 0.0:
-                raise DomainError("zero raised to a negative power", node, point)
-            if a < 0.0 and b != math.floor(b):
-                raise DomainError(
-                    "negative number raised to a fractional power", node, point
-                )
-            try:
-                v = a ** b
-            except OverflowError:
-                raise DomainError("overflow", node, point) from None
-        memo[key] = _check_finite(v, node, point)
-        stack.pop()
-    return memo[id(e)]
+        else:
+            a, b = memo[node.left], memo[node.right]
+            op = node.op
+            if op == "+":
+                v = a + b
+            elif op == "-":
+                v = a - b
+            elif op == "*":
+                v = a * b
+            elif op == "/":
+                if b == 0.0:
+                    raise DomainError("division by zero", node, point)
+                v = a / b
+            else:  # '^'
+                if a == 0.0 and b < 0.0:
+                    raise DomainError("zero raised to a negative power", node, point)
+                if a < 0.0 and b != math.floor(b):
+                    raise DomainError(
+                        "negative number raised to a fractional power", node, point
+                    )
+                try:
+                    v = a ** b
+                except OverflowError:
+                    raise DomainError("overflow", node, point) from None
+            v = _check_finite(v, node, point)
+        memo[node] = v
+    return memo[e]
 
 
 # ---------------------------------------------------------------------------
 # Differentiation (memoised structural rules)
 # ---------------------------------------------------------------------------
 
-_DIFF_CACHE: dict[tuple[int, int], ScalarExpression] = {}
+# _DIFF_CACHE[i - 1]: node -> its derivative along x_i
+_DIFF_CACHE = tuple({} for _ in range(MAX_VARIABLES))
 
 
 def differentiate(e: ScalarExpression, i: int) -> ScalarExpression:
     """Exact symbolic partial derivative with respect to x_i (1-based)."""
     if not 1 <= i <= MAX_VARIABLES:
         raise ValueError(f"coordinate index must be 1..{MAX_VARIABLES}, got {i}")
-    key = (id(e), i)
-    cached = _DIFF_CACHE.get(key)
-    if cached is not None:
-        return cached
-    if isinstance(e, Const):
-        d = ZERO
-    elif isinstance(e, Var):
-        d = ONE if e.index == i else ZERO
-    elif isinstance(e, Unary):
-        da = differentiate(e.arg, i)
-        a = e.arg
-        if e.op == "neg":
-            d = neg(da)
-        elif e.op == "exp":
-            d = mul(e, da)
-        elif e.op == "log":
-            d = div(da, a)
-        elif e.op == "sin":
-            d = mul(func("cos", a), da)
-        elif e.op == "cos":
-            d = neg(mul(func("sin", a), da))
-        else:  # sqrt
-            d = div(da, mul(const(2.0), e))
-    else:
-        a, b = e.left, e.right
-        da = differentiate(a, i)
-        if e.op == "+":
-            d = add(da, differentiate(b, i))
-        elif e.op == "-":
-            d = sub(da, differentiate(b, i))
-        elif e.op == "*":
-            d = add(mul(da, b), mul(a, differentiate(b, i)))
-        elif e.op == "/":
-            db = differentiate(b, i)
-            d = div(sub(mul(da, b), mul(a, db)), mul(b, b))
-        else:  # '^'
-            if isinstance(b, Const):
-                c = b.value
-                d = mul(mul(b, pow_(a, const(c - 1.0))), da)
+    memo = _DIFF_CACHE[i - 1]
+    for node in _topo_order((e,), memo):
+        kind = type(node)
+        if kind is Const:
+            d = ZERO
+        elif kind is Var:
+            d = ONE if node.index == i else ZERO
+        elif kind is Unary:
+            a = node.arg
+            da = memo[a]
+            if node.op == "neg":
+                d = neg(da)
+            elif node.op == "exp":
+                d = mul(node, da)
+            elif node.op == "log":
+                d = div(da, a)
+            elif node.op == "sin":
+                d = mul(func("cos", a), da)
+            elif node.op == "cos":
+                d = neg(mul(func("sin", a), da))
+            else:  # sqrt
+                d = div(da, mul(const(2.0), node))
+        else:
+            a, b = node.left, node.right
+            da, db = memo[a], memo[b]
+            if node.op == "+":
+                d = add(da, db)
+            elif node.op == "-":
+                d = sub(da, db)
+            elif node.op == "*":
+                d = add(mul(da, b), mul(a, db))
+            elif node.op == "/":
+                d = div(sub(mul(da, b), mul(a, db)), mul(b, b))
+            elif type(b) is Const:  # '^'
+                d = mul(mul(b, pow_(a, const(b.value - 1.0))), da)
             else:
                 # f^g = exp(g log f); valid where f > 0
-                db = differentiate(b, i)
-                d = mul(e, add(mul(db, func("log", a)), mul(b, div(da, a))))
-    _DIFF_CACHE[key] = d
-    return d
+                d = mul(node, add(mul(db, func("log", a)), mul(b, div(da, a))))
+        memo[node] = d
+    return memo[e]
 
 
 # ---------------------------------------------------------------------------
@@ -598,109 +618,48 @@ def _fmt_const(v: float) -> str:
 
 
 def to_string(e: ScalarExpression) -> str:
-    memo: dict[int, tuple[str, int]] = {}  # id -> (text, precedence)
-    stack = [e]
-    while stack:
-        node = stack[-1]
-        key = id(node)
-        if key in memo:
-            stack.pop()
-            continue
-        if isinstance(node, Const):
+    memo: dict = {}  # node -> (text, precedence)
+    for node in _topo_order((e,)):
+        kind = type(node)
+        if kind is Const:
             if node.value < 0:
-                memo[key] = ("-" + _fmt_const(-node.value), 4)
+                memo[node] = ("-" + _fmt_const(-node.value), 4)
             else:
-                memo[key] = (_fmt_const(node.value), 4)
-            stack.pop()
-            continue
-        if isinstance(node, Var):
-            memo[key] = (f"x{node.index}", 4)
-            stack.pop()
-            continue
-        if isinstance(node, Unary):
-            aid = id(node.arg)
-            if aid not in memo:
-                stack.append(node.arg)
-                continue
-            text, prec = memo[aid]
+                memo[node] = (_fmt_const(node.value), 4)
+        elif kind is Var:
+            memo[node] = (f"x{node.index}", 4)
+        elif kind is Unary:
+            text, prec = memo[node.arg]
             if node.op == "neg":
                 # '-' binds at base level; parenthesise non-atoms
                 inner = text if prec >= 4 else f"({text})"
-                memo[key] = ("-" + inner, 4)
+                memo[node] = ("-" + inner, 4)
             else:
-                memo[key] = (f"{node.op}({text})", 4)
-            stack.pop()
-            continue
-        lid, rid = id(node.left), id(node.right)
-        if lid not in memo:
-            stack.append(node.left)
-            continue
-        if rid not in memo:
-            stack.append(node.right)
-            continue
-        lt, lp = memo[lid]
-        rt, rp = memo[rid]
-        op = node.op
-        if op in ("+", "-"):
-            left = lt if lp >= 1 else f"({lt})"
-            right = rt if rp >= 2 else f"({rt})"  # right operand must be a term
-            memo[key] = (f"{left} {op} {right}", 1)
-        elif op in ("*", "/"):
-            left = lt if lp >= 2 else f"({lt})"
-            right = rt if rp >= 3 else f"({rt})"  # right operand must be a factor
-            memo[key] = (f"{left}{op}{right}", 2)
-        else:  # '^': base must be a base, exponent a factor (right assoc)
-            left = lt if lp >= 4 else f"({lt})"
-            right = rt if rp >= 3 else f"({rt})"
-            memo[key] = (f"{left}^{right}", 3)
-        stack.pop()
-    return memo[id(e)][0]
+                memo[node] = (f"{node.op}({text})", 4)
+        else:
+            lt, lp = memo[node.left]
+            rt, rp = memo[node.right]
+            op = node.op
+            if op in ("+", "-"):
+                left = lt if lp >= 1 else f"({lt})"
+                right = rt if rp >= 2 else f"({rt})"  # right operand must be a term
+                memo[node] = (f"{left} {op} {right}", 1)
+            elif op in ("*", "/"):
+                left = lt if lp >= 2 else f"({lt})"
+                right = rt if rp >= 3 else f"({rt})"  # right operand must be a factor
+                memo[node] = (f"{left}{op}{right}", 2)
+            else:  # '^': base must be a base, exponent a factor (right assoc)
+                left = lt if lp >= 4 else f"({lt})"
+                right = rt if rp >= 3 else f"({rt})"
+                memo[node] = (f"{left}^{right}", 3)
+    return memo[e][0]
 
 
 # ---------------------------------------------------------------------------
 # Numpy evaluation of many expressions over many points
 # ---------------------------------------------------------------------------
 
-
-def _topo_order(roots) -> list:
-    """Distinct nodes of the union DAG of roots, each after its children.
-
-    Hash-consing makes a shared subtree one node, so it appears once.
-    """
-    order, seen = [], set()
-    stack = [(root, False) for root in roots]
-    while stack:
-        node, done = stack.pop()
-        if done:
-            order.append(node)
-            continue
-        key = id(node)
-        if key in seen:
-            continue
-        seen.add(key)
-        stack.append((node, True))
-        if type(node) is Binary:
-            stack.append((node.right, False))
-            stack.append((node.left, False))
-        elif type(node) is Unary:
-            stack.append((node.arg, False))
-    return order
-
-
-def variables(*roots: ScalarExpression) -> set[int]:
-    """Set of coordinate indices (1-based) that the expressions mention,
-    from one walk over their union."""
-    return {node.index for node in _topo_order(roots) if type(node) is Var}
-
-
-_UNARY_UFUNCS = {
-    "neg": np.negative,
-    "exp": np.exp,
-    "log": np.log,
-    "sin": np.sin,
-    "cos": np.cos,
-    "sqrt": np.sqrt,
-}
+_UNARY_UFUNCS = {"neg": np.negative, **{name: getattr(np, name) for name in FUNCTIONS}}
 _BINARY_UFUNCS = {
     "+": np.add,
     "-": np.subtract,
@@ -731,26 +690,24 @@ class Evaluator:
     def __init__(self, roots):
         self.roots = tuple(roots)
         order = _topo_order(self.roots)
-        slot = {id(node): k for k, node in enumerate(order)}
+        slot = {node: k for k, node in enumerate(order)}
         init: list = [None] * len(order)
         coords, steps, last_use = [], [], {}
         for k, node in enumerate(order):
             kind = type(node)
             if kind is Const:
                 init[k] = np.float64(node.value)
-                continue
-            if kind is Var:
+            elif kind is Var:
                 coords.append((k, node.index - 1))
-                continue
-            if kind is Unary:
-                a = slot[id(node.arg)]
+            elif kind is Unary:
+                a = slot[node.arg]
                 last_use[a] = len(steps)
                 steps.append((_UNARY_UFUNCS[node.op], k, a, None))
-                continue
-            a, b = slot[id(node.left)], slot[id(node.right)]
-            last_use[a] = last_use[b] = len(steps)
-            steps.append((_BINARY_UFUNCS[node.op], k, a, b))
-        outputs = tuple(slot[id(root)] for root in self.roots)
+            else:
+                a, b = slot[node.left], slot[node.right]
+                last_use[a] = last_use[b] = len(steps)
+                steps.append((_BINARY_UFUNCS[node.op], k, a, b))
+        outputs = tuple(slot[root] for root in self.roots)
         for k in outputs:
             last_use.pop(k, None)
         dead_after: list[list[int]] = [[] for _ in steps]
@@ -782,7 +739,7 @@ class Evaluator:
 
     def _locate(self, points: np.ndarray, message: str):
         for point in points.tolist():
-            memo: dict[int, float] = {}
+            memo: dict = {}
             for root in self.roots:
                 _evaluate(root, point, memo)
         raise DomainError(message) from None

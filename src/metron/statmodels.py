@@ -44,8 +44,7 @@ __all__ = [
     "alpha_scan",
 ]
 
-ALPHA_SCAN_STEPS_PER_SEGMENT = 128
-ALPHA_SCAN_GRID = 7
+ALPHA_SCAN_OPTIONS = SolveOptions(grid_per_axis=7, steps_per_segment=128)
 
 # name -> (parameter box kept away from boundary singularities,
 #          information metric entries,
@@ -164,14 +163,11 @@ def alpha_scan(
     is regularly metric while some scanned alpha is not, and in that
     case a loud flag names the offending alphas; anything else (for
     example a positive alpha that is itself not metric) leaves the
-    implication unfalsified.
+    implication unfalsified. Without options the scan runs with
+    ALPHA_SCAN_OPTIONS: grid 7 per axis, 128 RK4 steps per segment.
     """
     alphas = tuple(sorted(float(a) for a in alphas))
-    if options is None:
-        options = SolveOptions(
-            grid_per_axis=ALPHA_SCAN_GRID,
-            steps_per_segment=ALPHA_SCAN_STEPS_PER_SEGMENT,
-        )
+    options = options or ALPHA_SCAN_OPTIONS
     certificates = []
     for a in alphas:
         conn = alpha_connection(family, a)

@@ -150,6 +150,17 @@ def test_gauge_check_command(capsys, tmp_path):
     assert result["curvatureConjugationResidual"] <= 1e-8
 
 
+def test_alpha_scan_honours_the_solve_flags(capsys):
+    argv = ("alpha-scan", "--family", "gaussian1d", "--alphas", "0", "--quiet")
+    reports = []
+    for flags in ((), ("--tol-transport", "1e-30", "--seed", "9")):
+        _, out, _ = _run(capsys, *argv, *flags)
+        reports.append(json.loads(out))
+    profiles = [r["result"]["perAlpha"][0]["certificate"]["toleranceProfile"] for r in reports]
+    assert [r["seed"] for r in reports] == [0, 9]
+    assert [p["transportResidual"] for p in profiles] == [1e-7, 1e-30]
+
+
 def test_alpha_scan_command(capsys):
     code, out, _ = _run(
         capsys, "alpha-scan", "--family", "gaussian1d", "--alphas", "-1,0,1", "--quiet"
@@ -286,8 +297,18 @@ def test_negative_file_seed_is_rejected(capsys, tmp_path):
         ([[["1", "0"], ["0", 1]]], "--metric-family[0][1][1]", "type"),
         ([[["1", "0"]]], "--metric-family[0]", "shape"),
         ([[["1", "0"], ["0", "x3"]]], "--metric-family[0][1][1]", "unknown-variable"),
+        ([[["1", "0"], ["0", "1"]], [["1", "0.2"], ["0", "1"]]], "--metric-family[1]", "value"),
     ],
-    ids=["missing", "malformed", "not-a-list", "parse", "bare-number", "shape", "unknown-variable"],
+    ids=[
+        "missing",
+        "malformed",
+        "not-a-list",
+        "parse",
+        "bare-number",
+        "shape",
+        "unknown-variable",
+        "asymmetric",
+    ],
 )
 def test_bad_metric_family_file_is_rejected(capsys, tmp_path, monkeypatch, payload, path, code):
     """Each entry follows the problem file's `metric` rules; before, a
@@ -328,6 +349,54 @@ def test_non_finite_file_tolerance_is_rejected(capsys, tmp_path):
     assert code == 2
     diags = json.loads(out)["result"]["diagnostics"]
     assert [(d["path"], d["code"]) for d in diags] == [("tolerances.transport", "value")]
+
+
+def _with_entry(text):
+    problem = json.loads(json.dumps(BASE_PROBLEM))
+    problem["connection"][0][0][0] = text
+    return problem
+
+
+def _nested_key(levels):
+    node = {}
+    for _ in range(levels):
+        node = {"k": node}
+    return node
+
+
+DEEP_INPUTS = {
+    # Gamma_1[0][0] = sum of 1000 terms in x1, a tree 1000 deep
+    "deep-sum": (_with_entry(" + ".join(f"x1/{k}" for k in range(1, 1001))), 0, []),
+    "deep-parentheses": (
+        _with_entry("(" * 250 + "x1" + ")" * 250), 2, [("connection[0][0][0]", "parse")]
+    ),
+    "unary-minus-chain": (_with_entry("-" * 251 + "x1"), 2, [("connection[0][0][0]", "parse")]),
+    "overflowing-literal": (_with_entry("1e999*x1"), 2, [("connection[0][0][0]", "parse")]),
+    "superscript-digit": (_with_entry("x\u00b2"), 2, [("connection[0][0][0]", "parse")]),
+    "deep-unknown-key": (dict(BASE_PROBLEM, extra=_nested_key(600)), 2, [("p.json", "json")]),
+    "deep-array": ("[" * 5000 + "]" * 5000, 2, [("p.json", "json")]),
+    "asymmetric-metric": (
+        dict(BASE_PROBLEM, metric=[["1", "0.2"], ["0", "1"]]), 2, [("metric", "value")]
+    ),
+    "null-seed": (dict(BASE_PROBLEM, seed=None), 0, []),
+}
+
+
+@pytest.mark.parametrize("command", ["metricity", "index", "validate"])
+@pytest.mark.parametrize("name", list(DEEP_INPUTS))
+def test_no_input_exits_1(capsys, tmp_path, monkeypatch, name, command):
+    """Inputs that used to end in a traceback (exit 1) or a diagnostic at
+    `$` exit 0, 2 or 3 with the diagnostic at the offending entry."""
+    payload, code, diagnostics = DEEP_INPUTS[name]
+    if command == "validate" and name == "asymmetric-metric":
+        code, diagnostics = 0, []  # validation parses the metric but does not evaluate it
+    monkeypatch.chdir(tmp_path)
+    _write(tmp_path, "p.json", payload)
+    exit_code, out, _ = _run(capsys, command, "p.json", "--quiet")
+    assert exit_code == code
+    found = json.loads(out)["result"].get("diagnostics", [])
+    assert [(d["path"], d["code"]) for d in found] == diagnostics
+    assert all("np." not in d["message"] for d in found)
 
 
 def test_malformed_json_exit_2_with_location(capsys, tmp_path):

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -68,6 +70,51 @@ def test_parse_errors_carry_offsets():
         ex.parse("exp()")
     with pytest.raises(ex.ParseError):
         ex.parse("(x1")
+
+
+def test_number_literal_that_overflows_is_a_parse_error():
+    with pytest.raises(ex.ParseError) as err:
+        ex.parse("x1 + 1e999*x2")
+    assert err.value.offset == 5
+    assert ex.parse("1e-999") is ex.ZERO
+
+
+def _parse_at_stack_depth(frames: int, source: str):
+    if frames:
+        return _parse_at_stack_depth(frames - 1, source)
+    return ex.parse(source)
+
+
+@pytest.mark.parametrize(
+    "opener, closer",
+    [("(", ")"), ("-", ""), ("exp(", ")"), ("x1^", "")],
+    ids=["parentheses", "unary-minus", "function", "power"],
+)
+def test_nesting_deeper_than_the_limit_is_a_parse_error(opener, closer):
+    """Parentheses, unary minus and '^' chains count; the limit is the
+    same however deep the caller's stack already is."""
+    n = ex.MAX_NESTING
+    ex.parse(opener * n + "x1" + closer * n)
+    for frames in (0, 300):
+        with pytest.raises(ex.ParseError) as err:
+            _parse_at_stack_depth(frames, opener * (n + 1) + "x1" + closer * (n + 1))
+        # the token that opens level n + 1
+        assert err.value.offset == len(opener) * (n + 1) - 1
+        assert "nesting" in err.value.message
+
+
+def test_deep_sum_is_walked_without_recursion():
+    """A sum of n terms is a tree n deep; differentiate, evaluate and
+    to_string walk it at the default recursion limit."""
+    n, x = 5000, 0.5
+    assert sys.getrecursionlimit() < n
+    e = ex.parse(" + ".join(f"x1^{k}" for k in range(1, n + 1)))
+    # sum_{k<=n} x^k and its derivative in closed form
+    assert ex.evaluate(e, (x,)) == pytest.approx((x - x ** (n + 1)) / (1 - x), rel=1e-12)
+    closed = (1 - (n + 1) * x**n + n * x ** (n + 1)) / (1 - x) ** 2
+    assert ex.evaluate(ex.differentiate(e, 1), (x,)) == pytest.approx(closed, rel=1e-12)
+    assert ex.differentiate(e, 2) is ex.ZERO
+    assert ex.parse(ex.to_string(e)) is e
 
 
 def test_domain_errors():
