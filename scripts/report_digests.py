@@ -12,8 +12,9 @@ Runs, in one process and through the same code path as `metron`:
   integer flags, a negative problem seed, an expression parse error, a
   pole at the base point, a malformed problem file, bad --metric-family
   files, a 1,000-term sum, nesting past the parser's limit, an
-  overflowing number literal, JSON nested too deep, asymmetric metrics
-  and a null seed;
+  overflowing number literal, constant products that overflow (in an
+  entry and only in its derivative), JSON nested too deep, asymmetric
+  metrics (also under `validate`) and a null seed;
 - each extra command given with --also.
 
 Each run prints one line, `<sha256>  <command>  (exit <code>)`, so two
@@ -109,6 +110,8 @@ def error_commands(out: Path) -> list[list[str]]:
         "deep-parentheses.json": variant(connection=entry("(" * 250 + "x1" + ")" * 250)),
         "unary-minus-chain.json": variant(connection=entry("-" * 251 + "x1")),
         "overflowing-literal.json": variant(connection=entry("1e999*x1")),
+        "overflow-fold.json": variant(connection=entry("1e300*1e300*x1")),
+        "overflow-fold-derivative.json": variant(connection=entry("x1*1e300*1e300")),
         "deep-unknown-key.json": variant(extra=deep),
         "asymmetric-metric.json": variant(metric=[["1", "0.2"], ["0", "1"]]),
         "null-seed.json": variant(seed=None),
@@ -152,6 +155,9 @@ def error_commands(out: Path) -> list[list[str]]:
         ["index", "asymmetric-metric.json"],
         ["index", "null-seed.json"],
         ["index", "half-plane.json", "--metric-family", "family-asymmetric.json"],
+        ["metricity", "overflow-fold.json"],
+        ["metricity", "overflow-fold-derivative.json"],
+        ["validate", "asymmetric-metric.json"],
     ]
     return commands
 

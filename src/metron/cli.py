@@ -627,7 +627,12 @@ def run_command(args) -> tuple[dict, int]:
                 )
             data = _load_json(args.problem)
             if args.command == "validate":
-                diagnostics = validate_problem(data)
+                # the analysis commands' checks, the metric's included
+                try:
+                    ProblemObjects(data, args)
+                    diagnostics = []
+                except _InputError as err:
+                    diagnostics = err.diagnostics
                 report["problemEcho"] = {
                     "sha256": _problem_hash(data),
                 }

@@ -26,9 +26,11 @@ base level, so "-x1^2" parses as (-x1)^2. Parentheses, unary minus and
 Nodes are hash-consed: structurally identical subtrees are the same
 Python object. Construction goes through the factory functions below
 (const, var, add, ...), which also fold constants and drop algebraic
-no-ops so that derivative trees stay small. Memoised evaluation and
-differentiation then cost one visit per distinct node, which keeps the
-large rational trees produced by symbolic matrix inversion tractable.
+no-ops so that derivative trees stay small; a fold whose value would
+not be finite keeps its node, so that evaluation names the subtree.
+Memoised evaluation and differentiation then cost one visit per
+distinct node, which keeps the large rational trees produced by
+symbolic matrix inversion tractable.
 """
 from __future__ import annotations
 
@@ -194,8 +196,8 @@ def neg(a: ScalarExpression) -> ScalarExpression:
 
 
 def add(a: ScalarExpression, b: ScalarExpression) -> ScalarExpression:
-    if _is_const(a) and _is_const(b):
-        return const(a.value + b.value)
+    if _is_const(a) and _is_const(b) and math.isfinite(v := a.value + b.value):
+        return const(v)
     if _is_const(a, 0.0):
         return b
     if _is_const(b, 0.0):
@@ -204,8 +206,8 @@ def add(a: ScalarExpression, b: ScalarExpression) -> ScalarExpression:
 
 
 def sub(a: ScalarExpression, b: ScalarExpression) -> ScalarExpression:
-    if _is_const(a) and _is_const(b):
-        return const(a.value - b.value)
+    if _is_const(a) and _is_const(b) and math.isfinite(v := a.value - b.value):
+        return const(v)
     if _is_const(b, 0.0):
         return a
     if _is_const(a, 0.0):
@@ -216,8 +218,8 @@ def sub(a: ScalarExpression, b: ScalarExpression) -> ScalarExpression:
 
 
 def mul(a: ScalarExpression, b: ScalarExpression) -> ScalarExpression:
-    if _is_const(a) and _is_const(b):
-        return const(a.value * b.value)
+    if _is_const(a) and _is_const(b) and math.isfinite(v := a.value * b.value):
+        return const(v)
     if _is_const(a, 0.0) or _is_const(b, 0.0):
         return ZERO
     if _is_const(a, 1.0):
@@ -240,8 +242,8 @@ def div(a: ScalarExpression, b: ScalarExpression) -> ScalarExpression:
         # Drops a potential pole of the denominator; fine for the
         # derivative algebra this factory exists for.
         return ZERO
-    if _is_const(a) and _is_const(b) and b.value != 0.0:
-        return const(a.value / b.value)
+    if _is_const(a) and _is_const(b) and b.value != 0.0 and math.isfinite(v := a.value / b.value):
+        return const(v)
     if a is b:
         return ONE
     return _intern(("b", "/", id(a), id(b)), lambda: Binary("/", a, b))

@@ -1,19 +1,23 @@
 """Solve the first-order linear system for parallel sections of the
 endomorphism bundle and of the bilinear-form bundles.
 
-An endomorphism field phi intertwines two connections when
+There is one equation. An endomorphism field phi intertwines a
+connection with a target connection when
 
-    d_i P = Gamma_i P - P Gamma*_i          (P = matrix of phi),
+    d_i P = Gamma_i P - P Gamma*_i          (P = matrix of phi).
 
-a bilinear form q is parallel when
+A bilinear form q, read as a map E -> E*, is parallel exactly when it
+intertwines the connection with its conjugate on E*, whose
+coefficients are -Gamma_i^T (the dual connection of the identity
+metric): the same equation, d_i Q = Gamma_i Q + Q Gamma_i^T. A form
+solve is the hom solve into the conjugate, restricted to the symmetric
+or antisymmetric matrices.
 
-    d_i Q = Gamma_i Q + Q Gamma_i^T.
-
-Both are linear connections on a finite-dimensional fibre, so the space
-of global solutions on a box chart is finite dimensional and every
-solution value at the base point is annihilated by the curvature of the
-induced connection and by all of its covariant derivatives. The solver
-therefore runs two independent mechanisms:
+The equation is a linear connection on a finite-dimensional fibre, so
+the space of global solutions on a box chart is finite dimensional and
+every solution value at the base point is annihilated by the curvature
+of the induced connection and by all of its covariant derivatives. The
+solver therefore runs two independent mechanisms:
 
 1. Infinitesimal: intersect the kernels of the induced curvature
    operators and their covariant derivatives at the base point until the
@@ -22,14 +26,13 @@ therefore runs two independent mechanisms:
        B -> d_l B - [Gamma_l, B]     (starting from the curvature R_ij),
 
    generates each new order symbolically, so no discretisation error
-   enters the constraints. The hom system pairs the generators B of
-   conn with those B* of its target, P -> B P - P B*; the form systems
-   use conn's alone, Q -> B Q + Q B^T. So the hom, symmetric and
-   antisymmetric solves of an analysis share one `Prolongation`: one
-   grid, one base node, each order built and evaluated once, and the
-   grid transporters, which live only as long as the analysis. Every
-   kind cuts its own candidate subspace with its own scale and stops
-   on its own.
+   enters the constraints; the generators B of conn pair with those B*
+   of its target into P -> B P - P B*. An analysis solves hom, S2 and
+   Omega2 into one target, the conjugate, so the three share one
+   `Prolongation`: one grid, one base node, each order built and
+   evaluated once, and one grid transporter, which lives only as long
+   as the analysis. Every kind cuts its own candidate subspace with its
+   own scale and stops on its own.
 
 2. Transport: extend every stabilised candidate over the sample grid
    through the spanning tree and measure the mismatch on the redundant
@@ -49,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import symmatrix as sm
-from .bundle import ChartDomain, Connection, curvature
+from .bundle import ChartDomain, Connection, curvature, dual_connection, identity_metric
 from .transport import DEFAULT_STEPS_PER_SEGMENT, Grid, GridTransporter, flow_operators
 
 __all__ = [
@@ -66,6 +69,7 @@ __all__ = [
     "nullspace",
 ]
 
+ANOTHER_PROBLEM = "the shared prolongation belongs to another problem or options"
 GENERATOR_DROP_REL = 1e-9
 FD_STENCIL_FRACTION = 1.5e-3
 # 6th-order central first-derivative stencil at offsets -3h..3h
@@ -181,8 +185,7 @@ def hom_curvature_operator(conn: Connection, dual: Connection, x, i: int, j: int
 
 
 def _intertwining_operator(b: np.ndarray, bs: np.ndarray) -> np.ndarray:
-    """Matrix of P -> B P - P B* on row-major flattened P; with B* = -B^T
-    it is the form operator Q -> B Q + Q B^T."""
+    """Matrix of P -> B P - P B* on row-major flattened P."""
     eye = np.eye(len(b))
     return np.kron(b, eye) - np.kron(eye, bs.T)
 
@@ -210,15 +213,14 @@ def _generator_orders(conn: Connection, max_order: int):
 
 
 def _generator_values(gens, x) -> list:
-    """One order of each recursion in gens (conn's, then the hom
-    target's) at x, from one evaluation, zipped into tuples (B, B*), or
-    (B,) for conn alone. A form solve reads B from either."""
+    """One order of the two recursions in gens (conn's, then the
+    target's) at x, from one evaluation, zipped into pairs (B, B*)."""
     mats = [mat for seq in gens for mat in seq]
     if not mats:  # a one-dimensional chart has no curvature
         return []
     r = len(mats[0])
     values = sm.eval_matrix([row for mat in mats for row in mat], x)
-    return list(zip(*values.reshape(len(gens), -1, r, r)))
+    return list(zip(*values.reshape(2, -1, r, r)))
 
 
 def _constraint_rows(b, bs, subspace: np.ndarray, scale_ref: float):
@@ -232,29 +234,29 @@ def _constraint_rows(b, bs, subspace: np.ndarray, scale_ref: float):
 
 class Prolongation:
     """What the solves of one analysis share: the grid, the base node,
-    the evaluated constraint generators and the grid transporters.
+    the evaluated constraint generators and the grid transporter.
 
-    Built with the hom target `dual`, it serves the hom solve and both
-    form solves of conn; built with dual None, form solves only. Each
+    Built for conn and the target `dual`, it serves the hom solve into
+    dual and, when dual is the conjugate of conn, both form solves. Each
     order is built and evaluated when a solve first reaches it, once,
     and kept for the solves after it, so no order past the last solve's
-    stop is built. The transporters live as long as the analysis does.
+    stop is built. The transporter lives as long as the analysis does.
     """
 
-    def __init__(self, conn: Connection, dual: Connection | None, options: SolveOptions):
+    def __init__(self, conn: Connection, dual: Connection, options: SolveOptions):
         self.conn, self.dual, self.options = conn, dual, options
         self.grid = Grid(conn.domain, options.grid_counts(conn.domain))
         self.base_index = self.grid.nearest_node(conn.domain.center())
         self.x0 = self.grid.nodes[self.base_index]
-        self.transporters: dict[str, GridTransporter] = {}
+        self.transporter: GridTransporter | None = None
         self._generators = zip(
-            *(_generator_orders(c, options.max_order) for c in (conn, dual) if c is not None)
+            _generator_orders(conn, options.max_order), _generator_orders(dual, options.max_order)
         )
         self._values: list[list] = []
 
     def orders(self):
         """The evaluated generators, order by order from order zero, as
-        lists of tuples (B, B*), or (B,) without a hom target."""
+        lists of pairs (B, B*)."""
         for order in itertools.count():
             if order == len(self._values):
                 gens = next(self._generators, None)
@@ -264,26 +266,29 @@ class Prolongation:
             yield self._values[order]
 
 
-def get_transporter(shared: Prolongation, kind: str) -> GridTransporter:
-    """The analysis's transporter of one fibre kind ('hom' or 'form'),
-    built the first time a solve needs it; the symmetric and
-    antisymmetric solves share the form one."""
-    transporter = shared.transporters.get(kind)
-    if transporter is None:
-        transporter = shared.transporters[kind] = GridTransporter(
-            kind,
+def get_transporter(shared: Prolongation) -> GridTransporter:
+    """The analysis's one transporter, between conn and the target,
+    built the first time a solve needs it."""
+    if shared.transporter is None:
+        shared.transporter = GridTransporter(
             shared.conn,
-            shared.dual if kind == "hom" else None,
+            shared.dual,
             shared.grid,
             shared.base_index,
             shared.options.steps_per_segment,
         )
-    return transporter
+    return shared.transporter
+
+
+def _conjugate(conn: Connection) -> Connection:
+    """The connection on E* in the dual frame, the dual of the identity
+    metric: the forms of conn are its intertwiners into this one."""
+    return dual_connection(identity_metric(conn.domain, conn.r), conn)
 
 
 def stabilized_constraint_subspace(
     conn: Connection,
-    dual: Connection | None,
+    dual: Connection,
     x0,
     max_order: int = 3,
     kernel_cutoff: float = 1e-8,
@@ -294,11 +299,10 @@ def stabilized_constraint_subspace(
     derivatives at x0, order by order, until two consecutive dimensions
     agree.
 
-    With a dual the constraints are P -> B P - P B*; without one, the
-    form constraints Q -> B Q + Q B^T. `orders` yields the generators
-    already evaluated at x0, order by order, as tuples (B, B*) or (B,)
-    (a `Prolongation`'s; a form solve reads only B); by default the
-    recursions of conn and dual are built, evaluated here and zipped.
+    The constraints are P -> B P - P B*. `orders` yields the generators
+    already evaluated at x0, order by order, as pairs (B, B*) (a
+    `Prolongation`'s); by default the recursions of conn and dual are
+    built, evaluated here and zipped.
 
     Returns (candidates, stabilized, order): candidates has orthonormal
     rows in flattened-matrix coordinates, all inside `subspace` when one
@@ -309,19 +313,16 @@ def stabilized_constraint_subspace(
     if subspace is None:
         subspace = np.eye(conn.r * conn.r)
     if orders is None:
-        recursions = [_generator_orders(c, max_order) for c in (conn, dual) if c is not None]
-        orders = (_generator_values(gens, x0) for gens in zip(*recursions))
+        recursions = zip(_generator_orders(conn, max_order), _generator_orders(dual, max_order))
+        orders = (_generator_values(gens, x0) for gens in recursions)
     blocks: list[np.ndarray] = []
     scale_ref = 1.0
     dim_prev = subspace.shape[0]
     dims: list[int] = []
     stabilized = False
     for values in orders:
-        for gen in values:
-            b = gen[0]
-            rows, magnitude = _constraint_rows(
-                b, gen[1] if dual is not None else -b.T, subspace, scale_ref
-            )
+        for b, bs in values:
+            rows, magnitude = _constraint_rows(b, bs, subspace, scale_ref)
             scale_ref = max(scale_ref, magnitude)
             if rows is not None:
                 blocks.append(rows)
@@ -352,7 +353,7 @@ def _canonical_sign(vector: np.ndarray) -> np.ndarray:
 def _solve(
     kind: str,
     conn: Connection,
-    dual: Connection | None,
+    dual: Connection,
     subspace: np.ndarray | None,
     options: SolveOptions,
     shared: Prolongation | None,
@@ -361,12 +362,8 @@ def _solve(
     candidates by transport over the shared grid."""
     if shared is None:
         shared = Prolongation(conn, dual, options)
-    elif (
-        shared.conn is not conn
-        or shared.options != options
-        or (dual is not None and dual is not shared.dual)
-    ):
-        raise ValueError("the shared prolongation belongs to another problem or options")
+    elif shared.conn is not conn or shared.dual is not dual or shared.options != options:
+        raise ValueError(ANOTHER_PROBLEM)
     r = conn.r
     grid, x0 = shared.grid, shared.x0
     candidates, stabilized, order = stabilized_constraint_subspace(
@@ -396,7 +393,7 @@ def _solve(
             extensions=np.zeros((0, len(grid.nodes), r, r)),
             flags=tuple(flags),
         )
-    transporter = get_transporter(shared, "hom" if dual is not None else "form")
+    transporter = get_transporter(shared)
     fields = transporter.extend(candidates)  # (k, N, r*r)
     disc = transporter.discrepancies(fields).reshape(k, -1)  # (k, E*d)
     if disc.shape[1] == 0:
@@ -458,12 +455,20 @@ def solve_parallel_forms(
     options: SolveOptions | None = None,
     shared: Prolongation | None = None,
 ) -> SolutionSpace:
-    """Certified basis of parallel symmetric or antisymmetric forms;
-    `shared` is a Prolongation of conn to read orders from."""
+    """Certified basis of parallel symmetric or antisymmetric forms: the
+    hom solve into the conjugate connection, restricted to the symmetric
+    or antisymmetric matrices. `shared` is a Prolongation of conn and
+    its conjugate to read orders from."""
     if symmetry not in ("symmetric", "antisymmetric"):
         raise ValueError("symmetry must be 'symmetric' or 'antisymmetric'")
+    if shared is None:
+        dual = _conjugate(conn)
+    elif shared.dual.gamma == tuple(sm.mat_neg(sm.mat_transpose(g)) for g in conn.gamma):
+        dual = shared.dual  # the conjugate: -Gamma_i^T, node for node
+    else:
+        raise ValueError(ANOTHER_PROBLEM)
     sub = symmetric_basis(conn.r) if symmetry == "symmetric" else antisymmetric_basis(conn.r)
-    return _solve(symmetry, conn, None, sub, options or SolveOptions(), shared)
+    return _solve(symmetry, conn, dual, sub, options or SolveOptions(), shared)
 
 
 def _owner_index(grid: Grid, node_multi, axis: int, direction: int):
@@ -480,7 +485,9 @@ def local_system_residual(
     conn: Connection,
     dual: Connection | None = None,
 ) -> float:
-    """Direct-substitution residual of every basis extension.
+    """Direct-substitution residual of every basis extension, solutions
+    of the intertwiner equation into dual; a form space's dual defaults
+    to the conjugate connection.
 
     At each grid node the coordinate derivative of the field is taken
     with a sixth-order central stencil whose sample values are produced
@@ -492,9 +499,10 @@ def local_system_residual(
     """
     if space.dimension == 0:
         return 0.0
-    kind = "hom" if space.kind == "hom" else "form"
-    if kind == "hom" and dual is None:
-        raise ValueError("hom residual needs the target connection")
+    if dual is None:
+        if space.kind == "hom":
+            raise ValueError("hom residual needs the target connection")
+        dual = _conjugate(conn)
     grid = space.grid
     m, r = conn.domain.m, conn.r
     n_nodes = len(grid.nodes)
@@ -503,7 +511,6 @@ def local_system_residual(
     steps = 2 * DEFAULT_STEPS_PER_SEGMENT  # for the first, longest legs
     unit = np.eye(m)
     weight_of = dict(zip(_FD_OFFSETS, _FD_WEIGHTS))
-    dual_for_transport = dual if kind == "hom" else None
     # One stencil side per (node, axis, side): it starts at the owner
     # node and walks its three stencil points in order of distance from
     # the owner, so each leg continues the previous one.
@@ -522,11 +529,10 @@ def local_system_residual(
                 legs.append([grid.nodes[owner]] + pts)
     legs = np.array(legs)  # (S, 4, m): owner, then the three stencil points
     # one batch for the first legs, one for the two short legs (span h)
-    first = flow_operators(kind, conn, dual_for_transport, legs[:, 0], legs[:, 1], steps)
+    first = flow_operators(conn, dual, legs[:, 0], legs[:, 1], steps)
     short = flow_operators(
-        kind,
         conn,
-        dual_for_transport,
+        dual,
         legs[:, 1:3].reshape(-1, m),
         legs[:, 2:4].reshape(-1, m),
         8,
@@ -541,9 +547,5 @@ def local_system_residual(
     fd = fd.reshape(space.dimension, n_nodes, m, 2, -1).sum(axis=3)
     fd /= 60.0 * hs[None, None, :, None]
     values = fields.reshape(space.dimension, n_nodes, 1, r, r)
-    g = conn.coeff_array(grid.nodes)[None]  # (1, N, m, r, r)
-    if kind == "hom":
-        rhs = g @ values - values @ dual.coeff_array(grid.nodes)[None]
-    else:
-        rhs = g @ values + values @ g.transpose(0, 1, 2, 4, 3)
+    rhs = conn.coeff_array(grid.nodes) @ values - values @ dual.coeff_array(grid.nodes)
     return float(np.abs(fd - rhs.reshape(fd.shape)).max())

@@ -105,7 +105,9 @@ class IndexReport:
 
 @dataclass
 class AnalysisBundle:
-    """Shared intermediate results for one connection and base metric."""
+    """Shared intermediate results for one connection; base_metric is the
+    identity, whose dual, the conjugate connection, is the one target
+    of the hom, S2 and Omega2 solves."""
 
     conn: Connection
     base_metric: MetricField
@@ -135,19 +137,17 @@ def induced_forms(g: np.ndarray, phi_sym: np.ndarray, phi_alt: np.ndarray):
     return phi_sym @ g, phi_alt @ g
 
 
-def analyze(
-    conn: Connection,
-    base_metric: MetricField | None = None,
-    options: SolveOptions | None = None,
-) -> AnalysisBundle:
+def analyze(conn: Connection, options: SolveOptions | None = None) -> AnalysisBundle:
     """Solve the three parallel-section problems once, for reuse.
 
-    The three solves share one grid, one base node, one prolongation
-    and the transporters: the form generators are conn's half of the
-    hom pairs (B, B*). Each space equals what its solver returns alone.
+    All three are intertwiners into one target, the conjugate connection
+    (the dual of the identity metric): hom on all matrices, S2 and
+    Omega2 on the symmetric and antisymmetric ones. So they share one
+    grid, one base node, one prolongation and one transporter. Each
+    space equals what its solver returns alone.
     """
     opts = options or SolveOptions()
-    base_metric = base_metric or identity_metric(conn.domain, conn.r)
+    base_metric = identity_metric(conn.domain, conn.r)
     dual = dual_connection(base_metric, conn)
     shared = Prolongation(conn, dual, opts)
     hom_space = solve_hom(conn, dual, opts, shared)
@@ -183,9 +183,7 @@ def _combo_field(space: SolutionSpace, matrix: np.ndarray) -> np.ndarray:
 
 
 def decide_metricity(
-    conn: Connection,
-    base_metric: MetricField | None = None,
-    options: SolveOptions | None = None,
+    conn: Connection, options: SolveOptions | None = None
 ) -> MetricityCertificate:
     """Produce a metricity certificate for the connection.
 
@@ -195,7 +193,7 @@ def decide_metricity(
     sampling is a reliable and reproducible witness finder.
     """
     opts = options or SolveOptions()
-    bundle = analyze(conn, base_metric, opts)
+    bundle = analyze(conn, opts)
     s2, o2, hom = bundle.sym_space, bundle.alt_space, bundle.hom_space
     dims_ok = hom.dimension == s2.dimension + o2.dimension
     stabilized = s2.stabilized and o2.stabilized and hom.stabilized
@@ -324,8 +322,8 @@ def parallel_form_residuals(
         extensions=w_nodes[None, :, :, :],
     )
     return {
-        "q_residual": local_system_residual(sym_like, conn),
-        "omega_residual": local_system_residual(alt_like, conn),
+        "q_residual": local_system_residual(sym_like, conn, bundle.dual),
+        "omega_residual": local_system_residual(alt_like, conn, bundle.dual),
         "phi_rank_constant": len(set(phi_ranks)) <= 1,
         "phi_rank": phi_ranks[0] if phi_ranks else None,
     }
@@ -388,7 +386,7 @@ def index_report(
         family.append(
             random_constant_metric(rng, conn.domain, conn.r, indefinite=(k % 3 == 2))
         )
-    certificate = certificate or decide_metricity(conn, primary, opts)
+    certificate = certificate or decide_metricity(conn, opts)
     flags = list(certificate.flags)
     sb_given_g = None
     sb = None

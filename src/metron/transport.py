@@ -2,25 +2,27 @@
 
 Transport is classical fourth-order Runge-Kutta with a fixed, uniform
 number of steps per segment (no adaptive stepping, so repeated runs are
-bit-for-bit reproducible). One integrator serves every use: it solves
-the linear matrix equation Y' = A Y - Y B for a whole batch of segments
-at once, with the coefficients evaluated at all 2s+1 Runge-Kutta nodes
-of every segment in one vectorised call and all segments stepped
-together by stacked matrix products. Here Gamma_u = sum_i u_i Gamma_i
-along the segment's tangent u.
+bit-for-bit reproducible). Every fibre is transported by one equation,
 
-The three fibre types are transported by their own equations,
+    P' = Gamma_u P - P Gamma*_u,
 
-    hom     P' = Gamma_u P - P Gamma*_u     (A = Gamma_u, B = Gamma*_u)
-    form    Q' = Gamma_u Q + Q Gamma_u^T    (A = Gamma_u, B = -Gamma_u^T)
-    vector  v^T' = -v^T Gamma_u             (A = 0,       B = Gamma_u)
+the intertwiner equation between a connection Gamma (rows) and a
+target connection Gamma* (columns), with Gamma_u = sum_i u_i Gamma_i
+along the segment's tangent u. A fibre is named by the two connections
+on either side of it: endomorphisms are (conn | target); bilinear
+forms, read as maps E -> E*, are (conn | conjugate), the conjugate
+having coefficients -Gamma_i^T (the dual connection of the identity
+metric); vectors, as 1 x r rows, are (trivial line | conn), where the
+trivial line stands in as None with Gamma = 0.
 
-where Gamma* is the target connection of an intertwiner. Integrating
-one state per fibre basis value gives the flow operator of a segment
-on the flattened fibre (row-major vec); grid edges, polylines, loops
-and the short legs of the finite-difference stencils all use these
-operators. A value whose right-hand side vanishes along the path is
-transported exactly.
+One integrator solves this equation for a whole batch of segments at
+once, with the coefficients evaluated at all 2s+1 Runge-Kutta nodes of
+every segment in one vectorised call and all segments stepped together
+by stacked matrix products. Integrating one state per fibre basis
+value gives the flow operator of a segment on the flattened fibre
+(row-major vec); grid edges, polylines, loops and the short legs of the
+finite-difference stencils all use these operators. A value whose
+right-hand side vanishes along the path is transported exactly.
 
 A section is parallel exactly when it is constant under this
 transport, so loop holonomy and disagreement between alternative grid
@@ -46,8 +48,6 @@ __all__ = [
     "GridTransporter",
     "spanning_tree_extend",
 ]
-
-FIBRE_KINDS = ("hom", "form", "vector")
 
 MIN_STEPS_PER_SEGMENT = 8
 DEFAULT_STEPS_PER_SEGMENT = 32
@@ -114,16 +114,16 @@ def _generator_nodes(conn: Connection, starts, ends, steps: int) -> np.ndarray:
     return gu
 
 
-def _rk4(a: np.ndarray | None, b: np.ndarray | None, y: np.ndarray, steps: int):
+def _rk4(a: np.ndarray | None, b: np.ndarray, y: np.ndarray, steps: int):
     """Classical RK4 for Y' = A Y - Y B over the unit parameter interval,
     for a batch of segments at once. a and b hold the generators at the
     2s+1 nodes, (E, 2s+1, ...) broadcasting against the state y of
-    shape (E, ..., r, r) or (..., r, r), the same start for every
-    segment; None stands for zero."""
+    shape (E, ..., p, r) or (..., p, r), the same start for every
+    segment; a None stands for zero."""
 
     def rate(j, y):
         out = a[:, j] @ y if a is not None else 0.0
-        return out - y @ b[:, j] if b is not None else out
+        return out - y @ b[:, j]
 
     h = 1.0 / steps
     for k in range(steps):
@@ -135,52 +135,37 @@ def _rk4(a: np.ndarray | None, b: np.ndarray | None, y: np.ndarray, steps: int):
     return y
 
 
-def _check_kind(kind: str, dual: Connection | None):
-    if kind not in FIBRE_KINDS:
-        raise ValueError(f"unknown fibre kind {kind!r}")
-    if kind == "hom" and dual is None:
-        raise ValueError("hom transport needs the target connection")
-
-
 def flow_operators(
-    kind: str, conn: Connection, dual: Connection | None, starts, ends, steps: int
+    conn: Connection | None, dual: Connection, starts, ends, steps: int
 ) -> np.ndarray:
-    """Flow operators on the flattened fibre along every segment
-    starts[e] -> ends[e]: (E, d, d), integrated from the fibre equation
-    with one state per fibre basis value (a vector is a 1 x r row)."""
-    _check_kind(kind, dual)
-    r = conn.r
-    gu = _generator_nodes(conn, starts, ends, steps)[:, :, None]
-    if kind == "vector":
-        a, b, basis = None, gu, np.eye(r).reshape(r, 1, r)
-    else:
-        a, basis = gu, np.eye(r * r).reshape(r * r, r, r)
-        if kind == "form":
-            b = -gu.swapaxes(-1, -2)
-        else:
-            b = _generator_nodes(dual, starts, ends, steps)[:, :, None]
-    y = _rk4(a, b, basis, steps)
-    return y.reshape(len(gu), len(basis), -1).transpose(0, 2, 1)
+    """Flow operators on the flattened fibre between conn (None: the
+    trivial line) and dual along every segment starts[e] -> ends[e]:
+    (E, d, d), integrated with one state per fibre basis value."""
+    b = _generator_nodes(dual, starts, ends, steps)[:, :, None]
+    a = None if conn is None else _generator_nodes(conn, starts, ends, steps)[:, :, None]
+    d = (1 if conn is None else conn.r) * dual.r
+    y = _rk4(a, b, np.eye(d).reshape(d, -1, dual.r), steps)
+    return y.reshape(len(b), d, d).transpose(0, 2, 1)
 
 
-def _path_operator(kind, conn, dual, path: PolylinePath, steps: int) -> np.ndarray:
+def _path_operator(conn, dual, path: PolylinePath, steps: int) -> np.ndarray:
     """Flow operator along the whole polyline: the segments' operators
     composed in order (first segment rightmost)."""
     verts = np.array(path.vertices)
-    ops = flow_operators(kind, conn, dual, verts[:-1], verts[1:], steps)
+    ops = flow_operators(conn, dual, verts[:-1], verts[1:], steps)
     op = ops[0]
     for seg in ops[1:]:
         op = seg @ op
     return op
 
 
-def _transport_with_estimate(kind, conn, dual, path, value: np.ndarray, estimate: bool):
-    path.validate_inside(conn.domain)
+def _transport_with_estimate(conn, dual, path, value: np.ndarray, estimate: bool):
+    path.validate_inside(dual.domain)
     flat = value.reshape(-1)
-    end = _path_operator(kind, conn, dual, path, path.steps_per_segment) @ flat
+    end = _path_operator(conn, dual, path, path.steps_per_segment) @ flat
     est = 0.0
     if estimate:
-        fine = _path_operator(kind, conn, dual, path, 2 * path.steps_per_segment) @ flat
+        fine = _path_operator(conn, dual, path, 2 * path.steps_per_segment) @ flat
         # Richardson: coarse-fine gap over (2^4 - 1) estimates the fine error.
         est = float(np.abs(end - fine).max()) / 15.0
     return TransportResult(end.reshape(value.shape), est)
@@ -198,7 +183,7 @@ def transport_hom(
     phi0 = np.asarray(phi0, dtype=float)
     if phi0.shape != (conn.r, conn.r):
         raise ValueError(f"initial frame must be {conn.r}x{conn.r}")
-    return _transport_with_estimate("hom", conn, dual, path, phi0, estimate)
+    return _transport_with_estimate(conn, dual, path, phi0, estimate)
 
 
 def transport_vector(
@@ -207,7 +192,7 @@ def transport_vector(
     v0 = np.asarray(v0, dtype=float)
     if v0.shape != (conn.r,):
         raise ValueError(f"initial vector must have length {conn.r}")
-    return _transport_with_estimate("vector", conn, None, path, v0, estimate)
+    return _transport_with_estimate(None, conn, path, v0, estimate)
 
 
 def loop_holonomy_hom(conn: Connection, dual: Connection, loop: PolylinePath) -> np.ndarray:
@@ -216,7 +201,7 @@ def loop_holonomy_hom(conn: Connection, dual: Connection, loop: PolylinePath) ->
     if not loop.closed:
         raise ValueError("loop must be closed (first vertex == last vertex)")
     loop.validate_inside(conn.domain)
-    return _path_operator("hom", conn, dual, loop, loop.steps_per_segment)
+    return _path_operator(conn, dual, loop, loop.steps_per_segment)
 
 
 class Grid:
@@ -294,7 +279,8 @@ class Grid:
 
 
 class GridTransporter:
-    """Per-edge flow operators over a grid, shared by all candidates.
+    """Per-edge flow operators over a grid, shared by all candidates,
+    on the fibre between conn (None: the trivial line) and dual.
 
     extend() pushes base-point values through the spanning tree;
     discrepancies() stacks, for each non-tree edge, the difference
@@ -306,26 +292,24 @@ class GridTransporter:
 
     def __init__(
         self,
-        kind: str,
-        conn: Connection,
-        dual: Connection | None,
+        conn: Connection | None,
+        dual: Connection,
         grid: Grid,
         base_index: int,
         steps_per_segment: int = DEFAULT_STEPS_PER_SEGMENT,
     ):
-        self.kind = kind
         self.conn = conn
         self.dual = dual
         self.grid = grid
         self.base_index = base_index
         self.steps = steps_per_segment
-        self.fibre_dim = conn.r if kind == "vector" else conn.r * conn.r
         self.tree_edges, self.non_tree_edges = grid.spanning_tree(base_index)
         ends = np.array(self.tree_edges + self.non_tree_edges)
         # operators of the tree edges, then of the non-tree edges: (E, d, d)
         self.operators = flow_operators(
-            kind, conn, dual, grid.nodes[ends[:, 0]], grid.nodes[ends[:, 1]], self.steps
+            conn, dual, grid.nodes[ends[:, 0]], grid.nodes[ends[:, 1]], self.steps
         )
+        self.fibre_dim = self.operators.shape[-1]
 
     def extend(self, values: np.ndarray) -> np.ndarray:
         """values: (k, fibre_dim) at the base node -> (k, N, fibre_dim)."""
@@ -354,27 +338,27 @@ class GridTransporter:
 
 
 def spanning_tree_extend(
-    conn: Connection,
-    dual: Connection | None,
+    conn: Connection | None,
+    dual: Connection,
     x0,
     value0: np.ndarray,
     grid: Grid,
-    kind: str = "hom",
     steps_per_segment: int = DEFAULT_STEPS_PER_SEGMENT,
 ):
-    """Extend a base-point value over the grid by tree transport.
+    """Extend a base-point value on the fibre between conn (None: the
+    trivial line) and dual over the grid by tree transport.
 
-    Returns (field, residual): field has shape (N, r, r) (or (N, r) for
-    vectors) over the grid nodes, residual is the worst transport
-    mismatch over the redundant (non-tree) edges. Residual within the
-    transport tolerance certifies that the value extends to a genuine
-    solution of the parallelism system on the chart.
+    Returns (field, residual): field has shape (N,) + value0.shape over
+    the grid nodes, residual is the worst transport mismatch over the
+    redundant (non-tree) edges. Residual within the transport tolerance
+    certifies that the value extends to a genuine solution of the
+    parallelism system on the chart.
     """
     base_index = grid.nearest_node(x0)
     if not np.allclose(grid.nodes[base_index], np.asarray(x0, float), atol=1e-12):
         raise ValueError("base point must be a grid node")
     value0 = np.asarray(value0, dtype=float)
-    transporter = GridTransporter(kind, conn, dual, grid, base_index, steps_per_segment)
+    transporter = GridTransporter(conn, dual, grid, base_index, steps_per_segment)
     fields = transporter.extend(value0.reshape(1, -1))
     residual = float(transporter.residuals(fields)[0])
     shape = (len(grid.nodes),) + value0.shape

@@ -388,8 +388,6 @@ def test_no_input_exits_1(capsys, tmp_path, monkeypatch, name, command):
     """Inputs that used to end in a traceback (exit 1) or a diagnostic at
     `$` exit 0, 2 or 3 with the diagnostic at the offending entry."""
     payload, code, diagnostics = DEEP_INPUTS[name]
-    if command == "validate" and name == "asymmetric-metric":
-        code, diagnostics = 0, []  # validation parses the metric but does not evaluate it
     monkeypatch.chdir(tmp_path)
     _write(tmp_path, "p.json", payload)
     exit_code, out, _ = _run(capsys, command, "p.json", "--quiet")
@@ -397,6 +395,20 @@ def test_no_input_exits_1(capsys, tmp_path, monkeypatch, name, command):
     found = json.loads(out)["result"].get("diagnostics", [])
     assert [(d["path"], d["code"]) for d in found] == diagnostics
     assert all("np." not in d["message"] for d in found)
+
+
+@pytest.mark.parametrize("text", ["1e300*1e300*x1", "x1*1e300*1e300"])
+def test_overflowing_constant_product_is_named(capsys, tmp_path, monkeypatch, text):
+    """A product of constants that overflows, in an entry or only in its
+    derivatives, exits 2 naming the product and a point, not with a NaN
+    or infinite constant that fails far from it."""
+    monkeypatch.chdir(tmp_path)
+    _write(tmp_path, "p.json", _with_entry(text))
+    code, out, _ = _run(capsys, "metricity", "p.json", "--quiet")
+    assert code == 2
+    diags = json.loads(out)["result"]["diagnostics"]
+    assert [(d["path"], d["code"]) for d in diags] == [("$", "error")]
+    assert "non-finite value in '1e+300*1e+300' at (" in diags[0]["message"]
 
 
 def test_malformed_json_exit_2_with_location(capsys, tmp_path):

@@ -1,3 +1,4 @@
+import re
 import sys
 
 import numpy as np
@@ -126,6 +127,27 @@ def test_domain_errors():
         ex.evaluate(ex.parse("exp(x1)"), (1.0e4,))
     # integer powers of negative numbers are fine
     assert ex.evaluate(ex.parse("x1^3"), (-2.0,)) == pytest.approx(-8.0)
+
+
+@pytest.mark.parametrize(
+    "a, b, build, text",
+    [
+        (1e300, 1e300, ex.mul, "1e+300*1e+300"),
+        (1e308, 1e308, ex.add, "1e+308 + 1e+308"),
+        (1e308, -1e308, ex.sub, "1e+308 - -1e+308"),
+        (1e300, 1e-300, ex.div, "1e+300/1e-300"),
+    ],
+)
+def test_overflowing_constant_fold_keeps_its_node(a, b, build, text):
+    """A fold whose value is not finite keeps the node, so evaluation
+    names the subtree instead of a later NaN constant failing."""
+    e = build(ex.const(a), ex.const(b))
+    assert not isinstance(e, ex.Const)
+    assert ex.to_string(e) == text
+    with pytest.raises(ex.DomainError, match=re.escape(f"'{text}' at (0.5,)")):
+        ex.evaluate(ex.mul(e, ex.var(1)), (0.5,))
+    with pytest.raises(ex.DomainError, match=re.escape(f"'{text}' at (0.5,)")):
+        ex.Evaluator([ex.differentiate(ex.mul(ex.var(1), e), 1)])(np.array([[0.5]]))
 
 
 def test_evaluator_matches_walker():

@@ -11,6 +11,7 @@ from metron.bundle import (
     ChartDomain,
     Connection,
     apply_gauge,
+    constant_metric,
     dual_connection,
     identity_metric,
     numerical_rank,
@@ -190,19 +191,23 @@ def test_rank_one_spaces_share_the_base_point():
 
 def test_shared_prolongation_serves_only_its_problem():
     """A solve refuses a prolongation built for another connection, hom
-    target or options: its orders would be another problem's constraints."""
+    target or options, and a form solve one whose target is not the
+    conjugate: its orders would be another problem's constraints."""
     conn = nilpotent_connection()
     dual = dual_connection(identity_metric(conn.domain, conn.r), conn)
     shared = homsolver.Prolongation(conn, dual, FAST)
-    forms_only = homsolver.Prolongation(conn, None, FAST)
+    other = dual_connection(constant_metric(conn.domain, np.diag([1.0, 3.0])), conn)
+    assert other.gamma != dual.gamma
+    on_other = homsolver.Prolongation(conn, other, FAST)
     for solve in (
         lambda: homsolver.solve_hom(conn, dual, SolveOptions(), shared),
-        lambda: homsolver.solve_hom(conn, dual, FAST, forms_only),
+        lambda: homsolver.solve_hom(conn, dual, FAST, on_other),
         lambda: homsolver.solve_parallel_forms(flat_connection(), "symmetric", FAST, shared),
+        lambda: homsolver.solve_parallel_forms(conn, "symmetric", FAST, on_other),
     ):
         with pytest.raises(ValueError, match="another problem"):
             solve()
-    space = homsolver.solve_parallel_forms(conn, "symmetric", FAST, forms_only)
+    space = homsolver.solve_parallel_forms(conn, "symmetric", FAST, shared)
     alone = homsolver.solve_parallel_forms(conn, "symmetric", FAST)
     assert np.array_equal(space.basis, alone.basis)
 
@@ -218,22 +223,23 @@ def test_no_transporter_outlives_an_analysis():
     assert not any("transporter" in key for key in conn.__dict__)
 
 
-def test_each_analysis_builds_one_hom_and_one_form_transporter(monkeypatch):
-    """hom, and one form transporter that S2 and Omega2 share; a second
-    analysis of the same connection builds its own two again."""
+def test_each_analysis_builds_one_transporter(monkeypatch):
+    """hom, S2 and Omega2 are intertwiners into the same conjugate
+    connection, so they share one transporter; a second analysis of the
+    same connection builds its own."""
     conn, _ = half_plane_levi_civita()
     built = []
     init = transport.GridTransporter.__init__
     monkeypatch.setattr(
         transport.GridTransporter,
         "__init__",
-        lambda self, kind, *a: built.append(kind) or init(self, kind, *a),
+        lambda self, *a: built.append(self) or init(self, *a),
     )
-    for _ in range(2):
-        built.clear()
+    for analysis in range(2):
         cert = decide_metricity(conn, options=FAST)
         assert (cert.dim_j, cert.dim_s2, cert.dim_omega2) == (2, 1, 1)
-        assert built == ["hom", "form"]
+        assert len(built) == analysis + 1
+    assert built[0] is not built[1]
 
 
 def test_target_generators_are_its_own_recursion():
@@ -242,11 +248,11 @@ def test_target_generators_are_its_own_recursion():
     conn, _ = half_plane_levi_civita()
     dual = dual_connection(identity_metric(conn.domain, conn.r), conn)
     pairs = list(homsolver.Prolongation(conn, dual, FAST).orders())
-    alone = list(homsolver.Prolongation(dual, None, FAST).orders())
+    alone = list(homsolver.Prolongation(dual, conn, FAST).orders())
     assert len(pairs) == len(alone) == FAST.max_order + 1
     for pair_order, own_order in zip(pairs, alone):
         assert len(pair_order) == len(own_order) > 0
-        for (_, bs), (b,) in zip(pair_order, own_order):
+        for (_, bs), (b, _) in zip(pair_order, own_order):
             assert np.array_equal(bs, b)
 
 

@@ -212,7 +212,7 @@ def test_spanning_tree_extend_flat_constant_field():
     grid = Grid(conn.domain)
     x0 = conn.domain.center()
     phi0 = np.array([[2.0, 1.0], [0.0, -1.0]])
-    field, residual = spanning_tree_extend(conn, conn, x0, phi0, grid, kind="hom")
+    field, residual = spanning_tree_extend(conn, conn, x0, phi0, grid)
     assert residual <= 1e-10
     assert np.abs(field - phi0).max() <= 1e-10
 
@@ -221,9 +221,7 @@ def test_spanning_tree_extend_accepts_true_solution():
     conn = nilpotent_connection()
     grid = Grid(conn.domain)
     x0 = conn.domain.center()
-    field, residual = spanning_tree_extend(
-        conn, conn, x0, NILPOTENT_MATRIX, grid, kind="hom"
-    )
+    field, residual = spanning_tree_extend(conn, conn, x0, NILPOTENT_MATRIX, grid)
     assert residual <= 1e-7
     # the solution field is the constant N
     assert np.abs(field - NILPOTENT_MATRIX).max() <= 1e-7
@@ -234,7 +232,7 @@ def test_spanning_tree_extend_rejects_non_solution():
     grid = Grid(conn.domain)
     x0 = conn.domain.center()
     bad = np.array([[1.0, 0.0], [0.0, 0.0]])  # [N, bad] != 0
-    _, residual = spanning_tree_extend(conn, conn, x0, bad, grid, kind="hom")
+    _, residual = spanning_tree_extend(conn, conn, x0, bad, grid)
     assert residual > 1e-3
 
 
@@ -242,7 +240,7 @@ def test_base_point_must_be_grid_node():
     conn = flat_connection()
     grid = Grid(conn.domain)
     with pytest.raises(ValueError):
-        spanning_tree_extend(conn, conn, (0.017, 0.017), np.eye(2), grid, kind="hom")
+        spanning_tree_extend(conn, conn, (0.017, 0.017), np.eye(2), grid)
 
 
 def _oracle_cases():
@@ -252,11 +250,14 @@ def _oracle_cases():
     dom = square_domain(4)
     rand = random_polynomial_connection(rng, dom, 3, scale=0.5)
     rand_dual = dual_connection(random_constant_metric(rng, dom, 3), rand)
+    # (name, the fibre's two connections, the oracle's fibre kind and
+    # connections, grid nodes per axis, steps); hyp_dual, the dual of the
+    # identity metric, is the conjugate connection of hyp
     return [
-        ("hyperbolic-hom", "hom", hyp, hyp_dual, 5, 32),
-        ("hyperbolic-form", "form", hyp, None, 5, 32),
-        ("hyperbolic-vector", "vector", hyp, None, 5, 32),
-        ("random-rank3-hom", "hom", rand, rand_dual, 4, 16),
+        ("hyperbolic-hom", (hyp, hyp_dual), ("hom", hyp, hyp_dual), 5, 32),
+        ("hyperbolic-form", (hyp, hyp_dual), ("form", hyp, None), 5, 32),
+        ("hyperbolic-vector", (None, hyp), ("vector", hyp, None), 5, 32),
+        ("random-rank3-hom", (rand, rand_dual), ("hom", rand, rand_dual), 4, 16),
     ]
 
 
@@ -264,11 +265,12 @@ def _oracle_cases():
 def test_grid_edge_operators_match_pointwise_rk4_oracle(case):
     """The batched operators of every grid edge agree with RK4 on the
     generator of the flattened fibre, integrated point by point per
-    edge."""
-    _, kind, conn, dual, per_axis, steps = case
+    edge: forms are the intertwiners into the conjugate connection,
+    vectors those from the trivial line."""
+    _, fibre, (kind, conn, dual), per_axis, steps = case
     grid = Grid(conn.domain, (per_axis,) * conn.domain.m)
     base = grid.nearest_node(conn.domain.center())
-    transporter = GridTransporter(kind, conn, dual, grid, base, steps)
+    transporter = GridTransporter(*fibre, grid, base, steps)
     edges = transporter.tree_edges + transporter.non_tree_edges
     assert len(transporter.operators) == len(edges) == len(grid.edges)
     worst = 0.0
