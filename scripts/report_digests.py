@@ -4,6 +4,8 @@
 Runs, in one process and through the same code path as `metron`:
 - `metricity`, `index`, `solve-fe`, `dual` and `curvature` on each
   problems/*.json (`dual` and `curvature` print expressions);
+- `index problems/hyperbolic.json --metric-family` with a non-constant,
+  an indefinite and an `exp` metric;
 - `alpha-scan --alphas -1,-0.5,0,0.5,1` for every statistical family;
 - with --bench-inputs, the benchmark inputs of seed 1: `metricity` on
   gauged-flat-r4 and on each corpus-notmetric file, `solve-fe` on
@@ -26,12 +28,13 @@ checkouts can be compared with diff:
 
 Problem paths are taken relative to the working directory, and metron is
 imported from the Python path, so the script measures whichever checkout
-PYTHONPATH points at. The benchmark inputs are written to a temporary
-directory by perfbench/gen.py of the working directory, and shown as
-<bench-inputs> in the output. The rejected inputs are written to a
-temporary directory too, and run from inside it with relative paths, so
-that the file names their diagnostics quote do not change between runs;
-a run that raises prints `crash: <exception>` in place of its digest.
+PYTHONPATH points at. The metric family file and the benchmark inputs
+(by perfbench/gen.py of the working directory) are written to a
+temporary directory, shown as <tmp> in the output. The rejected inputs
+are written to a temporary directory too, and run from inside it with
+relative paths, so that the file names their diagnostics quote do not
+change between runs; a run that raises prints `crash: <exception>` in
+place of its digest.
 """
 from __future__ import annotations
 
@@ -49,16 +52,27 @@ from metron.statmodels import FAMILIES
 
 ALPHAS = "-1,-0.5,0,0.5,1"
 BENCH_SEED = 1
-BENCH_SHOWN = "<bench-inputs>"
+TMP_SHOWN = "<tmp>"
+# regular on the half plane's chart [-1, 1] x [0.75, 1.75]
+HALF_PLANE_FAMILY = [
+    [["1 + x1*x1", "x1*x2/4"], ["x1*x2/4", "x2"]],
+    [["1", "0.5"], ["0.5", "-2"]],
+    [["exp(x1)", "0"], ["0", "exp(-x2)"]],
+]
 
 
-def default_commands() -> list[list[str]]:
+def default_commands(out: Path) -> list[list[str]]:
+    """The runs on problems/*.json and the statistical families; the
+    metric family file is written under out."""
+    family = out / "family.json"
+    family.write_text(json.dumps(HALF_PLANE_FAMILY), encoding="utf-8")
     commands = []
     for problem in sorted(Path("problems").glob("*.json")):
         for command in ("metricity", "index", "solve-fe", "dual", "curvature"):
             commands.append([command, str(problem)])
-    for family in sorted(FAMILIES):
-        commands.append(["alpha-scan", "--family", family, f"--alphas={ALPHAS}"])
+    commands.append(["index", "problems/hyperbolic.json", "--metric-family", str(family)])
+    for name in sorted(FAMILIES):
+        commands.append(["alpha-scan", "--family", name, f"--alphas={ALPHAS}"])
     return commands
 
 
@@ -190,13 +204,13 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
-        commands = default_commands()
+        commands = default_commands(Path(tmp))
         if args.bench_inputs:
             commands += bench_commands(Path(tmp))
         commands += [shlex.split(line) for line in args.also]
         for command in commands:
             digest, code = report_digest(command)
-            shown = shlex.join(command).replace(tmp, BENCH_SHOWN)
+            shown = shlex.join(command).replace(tmp, TMP_SHOWN)
             print(f"{digest}  {shown}  (exit {code})", flush=True)
     if args.error_paths:
         with tempfile.TemporaryDirectory() as tmp:

@@ -42,6 +42,7 @@ __all__ = [
     "constant_metric",
     "curvature",
     "dual_connection",
+    "conjugate_connection",
     "apply_gauge",
     "pushforward_metric",
     "metric_covariant_derivative",
@@ -203,13 +204,12 @@ def zero_connection(domain: ChartDomain, r: int) -> Connection:
 
 @dataclass
 class MetricField:
-    """Symmetric (or, with antisymmetric=True, alternating) form field."""
+    """Symmetric form field."""
 
     domain: ChartDomain
     r: int
     entries: tuple  # r x r ScalarExpression
     declared_rank: int | None = None
-    antisymmetric: bool = False
 
     def __post_init__(self):
         self.entries = sm.as_matrix(self.entries)
@@ -218,14 +218,12 @@ class MetricField:
         _validate_entries(self.entries, self.domain, "form coefficient")
         if self.declared_rank is None:
             self.declared_rank = self.r
-        sign = -1.0 if self.antisymmetric else 1.0
         pts = self.domain.sample_points()
         mats = self.matrix_at(pts)
-        skew = np.abs(mats - sign * mats.swapaxes(-1, -2)).max(axis=(-2, -1))
+        skew = np.abs(mats - mats.swapaxes(-1, -2)).max(axis=(-2, -1))
         bad = np.flatnonzero(skew > 1e-9 * (1.0 + np.abs(mats).max(axis=(-2, -1))))
         if bad.size:
-            kind = "antisymmetric" if self.antisymmetric else "symmetric"
-            raise ValueError(f"form is not {kind} at sample point {tuple(pts[bad[0]].tolist())}")
+            raise ValueError(f"form is not symmetric at sample point {tuple(pts[bad[0]].tolist())}")
 
     @cached_property
     def _fn(self):
@@ -352,8 +350,6 @@ def dual_connection(metric: MetricField, conn: Connection) -> Connection:
     Defined by g(dual_X s, s') = X g(s, s') - g(s, nabla_X s'); applying
     it twice returns the original connection.
     """
-    if metric.antisymmetric:
-        raise ValueError("dual connection needs a symmetric metric")
     if not metric.is_regular():
         raise ValueError("dual connection needs a regular metric on the chart")
     g = metric.entries
@@ -366,6 +362,15 @@ def dual_connection(metric: MetricField, conn: Connection) -> Connection:
         )
         gamma_star.append(sm.mat_mul(num, ginv))
     return Connection(conn.domain, conn.r, tuple(gamma_star))
+
+
+def conjugate_connection(conn: Connection) -> Connection:
+    """The connection on E* in the dual frame, Gamma*_i = -Gamma_i^T: the
+    dual of the identity metric, node for node, without inverting it.
+    The forms of conn are its intertwiners into this one."""
+    return Connection(
+        conn.domain, conn.r, tuple(sm.mat_neg(sm.mat_transpose(g)) for g in conn.gamma)
+    )
 
 
 def apply_gauge(phi: GaugeTransform, conn: Connection) -> Connection:
@@ -386,13 +391,7 @@ def pushforward_metric(phi: GaugeTransform, metric: MetricField) -> MetricField:
     phi.require_invertible()
     pinv = sm.inverse_mat(phi.entries)
     entries = sm.mat_mul(pinv, sm.mat_mul(metric.entries, sm.mat_transpose(pinv)))
-    return MetricField(
-        metric.domain,
-        metric.r,
-        entries,
-        declared_rank=metric.declared_rank,
-        antisymmetric=metric.antisymmetric,
-    )
+    return MetricField(metric.domain, metric.r, entries, declared_rank=metric.declared_rank)
 
 
 def metric_covariant_derivative(conn: Connection, metric: MetricField):

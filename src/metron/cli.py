@@ -306,12 +306,30 @@ def _solve_options(args, defaults: SolveOptions, tolerances: dict) -> SolveOptio
 
 
 def _metric_field(domain: ChartDomain, r: int, tree, path: str) -> MetricField:
-    """The metric of a validated entry array; a form that is not
-    symmetric on the grid raises _InputError at path."""
+    """The metric of a validated entry array, evaluated on the grid as it
+    is built; a form that is not symmetric there raises _InputError at
+    path, and an entry that leaves its domain raises it at the entry."""
     try:
         return MetricField(domain, r, tree, declared_rank=r)
     except ValueError as err:
         raise _InputError([_diag(path, "value", str(err))]) from None
+    except ex.DomainError as err:
+        raise _InputError([_failure(err, _entries(tree, path))]) from None
+
+
+def _entries(value, path: str) -> list:
+    """(path, expression) of every entry of a parsed array, in order."""
+    if not isinstance(value, list):
+        return [(path, value)]
+    return [pair for idx, item in enumerate(value) for pair in _entries(item, f"{path}[{idx}]")]
+
+
+def _failure(err: Exception, entries=()) -> dict:
+    """The diagnostic of a failed run: at the first (path, expression)
+    entry holding the subtree a DomainError names, else at `$`."""
+    node = getattr(err, "node", None)
+    path = next((p for p, tree in entries if ex.contains(tree, node)), "$")
+    return _diag(path, "error", str(err) or type(err).__name__)
 
 
 class ProblemObjects:
@@ -322,7 +340,8 @@ class ProblemObjects:
         diagnostics, trees = _validate(data)
         if diagnostics:
             raise _InputError(diagnostics)
-        self.data = data
+        # in file order, so that a failure is named at its first entry
+        self.entries = [pair for key in data if key in trees for pair in _entries(trees[key], key)]
         m, r = data["dim"], data["rank"]
         dom = data["domain"]
         grid = args.grid or dom.get("gridPerAxis") or 9
@@ -353,6 +372,15 @@ class ProblemObjects:
 
     def base_metric(self) -> MetricField:
         return self.metric or identity_metric(self.domain, self.r)
+
+    def evaluate_entries(self):
+        """Evaluate the other entries on the sample grid, as building the
+        metric does; one that leaves its domain raises DomainError."""
+        points = self.domain.sample_points()
+        for conn in filter(None, (self.connection, self.dual)):
+            conn.coeff_array(points)
+        if self.gauge is not None:
+            self.gauge.matrix_at(points)
 
 
 # ---------------------------------------------------------------------------
@@ -592,6 +620,7 @@ def run_command(args) -> tuple[dict, int]:
     """Execute one CLI command; returns (report, exit_code)."""
     started = time.perf_counter()
     report: dict = {"toolVersion": __version__, "command": args.command, "seed": 0}
+    problem = None
     try:
         bad_flags = [
             _diag(flag, "value", TOLERANCE_MESSAGE)
@@ -627,12 +656,16 @@ def run_command(args) -> tuple[dict, int]:
                 )
             data = _load_json(args.problem)
             if args.command == "validate":
-                # the analysis commands' checks, the metric's included
+                # the analysis commands' checks, the metric's included,
+                # and every other entry evaluated on the grid
                 try:
-                    ProblemObjects(data, args)
+                    problem = ProblemObjects(data, args)
+                    problem.evaluate_entries()
                     diagnostics = []
                 except _InputError as err:
                     diagnostics = err.diagnostics
+                except ex.DomainError as err:
+                    diagnostics = [_failure(err, problem.entries)]
                 report["problemEcho"] = {
                     "sha256": _problem_hash(data),
                 }
@@ -668,8 +701,8 @@ def run_command(args) -> tuple[dict, int]:
         report["timingMs"] = 0
         return report, 3
     except (ex.DomainError, ValueError, ArithmeticError) as err:
-        message = str(err) or type(err).__name__
-        report["result"] = {"diagnostics": [_diag("$", "error", message)]}
+        failure = _failure(err, problem.entries if problem else ())
+        report["result"] = {"diagnostics": [failure]}
         report["timingMs"] = 0
         return report, 2
     report["result"] = result

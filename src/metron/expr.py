@@ -66,6 +66,7 @@ __all__ = [
     "to_string",
     "Evaluator",
     "variables",
+    "contains",
     "ZERO",
     "ONE",
 ]
@@ -462,6 +463,11 @@ def _topo_order(roots, known=()) -> list:
         else:
             emit(node)
     return order
+
+
+def contains(root: ScalarExpression, node: ScalarExpression) -> bool:
+    """Whether node is a subtree of root (nodes are hash-consed)."""
+    return node in _topo_order((root,))
 
 
 def variables(*roots: ScalarExpression) -> set[int]:

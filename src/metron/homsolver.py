@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import symmatrix as sm
-from .bundle import ChartDomain, Connection, curvature, dual_connection, identity_metric
+from .bundle import ChartDomain, Connection, conjugate_connection, curvature
 from .transport import DEFAULT_STEPS_PER_SEGMENT, Grid, GridTransporter, flow_operators
 
 __all__ = [
@@ -280,29 +280,14 @@ def get_transporter(shared: Prolongation) -> GridTransporter:
     return shared.transporter
 
 
-def _conjugate(conn: Connection) -> Connection:
-    """The connection on E* in the dual frame, the dual of the identity
-    metric: the forms of conn are its intertwiners into this one."""
-    return dual_connection(identity_metric(conn.domain, conn.r), conn)
-
-
-def stabilized_constraint_subspace(
-    conn: Connection,
-    dual: Connection,
-    x0,
-    max_order: int = 3,
-    kernel_cutoff: float = 1e-8,
-    subspace: np.ndarray | None = None,
-    orders=None,
-):
+def stabilized_constraint_subspace(shared: Prolongation, subspace: np.ndarray | None = None):
     """Intersect kernels of the induced curvature and its covariant
-    derivatives at x0, order by order, until two consecutive dimensions
-    agree.
+    derivatives at the shared base node, order by order, until two
+    consecutive dimensions agree.
 
-    The constraints are P -> B P - P B*. `orders` yields the generators
-    already evaluated at x0, order by order, as pairs (B, B*) (a
-    `Prolongation`'s); by default the recursions of conn and dual are
-    built, evaluated here and zipped.
+    The constraints are P -> B P - P B*, read from the prolongation's
+    evaluated orders; its options give the deepest order and the kernel
+    cutoff.
 
     Returns (candidates, stabilized, order): candidates has orthonormal
     rows in flattened-matrix coordinates, all inside `subspace` when one
@@ -311,16 +296,13 @@ def stabilized_constraint_subspace(
     the curvature constraints alone already close the intersection).
     """
     if subspace is None:
-        subspace = np.eye(conn.r * conn.r)
-    if orders is None:
-        recursions = zip(_generator_orders(conn, max_order), _generator_orders(dual, max_order))
-        orders = (_generator_values(gens, x0) for gens in recursions)
+        subspace = np.eye(shared.conn.r**2)
     blocks: list[np.ndarray] = []
     scale_ref = 1.0
     dim_prev = subspace.shape[0]
     dims: list[int] = []
     stabilized = False
-    for values in orders:
+    for values in shared.orders():
         for b, bs in values:
             rows, magnitude = _constraint_rows(b, bs, subspace, scale_ref)
             scale_ref = max(scale_ref, magnitude)
@@ -329,7 +311,7 @@ def stabilized_constraint_subspace(
         stacked = (
             np.vstack(blocks) if blocks else np.zeros((0, subspace.shape[0]))
         )
-        kernel = nullspace(stacked, kernel_cutoff)
+        kernel = nullspace(stacked, shared.options.kernel_cutoff)
         dims.append(kernel.shape[0])
         if kernel.shape[0] == dim_prev or kernel.shape[0] == 0:
             stabilized = True
@@ -340,7 +322,7 @@ def stabilized_constraint_subspace(
     # report the first order whose constraints already pinned the final
     # space (later orders added nothing)
     settle_order = next(k for k, d in enumerate(dims) if d == final_dim)
-    return candidates, stabilized, settle_order if stabilized else max_order
+    return candidates, stabilized, settle_order if stabilized else shared.options.max_order
 
 
 def _canonical_sign(vector: np.ndarray) -> np.ndarray:
@@ -366,15 +348,7 @@ def _solve(
         raise ValueError(ANOTHER_PROBLEM)
     r = conn.r
     grid, x0 = shared.grid, shared.x0
-    candidates, stabilized, order = stabilized_constraint_subspace(
-        conn,
-        dual,
-        x0,
-        max_order=options.max_order,
-        kernel_cutoff=options.kernel_cutoff,
-        subspace=subspace,
-        orders=shared.orders(),
-    )
+    candidates, stabilized, order = stabilized_constraint_subspace(shared, subspace)
     flags: list[str] = []
     if not stabilized:
         flags.append("stabilization-not-reached:lower-bound-only")
@@ -462,9 +436,9 @@ def solve_parallel_forms(
     if symmetry not in ("symmetric", "antisymmetric"):
         raise ValueError("symmetry must be 'symmetric' or 'antisymmetric'")
     if shared is None:
-        dual = _conjugate(conn)
-    elif shared.dual.gamma == tuple(sm.mat_neg(sm.mat_transpose(g)) for g in conn.gamma):
-        dual = shared.dual  # the conjugate: -Gamma_i^T, node for node
+        dual = conjugate_connection(conn)
+    elif shared.dual.gamma == conjugate_connection(conn).gamma:
+        dual = shared.dual  # the conjugate, node for node
     else:
         raise ValueError(ANOTHER_PROBLEM)
     sub = symmetric_basis(conn.r) if symmetry == "symmetric" else antisymmetric_basis(conn.r)
@@ -502,7 +476,7 @@ def local_system_residual(
     if dual is None:
         if space.kind == "hom":
             raise ValueError("hom residual needs the target connection")
-        dual = _conjugate(conn)
+        dual = conjugate_connection(conn)
     grid = space.grid
     m, r = conn.domain.m, conn.r
     n_nodes = len(grid.nodes)

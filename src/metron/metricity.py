@@ -10,19 +10,23 @@ metric when no nonzero parallel symmetric form exists at all.
 Two integer gradings accompany the verdict:
 
 * the gauge index of (conn, g): the minimal corank of the g-symmetric
-  part over the certified space of intertwining endomorphisms, by
-  seeded sampling of the solution space;
+  part over the certified intertwiners of conn with its g-dual g.conn,
+  by seeded sampling of the solution space;
 * the overall index: the same minimum over a declared finite family of
   regular metrics (the identity, the user's metrics, and eight seeded
   random constant regular metrics).
 
 Both vanish exactly in the regularly metric case, and both are gauge
 invariants; the test suite asserts these equivalences on every corpus
-connection rather than assuming them.
+connection rather than assuming them. One hom solve serves every g:
+J(conn, g.conn) = J(conn, conjugate) G^{-1} pointwise, the conjugate
+-Gamma_i^T being the dual of the identity. The g-symmetric part of
+P G^{-1} is sym(P) G^{-1}, so the gauge index is the same for every
+regular g up to sampling.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -31,7 +35,7 @@ from .bundle import (
     RANK_REL_CUTOFF,
     Connection,
     MetricField,
-    constant_metric,
+    conjugate_connection,
     dual_connection,
     identity_metric,
     numerical_rank,
@@ -80,7 +84,6 @@ class MetricityCertificate:
     witness_transport_residual: float | None
     residuals: dict
     options: SolveOptions  # the tolerances and knobs the certificate ran with
-    base_metric: MetricField
     stabilized: bool
     certified: bool
     flags: tuple[str, ...]
@@ -105,12 +108,10 @@ class IndexReport:
 
 @dataclass
 class AnalysisBundle:
-    """Shared intermediate results for one connection; base_metric is the
-    identity, whose dual, the conjugate connection, is the one target
-    of the hom, S2 and Omega2 solves."""
+    """Shared intermediate results for one connection; dual is its
+    conjugate, the one target of the hom, S2 and Omega2 solves."""
 
     conn: Connection
-    base_metric: MetricField
     dual: Connection
     hom_space: SolutionSpace
     sym_space: SolutionSpace
@@ -147,13 +148,12 @@ def analyze(conn: Connection, options: SolveOptions | None = None) -> AnalysisBu
     space equals what its solver returns alone.
     """
     opts = options or SolveOptions()
-    base_metric = identity_metric(conn.domain, conn.r)
-    dual = dual_connection(base_metric, conn)
+    dual = conjugate_connection(conn)
     shared = Prolongation(conn, dual, opts)
     hom_space = solve_hom(conn, dual, opts, shared)
     sym_space = solve_parallel_forms(conn, "symmetric", opts, shared)
     alt_space = solve_parallel_forms(conn, "antisymmetric", opts, shared)
-    return AnalysisBundle(conn, base_metric, dual, hom_space, sym_space, alt_space)
+    return AnalysisBundle(conn, dual, hom_space, sym_space, alt_space)
 
 
 def _rank_candidates(space: SolutionSpace, seed: int) -> list[np.ndarray]:
@@ -262,7 +262,6 @@ def decide_metricity(
         witness_transport_residual=witness_transport,
         residuals=residuals,
         options=opts,
-        base_metric=bundle.base_metric,
         stabilized=stabilized,
         certified=certified,
         flags=tuple(flags),
@@ -279,51 +278,33 @@ def parallel_form_residuals(
     """Check that the forms induced by a certified intertwiner are
     themselves parallel and of constant rank.
 
-    For solution phi of the intertwining system with the base metric g,
-    the forms q = g(Phi ., .) and omega = g(Phi* ., .) must satisfy the
-    parallel-form system; this asserts the consequence numerically by
-    substituting the induced-form fields into the system node by node.
+    For solution phi of the intertwining system into the conjugate, the
+    dual of the identity metric g, the forms q = g(Phi ., .) and
+    omega = g(Phi* ., .) must satisfy the parallel-form system; this
+    asserts the consequence numerically by substituting the induced-form
+    fields into the system node by node.
     """
     hom = bundle.hom_space
     grid = hom.grid
     field_phi = hom.extensions[solution_index]
-    g_nodes = bundle.base_metric.matrix_at(grid.nodes)
+    g = np.eye(conn.r)
     q_nodes = np.empty_like(field_phi)
     w_nodes = np.empty_like(field_phi)
     phi_ranks = []
-    for n, g in enumerate(g_nodes):
-        phi_sym, phi_alt = split_symmetric(g, field_phi[n])
+    for n, phi in enumerate(field_phi):
+        phi_sym, phi_alt = split_symmetric(g, phi)
         q_nodes[n], w_nodes[n] = induced_forms(g, phi_sym, phi_alt)
-        phi_ranks.append(
-            numerical_rank(phi_sym, scale=float(np.linalg.norm(field_phi[n])))
-        )
-    sym_like = SolutionSpace(
-        kind="symmetric",
-        base_point=hom.base_point,
-        basis=q_nodes[grid.nearest_node(hom.base_point)][None, :, :],
-        dimension=1,
-        certified_residual=hom.certified_residual,
-        stabilized=hom.stabilized,
-        stabilization_order=hom.stabilization_order,
-        constraint_dim=1,
-        grid=grid,
-        extensions=q_nodes[None, :, :, :],
-    )
-    alt_like = SolutionSpace(
-        kind="antisymmetric",
-        base_point=hom.base_point,
-        basis=w_nodes[grid.nearest_node(hom.base_point)][None, :, :],
-        dimension=1,
-        certified_residual=hom.certified_residual,
-        stabilized=hom.stabilized,
-        stabilization_order=hom.stabilization_order,
-        constraint_dim=1,
-        grid=grid,
-        extensions=w_nodes[None, :, :, :],
-    )
+        phi_ranks.append(numerical_rank(phi_sym, scale=float(np.linalg.norm(phi))))
+    x0 = grid.nearest_node(hom.base_point)
+
+    def residual(kind: str, nodes: np.ndarray) -> float:
+        """Substitution residual of the form field given at the nodes."""
+        space = replace(hom, kind=kind, basis=nodes[x0][None], dimension=1, extensions=nodes[None])
+        return local_system_residual(space, conn, bundle.dual)
+
     return {
-        "q_residual": local_system_residual(sym_like, conn, bundle.dual),
-        "omega_residual": local_system_residual(alt_like, conn, bundle.dual),
+        "q_residual": residual("symmetric", q_nodes),
+        "omega_residual": residual("antisymmetric", w_nodes),
         "phi_rank_constant": len(set(phi_ranks)) <= 1,
         "phi_rank": phi_ranks[0] if phi_ranks else None,
     }
@@ -336,28 +317,31 @@ def gauge_index(
     hom_space: SolutionSpace | None = None,
 ):
     """Minimal corank of the g-symmetric part over the certified
-    intertwiner space, by sampling; (rank r, flagged) when the space is
-    trivial so that downstream minima stay total.
+    intertwiners of conn with g.conn, by sampling; (rank r, flagged)
+    when the space is trivial so that downstream minima stay total.
+
+    hom_space holds the intertwiners into the conjugate (solved here
+    when not given); as J(conn, g.conn) = J(conn, conjugate) G^{-1},
+    each sampled Q is read as Q G^{-1} at the base point.
     """
     opts = options or SolveOptions()
     if hom_space is None:
-        dual = dual_connection(metric, conn)
-        hom_space = solve_hom(conn, dual, opts)
+        hom_space = solve_hom(conn, conjugate_connection(conn), opts)
     r = conn.r
-    flags = []
     if hom_space.dimension == 0:
         return r, ("empty-solution-space",), hom_space
     g0 = metric.matrix_at(hom_space.base_point)
+    g0_inv = np.linalg.inv(g0)
     best = r
     for cand in _rank_candidates(hom_space, opts.seed):
-        phi_sym, _ = split_symmetric(g0, cand)
-        rank = numerical_rank(phi_sym, scale=float(np.linalg.norm(cand)))
+        phi = cand @ g0_inv
+        phi_sym, _ = split_symmetric(g0, phi)
+        rank = numerical_rank(phi_sym, scale=float(np.linalg.norm(phi)))
         best = min(best, r - rank)
         if best == 0:
             break
-    if not hom_space.stabilized:
-        flags.append("stabilization-not-reached")
-    return best, tuple(flags), hom_space
+    flags = () if hom_space.stabilized else ("stabilization-not-reached",)
+    return best, flags, hom_space
 
 
 def index_report(
@@ -372,13 +356,13 @@ def index_report(
     The family is the primary metric (identity unless the caller
     supplies one), any user metrics, and eight seeded random constant
     regular metrics; the identity metric is always included. The report
-    records the family size so certificates stay reproducible.
+    records the family size so certificates stay reproducible. Every
+    member reads one hom space into the conjugate: the certificate's
+    when it ran with these options.
     """
     opts = options or SolveOptions()
     primary = primary_metric or identity_metric(conn.domain, conn.r)
-    family: list[MetricField] = [primary]
-    for g in metric_family or []:
-        family.append(g)
+    family = [primary, *(metric_family or [])]
     if primary_metric is not None:
         family.append(identity_metric(conn.domain, conn.r))
     rng = np.random.default_rng(opts.seed + 1)
@@ -387,6 +371,10 @@ def index_report(
             random_constant_metric(rng, conn.domain, conn.r, indefinite=(k % 3 == 2))
         )
     certificate = certificate or decide_metricity(conn, opts)
+    if certificate.options == opts:
+        hom_space = certificate.spaces["hom"]
+    else:
+        hom_space = solve_hom(conn, conjugate_connection(conn), opts)
     flags = list(certificate.flags)
     sb_given_g = None
     sb = None
@@ -394,9 +382,6 @@ def index_report(
         if not g.is_regular():
             flags.append(f"family-member-{idx}-not-regular-skipped")
             continue
-        # the certificate already holds the hom space of its own base metric
-        reuse = g == certificate.base_metric and certificate.options == opts
-        hom_space = certificate.spaces["hom"] if reuse else None
         value, gflags, _ = gauge_index(conn, g, opts, hom_space)
         flags.extend(gflags)
         if idx == 0:

@@ -298,6 +298,7 @@ def test_negative_file_seed_is_rejected(capsys, tmp_path):
         ([[["1", "0"]]], "--metric-family[0]", "shape"),
         ([[["1", "0"], ["0", "x3"]]], "--metric-family[0][1][1]", "unknown-variable"),
         ([[["1", "0"], ["0", "1"]], [["1", "0.2"], ["0", "1"]]], "--metric-family[1]", "value"),
+        ([[["1", "0"], ["0", "1/(x1-x1)"]]], "--metric-family[0][1][1]", "error"),
     ],
     ids=[
         "missing",
@@ -308,6 +309,7 @@ def test_negative_file_seed_is_rejected(capsys, tmp_path):
         "shape",
         "unknown-variable",
         "asymmetric",
+        "pole",
     ],
 )
 def test_bad_metric_family_file_is_rejected(capsys, tmp_path, monkeypatch, payload, path, code):
@@ -401,14 +403,51 @@ def test_no_input_exits_1(capsys, tmp_path, monkeypatch, name, command):
 def test_overflowing_constant_product_is_named(capsys, tmp_path, monkeypatch, text):
     """A product of constants that overflows, in an entry or only in its
     derivatives, exits 2 naming the product and a point, not with a NaN
-    or infinite constant that fails far from it."""
+    or infinite constant that fails far from it. The entry's product is
+    located at the entry; the derivative's is in no entry, so at `$`."""
     monkeypatch.chdir(tmp_path)
     _write(tmp_path, "p.json", _with_entry(text))
     code, out, _ = _run(capsys, "metricity", "p.json", "--quiet")
     assert code == 2
     diags = json.loads(out)["result"]["diagnostics"]
-    assert [(d["path"], d["code"]) for d in diags] == [("$", "error")]
+    path = {"1e300*1e300*x1": "connection[0][0][0]", "x1*1e300*1e300": "$"}[text]
+    assert [(d["path"], d["code"]) for d in diags] == [(path, "error")]
     assert "non-finite value in '1e+300*1e+300' at (" in diags[0]["message"]
+
+
+LOCATED_FAILURES = {
+    # the first entry in file order holding the failing subtree is named
+    "connection": (
+        {"connection": [[["0", "0"], ["sqrt(x1-0.9)", "0"]], [["sqrt(x1-0.9)", "0"], ["0", "0"]]]},
+        "connection[0][1][0]",
+    ),
+    "metric-pole": ({"metric": [["1/(x1-x1)", "0"], ["0", "1"]]}, "metric[0][0]"),
+    "dual-connection": (
+        {"dualConnection": [[["0", "0"], ["0", "0"]], [["0", "log(x2-2)"], ["0", "0"]]]},
+        "dualConnection[1][0][1]",
+    ),
+    "gauge": ({"gauge": [["1", "0"], ["0", "1/(x2-x2)"]]}, "gauge[1][1]"),
+}
+
+
+@pytest.mark.parametrize("command", ["metricity", "validate"])
+@pytest.mark.parametrize("name", list(LOCATED_FAILURES))
+def test_domain_failure_is_located_at_its_entry(capsys, tmp_path, monkeypatch, name, command):
+    """A subtree that leaves its domain is reported at the first entry,
+    in file order, that contains it. `validate` evaluates every entry on
+    the grid; the analysis commands evaluate what they read (`metricity`
+    reads no gauge or dual connection)."""
+    changes, path = LOCATED_FAILURES[name]
+    monkeypatch.chdir(tmp_path)
+    _write(tmp_path, "p.json", dict(BASE_PROBLEM, **changes))
+    code, out, _ = _run(capsys, command, "p.json", "--quiet")
+    found = json.loads(out)["result"].get("diagnostics", [])
+    if command == "metricity" and name in ("dual-connection", "gauge"):
+        assert (code, found) == (0, [])
+        return
+    assert code == 2
+    assert [(d["path"], d["code"]) for d in found] == [(path, "error")]
+    assert " at (" in found[0]["message"]
 
 
 def test_malformed_json_exit_2_with_location(capsys, tmp_path):

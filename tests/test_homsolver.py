@@ -17,6 +17,7 @@ from metron.corpus import (
     square_domain,
 )
 from metron.homsolver import (
+    Prolongation,
     SolveOptions,
     hom_curvature_operator,
     local_system_residual,
@@ -96,7 +97,7 @@ def test_hom_curvature_kernel_matches_brute_force():
 def test_flat_stabilizes_immediately_with_full_space():
     conn = flat_connection()
     dual = dual_connection(identity_metric(conn.domain, 2), conn)
-    k, stabilized, order = stabilized_constraint_subspace(conn, dual, conn.domain.center())
+    k, stabilized, order = stabilized_constraint_subspace(Prolongation(conn, dual, SolveOptions()))
     assert stabilized and order == 0
     assert k.shape[0] == 4
 
@@ -104,7 +105,7 @@ def test_flat_stabilizes_immediately_with_full_space():
 def test_nilpotent_stabilizes_at_order_zero():
     """Covariant derivatives of the constant curvature add nothing."""
     conn = nilpotent_connection()
-    k, stabilized, order = stabilized_constraint_subspace(conn, conn, conn.domain.center())
+    k, stabilized, order = stabilized_constraint_subspace(Prolongation(conn, conn, SolveOptions()))
     assert stabilized and order == 0
     assert k.shape[0] == 2
     assert _same_span([v.reshape(2, 2) for v in k], [np.eye(2), NILPOTENT_MATRIX])
@@ -118,7 +119,9 @@ def test_generic_polynomial_kernel_matches_pointwise_intersection():
     dom = square_domain(5)
     conn = random_polynomial_connection(rng, dom, 2, scale=0.4)
     dual = dual_connection(identity_metric(dom, 2), conn)
-    k, stabilized, _ = stabilized_constraint_subspace(conn, dual, dom.center())
+    shared = Prolongation(conn, dual, SolveOptions())
+    assert np.array_equal(shared.x0, dom.center())  # odd counts: the centre is a node
+    k, stabilized, _ = stabilized_constraint_subspace(shared)
     assert stabilized
     from metron.bundle import curvature
     from metron import symmatrix as sm

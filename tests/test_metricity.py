@@ -11,6 +11,7 @@ from metron.bundle import (
     ChartDomain,
     Connection,
     apply_gauge,
+    conjugate_connection,
     constant_metric,
     dual_connection,
     identity_metric,
@@ -20,6 +21,7 @@ from metron.corpus import (
     NILPOTENT_MATRIX,
     flat_connection,
     half_plane_levi_civita,
+    involution_corpus,
     nilpotent_connection,
     random_constant_gauge,
     random_constant_metric,
@@ -90,19 +92,72 @@ def test_decide_metricity_honours_caller_tolerances():
     assert decide_metricity(conn, options=FAST).verdict == "RegularlyMetric"
 
 
-def test_index_report_reuses_the_certificate_hom_space(monkeypatch):
-    """The identity family member is the certificate's base metric, so
-    only the other nine members need a hom solve."""
+def test_index_report_reads_the_certificate_hom_space_for_every_metric(monkeypatch):
+    """Every family member reads the certificate's intertwiners into the
+    conjugate through its G^{-1}: no member solves, builds a dual
+    connection or a transporter, and the only new expression nodes are
+    the random members' constants."""
     conn, metric = half_plane_levi_civita()
     cert = decide_metricity(conn, options=FAST)
-    solves = []
-    solve = metricity.solve_hom
-    monkeypatch.setattr(
-        metricity, "solve_hom", lambda *a, **k: solves.append(1) or solve(*a, **k)
-    )
+    calls = []
+
+    def counted(owner, name):
+        fn = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, **k: calls.append(name) or fn(*a, **k))
+
+    for owner, name in (
+        (metricity, "solve_hom"),
+        (metricity, "dual_connection"),
+        (homsolver, "_solve"),
+        (transport.GridTransporter, "__init__"),
+    ):
+        counted(owner, name)
+    before = len(ex._INTERN)
     report = index_report(conn, None, FAST, primary_metric=metric, certificate=cert)
     assert report.family_size == 10
-    assert len(solves) == 9
+    assert calls == []
+    assert len(ex._INTERN) - before <= metricity.RANDOM_FAMILY_SIZE * conn.r**2
+
+
+def _projector(matrices, r: int) -> np.ndarray:
+    """Orthogonal projector onto the span of r x r matrices, flattened."""
+    rows = np.asarray(matrices).reshape(-1, r * r)
+    if rows.shape[0] == 0:
+        return np.zeros((r * r, r * r))
+    u, s, _ = np.linalg.svd(rows.T, full_matrices=False)
+    u = u[:, s > 1e-10 * s[0]]
+    return u @ u.T
+
+
+def test_conjugate_intertwiners_map_onto_every_dual_through_the_inverse_metric():
+    """J(conn, g.conn) = J(conn, conjugate) G^{-1} at the base point,
+    checked against an independent solve into the g-dual connection for
+    definite, indefinite and non-constant metrics. The corpus connections
+    are a gauged nilpotent one and two generic ones, whose spaces are
+    empty for every metric."""
+    rng = np.random.default_rng(31)
+    half_plane, hyperbolic = half_plane_levi_civita()
+    nilpotent = nilpotent_connection(square_domain(5))
+    gauged = apply_gauge(random_polynomial_gauge(rng, nilpotent.domain, 2), nilpotent)
+    cases = [(half_plane, [hyperbolic]), (nilpotent, []), (gauged, [])]
+    cases += [(conn, []) for conn, _ in involution_corpus(seed=11, count=2)]
+    dims = []
+    for conn, metrics in cases:
+        metrics = metrics + [
+            random_constant_metric(rng, conn.domain, conn.r, indefinite=indefinite)
+            for indefinite in (False, True)
+        ]
+        conjugate = homsolver.solve_hom(conn, conjugate_connection(conn), FAST)
+        for g in metrics:
+            direct = homsolver.solve_hom(conn, dual_connection(g, conn), FAST)
+            assert direct.base_point == conjugate.base_point
+            g0_inv = np.linalg.inv(g.matrix_at(conjugate.base_point))
+            mapped = [q @ g0_inv for q in conjugate.basis]
+            assert direct.dimension == conjugate.dimension
+            difference = _projector(mapped, conn.r) - _projector(direct.basis, conn.r)
+            assert np.abs(difference).max() <= 1e-8
+        dims.append(conjugate.dimension)
+    assert dims == [2, 2, 2, 0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -462,8 +517,9 @@ def test_gauge_index_zero_for_connection_with_its_own_metric():
     conn, metric = half_plane_levi_civita()
     value, flags, space = gauge_index(conn, metric)
     assert value == 0
-    # the identity is a solution because the dual equals the connection
-    assert space.contains(np.eye(2))
+    # the identity intertwines conn with its dual, which is conn itself,
+    # so G (= I G) intertwines conn with its conjugate
+    assert space.contains(metric.matrix_at(space.base_point))
 
 
 def test_gauge_index_zero_symmetric_part_gives_full_corank():
@@ -589,11 +645,7 @@ def test_decomposition_rank_constant_across_grid():
     conn = nilpotent_connection()
     bundle = analyze(conn)
     hom = bundle.hom_space
-    values = []
-    for n, x in enumerate(hom.grid.nodes):
-        g = bundle.base_metric.matrix_at(x)
-        phi_sym, _ = split_symmetric(g, hom.extensions[0][n])
-        values.append(phi_sym)
+    values = [split_symmetric(np.eye(2), phi)[0] for phi in hom.extensions[0]]
     out = kernel_image_split(np.eye(2), np.array(values))
     assert out["rank_constant"]
 
