@@ -11,21 +11,17 @@ from metron.corpus import (
     half_plane_levi_civita,
     nilpotent_connection,
 )
-from metron.metricity import decide_metricity, gauge_index, index_report
-from metron.bundle import identity_metric
+from metron.metricity import decide_metricity, index_report
 
 
 def describe(name, conn):
     cert = decide_metricity(conn)
-    sb, flags, _ = gauge_index(
-        conn, identity_metric(conn.domain, conn.r), hom_space=cert.spaces["hom"]
-    )
     report = index_report(conn, certificate=cert)
     print(f"== {name}")
     print(f"   verdict          {cert.verdict}")
     print(f"   dim J / S2 / O2  {cert.dim_j} / {cert.dim_s2} / {cert.dim_omega2}")
     print(f"   exact sequence   {'holds' if cert.exact_sequence_ok else 'VIOLATED'}")
-    print(f"   gauge index      {sb}  (family minimum {report.sb})")
+    print(f"   gauge index      {report.sb_given_g}  (family minimum {report.sb})")
     print(f"   index decision   {report.ind_decision}")
     if cert.witness_base is not None:
         with np.printoptions(precision=6, suppress=True):

@@ -6,6 +6,10 @@ Runs, in one process and through the same code path as `metron`:
   problems/*.json (`dual` and `curvature` print expressions);
 - `index problems/hyperbolic.json --metric-family` with a non-constant,
   an indefinite and an `exp` metric;
+- `index` on the half plane with a singular problem `metric` and a
+  `--metric-family` of an ill-conditioned regular and a singular metric,
+  so that the primary is not regular and members are skipped on both
+  sides of the first regular one;
 - `alpha-scan --alphas -1,-0.5,0,0.5,1` for every statistical family;
 - with --bench-inputs, the benchmark inputs of seed 1: `metricity` on
   gauged-flat-r4 and on each corpus-notmetric file, `solve-fe` on
@@ -16,7 +20,8 @@ Runs, in one process and through the same code path as `metron`:
   files, a 1,000-term sum, nesting past the parser's limit, an
   overflowing number literal, constant products that overflow (in an
   entry and only in its derivative), JSON nested too deep, asymmetric
-  metrics (also under `validate`) and a null seed;
+  metrics (also under `validate`), a null seed, and `alpha-scan` with
+  alphas that are not finite numbers and with an unknown family;
 - each extra command given with --also.
 
 Each run prints one line, `<sha256>  <command>  (exit <code>)`, so two
@@ -28,13 +33,13 @@ checkouts can be compared with diff:
 
 Problem paths are taken relative to the working directory, and metron is
 imported from the Python path, so the script measures whichever checkout
-PYTHONPATH points at. The metric family file and the benchmark inputs
-(by perfbench/gen.py of the working directory) are written to a
-temporary directory, shown as <tmp> in the output. The rejected inputs
-are written to a temporary directory too, and run from inside it with
-relative paths, so that the file names their diagnostics quote do not
-change between runs; a run that raises prints `crash: <exception>` in
-place of its digest.
+PYTHONPATH points at. The metric family files, the singular-metric
+problem and the benchmark inputs (by perfbench/gen.py of the working
+directory) are written to a temporary directory, shown as <tmp> in the
+output. The rejected inputs are written to a temporary directory too,
+and run from inside it with relative paths, so that the file names
+their diagnostics quote do not change between runs; a run that raises
+prints `crash: <exception>` in place of its digest.
 """
 from __future__ import annotations
 
@@ -59,18 +64,28 @@ HALF_PLANE_FAMILY = [
     [["1", "0.5"], ["0.5", "-2"]],
     [["exp(x1)", "0"], ["0", "exp(-x2)"]],
 ]
+# det 2e-8 is just above the regularity floor; the second is singular
+ILL_CONDITIONED_FAMILY = [[["1", "0"], ["0", "2e-8"]], [["1", "1"], ["1", "1"]]]
 
 
 def default_commands(out: Path) -> list[list[str]]:
     """The runs on problems/*.json and the statistical families; the
-    metric family file is written under out."""
+    metric family files and the singular-metric problem are written
+    under out."""
     family = out / "family.json"
     family.write_text(json.dumps(HALF_PLANE_FAMILY), encoding="utf-8")
+    ill_family = out / "ill-family.json"
+    ill_family.write_text(json.dumps(ILL_CONDITIONED_FAMILY), encoding="utf-8")
+    singular = json.loads(Path("problems/hyperbolic.json").read_text(encoding="utf-8"))
+    singular["metric"] = [["1", "0"], ["0", "0"]]
+    singular_problem = out / "singular-metric.json"
+    singular_problem.write_text(json.dumps(singular), encoding="utf-8")
     commands = []
     for problem in sorted(Path("problems").glob("*.json")):
         for command in ("metricity", "index", "solve-fe", "dual", "curvature"):
             commands.append([command, str(problem)])
     commands.append(["index", "problems/hyperbolic.json", "--metric-family", str(family)])
+    commands.append(["index", str(singular_problem), "--metric-family", str(ill_family)])
     for name in sorted(FAMILIES):
         commands.append(["alpha-scan", "--family", name, f"--alphas={ALPHAS}"])
     return commands
@@ -173,6 +188,11 @@ def error_commands(out: Path) -> list[list[str]]:
         ["metricity", "overflow-fold-derivative.json"],
         ["validate", "asymmetric-metric.json"],
     ]
+    commands += [
+        ["alpha-scan", "--family", "exponential", f"--alphas={alphas}"]
+        for alphas in ("abc", "nan", "inf", "1e400")
+    ]
+    commands.append(["alpha-scan", "--family", "nope", "--alphas=0"])
     return commands
 
 

@@ -554,10 +554,22 @@ def _cmd_gauge_check(p: ProblemObjects, args):
 
 
 def _cmd_alpha_scan(args, options: SolveOptions):
-    family = get_family(args.family)
-    alphas = [float(a) for a in args.alphas.split(",") if a.strip() != ""]
+    diagnostics, alphas = [], []
+    try:
+        family = get_family(args.family)
+    except ValueError as err:
+        diagnostics.append(_diag("--family", "value", str(err)))
+    for text in (a.strip() for a in args.alphas.split(",") if a.strip() != ""):
+        try:
+            alphas.append(float(text))
+        except ValueError:
+            alphas.append(math.nan)
+        if not math.isfinite(alphas[-1]):
+            diagnostics.append(_diag("--alphas", "value", f"alpha {text!r} is not a finite number"))
     if not alphas:
-        raise _InputError([_diag("--alphas", "value", "need at least one alpha")])
+        diagnostics.append(_diag("--alphas", "value", "need at least one alpha"))
+    if diagnostics:
+        raise _InputError(diagnostics)
     report = alpha_scan(family, alphas, options)
     per_alpha = []
     certified = True

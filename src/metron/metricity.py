@@ -13,16 +13,16 @@ Two integer gradings accompany the verdict:
   part over the certified intertwiners of conn with its g-dual g.conn,
   by seeded sampling of the solution space;
 * the overall index: the same minimum over a declared finite family of
-  regular metrics (the identity, the user's metrics, and eight seeded
-  random constant regular metrics).
+  regular metrics (the identity, the user's metrics, and eight random
+  constant regular metrics).
 
 Both vanish exactly in the regularly metric case, and both are gauge
 invariants; the test suite asserts these equivalences on every corpus
 connection rather than assuming them. One hom solve serves every g:
 J(conn, g.conn) = J(conn, conjugate) G^{-1} pointwise, the conjugate
 -Gamma_i^T being the dual of the identity. The g-symmetric part of
-P G^{-1} is sym(P) G^{-1}, so the gauge index is the same for every
-regular g up to sampling.
+P G^{-1} is sym(P) G^{-1}, so the overall index is one evaluation and
+its random members are counted, not built (see index_report).
 """
 from __future__ import annotations
 
@@ -40,7 +40,6 @@ from .bundle import (
     identity_metric,
     numerical_rank,
 )
-from .corpus import random_constant_metric
 from .homsolver import (
     Prolongation,
     SolutionSpace,
@@ -97,6 +96,8 @@ class MetricityCertificate:
 
 @dataclass
 class IndexReport:
+    """One index evaluation; family_size counts unbuilt random members."""
+
     sb_given_g: int
     sb: int
     ind_decision: str  # 'Zero' | 'AtLeastOne'
@@ -351,49 +352,35 @@ def index_report(
     primary_metric: MetricField | None = None,
     certificate: MetricityCertificate | None = None,
 ) -> IndexReport:
-    """Index summary over a declared finite metric family.
-
-    The family is the primary metric (identity unless the caller
-    supplies one), any user metrics, and eight seeded random constant
-    regular metrics; the identity metric is always included. The report
-    records the family size so certificates stay reproducible. Every
-    member reads one hom space into the conjugate: the certificate's
-    when it ran with these options.
+    """Index summary over a declared finite metric family: the primary
+    metric (identity unless the caller supplies one), any user metrics,
+    the identity when a primary is given, and eight random constant
+    metrics. As J(conn, g.conn) = J(conn, conjugate) G^{-1}, gauge_index
+    runs once, for the first regular member, on the certificate's hom
+    space when it ran with these options; sb_given_g is r when the
+    primary is not regular. That equation needs neither the exact
+    sequence nor stabilization (sb == r - max_parallel_metric_rank
+    would). The random members are counted, not built: eigenvalue
+    moduli in [0.5, 2] give det >= 0.5^r and cond <= 4.
     """
     opts = options or SolveOptions()
-    primary = primary_metric or identity_metric(conn.domain, conn.r)
-    family = [primary, *(metric_family or [])]
+    identity = identity_metric(conn.domain, conn.r)
+    declared = [primary_metric or identity, *(metric_family or [])]
     if primary_metric is not None:
-        family.append(identity_metric(conn.domain, conn.r))
-    rng = np.random.default_rng(opts.seed + 1)
-    for k in range(RANDOM_FAMILY_SIZE):
-        family.append(
-            random_constant_metric(rng, conn.domain, conn.r, indefinite=(k % 3 == 2))
-        )
+        declared.append(identity)
     certificate = certificate or decide_metricity(conn, opts)
-    if certificate.options == opts:
-        hom_space = certificate.spaces["hom"]
-    else:
-        hom_space = solve_hom(conn, conjugate_connection(conn), opts)
-    flags = list(certificate.flags)
-    sb_given_g = None
-    sb = None
-    for idx, g in enumerate(family):
-        if not g.is_regular():
-            flags.append(f"family-member-{idx}-not-regular-skipped")
-            continue
-        value, gflags, _ = gauge_index(conn, g, opts, hom_space)
-        flags.extend(gflags)
-        if idx == 0:
-            sb_given_g = value
-        sb = value if sb is None else min(sb, value)
-    ind_decision = "Zero" if certificate.verdict == "RegularlyMetric" else "AtLeastOne"
+    hom_space = certificate.spaces["hom"] if certificate.options == opts else None
+    regular = [g.is_regular() for g in declared]
+    skipped = [f"family-member-{k}-not-regular-skipped" for k, ok in enumerate(regular) if not ok]
+    first = regular.index(True)  # the identity is declared and regular
+    sb, gflags, _ = gauge_index(conn, declared[first], opts, hom_space)
+    flags = [*certificate.flags, *skipped[:first], *gflags, *skipped[first:]]
     return IndexReport(
-        sb_given_g=sb_given_g if sb_given_g is not None else conn.r,
-        sb=sb if sb is not None else conn.r,
-        ind_decision=ind_decision,
+        sb_given_g=sb if first == 0 else conn.r,
+        sb=sb,
+        ind_decision="Zero" if certificate.verdict == "RegularlyMetric" else "AtLeastOne",
         max_parallel_metric_rank=certificate.max_witness_rank,
-        family_size=len(family),
+        family_size=len(declared) + RANDOM_FAMILY_SIZE,
         flags=tuple(dict.fromkeys(flags)),
         verdict=certificate.verdict,
     )

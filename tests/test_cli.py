@@ -328,6 +328,28 @@ def test_bad_metric_family_file_is_rejected(capsys, tmp_path, monkeypatch, paylo
     assert [(d["path"], d["code"]) for d in diags] == [(path, code)]
 
 
+@pytest.mark.parametrize(
+    "family, alphas, path",
+    [
+        ("exponential", "abc", "--alphas"),
+        ("exponential", "nan", "--alphas"),
+        ("exponential", "inf", "--alphas"),
+        ("exponential", "1e400", "--alphas"),
+        ("nope", "0", "--family"),
+    ],
+    ids=["not-a-number", "nan", "inf", "overflowing", "unknown-family"],
+)
+def test_bad_alpha_scan_flag_is_rejected_at_the_flag(capsys, family, alphas, path):
+    """Before, these were rejected at $, and an infinite alpha exited 3
+    with an internal linear algebra failure."""
+    code, out, _ = _run(capsys, "alpha-scan", "--family", family, "--alphas", alphas, "--quiet")
+    assert code == 2
+    diags = json.loads(out)["result"]["diagnostics"]
+    assert [(d["path"], d["code"]) for d in diags] == [(path, "value")]
+    if path == "--alphas":
+        assert repr(alphas) in diags[0]["message"]
+
+
 def test_linear_algebra_failure_is_internal_not_rejected_input(capsys, monkeypatch):
     """np.linalg.LinAlgError subclasses ValueError; it is a failure of
     the analysis, so exit 3, not the exit 2 of rejected input."""

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from metron import expr as ex
-from metron import homsolver, metricity, transport
+from metron import corpus, homsolver, metricity, transport
 from metron.bundle import (
     ChartDomain,
     Connection,
@@ -41,7 +41,7 @@ from metron.metricity import (
     parallel_form_residuals,
     split_symmetric,
 )
-from metron.statmodels import alpha_connection, get_family
+from metron.statmodels import FAMILIES, alpha_connection, get_family
 from oracles import hom_constraint_kernel
 
 FAST = SolveOptions(grid_per_axis=5, steps_per_segment=16)
@@ -93,10 +93,10 @@ def test_decide_metricity_honours_caller_tolerances():
 
 
 def test_index_report_reads_the_certificate_hom_space_for_every_metric(monkeypatch):
-    """Every family member reads the certificate's intertwiners into the
-    conjugate through its G^{-1}: no member solves, builds a dual
-    connection or a transporter, and the only new expression nodes are
-    the random members' constants."""
+    """The index is one gauge_index evaluation on the certificate's
+    intertwiners into the conjugate: nothing solves, builds a dual
+    connection or a transporter, the random members are counted rather
+    than built, and no expression node is interned."""
     conn, metric = half_plane_levi_civita()
     cert = decide_metricity(conn, options=FAST)
     calls = []
@@ -108,15 +108,31 @@ def test_index_report_reads_the_certificate_hom_space_for_every_metric(monkeypat
     for owner, name in (
         (metricity, "solve_hom"),
         (metricity, "dual_connection"),
+        (metricity, "gauge_index"),
         (homsolver, "_solve"),
         (transport.GridTransporter, "__init__"),
+        (corpus, "random_constant_metric"),
     ):
         counted(owner, name)
     before = len(ex._INTERN)
     report = index_report(conn, None, FAST, primary_metric=metric, certificate=cert)
     assert report.family_size == 10
-    assert calls == []
-    assert len(ex._INTERN) - before <= metricity.RANDOM_FAMILY_SIZE * conn.r**2
+    assert calls == ["gauge_index"]
+    assert len(ex._INTERN) == before
+    modules = {getattr(value, "__module__", None) for value in vars(metricity).values()}
+    assert corpus.__name__ not in modules
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_random_constant_metrics_are_regular(r):
+    """The fact that lets index_report count its random members instead
+    of building them: eigenvalue moduli in [0.5, 2] keep every draw far
+    inside the regularity floor and the condition ceiling."""
+    domain = square_domain(3)
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        for indefinite in (False, True):
+            assert random_constant_metric(rng, domain, r, indefinite=indefinite).is_regular()
 
 
 def _projector(matrices, r: int) -> np.ndarray:
@@ -449,7 +465,7 @@ def test_hyperbolic_levi_civita_regularly_metric():
 
 def test_not_metric_verdict_has_zero_s2():
     """A connection with no nonzero parallel symmetric form at all."""
-    from metron.statmodels import alpha_connection, get_family
+    from metron.statmodels import FAMILIES, alpha_connection, get_family
 
     conn = alpha_connection(get_family("gaussian1d"), 0.5)
     cert = decide_metricity(conn, options=SolveOptions(grid_per_axis=5, steps_per_segment=48))
@@ -523,7 +539,7 @@ def test_gauge_index_zero_for_connection_with_its_own_metric():
 
 
 def test_gauge_index_zero_symmetric_part_gives_full_corank():
-    from metron.statmodels import alpha_connection, get_family
+    from metron.statmodels import FAMILIES, alpha_connection, get_family
 
     conn = alpha_connection(get_family("gaussian1d"), 0.5)
     g = identity_metric(conn.domain, 2)
@@ -587,6 +603,37 @@ def test_index_report_gauge_invariance():
         )
         assert moved.max_parallel_metric_rank == base.max_parallel_metric_rank
         assert moved.verdict == base.verdict
+
+
+def _index_connections():
+    """The four statistical families at five alphas, nilpotent, flat rank
+    3, the half plane and twelve generic connections."""
+    conns = [
+        alpha_connection(family, alpha)
+        for family in FAMILIES.values()
+        for alpha in (-1.0, -0.5, 0.0, 0.5, 1.0)
+    ]
+    conns += [nilpotent_connection(), flat_connection(r=3), half_plane_levi_civita()[0]]
+    return conns + [conn for conn, _ in involution_corpus(seed=5, count=12)]
+
+
+def test_index_report_equals_the_family_loop():
+    """One evaluation equals the minimum over the identity and eight
+    seeded random constant metrics, each read off the certificate's hom
+    space, and both equal r minus the maximal parallel metric rank."""
+    conns = _index_connections()
+    assert len(conns) == 35
+    for conn in conns:
+        cert = decide_metricity(conn, options=FAST)
+        rng = np.random.default_rng(FAST.seed + 1)
+        family = [identity_metric(conn.domain, conn.r)] + [
+            random_constant_metric(rng, conn.domain, conn.r, indefinite=(k % 3 == 2))
+            for k in range(metricity.RANDOM_FAMILY_SIZE)
+        ]
+        values = [gauge_index(conn, g, FAST, cert.spaces["hom"])[0] for g in family]
+        report = index_report(conn, options=FAST, certificate=cert)
+        assert (report.sb, report.sb_given_g) == (min(values), values[0])
+        assert report.sb == conn.r - cert.max_witness_rank
 
 
 # ---------------------------------------------------------------------------
