@@ -10,6 +10,11 @@ Runs, in one process and through the same code path as `metron`:
   `--metric-family` of an ill-conditioned regular and a singular metric,
   so that the primary is not regular and members are skipped on both
   sides of the first regular one;
+- `index` on a connection that preserves only diag(1, 1e-3), with the
+  regular but ill-conditioned metric diag(1e3, 1e-3) as its `metric`,
+  and again with a singular `metric` and that metric as the first
+  regular `--metric-family` member: it alone reads a corank the
+  identity does not;
 - `alpha-scan --alphas -1,-0.5,0,0.5,1` for every statistical family;
 - with --bench-inputs, the benchmark inputs of seed 1: `metricity` on
   gauged-flat-r4 and on each corpus-notmetric file, `solve-fe` on
@@ -34,9 +39,9 @@ checkouts can be compared with diff:
 Problem paths are taken relative to the working directory, and metron is
 imported from the Python path, so the script measures whichever checkout
 PYTHONPATH points at. The metric family files, the singular-metric
-problem and the benchmark inputs (by perfbench/gen.py of the working
-directory) are written to a temporary directory, shown as <tmp> in the
-output. The rejected inputs are written to a temporary directory too,
+and skewed problems and the benchmark inputs (by perfbench/gen.py of
+the working directory) are written to a temporary directory, shown as
+<tmp> in the output. The rejected inputs are written to a temporary directory too,
 and run from inside it with relative paths, so that the file names
 their diagnostics quote do not change between runs; a run that raises
 prints `crash: <exception>` in place of its digest.
@@ -66,12 +71,22 @@ HALF_PLANE_FAMILY = [
 ]
 # det 2e-8 is just above the regularity floor; the second is singular
 ILL_CONDITIONED_FAMILY = [[["1", "0"], ["0", "2e-8"]], [["1", "1"], ["1", "1"]]]
+# Gamma_2 = 0.03 x1 S^{-1} K preserves only S = diag(1, 1e-3); the metric
+# (det 1, cond 1e6) is misaligned with S
+SKEWED_PROBLEM = {
+    "dim": 2,
+    "rank": 2,
+    "domain": {"lower": [-1.0, -1.0], "upper": [1.0, 1.0], "gridPerAxis": 5},
+    "connection": [[["0", "0"], ["0", "0"]], [["0", "0.03*x1"], ["-30*x1", "0"]]],
+    "metric": [["1000", "0"], ["0", "0.001"]],
+    "seed": 7,
+}
 
 
 def default_commands(out: Path) -> list[list[str]]:
     """The runs on problems/*.json and the statistical families; the
-    metric family files and the singular-metric problem are written
-    under out."""
+    metric family files and the singular-metric and skewed problems are
+    written under out."""
     family = out / "family.json"
     family.write_text(json.dumps(HALF_PLANE_FAMILY), encoding="utf-8")
     ill_family = out / "ill-family.json"
@@ -80,12 +95,22 @@ def default_commands(out: Path) -> list[list[str]]:
     singular["metric"] = [["1", "0"], ["0", "0"]]
     singular_problem = out / "singular-metric.json"
     singular_problem.write_text(json.dumps(singular), encoding="utf-8")
+    skewed = out / "skewed.json"
+    skewed.write_text(json.dumps(SKEWED_PROBLEM), encoding="utf-8")
+    skewed_singular = out / "skewed-singular.json"
+    skewed_singular.write_text(
+        json.dumps({**SKEWED_PROBLEM, "metric": singular["metric"]}), encoding="utf-8"
+    )
+    skewed_family = out / "skewed-family.json"
+    skewed_family.write_text(json.dumps([SKEWED_PROBLEM["metric"]]), encoding="utf-8")
     commands = []
     for problem in sorted(Path("problems").glob("*.json")):
         for command in ("metricity", "index", "solve-fe", "dual", "curvature"):
             commands.append([command, str(problem)])
     commands.append(["index", "problems/hyperbolic.json", "--metric-family", str(family)])
     commands.append(["index", str(singular_problem), "--metric-family", str(ill_family)])
+    commands.append(["index", str(skewed)])
+    commands.append(["index", str(skewed_singular), "--metric-family", str(skewed_family)])
     for name in sorted(FAMILIES):
         commands.append(["alpha-scan", "--family", name, f"--alphas={ALPHAS}"])
     return commands

@@ -21,8 +21,8 @@ invariants; the test suite asserts these equivalences on every corpus
 connection rather than assuming them. One hom solve serves every g:
 J(conn, g.conn) = J(conn, conjugate) G^{-1} pointwise, the conjugate
 -Gamma_i^T being the dual of the identity. The g-symmetric part of
-P G^{-1} is sym(P) G^{-1}, so the overall index is one evaluation and
-its random members are counted, not built (see index_report).
+P G^{-1} is sym(P) G^{-1}, so index_report counts its random members
+rather than building them.
 """
 from __future__ import annotations
 
@@ -96,8 +96,6 @@ class MetricityCertificate:
 
 @dataclass
 class IndexReport:
-    """One index evaluation; family_size counts unbuilt random members."""
-
     sb_given_g: int
     sb: int
     ind_decision: str  # 'Zero' | 'AtLeastOne'
@@ -355,14 +353,13 @@ def index_report(
     """Index summary over a declared finite metric family: the primary
     metric (identity unless the caller supplies one), any user metrics,
     the identity when a primary is given, and eight random constant
-    metrics. As J(conn, g.conn) = J(conn, conjugate) G^{-1}, gauge_index
-    runs once, for the first regular member, on the certificate's hom
-    space when it ran with these options; sb_given_g is r when the
-    primary is not regular. That equation needs neither the exact
-    sequence nor stabilization (sb == r - max_parallel_metric_rank
-    would). The random members are counted, not built: eigenvalue
-    moduli in [0.5, 2] give det >= 0.5^r and cond <= 4.
-    """
+    metrics. Each regular declared member is one gauge_index call on one
+    hom space (the certificate's when its options match). As J(conn,
+    g.conn) = J(conn, conjugate) G^{-1} (no exact sequence or
+    stabilization assumed), members differ only where the rank cutoff,
+    relative to |Q G0^{-1}|, drops a direction of an ill-conditioned G0.
+    The random members (cond <= 4) are counted, not built: the identity
+    stands for them."""
     opts = options or SolveOptions()
     identity = identity_metric(conn.domain, conn.r)
     declared = [primary_metric or identity, *(metric_family or [])]
@@ -370,14 +367,17 @@ def index_report(
         declared.append(identity)
     certificate = certificate or decide_metricity(conn, opts)
     hom_space = certificate.spaces["hom"] if certificate.options == opts else None
-    regular = [g.is_regular() for g in declared]
-    skipped = [f"family-member-{k}-not-regular-skipped" for k, ok in enumerate(regular) if not ok]
-    first = regular.index(True)  # the identity is declared and regular
-    sb, gflags, _ = gauge_index(conn, declared[first], opts, hom_space)
-    flags = [*certificate.flags, *skipped[:first], *gflags, *skipped[first:]]
+    flags = list(certificate.flags)
+    values = {}
+    for idx, g in enumerate(declared):
+        if not g.is_regular():
+            flags.append(f"family-member-{idx}-not-regular-skipped")
+            continue
+        values[idx], gflags, hom_space = gauge_index(conn, g, opts, hom_space)
+        flags.extend(gflags)
     return IndexReport(
-        sb_given_g=sb if first == 0 else conn.r,
-        sb=sb,
+        sb_given_g=values.get(0, conn.r),
+        sb=min(values.values()),  # the identity is declared and regular
         ind_decision="Zero" if certificate.verdict == "RegularlyMetric" else "AtLeastOne",
         max_parallel_metric_rank=certificate.max_witness_rank,
         family_size=len(declared) + RANDOM_FAMILY_SIZE,

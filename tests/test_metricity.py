@@ -93,10 +93,11 @@ def test_decide_metricity_honours_caller_tolerances():
 
 
 def test_index_report_reads_the_certificate_hom_space_for_every_metric(monkeypatch):
-    """The index is one gauge_index evaluation on the certificate's
-    intertwiners into the conjugate: nothing solves, builds a dual
-    connection or a transporter, the random members are counted rather
-    than built, and no expression node is interned."""
+    """Each declared metric is one gauge_index evaluation on the
+    certificate's intertwiners into the conjugate: nothing solves,
+    builds a dual connection or a transporter, the random members are
+    counted rather than built, and no expression node is interned. A
+    certificate from other options costs one solve, not one per member."""
     conn, metric = half_plane_levi_civita()
     cert = decide_metricity(conn, options=FAST)
     calls = []
@@ -117,10 +118,16 @@ def test_index_report_reads_the_certificate_hom_space_for_every_metric(monkeypat
     before = len(ex._INTERN)
     report = index_report(conn, None, FAST, primary_metric=metric, certificate=cert)
     assert report.family_size == 10
-    assert calls == ["gauge_index"]
+    assert calls == ["gauge_index", "gauge_index"]  # the primary and the identity
     assert len(ex._INTERN) == before
     modules = {getattr(value, "__module__", None) for value in vars(metricity).values()}
     assert corpus.__name__ not in modules
+    calls.clear()
+    other = SolveOptions(grid_per_axis=5, steps_per_segment=16, seed=FAST.seed + 1)
+    index_report(conn, [metric], other, primary_metric=metric, certificate=cert)
+    assert calls.count("gauge_index") == 3
+    assert calls.count("solve_hom") == 1
+    assert "random_constant_metric" not in calls
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
@@ -465,7 +472,7 @@ def test_hyperbolic_levi_civita_regularly_metric():
 
 def test_not_metric_verdict_has_zero_s2():
     """A connection with no nonzero parallel symmetric form at all."""
-    from metron.statmodels import FAMILIES, alpha_connection, get_family
+    from metron.statmodels import alpha_connection, get_family
 
     conn = alpha_connection(get_family("gaussian1d"), 0.5)
     cert = decide_metricity(conn, options=SolveOptions(grid_per_axis=5, steps_per_segment=48))
@@ -539,7 +546,7 @@ def test_gauge_index_zero_for_connection_with_its_own_metric():
 
 
 def test_gauge_index_zero_symmetric_part_gives_full_corank():
-    from metron.statmodels import FAMILIES, alpha_connection, get_family
+    from metron.statmodels import alpha_connection, get_family
 
     conn = alpha_connection(get_family("gaussian1d"), 0.5)
     g = identity_metric(conn.domain, 2)
@@ -617,23 +624,71 @@ def _index_connections():
     return conns + [conn for conn, _ in involution_corpus(seed=5, count=12)]
 
 
+def _family_loop(conn, cert, primary=None, extra=()):
+    """The index over the full declared family, every member built and
+    evaluated on the certificate's hom space: the primary (identity
+    unless given), the extra metrics, the identity when a primary is
+    given, and the eight seeded random constant metrics."""
+    identity = identity_metric(conn.domain, conn.r)
+    family = [primary or identity, *extra] + ([identity] if primary is not None else [])
+    rng = np.random.default_rng(FAST.seed + 1)
+    family += [
+        random_constant_metric(rng, conn.domain, conn.r, indefinite=(k % 3 == 2))
+        for k in range(metricity.RANDOM_FAMILY_SIZE)
+    ]
+    values = {
+        idx: gauge_index(conn, g, FAST, cert.spaces["hom"])[0]
+        for idx, g in enumerate(family)
+        if g.is_regular()
+    }
+    return min(values.values()), values.get(0, conn.r), len(family)
+
+
 def test_index_report_equals_the_family_loop():
-    """One evaluation equals the minimum over the identity and eight
-    seeded random constant metrics, each read off the certificate's hom
-    space, and both equal r minus the maximal parallel metric rank."""
+    """Counting the random members instead of building them equals the
+    minimum over the identity and eight seeded random constant metrics,
+    each read off the certificate's hom space, and both equal r minus
+    the maximal parallel metric rank."""
     conns = _index_connections()
     assert len(conns) == 35
     for conn in conns:
         cert = decide_metricity(conn, options=FAST)
-        rng = np.random.default_rng(FAST.seed + 1)
-        family = [identity_metric(conn.domain, conn.r)] + [
-            random_constant_metric(rng, conn.domain, conn.r, indefinite=(k % 3 == 2))
-            for k in range(metricity.RANDOM_FAMILY_SIZE)
-        ]
-        values = [gauge_index(conn, g, FAST, cert.spaces["hom"])[0] for g in family]
         report = index_report(conn, options=FAST, certificate=cert)
-        assert (report.sb, report.sb_given_g) == (min(values), values[0])
+        sb, sb_given_g, size = _family_loop(conn, cert)
+        assert (report.sb, report.sb_given_g, report.family_size) == (sb, sb_given_g, size)
         assert report.sb == conn.r - cert.max_witness_rank
+
+
+def _skewed_rotation():
+    """A curved connection preserving only S = diag(1, 1e-3) up to scale
+    (Gamma_2 = 0.03 x1 S^{-1} K, K antisymmetric), with a regular but
+    ill-conditioned metric (det 1, cond 1e6) misaligned with it."""
+    domain = square_domain(5)
+    gamma = 0.03 * np.diag([1.0, 1e3]) @ np.array([[0.0, 1.0], [-1.0, 0.0]])
+    x1 = ex.var(1)
+    entries = tuple(tuple(ex.mul(ex.const(v), x1) for v in row) for row in gamma)
+    zero = ((ex.ZERO, ex.ZERO), (ex.ZERO, ex.ZERO))
+    return Connection(domain, 2, (zero, entries)), constant_metric(domain, np.diag([1e3, 1e-3]))
+
+
+def test_index_report_evaluates_ill_conditioned_declared_metrics():
+    """The rank cutoff is relative to |Q G0^{-1}|, so an ill-conditioned
+    regular metric can read a corank the identity does not: here the
+    misaligned metric reads 1 on a regularly metric connection. The
+    report still matches the full family loop, as primary and as a
+    user metric, and sb stays 0 through the identity."""
+    conn, skewed = _skewed_rotation()
+    cert = decide_metricity(conn, options=FAST)
+    assert cert.verdict == "RegularlyMetric" and skewed.is_regular()
+    assert gauge_index(conn, skewed, FAST, cert.spaces["hom"])[0] == 1
+    singular = constant_metric(conn.domain, np.diag([1.0, 0.0]))
+    for primary, extra in ((skewed, ()), (None, (skewed,)), (singular, (skewed, singular))):
+        report = index_report(conn, list(extra), FAST, primary_metric=primary, certificate=cert)
+        sb, sb_given_g, size = _family_loop(conn, cert, primary, extra)
+        assert (report.sb, report.sb_given_g, report.family_size) == (sb, sb_given_g, size)
+        assert report.sb == 0
+    report = index_report(conn, None, FAST, primary_metric=skewed, certificate=cert)
+    assert (report.sb, report.sb_given_g) == (0, 1)
 
 
 # ---------------------------------------------------------------------------
