@@ -25,8 +25,10 @@ Runs, in one process and through the same code path as `metron`:
   files, a 1,000-term sum, nesting past the parser's limit, an
   overflowing number literal, constant products that overflow (in an
   entry and only in its derivative), JSON nested too deep, asymmetric
-  metrics (also under `validate`), a null seed, and `alpha-scan` with
-  alphas that are not finite numbers and with an unknown family;
+  metrics (also under `validate`), a null seed, `alpha-scan` with
+  alphas that are not finite numbers and with an unknown family, and
+  `alpha-scan` with alphas so large that transport or the coefficients
+  overflow (1e300 on every family, 1e4 on bernoulli);
 - each extra command given with --also.
 
 Each run prints one line, `<sha256>  <command>  (exit <code>)`, so two
@@ -218,6 +220,8 @@ def error_commands(out: Path) -> list[list[str]]:
         for alphas in ("abc", "nan", "inf", "1e400")
     ]
     commands.append(["alpha-scan", "--family", "nope", "--alphas=0"])
+    commands += [["alpha-scan", "--family", name, "--alphas=1e300"] for name in sorted(FAMILIES)]
+    commands.append(["alpha-scan", "--family", "bernoulli", "--alphas=1e4"])
     return commands
 
 

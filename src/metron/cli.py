@@ -630,7 +630,7 @@ def _load_json(path: str):
 
 def run_command(args) -> tuple[dict, int]:
     """Execute one CLI command; returns (report, exit_code)."""
-    started = time.perf_counter()
+    started = stopped = time.perf_counter()
     report: dict = {"toolVersion": __version__, "command": args.command, "seed": 0}
     problem = None
     try:
@@ -660,7 +660,7 @@ def run_command(args) -> tuple[dict, int]:
             options = _solve_options(args, ALPHA_SCAN_OPTIONS, {})
             report["seed"] = options.seed
             report["problemEcho"] = {"family": args.family, "alphas": args.alphas}
-            result, certified = _cmd_alpha_scan(args, options)
+            result, ok = _cmd_alpha_scan(args, options)
         else:
             if not args.problem:
                 raise _InputError(
@@ -678,50 +678,39 @@ def run_command(args) -> tuple[dict, int]:
                     diagnostics = err.diagnostics
                 except ex.DomainError as err:
                     diagnostics = [_failure(err, problem.entries)]
+                report["problemEcho"] = {"sha256": _problem_hash(data)}
+                result, ok = {"diagnostics": diagnostics}, not diagnostics
+            else:
+                problem = ProblemObjects(data, args)
+                report["seed"] = problem.options.seed
                 report["problemEcho"] = {
                     "sha256": _problem_hash(data),
+                    "dim": data["dim"],
+                    "rank": data["rank"],
                 }
-                report["result"] = {"diagnostics": diagnostics}
-                report["timingMs"] = (
-                    int((time.perf_counter() - started) * 1000) if args.timings else 0
-                )
-                return report, 0 if not diagnostics else 2
-            problem = ProblemObjects(data, args)
-            report["seed"] = problem.options.seed
-            report["problemEcho"] = {
-                "sha256": _problem_hash(data),
-                "dim": data["dim"],
-                "rank": data["rank"],
-            }
-            handler = {
-                "metricity": _cmd_metricity,
-                "index": _cmd_index,
-                "dual": _cmd_dual,
-                "curvature": _cmd_curvature,
-                "solve-fe": _cmd_solve_fe,
-                "gauge-check": _cmd_gauge_check,
-            }[args.command]
-            result, certified = handler(problem, args)
+                handler = {
+                    "metricity": _cmd_metricity,
+                    "index": _cmd_index,
+                    "dual": _cmd_dual,
+                    "curvature": _cmd_curvature,
+                    "solve-fe": _cmd_solve_fe,
+                    "gauge-check": _cmd_gauge_check,
+                }[args.command]
+                result, ok = handler(problem, args)
+        code = 0 if ok else 2 if args.command == "validate" else 3
+        stopped = time.perf_counter()  # an error path reports no timing
     except _InputError as err:
-        report["result"] = {"diagnostics": err.diagnostics}
-        report["timingMs"] = 0
-        return report, 2
-    except np.linalg.LinAlgError as err:
-        # a ValueError too, but a failure of the analysis, not of the input
-        message = f"linear algebra failed: {err}"
-        report["result"] = {"diagnostics": [_diag("$", "internal", message)]}
-        report["timingMs"] = 0
-        return report, 3
+        result, code = {"diagnostics": err.diagnostics}, 2
+    except (np.linalg.LinAlgError, FloatingPointError) as err:
+        # failures of the analysis, not of the input (a ValueError, an
+        # ArithmeticError): a non-converging SVD or an overflowing transport
+        prefix = "linear algebra failed: " if isinstance(err, np.linalg.LinAlgError) else ""
+        result, code = {"diagnostics": [_diag("$", "internal", f"{prefix}{err}")]}, 3
     except (ex.DomainError, ValueError, ArithmeticError) as err:
-        failure = _failure(err, problem.entries if problem else ())
-        report["result"] = {"diagnostics": [failure]}
-        report["timingMs"] = 0
-        return report, 2
+        result, code = {"diagnostics": [_failure(err, problem.entries if problem else ())]}, 2
     report["result"] = result
-    report["timingMs"] = (
-        int((time.perf_counter() - started) * 1000) if args.timings else 0
-    )
-    return report, 0 if certified else 3
+    report["timingMs"] = int((stopped - started) * 1000) if args.timings else 0
+    return report, code
 
 
 def _human_summary(report: dict, code: int) -> str:

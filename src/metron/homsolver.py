@@ -341,7 +341,8 @@ def _solve(
     shared: Prolongation | None,
 ) -> SolutionSpace:
     """Prolong one kind at the shared base node and certify its
-    candidates by transport over the shared grid."""
+    candidates by transport over the shared grid. An empty candidate
+    space runs the same path on empty arrays and builds no transporter."""
     if shared is None:
         shared = Prolongation(conn, dual, options)
     elif shared.conn is not conn or shared.dual is not dual or shared.options != options:
@@ -353,23 +354,12 @@ def _solve(
     if not stabilized:
         flags.append("stabilization-not-reached:lower-bound-only")
     k = candidates.shape[0]
-    if k == 0:
-        return SolutionSpace(
-            kind=kind,
-            base_point=tuple(x0),
-            basis=np.zeros((0, r, r)),
-            dimension=0,
-            certified_residual=0.0,
-            stabilized=stabilized,
-            stabilization_order=order,
-            constraint_dim=0,
-            grid=grid,
-            extensions=np.zeros((0, len(grid.nodes), r, r)),
-            flags=tuple(flags),
-        )
-    transporter = get_transporter(shared)
-    fields = transporter.extend(candidates)  # (k, N, r*r)
-    disc = transporter.discrepancies(fields).reshape(k, -1)  # (k, E*d)
+    fields = np.zeros((0, len(grid.nodes), r * r))
+    disc = np.zeros((0, 0))
+    if k:
+        transporter = get_transporter(shared)
+        fields = transporter.extend(candidates)  # (k, N, r*r)
+        disc = transporter.discrepancies(fields).reshape(k, -1)  # (k, E*d)
     if disc.shape[1] == 0:
         coeffs = np.eye(k)
         residuals = np.zeros(k)

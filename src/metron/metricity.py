@@ -52,7 +52,6 @@ from .homsolver import (
 __all__ = [
     "MetricityCertificate",
     "IndexReport",
-    "AnalysisBundle",
     "split_symmetric",
     "induced_forms",
     "analyze",
@@ -105,18 +104,6 @@ class IndexReport:
     verdict: str
 
 
-@dataclass
-class AnalysisBundle:
-    """Shared intermediate results for one connection; dual is its
-    conjugate, the one target of the hom, S2 and Omega2 solves."""
-
-    conn: Connection
-    dual: Connection
-    hom_space: SolutionSpace
-    sym_space: SolutionSpace
-    alt_space: SolutionSpace
-
-
 def split_symmetric(g: np.ndarray, p: np.ndarray):
     """g-symmetric / g-antisymmetric parts of an endomorphism value.
 
@@ -137,8 +124,10 @@ def induced_forms(g: np.ndarray, phi_sym: np.ndarray, phi_alt: np.ndarray):
     return phi_sym @ g, phi_alt @ g
 
 
-def analyze(conn: Connection, options: SolveOptions | None = None) -> AnalysisBundle:
-    """Solve the three parallel-section problems once, for reuse.
+def analyze(conn: Connection, options: SolveOptions | None = None) -> dict:
+    """The three spaces of parallel sections, solved once, keyed "hom",
+    "symmetric" and "antisymmetric": the dict a certificate keeps as
+    its `spaces`.
 
     All three are intertwiners into one target, the conjugate connection
     (the dual of the identity metric): hom on all matrices, S2 and
@@ -149,10 +138,11 @@ def analyze(conn: Connection, options: SolveOptions | None = None) -> AnalysisBu
     opts = options or SolveOptions()
     dual = conjugate_connection(conn)
     shared = Prolongation(conn, dual, opts)
-    hom_space = solve_hom(conn, dual, opts, shared)
-    sym_space = solve_parallel_forms(conn, "symmetric", opts, shared)
-    alt_space = solve_parallel_forms(conn, "antisymmetric", opts, shared)
-    return AnalysisBundle(conn, dual, hom_space, sym_space, alt_space)
+    return {
+        "hom": solve_hom(conn, dual, opts, shared),
+        "symmetric": solve_parallel_forms(conn, "symmetric", opts, shared),
+        "antisymmetric": solve_parallel_forms(conn, "antisymmetric", opts, shared),
+    }
 
 
 def _rank_candidates(space: SolutionSpace, seed: int) -> list[np.ndarray]:
@@ -192,8 +182,8 @@ def decide_metricity(
     sampling is a reliable and reproducible witness finder.
     """
     opts = options or SolveOptions()
-    bundle = analyze(conn, opts)
-    s2, o2, hom = bundle.sym_space, bundle.alt_space, bundle.hom_space
+    spaces = analyze(conn, opts)
+    hom, s2, o2 = spaces["hom"], spaces["symmetric"], spaces["antisymmetric"]
     dims_ok = hom.dimension == s2.dimension + o2.dimension
     stabilized = s2.stabilized and o2.stabilized and hom.stabilized
     flags = list(s2.flags) + list(o2.flags) + list(hom.flags)
@@ -229,7 +219,8 @@ def decide_metricity(
                 if constant_rank and (rank < r or regular_ok):
                     best = (rank, cand, fld, float(dets.min()), regular_ok)
         if best is None:
-            # rank constancy failed for every candidate; report what we saw
+            # transport is invertible, so a genuine parallel form keeps its
+            # rank on the grid: report what we saw, uncertified
             verdict = "SingularMetricOnly"
             flags.append("witness-rank-not-constant-on-grid")
         else:
@@ -244,7 +235,7 @@ def decide_metricity(
             )
             verdict = "RegularlyMetric" if regular_ok else "SingularMetricOnly"
     residuals["witnessTransport"] = witness_transport
-    certified = stabilized and dims_ok
+    certified = stabilized and dims_ok and (s2.dimension == 0 or witness_rank is not None)
     if verdict == "RegularlyMetric" and witness_transport is not None:
         certified = certified and witness_transport <= opts.transport_tol
     return MetricityCertificate(
@@ -265,13 +256,13 @@ def decide_metricity(
         certified=certified,
         flags=tuple(flags),
         base_point=base_point,
-        spaces={"hom": hom, "symmetric": s2, "antisymmetric": o2},
+        spaces=spaces,
     )
 
 
 def parallel_form_residuals(
     conn: Connection,
-    bundle: AnalysisBundle,
+    hom_space: SolutionSpace,
     solution_index: int,
 ) -> dict:
     """Check that the forms induced by a certified intertwiner are
@@ -281,11 +272,11 @@ def parallel_form_residuals(
     dual of the identity metric g, the forms q = g(Phi ., .) and
     omega = g(Phi* ., .) must satisfy the parallel-form system; this
     asserts the consequence numerically by substituting the induced-form
-    fields into the system node by node.
+    fields into the system node by node. hom_space is the analysis's
+    `spaces["hom"]`; each induced form field is checked as a
+    one-element form space, whose target defaults to the conjugate.
     """
-    hom = bundle.hom_space
-    grid = hom.grid
-    field_phi = hom.extensions[solution_index]
+    field_phi = hom_space.extensions[solution_index]
     g = np.eye(conn.r)
     q_nodes = np.empty_like(field_phi)
     w_nodes = np.empty_like(field_phi)
@@ -294,12 +285,11 @@ def parallel_form_residuals(
         phi_sym, phi_alt = split_symmetric(g, phi)
         q_nodes[n], w_nodes[n] = induced_forms(g, phi_sym, phi_alt)
         phi_ranks.append(numerical_rank(phi_sym, scale=float(np.linalg.norm(phi))))
-    x0 = grid.nearest_node(hom.base_point)
 
     def residual(kind: str, nodes: np.ndarray) -> float:
         """Substitution residual of the form field given at the nodes."""
-        space = replace(hom, kind=kind, basis=nodes[x0][None], dimension=1, extensions=nodes[None])
-        return local_system_residual(space, conn, bundle.dual)
+        space = replace(hom_space, kind=kind, dimension=1, extensions=nodes[None])
+        return local_system_residual(space, conn)
 
     return {
         "q_residual": residual("symmetric", q_nodes),

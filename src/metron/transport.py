@@ -140,11 +140,16 @@ def flow_operators(
 ) -> np.ndarray:
     """Flow operators on the flattened fibre between conn (None: the
     trivial line) and dual along every segment starts[e] -> ends[e]:
-    (E, d, d), integrated with one state per fibre basis value."""
+    (E, d, d), integrated with one state per fibre basis value. Raises
+    FloatingPointError when an operator is not finite, so that an
+    overflowing transport is never certified."""
     b = _generator_nodes(dual, starts, ends, steps)[:, :, None]
     a = None if conn is None else _generator_nodes(conn, starts, ends, steps)[:, :, None]
     d = (1 if conn is None else conn.r) * dual.r
-    y = _rk4(a, b, np.eye(d).reshape(d, -1, dual.r), steps)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        y = _rk4(a, b, np.eye(d).reshape(d, -1, dual.r), steps)
+    if not np.isfinite(y).all():
+        raise FloatingPointError("transport left the floating-point range")
     return y.reshape(len(b), d, d).transpose(0, 2, 1)
 
 

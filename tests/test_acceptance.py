@@ -164,9 +164,9 @@ def test_c05_exact_sequence_on_corpus():
     plus the half-plane example."""
     failures = []
     for k, (conn, _) in enumerate(CORPUS):
-        bundle = analyze(conn, options=FAST)
-        if bundle.hom_space.dimension != (
-            bundle.sym_space.dimension + bundle.alt_space.dimension
+        spaces = analyze(conn, options=FAST)
+        if spaces["hom"].dimension != (
+            spaces["symmetric"].dimension + spaces["antisymmetric"].dimension
         ):
             failures.append(k)
     named = {
@@ -176,11 +176,11 @@ def test_c05_exact_sequence_on_corpus():
     }
     counts = {}
     for name, conn in named.items():
-        bundle = analyze(conn, options=MEDIUM)
+        spaces = analyze(conn, options=MEDIUM)
         counts[name] = (
-            bundle.hom_space.dimension,
-            bundle.sym_space.dimension,
-            bundle.alt_space.dimension,
+            spaces["hom"].dimension,
+            spaces["symmetric"].dimension,
+            spaces["antisymmetric"].dimension,
         )
         if counts[name][0] != counts[name][1] + counts[name][2]:
             failures.append(name)
@@ -245,9 +245,9 @@ def test_c07_induced_form_parallelism():
         nilpotent_connection(),
         half_plane_levi_civita()[0],
     ):
-        bundle = analyze(conn)
-        for idx in range(bundle.hom_space.dimension):
-            out = parallel_form_residuals(conn, bundle, idx)
+        spaces = analyze(conn)
+        for idx in range(spaces["hom"].dimension):
+            out = parallel_form_residuals(conn, spaces["hom"], idx)
             worst_q = max(worst_q, out["q_residual"])
             worst_w = max(worst_w, out["omega_residual"])
             rank_constant = rank_constant and out["phi_rank_constant"]

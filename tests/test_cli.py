@@ -365,6 +365,60 @@ def test_linear_algebra_failure_is_internal_not_rejected_input(capsys, monkeypat
     assert "SVD did not converge" in diags[0]["message"]
 
 
+@pytest.mark.parametrize(
+    "family, alphas, code, diagnostic",
+    [
+        ("bernoulli", "1e4", 3, "internal"),
+        ("bernoulli", "1e300", 3, "internal"),
+        ("poisson", "1e300", 3, "internal"),
+        ("exponential", "1e300", 3, "internal"),
+        ("gaussian1d", "1e300", 2, "error"),
+    ],
+)
+def test_overflowing_transport_is_never_certified(capsys, family, alphas, code, diagnostic):
+    """A huge alpha drives the transport out of the floating-point range.
+    bernoulli used to report a certified SingularMetricOnly (a rank-1
+    structure on a 1-d chart is RegularlyMetric, q = exp(2 int Gamma)),
+    poisson and exponential an SVD that did not converge. The gaussian
+    coefficients overflow before any transport, so that input is
+    rejected as a domain failure."""
+    argv = ("alpha-scan", "--family", family, "--alphas", alphas, "--quiet")
+    exit_code, out, _ = _run(capsys, *argv)
+    assert exit_code == code
+    diags = json.loads(out)["result"]["diagnostics"]
+    assert [(d["path"], d["code"]) for d in diags] == [("$", diagnostic)]
+    if code == 3:
+        assert diags[0]["message"] == "transport left the floating-point range"
+
+
+def test_timings_are_reported_only_with_a_result(capsys, tmp_path, monkeypatch):
+    """--timings fills timingMs for an analysis and for validate, its
+    diagnostics included, and leaves it 0 on every error path."""
+    monkeypatch.chdir(tmp_path)
+    _write(tmp_path, "p.json", BASE_PROBLEM)
+    _write(tmp_path, "asymmetric.json", dict(BASE_PROBLEM, metric=[["1", "0.2"], ["0", "1"]]))
+    _write(tmp_path, "pole.json", _with_entry("1/(x1-x1)"))
+    runs = {
+        ("metricity", "p.json"): (0, 1500),
+        ("validate", "asymmetric.json"): (2, 1500),
+        ("metricity", "p.json", "--grid", "2"): (2, 0),
+        ("metricity", "pole.json"): (2, 0),
+        ("alpha-scan", "--family", "bernoulli", "--alphas", "1e4"): (3, 0),
+    }
+    for argv, expected in runs.items():
+        ticks = iter(np.arange(100) * 1.5)
+        monkeypatch.setattr(cli.time, "perf_counter", lambda: float(next(ticks)))
+        code, out, _ = _run(capsys, *argv, "--quiet", "--timings")
+        assert (code, json.loads(out)["timingMs"]) == expected, argv
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    code, out, _ = _run(capsys, "metricity", "p.json", "--quiet", "--timings")
+    assert (code, json.loads(out)["timingMs"]) == (3, 0)
+
+
 def test_non_finite_file_tolerance_is_rejected(capsys, tmp_path):
     problem = json.loads(json.dumps(BASE_PROBLEM))
     problem["tolerances"] = {"transport": float("nan")}

@@ -216,12 +216,12 @@ def test_analysis_evaluates_each_prolongation_order_once(monkeypatch):
     where three standalone solves evaluate three times."""
     rng = np.random.default_rng(20240811)
     conn = random_polynomial_connection(rng, square_domain(5), 2, scale=0.4)
-    shared, bundle = _generator_evaluations(monkeypatch, lambda: analyze(conn, options=FAST))
+    shared, spaces = _generator_evaluations(monkeypatch, lambda: analyze(conn, options=FAST))
     alone = sum(
         _generator_evaluations(monkeypatch, solve)[0]
         for solve in _standalone_solves(conn, FAST).values()
     )
-    assert bundle.sym_space.dimension == bundle.hom_space.dimension == 0
+    assert spaces["symmetric"].dimension == spaces["hom"].dimension == 0
     assert (shared, alone) == (1, 3)
 
 
@@ -230,15 +230,10 @@ def test_shared_prolongation_matches_standalone_solves(monkeypatch, alpha):
     """Each kind keeps its own stopping order in the shared loop, and its
     space is exactly what the standalone solver returns."""
     conn = alpha_connection(get_family("gaussian1d"), alpha)
-    shared, bundle = _generator_evaluations(monkeypatch, lambda: analyze(conn, options=FAST))
+    shared, spaces = _generator_evaluations(monkeypatch, lambda: analyze(conn, options=FAST))
     alone = {
         kind: _generator_evaluations(monkeypatch, solve)
         for kind, solve in _standalone_solves(conn, FAST).items()
-    }
-    spaces = {
-        "hom": bundle.hom_space,
-        "symmetric": bundle.sym_space,
-        "antisymmetric": bundle.alt_space,
     }
     assert [space.stabilization_order for space in spaces.values()] == [1, 1, 0]
     assert shared == max(calls for calls, _ in alone.values())
@@ -318,6 +313,51 @@ def test_each_analysis_builds_one_transporter(monkeypatch):
         assert (cert.dim_j, cert.dim_s2, cert.dim_omega2) == (2, 1, 1)
         assert len(built) == analysis + 1
     assert built[0] is not built[1]
+
+
+def test_generic_not_metric_analysis_builds_no_transporter(monkeypatch):
+    """A generic connection leaves every kind without candidates at order
+    0: its solves run on empty arrays, build no grid transporter and
+    return empty spaces, and the NotMetric verdict is certified."""
+    rng = np.random.default_rng(20240811)
+    conn = random_polynomial_connection(rng, square_domain(5), 2, scale=0.4)
+    built = []
+    init = transport.GridTransporter.__init__
+    monkeypatch.setattr(
+        transport.GridTransporter,
+        "__init__",
+        lambda self, *a: built.append(self) or init(self, *a),
+    )
+    cert = decide_metricity(conn, options=FAST)
+    assert (cert.verdict, cert.certified) == ("NotMetric", True)
+    assert built == []
+    for space in cert.spaces.values():
+        assert (space.dimension, space.constraint_dim) == (0, 0)
+        assert space.certified_residual == 0.0
+        assert space.basis.shape == (0, 2, 2)
+        assert space.extensions.shape == (0, len(space.grid.nodes), 2, 2)
+
+
+def test_rank_drop_on_the_grid_is_not_certified(monkeypatch):
+    """Transport is invertible, so a genuine parallel form keeps its rank
+    over the grid. With one node's rank dropped no candidate has
+    constant rank: the verdict is flagged and not certified."""
+    conn, _ = half_plane_levi_civita()
+    rank = metricity.numerical_rank
+
+    def drop_at_last_node(values, *args, **kwargs):
+        ranks = rank(values, *args, **kwargs)
+        if np.ndim(values) == 3:
+            ranks = np.array(ranks)
+            ranks[-1] -= 1
+        return ranks
+
+    monkeypatch.setattr(metricity, "numerical_rank", drop_at_last_node)
+    cert = decide_metricity(conn, options=FAST)
+    assert (cert.dim_s2, cert.stabilized, cert.exact_sequence_ok) == (1, True, True)
+    assert "witness-rank-not-constant-on-grid" in cert.flags
+    assert cert.witness_rank is None
+    assert not cert.certified
 
 
 def test_target_generators_are_its_own_recursion():
@@ -488,9 +528,9 @@ def test_not_metric_verdict_has_zero_s2():
 
 def test_parallel_form_residuals_flat():
     conn = flat_connection()
-    bundle = analyze(conn)
-    for idx in range(bundle.hom_space.dimension):
-        out = parallel_form_residuals(conn, bundle, idx)
+    spaces = analyze(conn)
+    for idx in range(spaces["hom"].dimension):
+        out = parallel_form_residuals(conn, spaces["hom"], idx)
         assert out["q_residual"] <= 1e-6
         assert out["omega_residual"] <= 1e-6
         assert out["phi_rank_constant"]
@@ -498,9 +538,9 @@ def test_parallel_form_residuals_flat():
 
 def test_parallel_form_residuals_nilpotent_and_hyperbolic():
     for conn in (nilpotent_connection(), half_plane_levi_civita()[0]):
-        bundle = analyze(conn)
-        for idx in range(bundle.hom_space.dimension):
-            out = parallel_form_residuals(conn, bundle, idx)
+        spaces = analyze(conn)
+        for idx in range(spaces["hom"].dimension):
+            out = parallel_form_residuals(conn, spaces["hom"], idx)
             assert out["q_residual"] <= 1e-6
             assert out["omega_residual"] <= 1e-6
             assert out["phi_rank_constant"]
@@ -745,8 +785,7 @@ def test_decomposition_requires_positive_definite_metric():
 
 def test_decomposition_rank_constant_across_grid():
     conn = nilpotent_connection()
-    bundle = analyze(conn)
-    hom = bundle.hom_space
+    hom = analyze(conn)["hom"]
     values = [split_symmetric(np.eye(2), phi)[0] for phi in hom.extensions[0]]
     out = kernel_image_split(np.eye(2), np.array(values))
     assert out["rank_constant"]
