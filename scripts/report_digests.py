@@ -29,7 +29,15 @@ Runs, in one process and through the same code path as `metron`:
   alphas that are not finite numbers and with an unknown family, and
   `alpha-scan` with alphas so large that transport or the coefficients
   overflow (1e300 on every family, 1e4 on bernoulli);
-- each extra command given with --also.
+- each extra command given with --also;
+- last, the runs added after the set above was fixed, so that its lines
+  keep their order: `metricity` on problem files holding the gaussian1d
+  alpha connections at +1 (the flat e-connection, whose transport is
+  under-resolved at the default RK4 steps) and -1, `alpha-scan
+  --alphas=30,100` on exponential and poisson (full-rank witnesses with a
+  determinant below 1e-8 at the chart's end) and, with --error-paths,
+  gaussian1d at alpha 1000 (finite edge operators whose products along
+  the spanning tree overflow).
 
 Each run prints one line, `<sha256>  <command>  (exit <code>)`, so two
 checkouts can be compared with diff:
@@ -60,7 +68,8 @@ import tempfile
 from pathlib import Path
 
 from metron import cli
-from metron.statmodels import FAMILIES
+from metron import expr as ex
+from metron.statmodels import FAMILIES, alpha_connection, get_family
 
 ALPHAS = "-1,-0.5,0,0.5,1"
 BENCH_SEED = 1
@@ -225,6 +234,41 @@ def error_commands(out: Path) -> list[list[str]]:
     return commands
 
 
+def added_commands(out: Path, error_paths: bool) -> list[list[str]]:
+    """The runs added last; the gaussian1d problem files are written under
+    out."""
+    commands = []
+    for alpha in (1.0, -1.0):
+        conn = alpha_connection(get_family("gaussian1d"), alpha)
+        domain = conn.domain
+        problem = {
+            "dim": domain.m,
+            "rank": conn.r,
+            "domain": {
+                "lower": list(domain.lower),
+                "upper": list(domain.upper),
+                "gridPerAxis": domain.samples_per_axis[0],
+            },
+            "connection": [[[ex.to_string(e) for e in row] for row in g] for g in conn.gamma],
+        }
+        path = out / f"gaussian1d-alpha{alpha:+g}.json"
+        path.write_text(json.dumps(problem), encoding="utf-8")
+        commands.append(["metricity", str(path)])
+    commands += [
+        ["alpha-scan", "--family", name, "--alphas=30,100"] for name in ("exponential", "poisson")
+    ]
+    if error_paths:
+        commands.append(["alpha-scan", "--family", "gaussian1d", "--alphas=1000"])
+    return commands
+
+
+def print_digests(commands: list[list[str]], tmp: str) -> None:
+    for command in commands:
+        digest, code = report_digest(command)
+        shown = shlex.join(command).replace(tmp, TMP_SHOWN)
+        print(f"{digest}  {shown}  (exit {code})", flush=True)
+
+
 def report_digest(argv: list[str]) -> tuple[str, int]:
     args = cli.build_parser().parse_args(argv)
     report, code = cli.run_command(args)
@@ -257,10 +301,7 @@ def main(argv=None) -> int:
         if args.bench_inputs:
             commands += bench_commands(Path(tmp))
         commands += [shlex.split(line) for line in args.also]
-        for command in commands:
-            digest, code = report_digest(command)
-            shown = shlex.join(command).replace(tmp, TMP_SHOWN)
-            print(f"{digest}  {shown}  (exit {code})", flush=True)
+        print_digests(commands, tmp)
     if args.error_paths:
         with tempfile.TemporaryDirectory() as tmp:
             commands = error_commands(Path(tmp))
@@ -275,6 +316,8 @@ def main(argv=None) -> int:
                     print(f"{digest}  {shlex.join(command)}  (exit {code})", flush=True)
             finally:
                 os.chdir(cwd)
+    with tempfile.TemporaryDirectory() as tmp:
+        print_digests(added_commands(Path(tmp), args.error_paths), tmp)
     return 0
 
 

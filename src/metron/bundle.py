@@ -57,7 +57,7 @@ RANK_REL_CUTOFF = 1e-8
 
 
 def numerical_rank(
-    matrix: np.ndarray, rel_cutoff: float = RANK_REL_CUTOFF, scale: float | None = None
+    matrix: np.ndarray, rel_cutoff: float = RANK_REL_CUTOFF, scale: float | np.ndarray | None = None
 ):
     """Rank by SVD with a cutoff relative to the largest singular value;
     for a stack of matrices (..., a, b), an integer array of their ranks.
@@ -66,12 +66,14 @@ def numerical_rank(
     (for example the symmetric part of a unit-norm endomorphism): the
     cutoff is then taken relative to max(sigma_max, scale), so a matrix
     that is pure roundoff relative to its source counts as rank zero.
+    For a stack, `scale` may hold one value per matrix.
     """
     s = np.linalg.svd(matrix, compute_uv=False)
     if s.shape[-1] == 0:
         ranks = np.zeros(s.shape[:-1], dtype=int)
     else:
-        reference = np.maximum(s[..., :1], 0.0 if scale is None else float(scale))
+        floor = np.asarray(0.0 if scale is None else scale, float)[..., None]
+        reference = np.maximum(s[..., :1], floor)
         ranks = ((s > rel_cutoff * reference) & (reference > 0.0)).sum(axis=-1)
     return int(ranks) if ranks.ndim == 0 else ranks
 

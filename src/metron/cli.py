@@ -8,8 +8,8 @@ Exit codes separate three situations that CI pipelines must tell apart:
     2   the input was rejected (malformed JSON, bad shapes, expression
         parse errors); diagnostics name the offending field
     3   the analysis ran but is not certified (kernel stabilisation not
-        reached, or a residual gate failed), or it failed inside its
-        linear algebra (diagnostic code "internal")
+        reached, a residual gate failed, or transport was under-resolved),
+        or it failed inside its linear algebra (diagnostic code "internal")
 
 Reports are byte-identical across runs for a fixed problem file and
 seed: floats are serialised with 17 significant digits, keys are sorted,
@@ -46,7 +46,7 @@ from .bundle import (
     dual_gauge_compatibility_residual,
     identity_metric,
 )
-from .homsolver import SolveOptions, solve_hom
+from .homsolver import UNDER_RESOLVED, SolveOptions, solve_hom
 from .metricity import decide_metricity, index_report
 from .statmodels import ALPHA_SCAN_OPTIONS, alpha_scan, get_family
 
@@ -519,7 +519,8 @@ def _cmd_curvature(p: ProblemObjects, args):
 def _cmd_solve_fe(p: ProblemObjects, args):
     dual = p.dual or dual_connection(p.base_metric(), p.connection)
     space = solve_hom(p.connection, dual, p.options)
-    return {"solutionSpace": _space_summary(space)}, space.stabilized
+    ok = space.stabilized and UNDER_RESOLVED not in space.flags
+    return {"solutionSpace": _space_summary(space)}, ok
 
 
 def _cmd_gauge_check(p: ProblemObjects, args):

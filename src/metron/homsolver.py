@@ -38,7 +38,11 @@ solver therefore runs two independent mechanisms:
    through the spanning tree and measure the mismatch on the redundant
    edges. Directions whose mismatch exceeds the transport tolerance are
    discarded. The two mechanisms have independent tolerances so that an
-   algebraic bug cannot silently compensate an integration bug.
+   algebraic bug cannot silently compensate an integration bug. Solves
+   that discard a stabilised direction extend the discarded ones again
+   at twice the RK4 steps (step doubling, Hairer, Norsett & Wanner,
+   Solving ODEs I, II.4): a mismatch that shrinks is truncation, not
+   holonomy, and flags the space `transport-under-resolved`.
 
 The retained dimension is a certified lower bound for the true solution
 dimension, and an upper bound as well once the kernel intersection has
@@ -56,6 +60,7 @@ from .bundle import ChartDomain, Connection, conjugate_connection, curvature
 from .transport import DEFAULT_STEPS_PER_SEGMENT, Grid, GridTransporter, flow_operators
 
 __all__ = [
+    "UNDER_RESOLVED",
     "SolveOptions",
     "SolutionSpace",
     "hom_curvature_operator",
@@ -70,6 +75,8 @@ __all__ = [
 ]
 
 ANOTHER_PROBLEM = "the shared prolongation belongs to another problem or options"
+UNDER_RESOLVED = "transport-under-resolved"
+TRUNCATION_SHRINK = 2.0  # per step doubling: RK4 truncation shrinks 16x, holonomy 1x
 GENERATOR_DROP_REL = 1e-9
 FD_STENCIL_FRACTION = 1.5e-3
 # 6th-order central first-derivative stencil at offsets -3h..3h
@@ -124,32 +131,22 @@ class SolutionSpace:
         return bool(np.linalg.norm(v - b.T @ coeff) <= tol * nv)
 
 
+def _pair_basis(r: int, sign: float) -> np.ndarray:
+    """Rows vec(E_ij + sign E_ji) / sqrt(2) for i < j, in (i, j) order."""
+    rows = np.zeros((r * (r - 1) // 2, r, r))
+    for k, (i, j) in enumerate(itertools.combinations(range(r), 2)):
+        rows[k, i, j], rows[k, j, i] = 1.0 / np.sqrt(2.0), sign / np.sqrt(2.0)
+    return rows.reshape(-1, r * r)
+
+
 def symmetric_basis(r: int) -> np.ndarray:
-    """Orthonormal (Frobenius) basis of symmetric matrices, rows = vec."""
-    rows = []
-    for i in range(r):
-        e = np.zeros((r, r))
-        e[i, i] = 1.0
-        rows.append(e.reshape(-1))
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for i in range(r):
-        for j in range(i + 1, r):
-            e = np.zeros((r, r))
-            e[i, j] = e[j, i] = inv_sqrt2
-            rows.append(e.reshape(-1))
-    return np.array(rows)
+    """Orthonormal (Frobenius) basis of symmetric matrices, rows = vec:
+    the diagonal units, then the off-diagonal pairs."""
+    return np.vstack([np.eye(r * r)[:: r + 1], _pair_basis(r, 1.0)])
 
 
 def antisymmetric_basis(r: int) -> np.ndarray:
-    rows = []
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for i in range(r):
-        for j in range(i + 1, r):
-            e = np.zeros((r, r))
-            e[i, j] = inv_sqrt2
-            e[j, i] = -inv_sqrt2
-            rows.append(e.reshape(-1))
-    return np.array(rows).reshape(-1, r * r)  # (0, 1) for r = 1
+    return _pair_basis(r, -1.0)  # (0, 1) for r = 1
 
 
 NULLSPACE_NOISE_FLOOR = 1e-10
@@ -325,13 +322,6 @@ def stabilized_constraint_subspace(shared: Prolongation, subspace: np.ndarray | 
     return candidates, stabilized, settle_order if stabilized else shared.options.max_order
 
 
-def _canonical_sign(vector: np.ndarray) -> np.ndarray:
-    for v in vector:
-        if abs(v) > 1e-9:
-            return vector if v > 0 else -vector
-    return vector
-
-
 def _solve(
     kind: str,
     conn: Connection,
@@ -373,9 +363,15 @@ def _solve(
     keep = residuals <= options.transport_tol
     kept_coeffs = coeffs[keep]
     kept_residuals = residuals[keep]
-    if stabilized and kept_coeffs.shape[0] < k:
+    if stabilized and not keep.all():
         flags.append("transport-rejected-stabilized-directions")
-    # deterministic ordering: by residual, then lexicographic; canonical sign
+        fine = GridTransporter(conn, dual, grid, shared.base_index, 2 * options.steps_per_segment)
+        rejected = coeffs[~keep] @ candidates
+        fine_disc = fine.discrepancies(fine.extend(rejected)).reshape(len(rejected), -1)
+        if np.any(TRUNCATION_SHRINK * np.abs(fine_disc).max(axis=1) < residuals[~keep]):
+            flags.append(UNDER_RESOLVED)
+    # deterministic ordering: by residual, then lexicographic; canonical
+    # sign: the first entry above 1e-9 in magnitude is positive
     if kept_coeffs.shape[0] > 0:
         order_idx = np.lexsort(
             tuple(kept_coeffs[:, c] for c in range(kept_coeffs.shape[1] - 1, -1, -1))
@@ -383,7 +379,8 @@ def _solve(
         )
         kept_coeffs = kept_coeffs[order_idx]
         kept_residuals = kept_residuals[order_idx]
-        kept_coeffs = np.array([_canonical_sign(c) for c in kept_coeffs])
+        lead = kept_coeffs[np.arange(len(kept_coeffs)), np.argmax(np.abs(kept_coeffs) > 1e-9, 1)]
+        kept_coeffs = np.where(lead < 0, -1.0, 1.0)[:, None] * kept_coeffs
     basis_vecs = kept_coeffs @ candidates
     extensions = np.tensordot(kept_coeffs, fields, axes=(1, 0))
     dim = basis_vecs.shape[0]

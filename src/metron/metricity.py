@@ -11,7 +11,8 @@ Two integer gradings accompany the verdict:
 
 * the gauge index of (conn, g): the minimal corank of the g-symmetric
   part over the certified intertwiners of conn with its g-dual g.conn,
-  by seeded sampling of the solution space;
+  read off one seeded, deterministic stack of elements of the solution
+  space (`_rank_candidates`), which also finds the witness;
 * the overall index: the same minimum over a declared finite family of
   regular metrics (the identity, the user's metrics, and eight random
   constant regular metrics).
@@ -41,6 +42,7 @@ from .bundle import (
     numerical_rank,
 )
 from .homsolver import (
+    UNDER_RESOLVED,
     Prolongation,
     SolutionSpace,
     SolveOptions,
@@ -109,11 +111,12 @@ def split_symmetric(g: np.ndarray, p: np.ndarray):
 
     Defined by g(Phi s, s') = (g(phi s, s') + g(s, phi s')) / 2 and the
     antisymmetric sibling with a minus sign; phi = Phi + Phi*.
-    In matrices: Phi = (P + G P^T G^{-1}) / 2.
+    In matrices: Phi = (P + G P^T G^{-1}) / 2; g and p may be stacks
+    (..., r, r).
     """
     g = np.asarray(g, float)
     p = np.asarray(p, float)
-    conj = g @ p.T @ np.linalg.inv(g)
+    conj = g @ np.swapaxes(p, -1, -2) @ np.linalg.inv(g)
     phi_sym = (p + conj) / 2.0
     phi_alt = (p - conj) / 2.0
     return phi_sym, phi_alt
@@ -145,23 +148,24 @@ def analyze(conn: Connection, options: SolveOptions | None = None) -> dict:
     }
 
 
-def _rank_candidates(space: SolutionSpace, seed: int) -> list[np.ndarray]:
-    """Identity (when it lies in the span), then basis elements, then
-    seeded random combinations."""
-    out = []
-    if space.dimension > 0:
-        r = space.basis.shape[1]
-        eye = np.eye(r) / np.sqrt(r)
-        if space.contains(eye):
-            out.append(eye)
-    out.extend(space.basis[i] for i in range(space.dimension))
-    if space.dimension > 0:
-        rng = np.random.default_rng(seed)
-        combos = rng.standard_normal((RANK_SEARCH_DRAWS, space.dimension))
-        combos /= np.linalg.norm(combos, axis=1, keepdims=True)
-        for c in combos:
-            out.append(np.tensordot(c, space.basis, axes=(0, 0)))
-    return out
+def _rank_candidates(space: SolutionSpace, seed: int) -> np.ndarray:
+    """One (n, r, r) stack: identity/sqrt(r) when it lies in the span,
+    then the basis, then RANK_SEARCH_DRAWS unit-norm combinations: the
+    points of Roberts' Kronecker sequence (steps phi_d^-1..phi_d^-d,
+    phi_d^(d+1) = phi_d + 1) offset by frac(seed / golden ratio) and
+    centred on [-1, 1)^d. Maximal rank fails only on a proper algebraic
+    subset, which generic coefficients miss (Schwartz-Zippel)."""
+    d, r = space.dimension, space.basis.shape[1]
+    if d == 0:
+        return space.basis
+    eye = np.eye(r)[None] / np.sqrt(r)
+    head = eye if space.contains(eye[0]) else eye[:0]
+    phi = np.roots([1.0] + [0.0] * (d - 1) + [-1.0, -1.0]).real.max()
+    offset = (int(seed) * 0x9E3779B97F4A7C15 % 2**64) / 2**64  # 0x9E... = 2^64 / golden ratio
+    steps = np.arange(1, RANK_SEARCH_DRAWS + 1)[:, None] * phi ** -np.arange(1.0, d + 1)
+    combos = 2.0 * ((offset + steps) % 1.0) - 1.0
+    combos /= np.linalg.norm(combos, axis=1, keepdims=True)
+    return np.concatenate([head, space.basis, np.tensordot(combos, space.basis, axes=(1, 0))])
 
 
 def _combo_field(space: SolutionSpace, matrix: np.ndarray) -> np.ndarray:
@@ -176,10 +180,12 @@ def decide_metricity(
 ) -> MetricityCertificate:
     """Produce a metricity certificate for the connection.
 
-    The search for a maximal-rank parallel symmetric form samples the
-    basis elements plus 64 seeded random combinations; maximal rank is
-    generic in the solution space, so with the deterministic seed the
-    sampling is a reliable and reproducible witness finder.
+    The candidate stack of S2 is ranked once at the base point. The
+    witness is the first candidate, in stack order, of the highest rank
+    that it keeps at every grid node (transport is invertible, so a
+    genuine parallel form keeps its rank; rank r at every node is
+    nondegeneracy, no determinant floor enters). No such candidate, or
+    an under-resolved transport, leaves the verdict uncertified.
     """
     opts = options or SolveOptions()
     spaces = analyze(conn, opts)
@@ -197,47 +203,35 @@ def decide_metricity(
     base_point = s2.base_point
     r = conn.r
 
-    witness_base = witness_field = None
-    witness_rank = None
-    witness_det = None
-    witness_transport = None
+    witness_base = witness_field = witness_rank = witness_det = witness_transport = None
     max_rank = 0
     if s2.dimension == 0:
         verdict = "NotMetric"
     else:
-        best = None  # (rank, matrix, field, min_abs_det, regular_ok)
-        for cand in _rank_candidates(s2, opts.seed):
-            rank = numerical_rank(cand)
-            max_rank = max(max_rank, rank)
-            if best is not None and best[0] >= r:
-                continue
-            if rank > (best[0] if best else -1):
-                fld = _combo_field(s2, cand)
-                dets = np.abs(np.linalg.det(fld))
-                constant_rank = bool(np.all(numerical_rank(fld) == rank))
-                regular_ok = rank == r and float(dets.min()) >= DET_REGULARITY_FLOOR
-                if constant_rank and (rank < r or regular_ok):
-                    best = (rank, cand, fld, float(dets.min()), regular_ok)
-        if best is None:
-            # transport is invertible, so a genuine parallel form keeps its
-            # rank on the grid: report what we saw, uncertified
+        cands = _rank_candidates(s2, opts.seed)
+        ranks = numerical_rank(cands)
+        max_rank = int(ranks.max())
+        for i in np.lexsort((np.arange(len(ranks)), -ranks)):
+            fld = _combo_field(s2, cands[i])
+            if np.all(numerical_rank(fld) == ranks[i]):
+                witness_base, witness_field, witness_rank = cands[i], fld, int(ranks[i])
+                break
+        if witness_rank is None:
             verdict = "SingularMetricOnly"
             flags.append("witness-rank-not-constant-on-grid")
         else:
-            rank, cand, fld, min_det, regular_ok = best
-            witness_base = cand
-            witness_field = fld
-            witness_rank = rank
-            witness_det = min_det
-            coeffs = s2.basis.reshape(s2.dimension, -1) @ cand.reshape(-1)
-            witness_transport = float(
-                np.abs(coeffs).sum() * max(s2.certified_residual, 0.0)
-            )
-            verdict = "RegularlyMetric" if regular_ok else "SingularMetricOnly"
+            witness_det = float(np.abs(np.linalg.det(witness_field)).min())
+            coeffs = s2.basis.reshape(s2.dimension, -1) @ witness_base.reshape(-1)
+            witness_transport = float(np.abs(coeffs).sum() * max(s2.certified_residual, 0.0))
+            verdict = "RegularlyMetric" if witness_rank == r else "SingularMetricOnly"
     residuals["witnessTransport"] = witness_transport
-    certified = stabilized and dims_ok and (s2.dimension == 0 or witness_rank is not None)
-    if verdict == "RegularlyMetric" and witness_transport is not None:
-        certified = certified and witness_transport <= opts.transport_tol
+    certified = (
+        stabilized
+        and dims_ok
+        and (s2.dimension == 0 or witness_rank is not None)
+        and UNDER_RESOLVED not in flags
+        and (verdict != "RegularlyMetric" or witness_transport <= opts.transport_tol)
+    )
     return MetricityCertificate(
         verdict=verdict,
         max_witness_rank=max_rank,
@@ -272,19 +266,15 @@ def parallel_form_residuals(
     dual of the identity metric g, the forms q = g(Phi ., .) and
     omega = g(Phi* ., .) must satisfy the parallel-form system; this
     asserts the consequence numerically by substituting the induced-form
-    fields into the system node by node. hom_space is the analysis's
+    fields into the system at every node. hom_space is the analysis's
     `spaces["hom"]`; each induced form field is checked as a
     one-element form space, whose target defaults to the conjugate.
     """
     field_phi = hom_space.extensions[solution_index]
     g = np.eye(conn.r)
-    q_nodes = np.empty_like(field_phi)
-    w_nodes = np.empty_like(field_phi)
-    phi_ranks = []
-    for n, phi in enumerate(field_phi):
-        phi_sym, phi_alt = split_symmetric(g, phi)
-        q_nodes[n], w_nodes[n] = induced_forms(g, phi_sym, phi_alt)
-        phi_ranks.append(numerical_rank(phi_sym, scale=float(np.linalg.norm(phi))))
+    phi_sym, phi_alt = split_symmetric(g, field_phi)
+    q_nodes, w_nodes = induced_forms(g, phi_sym, phi_alt)
+    phi_ranks = numerical_rank(phi_sym, scale=np.linalg.norm(field_phi, axis=(1, 2)))
 
     def residual(kind: str, nodes: np.ndarray) -> float:
         """Substitution residual of the form field given at the nodes."""
@@ -294,8 +284,8 @@ def parallel_form_residuals(
     return {
         "q_residual": residual("symmetric", q_nodes),
         "omega_residual": residual("antisymmetric", w_nodes),
-        "phi_rank_constant": len(set(phi_ranks)) <= 1,
-        "phi_rank": phi_ranks[0] if phi_ranks else None,
+        "phi_rank_constant": bool(np.all(phi_ranks == phi_ranks[0])),
+        "phi_rank": int(phi_ranks[0]),
     }
 
 
@@ -306,12 +296,13 @@ def gauge_index(
     hom_space: SolutionSpace | None = None,
 ):
     """Minimal corank of the g-symmetric part over the certified
-    intertwiners of conn with g.conn, by sampling; (rank r, flagged)
-    when the space is trivial so that downstream minima stay total.
+    intertwiners of conn with g.conn: r minus the largest rank over the
+    candidate stack, ranked in one call; (rank r, flagged) when the
+    space is trivial so that downstream minima stay total.
 
     hom_space holds the intertwiners into the conjugate (solved here
     when not given); as J(conn, g.conn) = J(conn, conjugate) G^{-1},
-    each sampled Q is read as Q G^{-1} at the base point.
+    each candidate Q is read as Q G^{-1} at the base point.
     """
     opts = options or SolveOptions()
     if hom_space is None:
@@ -320,17 +311,11 @@ def gauge_index(
     if hom_space.dimension == 0:
         return r, ("empty-solution-space",), hom_space
     g0 = metric.matrix_at(hom_space.base_point)
-    g0_inv = np.linalg.inv(g0)
-    best = r
-    for cand in _rank_candidates(hom_space, opts.seed):
-        phi = cand @ g0_inv
-        phi_sym, _ = split_symmetric(g0, phi)
-        rank = numerical_rank(phi_sym, scale=float(np.linalg.norm(phi)))
-        best = min(best, r - rank)
-        if best == 0:
-            break
+    phi = _rank_candidates(hom_space, opts.seed) @ np.linalg.inv(g0)
+    phi_sym, _ = split_symmetric(g0, phi)
+    ranks = numerical_rank(phi_sym, scale=np.linalg.norm(phi, axis=(1, 2)))
     flags = () if hom_space.stabilized else ("stabilization-not-reached",)
-    return best, flags, hom_space
+    return r - int(ranks.max()), flags, hom_space
 
 
 def index_report(

@@ -147,10 +147,15 @@ def flow_operators(
     a = None if conn is None else _generator_nodes(conn, starts, ends, steps)[:, :, None]
     d = (1 if conn is None else conn.r) * dual.r
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        y = _rk4(a, b, np.eye(d).reshape(d, -1, dual.r), steps)
-    if not np.isfinite(y).all():
-        raise FloatingPointError("transport left the floating-point range")
+        y = _finite(_rk4(a, b, np.eye(d).reshape(d, -1, dual.r), steps))
     return y.reshape(len(b), d, d).transpose(0, 2, 1)
+
+
+def _finite(values: np.ndarray) -> np.ndarray:
+    """values, or FloatingPointError when any of them is not finite."""
+    if not np.isfinite(values).all():
+        raise FloatingPointError("transport left the floating-point range")
+    return values
 
 
 def _path_operator(conn, dual, path: PolylinePath, steps: int) -> np.ndarray:
@@ -317,23 +322,28 @@ class GridTransporter:
         self.fibre_dim = self.operators.shape[-1]
 
     def extend(self, values: np.ndarray) -> np.ndarray:
-        """values: (k, fibre_dim) at the base node -> (k, N, fibre_dim)."""
+        """values: (k, fibre_dim) at the base node -> (k, N, fibre_dim);
+        FloatingPointError when finite edge operators compose past the
+        floating-point range along the tree."""
         values = np.atleast_2d(np.asarray(values, dtype=float))
         k = values.shape[0]
         fields = np.zeros((k, len(self.grid.nodes), self.fibre_dim))
         fields[:, self.base_index, :] = values
-        for (u, v), op in zip(self.tree_edges, self.operators):
-            fields[:, v, :] = fields[:, u, :] @ op.T
-        return fields
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            for (u, v), op in zip(self.tree_edges, self.operators):
+                fields[:, v, :] = fields[:, u, :] @ op.T
+        return _finite(fields)
 
     def discrepancies(self, fields: np.ndarray) -> np.ndarray:
-        """(k, n_non_tree_edges, fibre_dim) transport mismatches."""
+        """(k, n_non_tree_edges, fibre_dim) transport mismatches; raises
+        FloatingPointError when one is not finite."""
         if not self.non_tree_edges:
             return np.zeros((fields.shape[0], 0, self.fibre_dim))
         src, dst = np.array(self.non_tree_edges).T
         ops = self.operators[len(self.tree_edges):]
-        moved = fields[:, src, :].transpose(1, 0, 2) @ ops.transpose(0, 2, 1)
-        return moved.transpose(1, 0, 2) - fields[:, dst, :]
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            moved = fields[:, src, :].transpose(1, 0, 2) @ ops.transpose(0, 2, 1)
+            return _finite(moved.transpose(1, 0, 2) - fields[:, dst, :])
 
     def residuals(self, fields: np.ndarray) -> np.ndarray:
         d = self.discrepancies(fields)

@@ -379,6 +379,25 @@ def test_metric_rank_verification():
     assert regular.is_regular()
 
 
+def test_stacked_rank_with_per_matrix_scale_matches_each_call():
+    """numerical_rank of a stack with one scale per matrix reads each
+    matrix as alone: a roundoff-sized matrix with a large scale is rank
+    zero, the same matrix with no scale keeps its full rank."""
+    rng = np.random.default_rng(3)
+    stack = rng.standard_normal((5, 3, 3))
+    stack[1, 2] = stack[1, 0] + stack[1, 1]  # rank 2
+    stack[2] *= 1e-12
+    stack[3] = 0.0
+    scales = np.array([1.0, 2.0, 1.0, 0.0, 1e-6])
+    ranks = numerical_rank(stack, scale=scales)
+    assert ranks.tolist() == [numerical_rank(m, scale=s) for m, s in zip(stack, scales)]
+    assert ranks.tolist() == [3, 2, 0, 0, 3]
+    assert numerical_rank(stack).tolist() == [3, 2, 3, 0, 3]
+    assert numerical_rank(stack, scale=2.0).tolist() == [
+        numerical_rank(m, scale=2.0) for m in stack
+    ]
+
+
 def test_transport_preserves_metric_pairing():
     """Dynamic witness of compatibility: transport a vector with the
     metric's own connection and watch g(v, v) stay constant."""

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -391,6 +394,98 @@ def test_overflowing_transport_is_never_certified(capsys, family, alphas, code, 
         assert diags[0]["message"] == "transport left the floating-point range"
 
 
+def test_tree_transport_overflow_is_named(capsys, recwarn):
+    """At alpha 1000 every gaussian edge operator is finite, but their
+    products along the spanning tree are not: the run exits 3 with the
+    one overflow diagnostic, not an SVD that did not converge, and
+    numpy warns about nothing."""
+    argv = ("alpha-scan", "--family", "gaussian1d", "--alphas", "1000", "--quiet")
+    exit_code, out, err = _run(capsys, *argv)
+    assert exit_code == 3
+    diags = json.loads(out)["result"]["diagnostics"]
+    assert [(d["path"], d["code"], d["message"]) for d in diags] == [
+        ("$", "internal", "transport left the floating-point range")
+    ]
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    assert "Warning" not in err
+
+
+@pytest.mark.parametrize("family", ["exponential", "poisson"])
+def test_tiny_determinant_full_rank_witness_is_certified(capsys, family):
+    """At alpha 30 and 100 the one parallel form of a 1-d family reads
+    below 1e-8 at one end of the chart, but it has rank 1 at every node:
+    RegularlyMetric, certified, exit 0 (it exited 3, uncertified)."""
+    argv = ("alpha-scan", "--family", family, "--alphas", "30,100", "--quiet")
+    exit_code, out, _ = _run(capsys, *argv)
+    assert exit_code == 0
+    certs = [p["certificate"] for p in json.loads(out)["result"]["perAlpha"]]
+    assert [(c["verdict"], c["certified"]) for c in certs] == [("RegularlyMetric", True)] * 2
+    assert min(c["witness"]["minAbsDetOnGrid"] for c in certs) < 1e-8
+
+
+def _gaussian_problem(alpha):
+    """A problem file holding alpha_connection(gaussian1d, alpha) on the
+    family's own chart and grid."""
+    from metron import expr as ex
+    from metron.statmodels import alpha_connection, get_family
+
+    conn = alpha_connection(get_family("gaussian1d"), alpha)
+    return {
+        "dim": conn.domain.m,
+        "rank": conn.r,
+        "domain": {
+            "lower": list(conn.domain.lower),
+            "upper": list(conn.domain.upper),
+            "gridPerAxis": conn.domain.samples_per_axis[0],
+        },
+        "connection": [[[ex.to_string(e) for e in row] for row in g] for g in conn.gamma],
+    }
+
+
+def test_under_resolved_transport_exits_3(capsys, tmp_path):
+    """The flat e-connection (alpha = +1) at the default 32 RK4 steps: the
+    rejected directions shrink about 16x at 64 steps, so metricity and
+    solve-fe exit 3 with the flag instead of a certified wrong answer.
+    The m-connection (alpha = -1) is unchanged."""
+    plus = _write(tmp_path, "plus.json", _gaussian_problem(1.0))
+    for command in ("metricity", "solve-fe"):
+        code, out, _ = _run(capsys, command, plus, "--quiet")
+        result = json.loads(out)["result"]
+        section = result.get("certificate") or result["solutionSpace"]
+        assert code == 3
+        assert "transport-under-resolved" in section["flags"]
+    minus = _write(tmp_path, "minus.json", _gaussian_problem(-1.0))
+    code, out, _ = _run(capsys, "metricity", minus, "--quiet")
+    cert = json.loads(out)["result"]["certificate"]
+    assert code == 0
+    assert (cert["verdict"], cert["dimS2"], cert["flags"]) == ("RegularlyMetric", 3, [])
+
+
+def test_analyses_never_import_numpy_random():
+    """The candidate search uses a closed-form sequence, so a fresh
+    interpreter running metricity, index, solve-fe and alpha-scan never
+    loads numpy.random."""
+    script = (
+        "import sys\n"
+        "from metron import cli\n"
+        "for argv in (\n"
+        "    ['metricity', 'problems/hyperbolic.json'],\n"
+        "    ['index', 'problems/nilpotent.json'],\n"
+        "    ['solve-fe', 'problems/flat2x2.json'],\n"
+        "    ['alpha-scan', '--family', 'gaussian1d', '--alphas=-1,0,1'],\n"
+        "):\n"
+        "    assert cli.run_command(cli.build_parser().parse_args(argv))[1] == 0, argv\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    paths = [str(REPO / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths), PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run(
+        [sys.executable, "-c", script], cwd=REPO, env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
 def test_timings_are_reported_only_with_a_result(capsys, tmp_path, monkeypatch):
     """--timings fills timingMs for an analysis and for validate, its
     diagnostics included, and leaves it 0 on every error path."""
@@ -443,8 +538,15 @@ def _nested_key(levels):
 
 
 DEEP_INPUTS = {
-    # Gamma_1[0][0] = sum of 1000 terms in x1, a tree 1000 deep
-    "deep-sum": (_with_entry(" + ".join(f"x1/{k}" for k in range(1, 1001))), 0, []),
+    # Gamma_1[0][0] = sum of 1000 terms in x1, a tree 1000 deep. At the
+    # default 32 RK4 steps the transport gate rejects a direction whose
+    # residual (3.4e-7 against 1e-7) shrinks 32x at 64 steps: truncation,
+    # not holonomy, so the analyses exit 3 (flagged), validate exits 0
+    "deep-sum": (
+        _with_entry(" + ".join(f"x1/{k}" for k in range(1, 1001))),
+        {"metricity": 3, "index": 3, "validate": 0},
+        [],
+    ),
     "deep-parentheses": (
         _with_entry("(" * 250 + "x1" + ")" * 250), 2, [("connection[0][0][0]", "parse")]
     ),
@@ -466,12 +568,16 @@ def test_no_input_exits_1(capsys, tmp_path, monkeypatch, name, command):
     """Inputs that used to end in a traceback (exit 1) or a diagnostic at
     `$` exit 0, 2 or 3 with the diagnostic at the offending entry."""
     payload, code, diagnostics = DEEP_INPUTS[name]
+    code = code if isinstance(code, int) else code[command]
     monkeypatch.chdir(tmp_path)
     _write(tmp_path, "p.json", payload)
     exit_code, out, _ = _run(capsys, command, "p.json", "--quiet")
     assert exit_code == code
-    found = json.loads(out)["result"].get("diagnostics", [])
+    result = json.loads(out)["result"]
+    found = result.get("diagnostics", [])
     assert [(d["path"], d["code"]) for d in found] == diagnostics
+    if code == 3:
+        assert "transport-under-resolved" in result["certificate"]["flags"]
     assert all("np." not in d["message"] for d in found)
 
 

@@ -41,7 +41,7 @@ from metron.metricity import (
     parallel_form_residuals,
     split_symmetric,
 )
-from metron.statmodels import FAMILIES, alpha_connection, get_family
+from metron.statmodels import ALPHA_SCAN_OPTIONS, FAMILIES, alpha_connection, get_family
 from oracles import hom_constraint_kernel
 
 FAST = SolveOptions(grid_per_axis=5, steps_per_segment=16)
@@ -358,6 +358,129 @@ def test_rank_drop_on_the_grid_is_not_certified(monkeypatch):
     assert "witness-rank-not-constant-on-grid" in cert.flags
     assert cert.witness_rank is None
     assert not cert.certified
+
+
+def _sequential_witness(s2, r, seed):
+    """The witness search as one loop over the candidates, in order: a
+    candidate replaces the best only at a strictly higher rank, and only
+    when it keeps that rank at every grid node. Returns (best, maximal
+    rank at the base point), best = (rank, matrix) or None."""
+    best, max_rank = None, 0
+    for cand in metricity._rank_candidates(s2, seed):
+        rank = numerical_rank(cand)
+        max_rank = max(max_rank, rank)
+        if best is not None and best[0] >= r:
+            continue
+        if rank > (best[0] if best else -1):
+            fld = metricity._combo_field(s2, cand)
+            if np.all(numerical_rank(fld) == rank):
+                best = (rank, cand)
+    return best, max_rank
+
+
+def test_witness_matches_the_sequential_loop():
+    """Ranking the candidate stack once and scanning it by (-rank, index)
+    finds the witness the one-candidate-at-a-time loop finds: the same
+    matrix, rank, maximal rank and verdict, on 35 connections."""
+    conns = _index_connections()
+    assert len(conns) == 35
+    for conn in conns:
+        cert = decide_metricity(conn, options=FAST)
+        s2 = cert.spaces["symmetric"]
+        if s2.dimension == 0:
+            assert (cert.verdict, cert.witness_base) == ("NotMetric", None)
+            continue
+        best, max_rank = _sequential_witness(s2, conn.r, FAST.seed)
+        assert cert.max_witness_rank == max_rank
+        assert best is not None
+        assert cert.witness_rank == best[0]
+        assert np.array_equal(cert.witness_base, best[1])
+        regular = best[0] == conn.r
+        assert cert.verdict == ("RegularlyMetric" if regular else "SingularMetricOnly")
+
+
+def test_rank_candidates_are_distinct_unit_norm_and_seeded():
+    """The candidate stack is one array of distinct unit-norm matrices:
+    identity/sqrt(r), the basis, then 64 combinations that the seed
+    selects, finite for any seed >= 0."""
+    space = decide_metricity(flat_connection(r=3), options=FAST).spaces["hom"]
+    assert space.dimension == 9
+    stack = metricity._rank_candidates(space, 0)
+    assert stack.shape == (1 + 9 + metricity.RANK_SEARCH_DRAWS, 3, 3)
+    assert np.array_equal(stack[0], np.eye(3) / np.sqrt(3))
+    assert np.array_equal(stack[1:10], space.basis)
+    assert np.allclose(np.linalg.norm(stack, axis=(1, 2)), 1.0, rtol=0, atol=1e-12)
+    flat = stack.reshape(len(stack), -1)
+    gaps = np.linalg.norm(flat[:, None] - flat[None], axis=-1)
+    assert gaps[~np.eye(len(flat), dtype=bool)].min() > 1e-3
+    other = metricity._rank_candidates(space, 1)
+    assert np.array_equal(other[:10], stack[:10])
+    assert np.abs(other[10:] - stack[10:]).max() > 1e-3
+    huge = metricity._rank_candidates(space, 10**30)
+    assert np.isfinite(huge).all()
+    assert np.allclose(np.linalg.norm(huge, axis=(1, 2)), 1.0, rtol=0, atol=1e-12)
+
+
+def test_stacked_split_symmetric_matches_each_matrix():
+    rng = np.random.default_rng(11)
+    p = rng.standard_normal((6, 3, 3))
+    g = random_constant_metric(rng, square_domain(3), 3).matrix_at(np.zeros(2))
+    sym, alt = split_symmetric(g, p)
+    for k in range(len(p)):
+        one_sym, one_alt = split_symmetric(g, p[k])
+        assert np.allclose(sym[k], one_sym, rtol=0, atol=1e-12)
+        assert np.allclose(alt[k], one_alt, rtol=0, atol=1e-12)
+
+
+def _power_connection(power):
+    """Gamma_1 = 0, Gamma_2 = [[0, x1^power], [0, 0]] on [-1, 1]^2: its
+    parallel forms are q11 diag(1, 0) (dimJ 2, dimS2 1), and its
+    transport rejections are holonomy, not truncation."""
+    domain = ChartDomain((-1.0, -1.0), (1.0, 1.0), (7, 7))
+    entry = ex.parse("*".join(["x1"] * power))
+    zero = ((ex.ZERO, ex.ZERO), (ex.ZERO, ex.ZERO))
+    return Connection(domain, 2, (zero, ((ex.ZERO, entry), (ex.ZERO, ex.ZERO))))
+
+
+def test_rk4_artefact_is_never_certified():
+    """gaussian1d at alpha = +1 is the flat e-connection (RegularlyMetric,
+    dimS2 3). At the default 32 RK4 steps the transport gate rejects
+    directions whose residual shrinks about 16x at 64 steps: truncation.
+    The analysis is flagged and uncertified, never a certified
+    SingularMetricOnly."""
+    cert = decide_metricity(alpha_connection(get_family("gaussian1d"), 1.0))
+    assert "transport-under-resolved" in cert.flags
+    assert not cert.certified
+
+
+def test_step_doubling_leaves_geometry_and_clean_transport_alone():
+    """alpha = -1 rejects nothing and stays a certified RegularlyMetric;
+    the x1^4 and x1^5 rejections do not shrink when the steps double,
+    so they stay a certified SingularMetricOnly."""
+    cert = decide_metricity(alpha_connection(get_family("gaussian1d"), -1.0))
+    assert (cert.verdict, cert.dim_s2, cert.dim_j, cert.certified) == (
+        "RegularlyMetric", 3, 4, True
+    )
+    assert cert.flags == ()
+    for power in (4, 5):
+        cert = decide_metricity(_power_connection(power))
+        assert (cert.verdict, cert.dim_s2, cert.dim_j, cert.certified) == (
+            "SingularMetricOnly", 1, 2, True
+        )
+        assert "transport-rejected-stabilized-directions" in cert.flags
+        assert "transport-under-resolved" not in cert.flags
+
+
+@pytest.mark.parametrize("family, alpha", [("exponential", 30.0), ("poisson", 100.0)])
+def test_full_rank_witness_needs_no_determinant_floor(family, alpha):
+    """The one parallel form of a 1-d family, normalised at the base
+    node, reads far below 1e-8 at one end of the chart, but it has rank
+    1 at every node: a certified RegularlyMetric, with the small
+    determinant still reported."""
+    cert = decide_metricity(alpha_connection(get_family(family), alpha), ALPHA_SCAN_OPTIONS)
+    assert (cert.verdict, cert.witness_rank, cert.certified) == ("RegularlyMetric", 1, True)
+    assert cert.witness_min_abs_det < 1e-8
+    assert "witness-rank-not-constant-on-grid" not in cert.flags
 
 
 def test_target_generators_are_its_own_recursion():
