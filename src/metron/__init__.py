@@ -58,9 +58,6 @@ from .statmodels import (  # noqa: F401
 from .transport import (  # noqa: F401
     Grid,
     PolylinePath,
-    TransportResult,
     loop_holonomy_hom,
-    spanning_tree_extend,
     transport_hom,
-    transport_vector,
 )

@@ -79,7 +79,6 @@ def half_plane_levi_civita(domain: ChartDomain | None = None):
 def _random_polynomial_entry(rng: np.random.Generator, m: int, degree: int, scale: float):
     """Random polynomial of total degree <= degree with coefficients in
     [-scale, scale], built directly as an expression tree."""
-    terms = []
     if m == 1:
         powers = [(d,) for d in range(degree + 1)]
     else:
@@ -98,7 +97,6 @@ def _random_polynomial_entry(rng: np.random.Generator, m: int, degree: int, scal
             for _ in range(d):
                 term = ex.mul(term, ex.var(axis + 1))
         e = ex.add(e, term)
-        terms.append(term)
     return e
 
 

@@ -30,9 +30,9 @@ solver therefore runs two independent mechanisms:
    of its target into P -> B P - P B*. An analysis solves hom, S2 and
    Omega2 into one target, the conjugate, so the three share one
    `Prolongation`: one grid, one base node, each order built and
-   evaluated once, and one grid transporter, which lives only as long
-   as the analysis. Every kind cuts its own candidate subspace with its
-   own scale and stops on its own.
+   evaluated once, and one grid transporter per RK4 step count, which
+   lives only as long as the analysis. Every kind cuts its own
+   candidate subspace with its own scale and stops on its own.
 
 2. Transport: extend every stabilised candidate over the sample grid
    through the spanning tree and measure the mismatch on the redundant
@@ -63,7 +63,6 @@ __all__ = [
     "UNDER_RESOLVED",
     "SolveOptions",
     "SolutionSpace",
-    "hom_curvature_operator",
     "stabilized_constraint_subspace",
     "Prolongation",
     "solve_hom",
@@ -171,16 +170,6 @@ def nullspace(matrix: np.ndarray, rel_cutoff: float) -> np.ndarray:
     return vt[rank:]
 
 
-def hom_curvature_operator(conn: Connection, dual: Connection, x, i: int, j: int) -> np.ndarray:
-    """Curvature of the induced endomorphism connection at x for the
-    coordinate pair (i, j), acting on row-major flattened matrices:
-    P -> R_ij P - P R*_ij. Values of parallel sections lie in its kernel."""
-    r = conn.r
-    both = curvature(conn).entries[i][j] + curvature(dual).entries[i][j]
-    values = sm.eval_matrix(both, x)
-    return _intertwining_operator(values[:r], values[r:])
-
-
 def _intertwining_operator(b: np.ndarray, bs: np.ndarray) -> np.ndarray:
     """Matrix of P -> B P - P B* on row-major flattened P."""
     eye = np.eye(len(b))
@@ -231,13 +220,14 @@ def _constraint_rows(b, bs, subspace: np.ndarray, scale_ref: float):
 
 class Prolongation:
     """What the solves of one analysis share: the grid, the base node,
-    the evaluated constraint generators and the grid transporter.
+    the evaluated constraint generators and the grid transporters.
 
     Built for conn and the target `dual`, it serves the hom solve into
     dual and, when dual is the conjugate of conn, both form solves. Each
     order is built and evaluated when a solve first reaches it, once,
     and kept for the solves after it, so no order past the last solve's
-    stop is built. The transporter lives as long as the analysis does.
+    stop is built. The transporters, one per step count, live as long
+    as the analysis does.
     """
 
     def __init__(self, conn: Connection, dual: Connection, options: SolveOptions):
@@ -245,7 +235,7 @@ class Prolongation:
         self.grid = Grid(conn.domain, options.grid_counts(conn.domain))
         self.base_index = self.grid.nearest_node(conn.domain.center())
         self.x0 = self.grid.nodes[self.base_index]
-        self.transporter: GridTransporter | None = None
+        self.transporters: dict[int, GridTransporter] = {}
         self._generators = zip(
             _generator_orders(conn, options.max_order), _generator_orders(dual, options.max_order)
         )
@@ -263,18 +253,15 @@ class Prolongation:
             yield self._values[order]
 
 
-def get_transporter(shared: Prolongation) -> GridTransporter:
-    """The analysis's one transporter, between conn and the target,
-    built the first time a solve needs it."""
-    if shared.transporter is None:
-        shared.transporter = GridTransporter(
-            shared.conn,
-            shared.dual,
-            shared.grid,
-            shared.base_index,
-            shared.options.steps_per_segment,
+def get_transporter(shared: Prolongation, steps: int) -> GridTransporter:
+    """The analysis's transporter between conn and the target at `steps`
+    RK4 steps per edge, built the first time a solve needs it."""
+    transporter = shared.transporters.get(steps)
+    if transporter is None:
+        transporter = shared.transporters[steps] = GridTransporter(
+            shared.conn, shared.dual, shared.grid, shared.base_index, steps
         )
-    return shared.transporter
+    return transporter
 
 
 def stabilized_constraint_subspace(shared: Prolongation, subspace: np.ndarray | None = None):
@@ -347,7 +334,7 @@ def _solve(
     fields = np.zeros((0, len(grid.nodes), r * r))
     disc = np.zeros((0, 0))
     if k:
-        transporter = get_transporter(shared)
+        transporter = get_transporter(shared, options.steps_per_segment)
         fields = transporter.extend(candidates)  # (k, N, r*r)
         disc = transporter.discrepancies(fields).reshape(k, -1)  # (k, E*d)
     if disc.shape[1] == 0:
@@ -365,7 +352,7 @@ def _solve(
     kept_residuals = residuals[keep]
     if stabilized and not keep.all():
         flags.append("transport-rejected-stabilized-directions")
-        fine = GridTransporter(conn, dual, grid, shared.base_index, 2 * options.steps_per_segment)
+        fine = get_transporter(shared, 2 * options.steps_per_segment)
         rejected = coeffs[~keep] @ candidates
         fine_disc = fine.discrepancies(fine.extend(rejected)).reshape(len(rejected), -1)
         if np.any(TRUNCATION_SHRINK * np.abs(fine_disc).max(axis=1) < residuals[~keep]):

@@ -248,7 +248,7 @@ def decide_metricity(
         options=opts,
         stabilized=stabilized,
         certified=certified,
-        flags=tuple(flags),
+        flags=tuple(dict.fromkeys(flags)),
         base_point=base_point,
         spaces=spaces,
     )

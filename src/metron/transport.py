@@ -12,8 +12,8 @@ along the segment's tangent u. A fibre is named by the two connections
 on either side of it: endomorphisms are (conn | target); bilinear
 forms, read as maps E -> E*, are (conn | conjugate), the conjugate
 having coefficients -Gamma_i^T (the dual connection of the identity
-metric); vectors, as 1 x r rows, are (trivial line | conn), where the
-trivial line stands in as None with Gamma = 0.
+metric); vectors, as 1 x r rows, are (trivial line | conn), the trivial
+line being the rank-1 zero connection.
 
 One integrator solves this equation for a whole batch of segments at
 once, with the coefficients evaluated at all 2s+1 Runge-Kutta nodes of
@@ -40,13 +40,10 @@ from .bundle import ChartDomain, Connection
 
 __all__ = [
     "PolylinePath",
-    "TransportResult",
     "Grid",
     "transport_hom",
-    "transport_vector",
     "loop_holonomy_hom",
     "GridTransporter",
-    "spanning_tree_extend",
 ]
 
 MIN_STEPS_PER_SEGMENT = 8
@@ -89,12 +86,6 @@ class PolylinePath:
         return PolylinePath(tuple(reversed(self.vertices)), self.steps_per_segment)
 
 
-@dataclass
-class TransportResult:
-    end_frame: np.ndarray
-    local_truncation_estimate: float
-
-
 def _generator_nodes(conn: Connection, starts, ends, steps: int) -> np.ndarray:
     """Gamma_u at the 2s+1 Runge-Kutta nodes of every segment starts[e]
     -> ends[e], from vectorised evaluations over whole segments:
@@ -114,16 +105,15 @@ def _generator_nodes(conn: Connection, starts, ends, steps: int) -> np.ndarray:
     return gu
 
 
-def _rk4(a: np.ndarray | None, b: np.ndarray, y: np.ndarray, steps: int):
+def _rk4(a: np.ndarray, b: np.ndarray, y: np.ndarray, steps: int):
     """Classical RK4 for Y' = A Y - Y B over the unit parameter interval,
     for a batch of segments at once. a and b hold the generators at the
     2s+1 nodes, (E, 2s+1, ...) broadcasting against the state y of
     shape (E, ..., p, r) or (..., p, r), the same start for every
-    segment; a None stands for zero."""
+    segment."""
 
     def rate(j, y):
-        out = a[:, j] @ y if a is not None else 0.0
-        return out - y @ b[:, j]
+        return a[:, j] @ y - y @ b[:, j]
 
     h = 1.0 / steps
     for k in range(steps):
@@ -135,17 +125,15 @@ def _rk4(a: np.ndarray | None, b: np.ndarray, y: np.ndarray, steps: int):
     return y
 
 
-def flow_operators(
-    conn: Connection | None, dual: Connection, starts, ends, steps: int
-) -> np.ndarray:
-    """Flow operators on the flattened fibre between conn (None: the
-    trivial line) and dual along every segment starts[e] -> ends[e]:
-    (E, d, d), integrated with one state per fibre basis value. Raises
-    FloatingPointError when an operator is not finite, so that an
-    overflowing transport is never certified."""
+def flow_operators(conn: Connection, dual: Connection, starts, ends, steps: int) -> np.ndarray:
+    """Flow operators on the flattened fibre between conn and dual along
+    every segment starts[e] -> ends[e]: (E, d, d), integrated with one
+    state per fibre basis value. Raises FloatingPointError when an
+    operator is not finite, so that an overflowing transport is never
+    certified."""
     b = _generator_nodes(dual, starts, ends, steps)[:, :, None]
-    a = None if conn is None else _generator_nodes(conn, starts, ends, steps)[:, :, None]
-    d = (1 if conn is None else conn.r) * dual.r
+    a = _generator_nodes(conn, starts, ends, steps)[:, :, None]
+    d = conn.r * dual.r
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         y = _finite(_rk4(a, b, np.eye(d).reshape(d, -1, dual.r), steps))
     return y.reshape(len(b), d, d).transpose(0, 2, 1)
@@ -169,40 +157,18 @@ def _path_operator(conn, dual, path: PolylinePath, steps: int) -> np.ndarray:
     return op
 
 
-def _transport_with_estimate(conn, dual, path, value: np.ndarray, estimate: bool):
-    path.validate_inside(dual.domain)
-    flat = value.reshape(-1)
-    end = _path_operator(conn, dual, path, path.steps_per_segment) @ flat
-    est = 0.0
-    if estimate:
-        fine = _path_operator(conn, dual, path, 2 * path.steps_per_segment) @ flat
-        # Richardson: coarse-fine gap over (2^4 - 1) estimates the fine error.
-        est = float(np.abs(end - fine).max()) / 15.0
-    return TransportResult(end.reshape(value.shape), est)
-
-
 def transport_hom(
-    conn: Connection,
-    dual: Connection,
-    path: PolylinePath,
-    phi0: np.ndarray,
-    estimate: bool = True,
-) -> TransportResult:
-    """Transport an endomorphism value so that it stays an intertwiner
-    candidate between conn-transport and dual-transport along the path."""
+    conn: Connection, dual: Connection, path: PolylinePath, phi0: np.ndarray
+) -> np.ndarray:
+    """The end value of an intertwiner value phi0 (conn.r x dual.r)
+    transported along the path between conn and dual; a vector is the
+    1 x r intertwiner from the rank-1 zero connection."""
     phi0 = np.asarray(phi0, dtype=float)
-    if phi0.shape != (conn.r, conn.r):
-        raise ValueError(f"initial frame must be {conn.r}x{conn.r}")
-    return _transport_with_estimate(conn, dual, path, phi0, estimate)
-
-
-def transport_vector(
-    conn: Connection, path: PolylinePath, v0: np.ndarray, estimate: bool = True
-) -> TransportResult:
-    v0 = np.asarray(v0, dtype=float)
-    if v0.shape != (conn.r,):
-        raise ValueError(f"initial vector must have length {conn.r}")
-    return _transport_with_estimate(None, conn, path, v0, estimate)
+    if phi0.shape != (conn.r, dual.r):
+        raise ValueError(f"initial value must be {conn.r}x{dual.r}")
+    path.validate_inside(dual.domain)
+    end = _path_operator(conn, dual, path, path.steps_per_segment) @ phi0.reshape(-1)
+    return end.reshape(phi0.shape)
 
 
 def loop_holonomy_hom(conn: Connection, dual: Connection, loop: PolylinePath) -> np.ndarray:
@@ -229,7 +195,6 @@ class Grid:
         if any(n < 3 for n in self.counts):
             raise ValueError("grid too coarse: need at least 3 nodes per axis")
         self.nodes = domain.sample_points(self.counts)
-        self.shape = self.counts
         self._strides = np.cumprod((1,) + tuple(reversed(self.counts[1:])))[::-1]
 
     def index_of(self, multi: tuple[int, ...]) -> int:
@@ -290,7 +255,7 @@ class Grid:
 
 class GridTransporter:
     """Per-edge flow operators over a grid, shared by all candidates,
-    on the fibre between conn (None: the trivial line) and dual.
+    on the fibre between conn and dual.
 
     extend() pushes base-point values through the spanning tree;
     discrepancies() stacks, for each non-tree edge, the difference
@@ -302,7 +267,7 @@ class GridTransporter:
 
     def __init__(
         self,
-        conn: Connection | None,
+        conn: Connection,
         dual: Connection,
         grid: Grid,
         base_index: int,
@@ -344,37 +309,3 @@ class GridTransporter:
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
             moved = fields[:, src, :].transpose(1, 0, 2) @ ops.transpose(0, 2, 1)
             return _finite(moved.transpose(1, 0, 2) - fields[:, dst, :])
-
-    def residuals(self, fields: np.ndarray) -> np.ndarray:
-        d = self.discrepancies(fields)
-        if d.shape[1] == 0:
-            return np.zeros(fields.shape[0])
-        return np.abs(d).reshape(fields.shape[0], -1).max(axis=1)
-
-
-def spanning_tree_extend(
-    conn: Connection | None,
-    dual: Connection,
-    x0,
-    value0: np.ndarray,
-    grid: Grid,
-    steps_per_segment: int = DEFAULT_STEPS_PER_SEGMENT,
-):
-    """Extend a base-point value on the fibre between conn (None: the
-    trivial line) and dual over the grid by tree transport.
-
-    Returns (field, residual): field has shape (N,) + value0.shape over
-    the grid nodes, residual is the worst transport mismatch over the
-    redundant (non-tree) edges. Residual within the transport tolerance
-    certifies that the value extends to a genuine solution of the
-    parallelism system on the chart.
-    """
-    base_index = grid.nearest_node(x0)
-    if not np.allclose(grid.nodes[base_index], np.asarray(x0, float), atol=1e-12):
-        raise ValueError("base point must be a grid node")
-    value0 = np.asarray(value0, dtype=float)
-    transporter = GridTransporter(conn, dual, grid, base_index, steps_per_segment)
-    fields = transporter.extend(value0.reshape(1, -1))
-    residual = float(transporter.residuals(fields)[0])
-    shape = (len(grid.nodes),) + value0.shape
-    return fields[0].reshape(shape), residual

@@ -369,8 +369,8 @@ def test_c09_transport_order():
         phi0 = np.array([[1.0, 0.3], [-0.2, 0.8]])
         ends = {
             steps: transport_hom(
-                conn, dual, PolylinePath(verts, steps_per_segment=steps), phi0, estimate=False
-            ).end_frame
+                conn, dual, PolylinePath(verts, steps_per_segment=steps), phi0
+            )
             for steps in (8, 16, 32)
         }
         ratios.append(

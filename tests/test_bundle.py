@@ -33,7 +33,7 @@ from metron.corpus import (
     random_polynomial_gauge,
     square_domain,
 )
-from metron.transport import PolylinePath, transport_vector, loop_holonomy_hom
+from metron.transport import PolylinePath, transport_hom, loop_holonomy_hom
 from oracles import levi_civita_oracle
 
 
@@ -407,9 +407,9 @@ def test_transport_preserves_metric_pairing():
         steps_per_segment=32,
     )
     v0 = np.array([0.3, -0.7])
-    result = transport_vector(conn, path, v0, estimate=False)
+    v1 = transport_hom(zero_connection(conn.domain, 1), conn, path, v0[None])[0]
     g_start = metric.matrix_at(path.vertices[0])
     g_end = metric.matrix_at(path.vertices[-1])
     before = v0 @ g_start @ v0
-    after = result.end_frame @ g_end @ result.end_frame
+    after = v1 @ g_end @ v1
     assert abs(after - before) <= 1e-7 * (1.0 + abs(before))

@@ -486,6 +486,26 @@ def test_analyses_never_import_numpy_random():
     assert done.stdout.strip() == "False"
 
 
+def test_every_benchmark_span_finds_its_function():
+    """The benchmark's recorder wraps metron functions by name; a name
+    the package no longer has would read 0 in its per-layer metrics."""
+    script = (
+        "import sys\n"
+        "sys.path.insert(0, 'perfbench')\n"
+        "import spans\n"
+        "rec = spans.Recorder()\n"
+        "spans.install(rec)\n"
+        "print(rec.missing)\n"
+    )
+    paths = [str(REPO / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths), PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run(
+        [sys.executable, "-c", script], cwd=REPO, env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 def test_timings_are_reported_only_with_a_result(capsys, tmp_path, monkeypatch):
     """--timings fills timingMs for an analysis and for validate, its
     diagnostics included, and leaves it 0 on every error path."""

@@ -442,15 +442,35 @@ def _power_connection(power):
     return Connection(domain, 2, (zero, ((ex.ZERO, entry), (ex.ZERO, ex.ZERO))))
 
 
-def test_rk4_artefact_is_never_certified():
+def test_rk4_artefact_is_never_certified(monkeypatch):
     """gaussian1d at alpha = +1 is the flat e-connection (RegularlyMetric,
     dimS2 3). At the default 32 RK4 steps the transport gate rejects
     directions whose residual shrinks about 16x at 64 steps: truncation.
     The analysis is flagged and uncertified, never a certified
-    SingularMetricOnly."""
+    SingularMetricOnly. The analysis builds one transporter per step
+    count, the doubled one included, however many solves reject."""
+    builds = []
+    init = transport.GridTransporter.__init__
+
+    def counted(self, conn, dual, grid, base_index, steps_per_segment):
+        builds.append(steps_per_segment)
+        init(self, conn, dual, grid, base_index, steps_per_segment)
+
+    monkeypatch.setattr(transport.GridTransporter, "__init__", counted)
     cert = decide_metricity(alpha_connection(get_family("gaussian1d"), 1.0))
     assert "transport-under-resolved" in cert.flags
     assert not cert.certified
+    assert builds == [32, 64]
+
+
+def test_certificate_flags_are_unique():
+    """Flags raised by several solves appear once, in order of first
+    appearance."""
+    cert = decide_metricity(alpha_connection(get_family("gaussian1d"), 1.0))
+    assert cert.flags == (
+        "transport-rejected-stabilized-directions",
+        "transport-under-resolved",
+    )
 
 
 def test_step_doubling_leaves_geometry_and_clean_transport_alone():
@@ -469,6 +489,29 @@ def test_step_doubling_leaves_geometry_and_clean_transport_alone():
         )
         assert "transport-rejected-stabilized-directions" in cert.flags
         assert "transport-under-resolved" not in cert.flags
+
+
+@pytest.mark.parametrize(
+    "scale, under_resolved", [(0.25, True), (0.6, False)], ids=["ratio-4", "ratio-1.7"]
+)
+def test_step_doubling_threshold_from_both_sides(monkeypatch, scale, under_resolved):
+    """The x1^4 rejections are holonomy (ratio 1.00 when the steps
+    double). Scaling the doubled transporter's mismatches down moves
+    the ratio to 1/scale: past the 2x threshold (ratio 4) it reads as
+    truncation and the analysis is uncertified; below it (ratio 1.7) it
+    stays a certified SingularMetricOnly."""
+    discrepancies = transport.GridTransporter.discrepancies
+
+    def scaled(self, fields):
+        out = discrepancies(self, fields)
+        return scale * out if self.steps == 2 * transport.DEFAULT_STEPS_PER_SEGMENT else out
+
+    monkeypatch.setattr(transport.GridTransporter, "discrepancies", scaled)
+    cert = decide_metricity(_power_connection(4))
+    assert ("transport-under-resolved" in cert.flags) is under_resolved
+    assert cert.certified is not under_resolved
+    if not under_resolved:
+        assert (cert.verdict, cert.dim_s2, cert.dim_j) == ("SingularMetricOnly", 1, 2)
 
 
 @pytest.mark.parametrize("family, alpha", [("exponential", 30.0), ("poisson", 100.0)])

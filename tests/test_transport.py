@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from metron.bundle import identity_metric, dual_connection
+from metron.bundle import identity_metric, dual_connection, zero_connection
 from metron.corpus import (
     NILPOTENT_MATRIX,
     flat_connection,
@@ -16,7 +16,6 @@ from metron.transport import (
     GridTransporter,
     PolylinePath,
     loop_holonomy_hom,
-    spanning_tree_extend,
     transport_hom,
 )
 from metron import expr as ex
@@ -37,9 +36,7 @@ def test_zero_connection_transport_is_identity():
     conn = flat_connection()
     path = PolylinePath((np.array([-0.5, -0.5]), np.array([0.5, 0.3]), np.array([0.0, 0.6])))
     phi0 = np.array([[1.0, 2.0], [3.0, 4.0]])
-    result = transport_hom(conn, conn, path, phi0)
-    assert np.allclose(result.end_frame, phi0, atol=1e-14)
-    assert result.local_truncation_estimate <= 1e-15
+    assert np.array_equal(transport_hom(conn, conn, path, phi0), phi0)
 
 
 def test_constant_coefficients_match_matrix_exponential():
@@ -56,7 +53,7 @@ def test_constant_coefficients_match_matrix_exponential():
         (np.array([-0.4, 0.1]), np.array([-0.4 + length, 0.1])), steps_per_segment=32
     )
     phi0 = rng.standard_normal((2, 2))
-    got = transport_hom(conn, dual, path, phi0, estimate=False).end_frame
+    got = transport_hom(conn, dual, path, phi0)
     want = constant_hom_transport(g1, gs1, length, phi0)
     assert np.abs(got - want).max() <= 1e-8
 
@@ -70,8 +67,8 @@ def test_transport_reversibility():
         steps_per_segment=32,
     )
     phi0 = np.array([[0.2, -1.0], [0.5, 0.9]])
-    there = transport_hom(conn, dual, path, phi0, estimate=False).end_frame
-    back = transport_hom(conn, dual, path.reversed(), there, estimate=False).end_frame
+    there = transport_hom(conn, dual, path, phi0)
+    back = transport_hom(conn, dual, path.reversed(), there)
     assert np.abs(back - phi0).max() <= 1e-8
 
 
@@ -81,9 +78,9 @@ def test_transport_concatenation():
     b = np.array([0.2, 0.1])
     c = np.array([0.6, 0.5])
     phi0 = np.array([[1.0, 0.5], [0.0, 1.0]])
-    first = transport_hom(conn, conn, PolylinePath((a, b)), phi0, estimate=False).end_frame
-    second = transport_hom(conn, conn, PolylinePath((b, c)), first, estimate=False).end_frame
-    joined = transport_hom(conn, conn, PolylinePath((a, b, c)), phi0, estimate=False).end_frame
+    first = transport_hom(conn, conn, PolylinePath((a, b)), phi0)
+    second = transport_hom(conn, conn, PolylinePath((b, c)), first)
+    joined = transport_hom(conn, conn, PolylinePath((a, b, c)), phi0)
     assert np.abs(second - joined).max() <= 1e-9
 
 
@@ -123,20 +120,12 @@ def test_rk4_order_on_three_connections():
         ends = {}
         for steps in (8, 16, 32):
             path = PolylinePath(verts, steps_per_segment=steps)
-            ends[steps] = transport_hom(conn, dual, path, phi0, estimate=False).end_frame
+            ends[steps] = transport_hom(conn, dual, path, phi0)
         d_coarse = np.abs(ends[8] - ends[16]).max()
         d_fine = np.abs(ends[16] - ends[32]).max()
         assert d_fine > 0.0
         ratio = d_coarse / d_fine
         assert 4.0 <= ratio <= 64.0, f"order ratio {ratio}"
-
-
-def test_truncation_estimate_positive_and_small():
-    conn, _ = half_plane_levi_civita()
-    path = PolylinePath((np.array([-0.5, 1.0]), np.array([0.5, 1.4])), steps_per_segment=16)
-    result = transport_hom(conn, conn, path, np.eye(2))
-    assert result.local_truncation_estimate >= 0.0
-    assert result.local_truncation_estimate <= 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -207,40 +196,34 @@ def test_grid_too_coarse_rejected():
         Grid(square_domain(2))
 
 
-def test_spanning_tree_extend_flat_constant_field():
-    conn = flat_connection()
+def _spanning_tree_extend(conn, value):
+    """Extend a base-node value over the default grid through the
+    spanning tree: (field over the nodes, worst non-tree mismatch)."""
     grid = Grid(conn.domain)
-    x0 = conn.domain.center()
+    transporter = GridTransporter(conn, conn, grid, grid.nearest_node(conn.domain.center()))
+    fields = transporter.extend(np.asarray(value, float).reshape(1, -1))
+    residual = float(np.abs(transporter.discrepancies(fields)).max())
+    return fields[0].reshape(len(grid.nodes), *np.shape(value)), residual
+
+
+def test_spanning_tree_extend_flat_constant_field():
     phi0 = np.array([[2.0, 1.0], [0.0, -1.0]])
-    field, residual = spanning_tree_extend(conn, conn, x0, phi0, grid)
+    field, residual = _spanning_tree_extend(flat_connection(), phi0)
     assert residual <= 1e-10
     assert np.abs(field - phi0).max() <= 1e-10
 
 
 def test_spanning_tree_extend_accepts_true_solution():
-    conn = nilpotent_connection()
-    grid = Grid(conn.domain)
-    x0 = conn.domain.center()
-    field, residual = spanning_tree_extend(conn, conn, x0, NILPOTENT_MATRIX, grid)
+    field, residual = _spanning_tree_extend(nilpotent_connection(), NILPOTENT_MATRIX)
     assert residual <= 1e-7
     # the solution field is the constant N
     assert np.abs(field - NILPOTENT_MATRIX).max() <= 1e-7
 
 
 def test_spanning_tree_extend_rejects_non_solution():
-    conn = nilpotent_connection()
-    grid = Grid(conn.domain)
-    x0 = conn.domain.center()
     bad = np.array([[1.0, 0.0], [0.0, 0.0]])  # [N, bad] != 0
-    _, residual = spanning_tree_extend(conn, conn, x0, bad, grid)
+    _, residual = _spanning_tree_extend(nilpotent_connection(), bad)
     assert residual > 1e-3
-
-
-def test_base_point_must_be_grid_node():
-    conn = flat_connection()
-    grid = Grid(conn.domain)
-    with pytest.raises(ValueError):
-        spanning_tree_extend(conn, conn, (0.017, 0.017), np.eye(2), grid)
 
 
 def _oracle_cases():
@@ -256,7 +239,7 @@ def _oracle_cases():
     return [
         ("hyperbolic-hom", (hyp, hyp_dual), ("hom", hyp, hyp_dual), 5, 32),
         ("hyperbolic-form", (hyp, hyp_dual), ("form", hyp, None), 5, 32),
-        ("hyperbolic-vector", (None, hyp), ("vector", hyp, None), 5, 32),
+        ("hyperbolic-vector", (zero_connection(hyp.domain, 1), hyp), ("vector", hyp, None), 5, 32),
         ("random-rank3-hom", (rand, rand_dual), ("hom", rand, rand_dual), 4, 16),
     ]
 
