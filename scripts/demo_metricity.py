@@ -16,7 +16,7 @@ from metron.metricity import decide_metricity, index_report
 
 def describe(name, conn):
     cert = decide_metricity(conn)
-    report = index_report(conn, certificate=cert)
+    report = index_report(conn, cert)
     print(f"== {name}")
     print(f"   verdict          {cert.verdict}")
     print(f"   dim J / S2 / O2  {cert.dim_j} / {cert.dim_s2} / {cert.dim_omega2}")

@@ -37,7 +37,10 @@ Runs, in one process and through the same code path as `metron`:
   --alphas=30,100` on exponential and poisson (full-rank witnesses with a
   determinant below 1e-8 at the chart's end) and, with --error-paths,
   gaussian1d at alpha 1000 (finite edge operators whose products along
-  the spanning tree overflow).
+  the spanning tree overflow), then `dual` and `solve-fe` on the half
+  plane with a singular `metric`, `gauge-check` on it with a singular
+  `gauge`, and `gauge-check` with a regular `gauge` and a singular
+  `metric`.
 
 Each run prints one line, `<sha256>  <command>  (exit <code>)`, so two
 checkouts can be compared with diff:
@@ -235,8 +238,8 @@ def error_commands(out: Path) -> list[list[str]]:
 
 
 def added_commands(out: Path, error_paths: bool) -> list[list[str]]:
-    """The runs added last; the gaussian1d problem files are written under
-    out."""
+    """The runs added last; the gaussian1d and the singular half-plane
+    problem files are written under out."""
     commands = []
     for alpha in (1.0, -1.0):
         conn = alpha_connection(get_family("gaussian1d"), alpha)
@@ -259,6 +262,23 @@ def added_commands(out: Path, error_paths: bool) -> list[list[str]]:
     ]
     if error_paths:
         commands.append(["alpha-scan", "--family", "gaussian1d", "--alphas=1000"])
+        half_plane = json.loads(Path("problems/hyperbolic.json").read_text(encoding="utf-8"))
+        singular = [["1", "0"], ["0", "0"]]
+        variants = {
+            "singular-metric": {"metric": singular},
+            "singular-gauge": {"gauge": [["1", "x1"], ["0", "0"]]},
+            "gauge-singular-metric": {"metric": singular, "gauge": [["1", "x1"], ["0", "1"]]},
+        }
+        paths = {}
+        for name, changes in variants.items():
+            paths[name] = str(out / f"{name}.json")
+            Path(paths[name]).write_text(json.dumps({**half_plane, **changes}), encoding="utf-8")
+        commands += [
+            ["dual", paths["singular-metric"]],
+            ["solve-fe", paths["singular-metric"]],
+            ["gauge-check", paths["singular-gauge"]],
+            ["gauge-check", paths["gauge-singular-metric"]],
+        ]
     return commands
 
 

@@ -15,6 +15,7 @@ from .bundle import (  # noqa: F401
     GaugeTransform,
     MetricField,
     apply_gauge,
+    conjugate_connection,
     curvature,
     dual_connection,
     dual_gauge_compatibility_residual,
@@ -34,6 +35,7 @@ from .expr import (  # noqa: F401
     to_string,
 )
 from .homsolver import (  # noqa: F401
+    Prolongation,
     SolutionSpace,
     SolveOptions,
     local_system_residual,

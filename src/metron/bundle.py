@@ -54,6 +54,7 @@ __all__ = [
 DET_REGULARITY_FLOOR = 1e-8
 CONDITION_CEILING = 1e8
 RANK_REL_CUTOFF = 1e-8
+IRREGULAR_METRIC = "dual connection needs a regular metric on the chart"
 
 
 def numerical_rank(
@@ -121,9 +122,8 @@ class ChartDomain:
     def span(self) -> np.ndarray:
         return np.asarray(self.upper) - np.asarray(self.lower)
 
-    def axis_points(self, i: int, count: int | None = None) -> np.ndarray:
-        n = self.samples_per_axis[i] if count is None else count
-        fractions = (np.arange(n) + 1.0) / (n + 1.0)
+    def axis_points(self, i: int, count: int) -> np.ndarray:
+        fractions = (np.arange(count) + 1.0) / (count + 1.0)
         return self.lower[i] + fractions * (self.upper[i] - self.lower[i])
 
     def sample_points(self, counts: tuple[int, ...] | None = None) -> np.ndarray:
@@ -135,11 +135,9 @@ class ChartDomain:
     def center(self) -> np.ndarray:
         return (np.asarray(self.lower) + np.asarray(self.upper)) / 2.0
 
-    def contains(self, point, margin: float = 0.0) -> bool:
+    def contains(self, point) -> bool:
         p = np.asarray(point, dtype=float)
-        lo = np.asarray(self.lower) + margin
-        up = np.asarray(self.upper) - margin
-        return bool(np.all(p > lo) and np.all(p < up))
+        return bool(np.all(p > np.asarray(self.lower)) and np.all(p < np.asarray(self.upper)))
 
 
 def _validate_entries(rows, domain: ChartDomain, what: str):
@@ -195,9 +193,6 @@ class Connection:
     def coeff_at(self, x) -> np.ndarray:
         """Evaluate all coefficients at a point, shape (m, r, r)."""
         return self.coeff_array(x)
-
-    def max_abs_on_grid(self) -> float:
-        return float(np.abs(self.coeff_array(self.domain.sample_points())).max())
 
 
 def zero_connection(domain: ChartDomain, r: int) -> Connection:
@@ -292,9 +287,9 @@ class GaugeTransform:
         dets = np.linalg.det(self.matrix_at(self.domain.sample_points()))
         return float(np.abs(dets).min())
 
-    def require_invertible(self, floor: float = DET_REGULARITY_FLOOR):
+    def require_invertible(self):
         worst = self.min_abs_det_on_grid()
-        if worst < floor:
+        if worst < DET_REGULARITY_FLOOR:
             raise ValueError(
                 f"gauge transform is numerically singular on the grid (|det| = {worst:.3e})"
             )
@@ -353,7 +348,7 @@ def dual_connection(metric: MetricField, conn: Connection) -> Connection:
     it twice returns the original connection.
     """
     if not metric.is_regular():
-        raise ValueError("dual connection needs a regular metric on the chart")
+        raise ValueError(IRREGULAR_METRIC)
     g = metric.entries
     ginv = sm.inverse_mat(g)
     gamma_star = []

@@ -35,6 +35,7 @@ from . import symmatrix as sm
 from .bundle import (
     CONDITION_CEILING,
     DET_REGULARITY_FLOOR,
+    IRREGULAR_METRIC,
     RANK_REL_CUTOFF,
     ChartDomain,
     Connection,
@@ -46,7 +47,7 @@ from .bundle import (
     dual_gauge_compatibility_residual,
     identity_metric,
 )
-from .homsolver import UNDER_RESOLVED, SolveOptions, solve_hom
+from .homsolver import UNDER_RESOLVED, Prolongation, SolveOptions, solve_hom
 from .metricity import decide_metricity, index_report
 from .statmodels import ALPHA_SCAN_OPTIONS, alpha_scan, get_family
 
@@ -371,6 +372,10 @@ class ProblemObjects:
         )
 
     def base_metric(self) -> MetricField:
+        """The problem's metric, else the identity; one that is not
+        regular raises _InputError at `metric`."""
+        if self.metric is not None and not self.metric.is_regular():
+            raise _InputError([_diag("metric", "value", IRREGULAR_METRIC)])
         return self.metric or identity_metric(self.domain, self.r)
 
     def evaluate_entries(self):
@@ -467,9 +472,7 @@ def _metric_family(p: ProblemObjects, path: str) -> list[MetricField]:
 def _cmd_index(p: ProblemObjects, args):
     family = _metric_family(p, args.metric_family) if args.metric_family else []
     cert = decide_metricity(p.connection, options=p.options)
-    report = index_report(
-        p.connection, family, p.options, primary_metric=p.metric, certificate=cert
-    )
+    report = index_report(p.connection, cert, family, primary_metric=p.metric)
     result = {
         "indexReport": {
             "sb_given_g": report.sb_given_g,
@@ -518,7 +521,7 @@ def _cmd_curvature(p: ProblemObjects, args):
 
 def _cmd_solve_fe(p: ProblemObjects, args):
     dual = p.dual or dual_connection(p.base_metric(), p.connection)
-    space = solve_hom(p.connection, dual, p.options)
+    space = solve_hom(Prolongation(p.connection, dual, p.options))
     ok = space.stabilized and UNDER_RESOLVED not in space.flags
     return {"solutionSpace": _space_summary(space)}, ok
 
@@ -527,7 +530,10 @@ def _cmd_gauge_check(p: ProblemObjects, args):
     if p.gauge is None:
         raise _InputError([_diag("gauge", "missing", "gauge-check needs a gauge matrix")])
     phi = p.gauge
-    phi.require_invertible()
+    try:
+        phi.require_invertible()
+    except ValueError as err:
+        raise _InputError([_diag("gauge", "value", str(err))]) from None
     inv_entries = sm.inverse_mat(phi.entries)
     phi_inv = GaugeTransform(p.domain, p.r, inv_entries)
     transformed = apply_gauge(phi, p.connection)

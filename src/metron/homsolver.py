@@ -27,12 +27,13 @@ solver therefore runs two independent mechanisms:
 
    generates each new order symbolically, so no discretisation error
    enters the constraints; the generators B of conn pair with those B*
-   of its target into P -> B P - P B*. An analysis solves hom, S2 and
-   Omega2 into one target, the conjugate, so the three share one
-   `Prolongation`: one grid, one base node, each order built and
-   evaluated once, and one grid transporter per RK4 step count, which
-   lives only as long as the analysis. Every kind cuts its own
-   candidate subspace with its own scale and stops on its own.
+   of its target into P -> B P - P B*. Every solver reads one problem,
+   a `Prolongation` of conn, its target and the options: one grid, one
+   base node, each order built and evaluated once, and one grid
+   transporter per RK4 step count, which lives as long as the problem.
+   An analysis solves hom, S2 and Omega2 on one problem whose target is
+   the conjugate; every kind cuts its own candidate subspace with its
+   own scale and stops on its own.
 
 2. Transport: extend every stabilised candidate over the sample grid
    through the spanning tree and measure the mismatch on the redundant
@@ -56,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import symmatrix as sm
-from .bundle import ChartDomain, Connection, conjugate_connection, curvature
+from .bundle import ChartDomain, Connection, curvature
 from .transport import DEFAULT_STEPS_PER_SEGMENT, Grid, GridTransporter, flow_operators
 
 __all__ = [
@@ -73,7 +74,6 @@ __all__ = [
     "nullspace",
 ]
 
-ANOTHER_PROBLEM = "the shared prolongation belongs to another problem or options"
 UNDER_RESOLVED = "transport-under-resolved"
 TRUNCATION_SHRINK = 2.0  # per step doubling: RK4 truncation shrinks 16x, holonomy 1x
 GENERATOR_DROP_REL = 1e-9
@@ -105,7 +105,6 @@ class SolveOptions:
 class SolutionSpace:
     """Certified basis of parallel sections, with grid extensions."""
 
-    kind: str  # 'hom', 'symmetric', 'antisymmetric'
     base_point: tuple
     basis: np.ndarray  # (dimension, r, r)
     dimension: int
@@ -219,18 +218,18 @@ def _constraint_rows(b, bs, subspace: np.ndarray, scale_ref: float):
 
 
 class Prolongation:
-    """What the solves of one analysis share: the grid, the base node,
-    the evaluated constraint generators and the grid transporters.
+    """One problem: the intertwiner equation from conn into the target
+    `dual` under `options`, and what every solve of it shares: the grid,
+    the base node, the evaluated constraint generators and the grid
+    transporters.
 
-    Built for conn and the target `dual`, it serves the hom solve into
-    dual and, when dual is the conjugate of conn, both form solves. Each
-    order is built and evaluated when a solve first reaches it, once,
-    and kept for the solves after it, so no order past the last solve's
-    stop is built. The transporters, one per step count, live as long
-    as the analysis does.
+    Each order is built and evaluated when a solve first reaches it,
+    once, and kept for the solves after it, so no order past the last
+    solve's stop is built. The transporters, one per step count, live as
+    long as the problem does.
     """
 
-    def __init__(self, conn: Connection, dual: Connection, options: SolveOptions):
+    def __init__(self, conn: Connection, dual: Connection, options: SolveOptions = SolveOptions()):
         self.conn, self.dual, self.options = conn, dual, options
         self.grid = Grid(conn.domain, options.grid_counts(conn.domain))
         self.base_index = self.grid.nearest_node(conn.domain.center())
@@ -253,23 +252,23 @@ class Prolongation:
             yield self._values[order]
 
 
-def get_transporter(shared: Prolongation, steps: int) -> GridTransporter:
+def get_transporter(problem: Prolongation, steps: int) -> GridTransporter:
     """The analysis's transporter between conn and the target at `steps`
     RK4 steps per edge, built the first time a solve needs it."""
-    transporter = shared.transporters.get(steps)
+    transporter = problem.transporters.get(steps)
     if transporter is None:
-        transporter = shared.transporters[steps] = GridTransporter(
-            shared.conn, shared.dual, shared.grid, shared.base_index, steps
+        transporter = problem.transporters[steps] = GridTransporter(
+            problem.conn, problem.dual, problem.grid, problem.base_index, steps
         )
     return transporter
 
 
-def stabilized_constraint_subspace(shared: Prolongation, subspace: np.ndarray | None = None):
+def stabilized_constraint_subspace(problem: Prolongation, subspace: np.ndarray | None = None):
     """Intersect kernels of the induced curvature and its covariant
-    derivatives at the shared base node, order by order, until two
+    derivatives at the problem's base node, order by order, until two
     consecutive dimensions agree.
 
-    The constraints are P -> B P - P B*, read from the prolongation's
+    The constraints are P -> B P - P B*, read from the problem's
     evaluated orders; its options give the deepest order and the kernel
     cutoff.
 
@@ -280,13 +279,13 @@ def stabilized_constraint_subspace(shared: Prolongation, subspace: np.ndarray | 
     the curvature constraints alone already close the intersection).
     """
     if subspace is None:
-        subspace = np.eye(shared.conn.r**2)
+        subspace = np.eye(problem.conn.r**2)
     blocks: list[np.ndarray] = []
     scale_ref = 1.0
     dim_prev = subspace.shape[0]
     dims: list[int] = []
     stabilized = False
-    for values in shared.orders():
+    for values in problem.orders():
         for b, bs in values:
             rows, magnitude = _constraint_rows(b, bs, subspace, scale_ref)
             scale_ref = max(scale_ref, magnitude)
@@ -295,7 +294,7 @@ def stabilized_constraint_subspace(shared: Prolongation, subspace: np.ndarray | 
         stacked = (
             np.vstack(blocks) if blocks else np.zeros((0, subspace.shape[0]))
         )
-        kernel = nullspace(stacked, shared.options.kernel_cutoff)
+        kernel = nullspace(stacked, problem.options.kernel_cutoff)
         dims.append(kernel.shape[0])
         if kernel.shape[0] == dim_prev or kernel.shape[0] == 0:
             stabilized = True
@@ -306,27 +305,16 @@ def stabilized_constraint_subspace(shared: Prolongation, subspace: np.ndarray | 
     # report the first order whose constraints already pinned the final
     # space (later orders added nothing)
     settle_order = next(k for k, d in enumerate(dims) if d == final_dim)
-    return candidates, stabilized, settle_order if stabilized else shared.options.max_order
+    return candidates, stabilized, settle_order if stabilized else problem.options.max_order
 
 
-def _solve(
-    kind: str,
-    conn: Connection,
-    dual: Connection,
-    subspace: np.ndarray | None,
-    options: SolveOptions,
-    shared: Prolongation | None,
-) -> SolutionSpace:
-    """Prolong one kind at the shared base node and certify its
-    candidates by transport over the shared grid. An empty candidate
-    space runs the same path on empty arrays and builds no transporter."""
-    if shared is None:
-        shared = Prolongation(conn, dual, options)
-    elif shared.conn is not conn or shared.dual is not dual or shared.options != options:
-        raise ValueError(ANOTHER_PROBLEM)
-    r = conn.r
-    grid, x0 = shared.grid, shared.x0
-    candidates, stabilized, order = stabilized_constraint_subspace(shared, subspace)
+def _solve(problem: Prolongation, subspace: np.ndarray | None) -> SolutionSpace:
+    """Prolong the problem on `subspace` (all matrices when None) at its
+    base node and certify the candidates by transport over its grid. An
+    empty candidate space runs the same path on empty arrays and builds
+    no transporter."""
+    r, grid, options = problem.conn.r, problem.grid, problem.options
+    candidates, stabilized, order = stabilized_constraint_subspace(problem, subspace)
     flags: list[str] = []
     if not stabilized:
         flags.append("stabilization-not-reached:lower-bound-only")
@@ -334,7 +322,7 @@ def _solve(
     fields = np.zeros((0, len(grid.nodes), r * r))
     disc = np.zeros((0, 0))
     if k:
-        transporter = get_transporter(shared, options.steps_per_segment)
+        transporter = get_transporter(problem, options.steps_per_segment)
         fields = transporter.extend(candidates)  # (k, N, r*r)
         disc = transporter.discrepancies(fields).reshape(k, -1)  # (k, E*d)
     if disc.shape[1] == 0:
@@ -352,7 +340,7 @@ def _solve(
     kept_residuals = residuals[keep]
     if stabilized and not keep.all():
         flags.append("transport-rejected-stabilized-directions")
-        fine = get_transporter(shared, 2 * options.steps_per_segment)
+        fine = get_transporter(problem, 2 * options.steps_per_segment)
         rejected = coeffs[~keep] @ candidates
         fine_disc = fine.discrepancies(fine.extend(rejected)).reshape(len(rejected), -1)
         if np.any(TRUNCATION_SHRINK * np.abs(fine_disc).max(axis=1) < residuals[~keep]):
@@ -372,8 +360,7 @@ def _solve(
     extensions = np.tensordot(kept_coeffs, fields, axes=(1, 0))
     dim = basis_vecs.shape[0]
     return SolutionSpace(
-        kind=kind,
-        base_point=tuple(x0),
+        base_point=tuple(problem.x0),
         basis=basis_vecs.reshape(dim, r, r),
         dimension=dim,
         certified_residual=float(kept_residuals.max()) if dim else 0.0,
@@ -386,37 +373,20 @@ def _solve(
     )
 
 
-def solve_hom(
-    conn: Connection,
-    dual: Connection,
-    options: SolveOptions | None = None,
-    shared: Prolongation | None = None,
-) -> SolutionSpace:
-    """Certified basis of endomorphism fields intertwining conn and dual;
-    `shared` is a Prolongation of conn and dual to read orders from."""
-    return _solve("hom", conn, dual, None, options or SolveOptions(), shared)
+def solve_hom(problem: Prolongation) -> SolutionSpace:
+    """Certified basis of endomorphism fields intertwining the problem's
+    connection with its target."""
+    return _solve(problem, None)
 
 
-def solve_parallel_forms(
-    conn: Connection,
-    symmetry: str,
-    options: SolveOptions | None = None,
-    shared: Prolongation | None = None,
-) -> SolutionSpace:
-    """Certified basis of parallel symmetric or antisymmetric forms: the
-    hom solve into the conjugate connection, restricted to the symmetric
-    or antisymmetric matrices. `shared` is a Prolongation of conn and
-    its conjugate to read orders from."""
+def solve_parallel_forms(problem: Prolongation, symmetry: str) -> SolutionSpace:
+    """Certified basis of the problem's symmetric or antisymmetric
+    intertwiners: the parallel forms of its connection when the target
+    is `conjugate_connection(conn)`."""
     if symmetry not in ("symmetric", "antisymmetric"):
         raise ValueError("symmetry must be 'symmetric' or 'antisymmetric'")
-    if shared is None:
-        dual = conjugate_connection(conn)
-    elif shared.dual.gamma == conjugate_connection(conn).gamma:
-        dual = shared.dual  # the conjugate, node for node
-    else:
-        raise ValueError(ANOTHER_PROBLEM)
-    sub = symmetric_basis(conn.r) if symmetry == "symmetric" else antisymmetric_basis(conn.r)
-    return _solve(symmetry, conn, dual, sub, options or SolveOptions(), shared)
+    basis = symmetric_basis if symmetry == "symmetric" else antisymmetric_basis
+    return _solve(problem, basis(problem.conn.r))
 
 
 def _owner_index(grid: Grid, node_multi, axis: int, direction: int):
@@ -429,13 +399,11 @@ def _owner_index(grid: Grid, node_multi, axis: int, direction: int):
 
 
 def local_system_residual(
-    space: SolutionSpace,
-    conn: Connection,
-    dual: Connection | None = None,
+    fields: np.ndarray, grid: Grid, conn: Connection, dual: Connection
 ) -> float:
-    """Direct-substitution residual of every basis extension, solutions
-    of the intertwiner equation into dual; a form space's dual defaults
-    to the conjugate connection.
+    """Direct-substitution residual of (k, N, r, r) fields on the grid's
+    N nodes, solutions of the intertwiner equation from conn into dual
+    (a form field's target is the conjugate connection).
 
     At each grid node the coordinate derivative of the field is taken
     with a sixth-order central stencil whose sample values are produced
@@ -443,19 +411,15 @@ def local_system_residual(
     node under test, so a path-dependent fake cannot certify itself. The
     result is compared against the right-hand side of the first-order
     system evaluated exactly at the node; the return value is the worst
-    absolute entry over nodes, axes and basis elements.
+    absolute entry over nodes, axes and fields.
     """
-    if space.dimension == 0:
+    k = len(fields)
+    if k == 0:
         return 0.0
-    if dual is None:
-        if space.kind == "hom":
-            raise ValueError("hom residual needs the target connection")
-        dual = conjugate_connection(conn)
-    grid = space.grid
     m, r = conn.domain.m, conn.r
     n_nodes = len(grid.nodes)
     hs = FD_STENCIL_FRACTION * conn.domain.span
-    fields = space.extensions.reshape(space.dimension, n_nodes, -1)
+    fields = fields.reshape(k, n_nodes, r * r)
     steps = 2 * DEFAULT_STEPS_PER_SEGMENT  # for the first, longest legs
     unit = np.eye(m)
     weight_of = dict(zip(_FD_OFFSETS, _FD_WEIGHTS))
@@ -492,8 +456,8 @@ def local_system_residual(
     # (k, S, 3, d): each owner value carried to its three stencil points
     moved = np.einsum("sjab,ksb->ksja", ops, fields[:, owners, :])
     fd = np.einsum("sj,ksja->ksa", np.array(weights), moved)
-    fd = fd.reshape(space.dimension, n_nodes, m, 2, -1).sum(axis=3)
+    fd = fd.reshape(k, n_nodes, m, 2, -1).sum(axis=3)
     fd /= 60.0 * hs[None, None, :, None]
-    values = fields.reshape(space.dimension, n_nodes, 1, r, r)
+    values = fields.reshape(k, n_nodes, 1, r, r)
     rhs = conn.coeff_array(grid.nodes) @ values - values @ dual.coeff_array(grid.nodes)
     return float(np.abs(fd - rhs.reshape(fd.shape)).max())

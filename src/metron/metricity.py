@@ -19,15 +19,16 @@ Two integer gradings accompany the verdict:
 
 Both vanish exactly in the regularly metric case, and both are gauge
 invariants; the test suite asserts these equivalences on every corpus
-connection rather than assuming them. One hom solve serves every g:
-J(conn, g.conn) = J(conn, conjugate) G^{-1} pointwise, the conjugate
--Gamma_i^T being the dual of the identity. The g-symmetric part of
-P G^{-1} is sym(P) G^{-1}, so index_report counts its random members
-rather than building them.
+connection rather than assuming them. The certificate's hom solve
+serves every g: J(conn, g.conn) = J(conn, conjugate) G^{-1} pointwise,
+the conjugate -Gamma_i^T being the dual of the identity. So
+index_report takes a certificate and solves nothing; as the
+g-symmetric part of P G^{-1} is sym(P) G^{-1}, it counts its random
+members rather than building them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -128,23 +129,16 @@ def induced_forms(g: np.ndarray, phi_sym: np.ndarray, phi_alt: np.ndarray):
 
 
 def analyze(conn: Connection, options: SolveOptions | None = None) -> dict:
-    """The three spaces of parallel sections, solved once, keyed "hom",
-    "symmetric" and "antisymmetric": the dict a certificate keeps as
-    its `spaces`.
-
-    All three are intertwiners into one target, the conjugate connection
-    (the dual of the identity metric): hom on all matrices, S2 and
-    Omega2 on the symmetric and antisymmetric ones. So they share one
-    grid, one base node, one prolongation and one transporter. Each
-    space equals what its solver returns alone.
-    """
-    opts = options or SolveOptions()
-    dual = conjugate_connection(conn)
-    shared = Prolongation(conn, dual, opts)
+    """The three spaces of parallel sections keyed "hom", "symmetric"
+    and "antisymmetric" (a certificate's `spaces`), solved on one
+    problem: the intertwiners into the conjugate connection, the dual of
+    the identity metric, on all, the symmetric and the antisymmetric
+    matrices. Each space equals its solve on a fresh problem."""
+    problem = Prolongation(conn, conjugate_connection(conn), options or SolveOptions())
     return {
-        "hom": solve_hom(conn, dual, opts, shared),
-        "symmetric": solve_parallel_forms(conn, "symmetric", opts, shared),
-        "antisymmetric": solve_parallel_forms(conn, "antisymmetric", opts, shared),
+        "hom": solve_hom(problem),
+        "symmetric": solve_parallel_forms(problem, "symmetric"),
+        "antisymmetric": solve_parallel_forms(problem, "antisymmetric"),
     }
 
 
@@ -267,88 +261,73 @@ def parallel_form_residuals(
     omega = g(Phi* ., .) must satisfy the parallel-form system; this
     asserts the consequence numerically by substituting the induced-form
     fields into the system at every node. hom_space is the analysis's
-    `spaces["hom"]`; each induced form field is checked as a
-    one-element form space, whose target defaults to the conjugate.
+    `spaces["hom"]`; each induced form field is an intertwiner into the
+    conjugate.
     """
     field_phi = hom_space.extensions[solution_index]
     g = np.eye(conn.r)
     phi_sym, phi_alt = split_symmetric(g, field_phi)
     q_nodes, w_nodes = induced_forms(g, phi_sym, phi_alt)
     phi_ranks = numerical_rank(phi_sym, scale=np.linalg.norm(field_phi, axis=(1, 2)))
-
-    def residual(kind: str, nodes: np.ndarray) -> float:
-        """Substitution residual of the form field given at the nodes."""
-        space = replace(hom_space, kind=kind, dimension=1, extensions=nodes[None])
-        return local_system_residual(space, conn)
-
+    conjugate = conjugate_connection(conn)
     return {
-        "q_residual": residual("symmetric", q_nodes),
-        "omega_residual": residual("antisymmetric", w_nodes),
+        "q_residual": local_system_residual(q_nodes[None], hom_space.grid, conn, conjugate),
+        "omega_residual": local_system_residual(w_nodes[None], hom_space.grid, conn, conjugate),
         "phi_rank_constant": bool(np.all(phi_ranks == phi_ranks[0])),
         "phi_rank": int(phi_ranks[0]),
     }
 
 
-def gauge_index(
-    conn: Connection,
-    metric: MetricField,
-    options: SolveOptions | None = None,
-    hom_space: SolutionSpace | None = None,
-):
-    """Minimal corank of the g-symmetric part over the certified
-    intertwiners of conn with g.conn: r minus the largest rank over the
-    candidate stack, ranked in one call; (rank r, flagged) when the
-    space is trivial so that downstream minima stay total.
+def gauge_index(metric: MetricField, hom_space: SolutionSpace, seed: int):
+    """(value, flags): the minimal corank of the g-symmetric part over
+    the certified intertwiners of a connection with its g-dual g.conn, r
+    minus the largest rank over the candidate stack of `seed`, ranked in
+    one call; (r, flagged) when the space is trivial so that downstream
+    minima stay total.
 
-    hom_space holds the intertwiners into the conjugate (solved here
-    when not given); as J(conn, g.conn) = J(conn, conjugate) G^{-1},
-    each candidate Q is read as Q G^{-1} at the base point.
+    hom_space holds the connection's intertwiners into its conjugate (a
+    certificate's `spaces["hom"]`); as J(conn, g.conn) = J(conn,
+    conjugate) G^{-1}, each candidate Q is read as Q G^{-1} at the base
+    point.
     """
-    opts = options or SolveOptions()
-    if hom_space is None:
-        hom_space = solve_hom(conn, conjugate_connection(conn), opts)
-    r = conn.r
     if hom_space.dimension == 0:
-        return r, ("empty-solution-space",), hom_space
+        return metric.r, ("empty-solution-space",)
     g0 = metric.matrix_at(hom_space.base_point)
-    phi = _rank_candidates(hom_space, opts.seed) @ np.linalg.inv(g0)
+    phi = _rank_candidates(hom_space, seed) @ np.linalg.inv(g0)
     phi_sym, _ = split_symmetric(g0, phi)
     ranks = numerical_rank(phi_sym, scale=np.linalg.norm(phi, axis=(1, 2)))
     flags = () if hom_space.stabilized else ("stabilization-not-reached",)
-    return r - int(ranks.max()), flags, hom_space
+    return metric.r - int(ranks.max()), flags
 
 
 def index_report(
     conn: Connection,
+    certificate: MetricityCertificate,
     metric_family: list[MetricField] | None = None,
-    options: SolveOptions | None = None,
     primary_metric: MetricField | None = None,
-    certificate: MetricityCertificate | None = None,
 ) -> IndexReport:
-    """Index summary over a declared finite metric family: the primary
-    metric (identity unless the caller supplies one), any user metrics,
-    the identity when a primary is given, and eight random constant
-    metrics. Each regular declared member is one gauge_index call on one
-    hom space (the certificate's when its options match). As J(conn,
-    g.conn) = J(conn, conjugate) G^{-1} (no exact sequence or
-    stabilization assumed), members differ only where the rank cutoff,
-    relative to |Q G0^{-1}|, drops a direction of an ill-conditioned G0.
-    The random members (cond <= 4) are counted, not built: the identity
-    stands for them."""
-    opts = options or SolveOptions()
+    """Index summary of conn's certificate over a declared finite metric
+    family: the primary metric (identity unless the caller supplies
+    one), any user metrics, the identity when a primary is given, and
+    eight random constant metrics. Each regular declared member is one
+    gauge_index call on the certificate's hom space, with the seed of
+    its options. As J(conn, g.conn) = J(conn, conjugate) G^{-1} (no
+    exact sequence or stabilization assumed), members differ only where
+    the rank cutoff, relative to |Q G0^{-1}|, drops a direction of an
+    ill-conditioned G0. The random members (cond <= 4) are counted, not
+    built: the identity stands for them."""
     identity = identity_metric(conn.domain, conn.r)
     declared = [primary_metric or identity, *(metric_family or [])]
     if primary_metric is not None:
         declared.append(identity)
-    certificate = certificate or decide_metricity(conn, opts)
-    hom_space = certificate.spaces["hom"] if certificate.options == opts else None
+    hom_space, seed = certificate.spaces["hom"], certificate.options.seed
     flags = list(certificate.flags)
     values = {}
     for idx, g in enumerate(declared):
         if not g.is_regular():
             flags.append(f"family-member-{idx}-not-regular-skipped")
             continue
-        values[idx], gflags, hom_space = gauge_index(conn, g, opts, hom_space)
+        values[idx], gflags = gauge_index(g, hom_space, seed)
         flags.extend(gflags)
     return IndexReport(
         sb_given_g=values.get(0, conn.r),

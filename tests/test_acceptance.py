@@ -17,6 +17,7 @@ from metron import cli
 from metron import symmatrix as sm
 from metron.bundle import (
     apply_gauge,
+    conjugate_connection,
     dual_connection,
     identity_metric,
     metric_covariant_derivative,
@@ -31,7 +32,7 @@ from metron.corpus import (
     random_polynomial_gauge,
     square_domain,
 )
-from metron.homsolver import SolveOptions
+from metron.homsolver import Prolongation, SolveOptions, solve_hom
 from metron.metricity import (
     analyze,
     decide_metricity,
@@ -107,8 +108,9 @@ def test_c02_quasi_commutativity_suite():
 def test_c03_flat_baseline():
     conn = flat_connection()
     cert = decide_metricity(conn)
-    report = index_report(conn, options=MEDIUM, certificate=cert)
-    sb_identity, _, _ = gauge_index(conn, identity_metric(conn.domain, 2), MEDIUM)
+    report = index_report(conn, cert)
+    hom = solve_hom(Prolongation(conn, conjugate_connection(conn), MEDIUM))
+    sb_identity, _ = gauge_index(identity_metric(conn.domain, 2), hom, MEDIUM.seed)
     ok = (
         cert.dim_j == 4
         and cert.dim_s2 == 3
@@ -132,7 +134,7 @@ def test_c03_flat_baseline():
 def test_c04_nilpotent_obstruction():
     conn = nilpotent_connection()
     cert = decide_metricity(conn)
-    report = index_report(conn, options=MEDIUM, certificate=cert)
+    report = index_report(conn, cert)
     # independent brute-force oracle: curvature-compatible forms that
     # substitute into the parallelism system, and the endomorphism kernel
     pts = conn.domain.sample_points()[::7]
@@ -214,12 +216,7 @@ def test_c06_gauge_invariance():
 
     def signature(c):
         cert = decide_metricity(c, options=MEDIUM)
-        sb, _, _ = gauge_index(
-            c,
-            identity_metric(c.domain, c.r),
-            MEDIUM,
-            hom_space=cert.spaces["hom"],
-        )
+        sb, _ = gauge_index(identity_metric(c.domain, c.r), cert.spaces["hom"], MEDIUM.seed)
         return (cert.dim_j, cert.dim_s2, cert.dim_omega2, sb, cert.verdict)
 
     for name, conn in probes.items():

@@ -19,6 +19,16 @@ def _run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _python(*argv):
+    """Run a fresh interpreter from the repository root, metron's src
+    first on its path."""
+    paths = [str(REPO / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths), PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run(
+        [sys.executable, *argv], cwd=REPO, env=env, capture_output=True, text=True
+    )
+
+
 def _write(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(
@@ -151,6 +161,55 @@ def test_gauge_check_command(capsys, tmp_path):
     assert result["gaugeRoundTripResidual"] <= 1e-9
     assert result["dualGaugeCompatibilityResidual"] <= 1e-8
     assert result["curvatureConjugationResidual"] <= 1e-8
+
+
+def _half_plane(**changes):
+    problem = json.loads((PROBLEMS / "hyperbolic.json").read_text(encoding="utf-8"))
+    return {**problem, **changes}
+
+
+SINGULAR_METRICS = [[["1", "0"], ["0", "0"]], [["1", "0"], ["0", "1e-12"]]]
+REGULAR_GAUGE = [["1", "x1"], ["0", "1"]]
+
+
+@pytest.mark.parametrize("command", ["dual", "solve-fe", "gauge-check"])
+@pytest.mark.parametrize("metric", SINGULAR_METRICS)
+def test_singular_metric_is_rejected_at_its_key(capsys, tmp_path, command, metric):
+    """dual, solve-fe and gauge-check dualise the problem's metric; one
+    that is not regular is named at `metric`, not at `$`."""
+    path = _write(tmp_path, "p.json", _half_plane(metric=metric, gauge=REGULAR_GAUGE))
+    code, out, _ = _run(capsys, command, path, "--quiet")
+    assert code == 2
+    assert json.loads(out)["result"]["diagnostics"] == [
+        {
+            "path": "metric",
+            "code": "value",
+            "message": "dual connection needs a regular metric on the chart",
+        }
+    ]
+
+
+@pytest.mark.parametrize("command", ["validate", "metricity", "index"])
+def test_singular_metric_is_accepted_where_nothing_dualises_it(capsys, tmp_path, command):
+    """index skips a singular metric by design; validate and metricity
+    never dualise it."""
+    path = _write(tmp_path, "p.json", _half_plane(metric=SINGULAR_METRICS[0]))
+    code, out, _ = _run(capsys, command, path, "--quiet", "--grid", "5")
+    assert code == 0
+    assert json.loads(out)["result"].get("diagnostics", []) == []
+
+
+def test_singular_gauge_is_rejected_at_its_key(capsys, tmp_path):
+    path = _write(tmp_path, "p.json", _half_plane(gauge=[["1", "x1"], ["0", "0"]]))
+    code, out, _ = _run(capsys, "gauge-check", path, "--quiet")
+    assert code == 2
+    assert json.loads(out)["result"]["diagnostics"] == [
+        {
+            "path": "gauge",
+            "code": "value",
+            "message": "gauge transform is numerically singular on the grid (|det| = 0.000e+00)",
+        }
+    ]
 
 
 def test_alpha_scan_honours_the_solve_flags(capsys):
@@ -477,11 +536,7 @@ def test_analyses_never_import_numpy_random():
         "    assert cli.run_command(cli.build_parser().parse_args(argv))[1] == 0, argv\n"
         "print('numpy.random' in sys.modules)\n"
     )
-    paths = [str(REPO / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths), PYTHONDONTWRITEBYTECODE="1")
-    done = subprocess.run(
-        [sys.executable, "-c", script], cwd=REPO, env=env, capture_output=True, text=True
-    )
+    done = _python("-c", script)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
 
@@ -497,13 +552,17 @@ def test_every_benchmark_span_finds_its_function():
         "spans.install(rec)\n"
         "print(rec.missing)\n"
     )
-    paths = [str(REPO / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths), PYTHONDONTWRITEBYTECODE="1")
-    done = subprocess.run(
-        [sys.executable, "-c", script], cwd=REPO, env=env, capture_output=True, text=True
-    )
+    done = _python("-c", script)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_demo_script_prints_the_three_verdicts():
+    """scripts/demo_metricity.py walks the public API end to end."""
+    done = _python("scripts/demo_metricity.py")
+    assert done.returncode == 0, done.stderr
+    verdicts = [line.split()[-1] for line in done.stdout.splitlines() if "verdict" in line]
+    assert verdicts == ["RegularlyMetric", "SingularMetricOnly", "RegularlyMetric"]
 
 
 def test_timings_are_reported_only_with_a_result(capsys, tmp_path, monkeypatch):

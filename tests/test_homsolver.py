@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from metron import symmatrix as sm
-from metron.bundle import apply_gauge, curvature, dual_connection, identity_metric
+from metron.bundle import (
+    apply_gauge,
+    conjugate_connection,
+    curvature,
+    dual_connection,
+    identity_metric,
+)
 from metron.corpus import (
     NILPOTENT_MATRIX,
     flat_connection,
@@ -39,6 +45,11 @@ def _span_dim(rows):
     mat = np.array([r.reshape(-1) for r in rows])
     s = np.linalg.svd(mat, compute_uv=False)
     return int((s > 1e-8 * s[0]).sum()) if s[0] > 0 else 0
+
+
+def _forms(conn, symmetry, options=SolveOptions()):
+    """A standalone form solve: a fresh problem into the conjugate."""
+    return solve_parallel_forms(Prolongation(conn, conjugate_connection(conn), options), symmetry)
 
 
 def _same_span(basis_a, basis_b, tol=1e-8) -> bool:
@@ -154,7 +165,7 @@ def test_generic_connection_builds_no_prolongation_order(monkeypatch):
     calls = []
     mat_diff = sm.mat_diff
     monkeypatch.setattr(sm, "mat_diff", lambda a, i: calls.append(i) or mat_diff(a, i))
-    space = solve_hom(conn, dual, SolveOptions(grid_per_axis=5, steps_per_segment=16))
+    space = solve_hom(Prolongation(conn, dual, SolveOptions(grid_per_axis=5, steps_per_segment=16)))
     assert space.dimension == 0 and space.stabilization_order == 0
     assert calls == []
 
@@ -174,9 +185,9 @@ def test_solve_options_are_frozen():
 def test_flat_solution_space_dimensions():
     conn = flat_connection()
     dual = dual_connection(identity_metric(conn.domain, 2), conn)
-    hom = solve_hom(conn, dual)
-    sym = solve_parallel_forms(conn, "symmetric")
-    alt = solve_parallel_forms(conn, "antisymmetric")
+    hom = solve_hom(Prolongation(conn, dual))
+    sym = _forms(conn, "symmetric")
+    alt = _forms(conn, "antisymmetric")
     assert (hom.dimension, sym.dimension, alt.dimension) == (4, 3, 1)
     assert hom.certified_residual <= 1e-10
     assert hom.stabilized and sym.stabilized and alt.stabilized
@@ -184,7 +195,7 @@ def test_flat_solution_space_dimensions():
 
 def test_nilpotent_hom_dimension_and_contents():
     conn = nilpotent_connection()
-    space = solve_hom(conn, conn)
+    space = solve_hom(Prolongation(conn, conn))
     assert space.dimension == 2
     assert space.contains(np.eye(2))
     assert space.contains(NILPOTENT_MATRIX)
@@ -194,15 +205,15 @@ def test_nilpotent_hom_dimension_and_contents():
 def test_euclidean_dual_degenerates_to_self():
     conn = flat_connection()
     dual = dual_connection(identity_metric(conn.domain, 2), conn)
-    space = solve_hom(conn, dual)
+    space = solve_hom(Prolongation(conn, dual))
     assert space.dimension == 4
 
 
 def test_nilpotent_parallel_forms_match_brute_force():
     conn = nilpotent_connection()
     pts = conn.domain.sample_points()[::7]
-    sym = solve_parallel_forms(conn, "symmetric")
-    alt = solve_parallel_forms(conn, "antisymmetric")
+    sym = _forms(conn, "symmetric")
+    alt = _forms(conn, "antisymmetric")
     sym_oracle = nilpotent_parallel_forms(conn, True, pts)
     alt_oracle = nilpotent_parallel_forms(conn, False, pts)
     assert sym.dimension == len(sym_oracle) == 1
@@ -216,8 +227,8 @@ def test_nilpotent_parallel_forms_match_brute_force():
 
 def test_hyperbolic_parallel_forms_and_holonomy_oracle():
     conn, metric = half_plane_levi_civita()
-    sym = solve_parallel_forms(conn, "symmetric")
-    alt = solve_parallel_forms(conn, "antisymmetric")
+    sym = _forms(conn, "symmetric")
+    alt = _forms(conn, "antisymmetric")
     assert sym.dimension == 1
     assert alt.dimension == 1
     # independent upper bound: joint fixed space of loop holonomies
@@ -249,16 +260,16 @@ def test_exact_sequence_dimension_count_random_metrics():
     rng = np.random.default_rng(99)
     for conn, _ in involution_corpus(seed=2718, count=4):
         metric = random_constant_metric(rng, conn.domain, conn.r)
-        hom = solve_hom(conn, dual_connection(metric, conn))
-        sym = solve_parallel_forms(conn, "symmetric")
-        alt = solve_parallel_forms(conn, "antisymmetric")
+        hom = solve_hom(Prolongation(conn, dual_connection(metric, conn)))
+        sym = _forms(conn, "symmetric")
+        alt = _forms(conn, "antisymmetric")
         assert hom.dimension == sym.dimension + alt.dimension
     # and on the named examples
     for conn in (flat_connection(), nilpotent_connection(), half_plane_levi_civita()[0]):
         metric = random_constant_metric(rng, conn.domain, conn.r)
-        hom = solve_hom(conn, dual_connection(metric, conn))
-        sym = solve_parallel_forms(conn, "symmetric")
-        alt = solve_parallel_forms(conn, "antisymmetric")
+        hom = solve_hom(Prolongation(conn, dual_connection(metric, conn)))
+        sym = _forms(conn, "symmetric")
+        alt = _forms(conn, "antisymmetric")
         assert hom.dimension == sym.dimension + alt.dimension
 
 
@@ -266,7 +277,7 @@ def test_identity_always_solves_self_intertwining():
     rng = np.random.default_rng(123)
     for _ in range(3):
         conn = random_polynomial_connection(rng, square_domain(5), 2, scale=0.4)
-        space = solve_hom(conn, conn)
+        space = solve_hom(Prolongation(conn, conn))
         assert space.dimension >= 1
         assert space.contains(np.eye(2))
 
@@ -275,20 +286,19 @@ def test_gauge_equivariance_of_dimensions():
     rng = np.random.default_rng(31)
     conn = nilpotent_connection()
     opts = SolveOptions(grid_per_axis=5, steps_per_segment=16)
+    identity = identity_metric(conn.domain, 2)
     base_dims = (
-        solve_hom(conn, dual_connection(identity_metric(conn.domain, 2), conn), opts).dimension,
-        solve_parallel_forms(conn, "symmetric", opts).dimension,
-        solve_parallel_forms(conn, "antisymmetric", opts).dimension,
+        solve_hom(Prolongation(conn, dual_connection(identity, conn), opts)).dimension,
+        _forms(conn, "symmetric", opts).dimension,
+        _forms(conn, "antisymmetric", opts).dimension,
     )
     for _ in range(3):
         phi = random_polynomial_gauge(rng, conn.domain, 2)
         moved = apply_gauge(phi, conn)
         dims = (
-            solve_hom(
-                moved, dual_connection(identity_metric(conn.domain, 2), moved), opts
-            ).dimension,
-            solve_parallel_forms(moved, "symmetric", opts).dimension,
-            solve_parallel_forms(moved, "antisymmetric", opts).dimension,
+            solve_hom(Prolongation(moved, dual_connection(identity, moved), opts)).dimension,
+            _forms(moved, "symmetric", opts).dimension,
+            _forms(moved, "antisymmetric", opts).dimension,
         )
         assert dims[0] == base_dims[0]
         assert dims[1] == base_dims[1]
@@ -302,10 +312,10 @@ def test_gauge_equivariance_transforming_both_connections():
     conn = nilpotent_connection()
     dual = dual_connection(identity_metric(conn.domain, 2), conn)
     opts = SolveOptions(grid_per_axis=5, steps_per_segment=16)
-    base = solve_hom(conn, dual, opts).dimension
+    base = solve_hom(Prolongation(conn, dual, opts)).dimension
     for _ in range(2):
         phi = random_polynomial_gauge(rng, conn.domain, 2)
-        moved = solve_hom(apply_gauge(phi, conn), apply_gauge(phi, dual), opts)
+        moved = solve_hom(Prolongation(apply_gauge(phi, conn), apply_gauge(phi, dual), opts))
         assert moved.dimension == base
 
 
@@ -314,16 +324,16 @@ def test_local_system_substitution_residuals():
     direct substitution with independently produced derivatives."""
     conn = flat_connection()
     dual = dual_connection(identity_metric(conn.domain, 2), conn)
-    hom = solve_hom(conn, dual)
-    assert local_system_residual(hom, conn, dual) <= 1e-6
+    hom = solve_hom(Prolongation(conn, dual))
+    assert local_system_residual(hom.extensions, hom.grid, conn, dual) <= 1e-6
 
     nil = nilpotent_connection()
-    nil_hom = solve_hom(nil, nil)
-    assert local_system_residual(nil_hom, nil, nil) <= 1e-6
+    nil_hom = solve_hom(Prolongation(nil, nil))
+    assert local_system_residual(nil_hom.extensions, nil_hom.grid, nil, nil) <= 1e-6
 
     hyp, _ = half_plane_levi_civita()
-    sym = solve_parallel_forms(hyp, "symmetric")
-    assert local_system_residual(sym, hyp) <= 1e-6
+    sym = _forms(hyp, "symmetric")
+    assert local_system_residual(sym.extensions, sym.grid, hyp, conjugate_connection(hyp)) <= 1e-6
 
 
 def test_one_dimensional_chart_line_bundle():
@@ -334,6 +344,6 @@ def test_one_dimensional_chart_line_bundle():
 
     dom = ChartDomain((0.5,), (2.0,), (9,))
     conn = Connection(dom, 1, ((((ex.var(1)),),),))
-    sym = solve_parallel_forms(conn, "symmetric")
+    sym = _forms(conn, "symmetric")
     assert sym.dimension == 1
     assert sym.stabilized

@@ -96,8 +96,7 @@ def test_index_report_reads_the_certificate_hom_space_for_every_metric(monkeypat
     """Each declared metric is one gauge_index evaluation on the
     certificate's intertwiners into the conjugate: nothing solves,
     builds a dual connection or a transporter, the random members are
-    counted rather than built, and no expression node is interned. A
-    certificate from other options costs one solve, not one per member."""
+    counted rather than built, and no expression node is interned."""
     conn, metric = half_plane_levi_civita()
     cert = decide_metricity(conn, options=FAST)
     calls = []
@@ -116,18 +115,12 @@ def test_index_report_reads_the_certificate_hom_space_for_every_metric(monkeypat
     ):
         counted(owner, name)
     before = len(ex._INTERN)
-    report = index_report(conn, None, FAST, primary_metric=metric, certificate=cert)
+    report = index_report(conn, cert, primary_metric=metric)
     assert report.family_size == 10
     assert calls == ["gauge_index", "gauge_index"]  # the primary and the identity
     assert len(ex._INTERN) == before
     modules = {getattr(value, "__module__", None) for value in vars(metricity).values()}
     assert corpus.__name__ not in modules
-    calls.clear()
-    other = SolveOptions(grid_per_axis=5, steps_per_segment=16, seed=FAST.seed + 1)
-    index_report(conn, [metric], other, primary_metric=metric, certificate=cert)
-    assert calls.count("gauge_index") == 3
-    assert calls.count("solve_hom") == 1
-    assert "random_constant_metric" not in calls
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
@@ -170,9 +163,10 @@ def test_conjugate_intertwiners_map_onto_every_dual_through_the_inverse_metric()
             random_constant_metric(rng, conn.domain, conn.r, indefinite=indefinite)
             for indefinite in (False, True)
         ]
-        conjugate = homsolver.solve_hom(conn, conjugate_connection(conn), FAST)
+        conjugate = _conjugate_hom(conn, FAST)
         for g in metrics:
-            direct = homsolver.solve_hom(conn, dual_connection(g, conn), FAST)
+            problem = homsolver.Prolongation(conn, dual_connection(g, conn), FAST)
+            direct = homsolver.solve_hom(problem)
             assert direct.base_point == conjugate.base_point
             g0_inv = np.linalg.inv(g.matrix_at(conjugate.base_point))
             mapped = [q @ g0_inv for q in conjugate.basis]
@@ -188,6 +182,18 @@ def test_conjugate_intertwiners_map_onto_every_dual_through_the_inverse_metric()
 # ---------------------------------------------------------------------------
 
 
+def _conjugate_hom(conn, options=SolveOptions()):
+    """The hom space a certificate keeps: the intertwiners into the
+    conjugate, solved on a fresh problem."""
+    return homsolver.solve_hom(homsolver.Prolongation(conn, conjugate_connection(conn), options))
+
+
+def _forms(conn, symmetry, options=SolveOptions()):
+    """A form solve on a fresh problem into the conjugate."""
+    problem = homsolver.Prolongation(conn, conjugate_connection(conn), options)
+    return homsolver.solve_parallel_forms(problem, symmetry)
+
+
 def _generator_evaluations(monkeypatch, run):
     """(number of prolongation-order evaluations, result) of run()."""
     calls = []
@@ -201,12 +207,13 @@ def _generator_evaluations(monkeypatch, run):
 
 
 def _standalone_solves(conn, options):
-    """Zero-argument standalone solves of the three kinds of analyze."""
+    """Zero-argument standalone solves of the three kinds of analyze,
+    each on a fresh problem."""
     dual = dual_connection(identity_metric(conn.domain, conn.r), conn)
     return {
-        "hom": lambda: homsolver.solve_hom(conn, dual, options),
-        "symmetric": lambda: homsolver.solve_parallel_forms(conn, "symmetric", options),
-        "antisymmetric": lambda: homsolver.solve_parallel_forms(conn, "antisymmetric", options),
+        "hom": lambda: homsolver.solve_hom(homsolver.Prolongation(conn, dual, options)),
+        "symmetric": lambda: _forms(conn, "symmetric", options),
+        "antisymmetric": lambda: _forms(conn, "antisymmetric", options),
     }
 
 
@@ -257,32 +264,9 @@ def test_rank_one_spaces_share_the_base_point():
     points = {kind: space.base_point for kind, space in cert.spaces.items()}
     assert cert.spaces["antisymmetric"].dimension == 0
     assert points["hom"] == points["symmetric"] == points["antisymmetric"] == cert.base_point
-    alone = homsolver.solve_parallel_forms(conn, "antisymmetric")
+    alone = _forms(conn, "antisymmetric")
     assert alone.base_point == cert.base_point
     assert (alone.stabilized, alone.stabilization_order, alone.constraint_dim) == (True, 0, 0)
-
-
-def test_shared_prolongation_serves_only_its_problem():
-    """A solve refuses a prolongation built for another connection, hom
-    target or options, and a form solve one whose target is not the
-    conjugate: its orders would be another problem's constraints."""
-    conn = nilpotent_connection()
-    dual = dual_connection(identity_metric(conn.domain, conn.r), conn)
-    shared = homsolver.Prolongation(conn, dual, FAST)
-    other = dual_connection(constant_metric(conn.domain, np.diag([1.0, 3.0])), conn)
-    assert other.gamma != dual.gamma
-    on_other = homsolver.Prolongation(conn, other, FAST)
-    for solve in (
-        lambda: homsolver.solve_hom(conn, dual, SolveOptions(), shared),
-        lambda: homsolver.solve_hom(conn, dual, FAST, on_other),
-        lambda: homsolver.solve_parallel_forms(flat_connection(), "symmetric", FAST, shared),
-        lambda: homsolver.solve_parallel_forms(conn, "symmetric", FAST, on_other),
-    ):
-        with pytest.raises(ValueError, match="another problem"):
-            solve()
-    space = homsolver.solve_parallel_forms(conn, "symmetric", FAST, shared)
-    alone = homsolver.solve_parallel_forms(conn, "symmetric", FAST)
-    assert np.array_equal(space.basis, alone.basis)
 
 
 def test_no_transporter_outlives_an_analysis():
@@ -719,14 +703,15 @@ def test_parallel_form_residuals_nilpotent_and_hyperbolic():
 
 def test_gauge_index_flat_euclidean_zero():
     conn = flat_connection()
-    value, flags, _ = gauge_index(conn, identity_metric(conn.domain, 2))
+    value, flags = gauge_index(identity_metric(conn.domain, 2), _conjugate_hom(conn), 0)
     assert value == 0
     assert flags == ()
 
 
 def test_gauge_index_nilpotent_matches_enumeration_oracle():
     conn = nilpotent_connection()
-    value, _, space = gauge_index(conn, identity_metric(conn.domain, 2))
+    space = _conjugate_hom(conn)
+    value, _ = gauge_index(identity_metric(conn.domain, 2), space, 0)
     # oracle: enumerate the constant solutions of the intertwining system
     # for the euclidean dual (constants P with N P + P N^T = 0), then
     # minimise the corank of the symmetrised part over the whole space
@@ -744,7 +729,8 @@ def test_gauge_index_nilpotent_matches_enumeration_oracle():
 
 def test_gauge_index_zero_for_connection_with_its_own_metric():
     conn, metric = half_plane_levi_civita()
-    value, flags, space = gauge_index(conn, metric)
+    space = _conjugate_hom(conn)
+    value, flags = gauge_index(metric, space, 0)
     assert value == 0
     # the identity intertwines conn with its dual, which is conn itself,
     # so G (= I G) intertwines conn with its conjugate
@@ -756,9 +742,8 @@ def test_gauge_index_zero_symmetric_part_gives_full_corank():
 
     conn = alpha_connection(get_family("gaussian1d"), 0.5)
     g = identity_metric(conn.domain, 2)
-    value, flags, space = gauge_index(
-        conn, g, SolveOptions(grid_per_axis=5, steps_per_segment=48)
-    )
+    space = _conjugate_hom(conn, SolveOptions(grid_per_axis=5, steps_per_segment=48))
+    value, flags = gauge_index(g, space, 0)
     # J is 1-dimensional (an antisymmetric-type solution); its symmetric
     # part vanishes, so the minimal corank equals the full rank
     assert value == 2
@@ -771,7 +756,8 @@ def test_gauge_index_empty_space_returns_rank_with_flag():
     rng = np.random.default_rng(44)
     dom = square_domain(5)
     conn = random_polynomial_connection(rng, dom, 2, scale=0.4)
-    value, flags, space = gauge_index(conn, identity_metric(dom, 2), FAST)
+    space = _conjugate_hom(conn, FAST)
+    value, flags = gauge_index(identity_metric(dom, 2), space, FAST.seed)
     assert space.dimension == 0
     assert value == 2
     assert "empty-solution-space" in flags
@@ -782,8 +768,12 @@ def test_gauge_index_empty_space_returns_rank_with_flag():
 # ---------------------------------------------------------------------------
 
 
+def _index(conn):
+    return index_report(conn, decide_metricity(conn, FAST))
+
+
 def test_index_report_flat():
-    report = index_report(flat_connection(), options=FAST)
+    report = _index(flat_connection())
     assert report.sb == 0
     assert report.sb_given_g == 0
     assert report.ind_decision == "Zero"
@@ -791,7 +781,7 @@ def test_index_report_flat():
 
 
 def test_index_report_nilpotent():
-    report = index_report(nilpotent_connection(), options=FAST)
+    report = _index(nilpotent_connection())
     assert report.sb == 1
     assert report.ind_decision == "AtLeastOne"
     assert report.max_parallel_metric_rank == 1
@@ -800,7 +790,7 @@ def test_index_report_nilpotent():
 
 def test_index_report_gauge_invariance():
     conn = nilpotent_connection()
-    base = index_report(conn, options=FAST)
+    base = _index(conn)
     rng = np.random.default_rng(17)
     for k in range(3):
         phi = (
@@ -808,7 +798,7 @@ def test_index_report_gauge_invariance():
             if k % 2 == 0
             else random_polynomial_gauge(rng, conn.domain, 2)
         )
-        moved = index_report(apply_gauge(phi, conn), options=FAST)
+        moved = _index(apply_gauge(phi, conn))
         assert (moved.sb, moved.sb_given_g, moved.ind_decision) == (
             base.sb,
             base.sb_given_g,
@@ -843,7 +833,7 @@ def _family_loop(conn, cert, primary=None, extra=()):
         for k in range(metricity.RANDOM_FAMILY_SIZE)
     ]
     values = {
-        idx: gauge_index(conn, g, FAST, cert.spaces["hom"])[0]
+        idx: gauge_index(g, cert.spaces["hom"], FAST.seed)[0]
         for idx, g in enumerate(family)
         if g.is_regular()
     }
@@ -859,7 +849,7 @@ def test_index_report_equals_the_family_loop():
     assert len(conns) == 35
     for conn in conns:
         cert = decide_metricity(conn, options=FAST)
-        report = index_report(conn, options=FAST, certificate=cert)
+        report = index_report(conn, cert)
         sb, sb_given_g, size = _family_loop(conn, cert)
         assert (report.sb, report.sb_given_g, report.family_size) == (sb, sb_given_g, size)
         assert report.sb == conn.r - cert.max_witness_rank
@@ -886,14 +876,14 @@ def test_index_report_evaluates_ill_conditioned_declared_metrics():
     conn, skewed = _skewed_rotation()
     cert = decide_metricity(conn, options=FAST)
     assert cert.verdict == "RegularlyMetric" and skewed.is_regular()
-    assert gauge_index(conn, skewed, FAST, cert.spaces["hom"])[0] == 1
+    assert gauge_index(skewed, cert.spaces["hom"], FAST.seed)[0] == 1
     singular = constant_metric(conn.domain, np.diag([1.0, 0.0]))
     for primary, extra in ((skewed, ()), (None, (skewed,)), (singular, (skewed, singular))):
-        report = index_report(conn, list(extra), FAST, primary_metric=primary, certificate=cert)
+        report = index_report(conn, cert, list(extra), primary_metric=primary)
         sb, sb_given_g, size = _family_loop(conn, cert, primary, extra)
         assert (report.sb, report.sb_given_g, report.family_size) == (sb, sb_given_g, size)
         assert report.sb == 0
-    report = index_report(conn, None, FAST, primary_metric=skewed, certificate=cert)
+    report = index_report(conn, cert, primary_metric=skewed)
     assert (report.sb, report.sb_given_g) == (0, 1)
 
 
@@ -906,8 +896,9 @@ def test_equivalence_triad_on_named_connections():
     cases = [flat_connection(), nilpotent_connection(), half_plane_levi_civita()[0]]
     for conn in cases:
         cert = decide_metricity(conn, options=FAST)
-        sb, _, _ = gauge_index(conn, identity_metric(conn.domain, conn.r), FAST)
-        report = index_report(conn, options=FAST, certificate=cert)
+        identity = identity_metric(conn.domain, conn.r)
+        sb, _ = gauge_index(identity, _conjugate_hom(conn, FAST), FAST.seed)
+        report = index_report(conn, cert)
         regular = cert.verdict == "RegularlyMetric"
         assert (sb == 0) == regular
         assert (report.ind_decision == "Zero") == regular

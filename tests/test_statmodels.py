@@ -5,8 +5,13 @@ import pytest
 
 from metron import expr as ex
 from metron import symmatrix as sm
-from metron.bundle import curvature, dual_connection, metric_covariant_derivative
-from metron.homsolver import SolveOptions, solve_parallel_forms
+from metron.bundle import (
+    conjugate_connection,
+    curvature,
+    dual_connection,
+    metric_covariant_derivative,
+)
+from metron.homsolver import Prolongation, SolveOptions, solve_parallel_forms
 from metron.statmodels import (
     FAMILIES,
     alpha_connection,
@@ -201,7 +206,7 @@ def test_line_bundle_parallel_form_matches_ode_oracle():
     solver's extension against direct quadrature of the coefficient."""
     family = get_family("bernoulli")
     conn = alpha_connection(family, 0.5)
-    space = solve_parallel_forms(conn, "symmetric")
+    space = solve_parallel_forms(Prolongation(conn, conjugate_connection(conn)), "symmetric")
     assert space.dimension == 1
     grid = space.grid
     gamma_fn = lambda t: conn.coeff_at((t,))[0, 0, 0]
