@@ -49,6 +49,13 @@ checkouts can be compared with diff:
     (cd ../other && PYTHONPATH=src python3 /path/to/report_digests.py) > old.txt
     diff old.txt new.txt
 
+A digest moves with any report byte. With --contract the script prints
+instead one JSON record per run: its exit code and the report's
+contract fields (CONTRACT_KEYS at any depth, and each diagnostic's path
+and code), keyed by JSON path. tests/contract.json holds these records
+for `--bench-inputs --error-paths`, and tests/test_contract.py
+regenerates and compares them.
+
 Problem paths are taken relative to the working directory, and metron is
 imported from the Python path, so the script measures whichever checkout
 PYTHONPATH points at. The metric family files, the singular-metric
@@ -77,6 +84,26 @@ from metron.statmodels import FAMILIES, alpha_connection, get_family
 ALPHAS = "-1,-0.5,0,0.5,1"
 BENCH_SEED = 1
 TMP_SHOWN = "<tmp>"
+# Report keys whose values no change may move unless it means to: the
+# verdicts, dimensions, certification and flags of every certificate,
+# solution space, index report and alpha scan
+CONTRACT_KEYS = frozenset(
+    {
+        "verdict",
+        "dimJ",
+        "dimS2",
+        "dimOmega2",
+        "dimension",
+        "certified",
+        "stabilized",
+        "flags",
+        "maxParallelMetricRank",
+        "sb",
+        "sb_given_g",
+        "ind_decision",
+        "familySize",
+    }
+)
 # regular on the half plane's chart [-1, 1] x [0.75, 1.75]
 HALF_PLANE_FAMILY = [
     [["1 + x1*x1", "x1*x2/4"], ["x1*x2/4", "x2"]],
@@ -282,18 +309,81 @@ def added_commands(out: Path, error_paths: bool) -> list[list[str]]:
     return commands
 
 
-def print_digests(commands: list[list[str]], tmp: str) -> None:
-    for command in commands:
-        digest, code = report_digest(command)
-        shown = shlex.join(command).replace(tmp, TMP_SHOWN)
-        print(f"{digest}  {shown}  (exit {code})", flush=True)
-
-
-def report_digest(argv: list[str]) -> tuple[str, int]:
+def run(argv: list[str]) -> tuple[dict, int]:
+    """The report and exit code of one CLI command line."""
     args = cli.build_parser().parse_args(argv)
-    report, code = cli.run_command(args)
+    return cli.run_command(args)
+
+
+def runs(bench_inputs: bool = False, error_paths: bool = False, also=()):
+    """Run the fixed set in its order and yield (command as shown, report,
+    exit code) for each. An error-path run that raises yields the
+    exception as its report, with exit code 1, as `metron` would exit."""
+    with tempfile.TemporaryDirectory() as tmp:
+        commands = default_commands(Path(tmp))
+        if bench_inputs:
+            commands += bench_commands(Path(tmp))
+        commands += [shlex.split(line) for line in also]
+        for command in commands:
+            yield (shlex.join(command).replace(tmp, TMP_SHOWN), *run(command))
+    if error_paths:
+        with tempfile.TemporaryDirectory() as tmp:
+            commands = error_commands(Path(tmp))
+            cwd = os.getcwd()
+            os.chdir(tmp)
+            try:
+                for command in commands:
+                    try:
+                        report, code = run(command)
+                    except Exception as err:  # an uncaught error exits 1 from `metron`
+                        report, code = err, 1
+                    yield shlex.join(command), report, code
+            finally:
+                os.chdir(cwd)
+    with tempfile.TemporaryDirectory() as tmp:
+        for command in added_commands(Path(tmp), error_paths):
+            yield (shlex.join(command).replace(tmp, TMP_SHOWN), *run(command))
+
+
+def report_digest(report) -> str:
+    """sha256 of the report's canonical JSON, or `crash: <exception>`."""
+    if isinstance(report, Exception):
+        return f"crash: {type(report).__name__}"
     text = cli.canonical_json(report) + "\n"
-    return hashlib.sha256(text.encode("utf-8")).hexdigest(), code
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def contract_fields(node, path: str = "$") -> dict:
+    """The contract fields of a report, keyed by their JSON path: the
+    value of every CONTRACT_KEYS key at any depth, and the path and code
+    of each diagnostic."""
+    fields = {}
+    if isinstance(node, dict):
+        for key in sorted(node):
+            where = f"{path}.{key}"
+            if key == "diagnostics":
+                for i, diagnostic in enumerate(node[key]):
+                    fields[f"{where}[{i}].path"] = diagnostic["path"]
+                    fields[f"{where}[{i}].code"] = diagnostic["code"]
+            elif key in CONTRACT_KEYS:
+                fields[where] = node[key]
+            else:
+                fields.update(contract_fields(node[key], where))
+    elif isinstance(node, list):
+        for i, item in enumerate(node):
+            fields.update(contract_fields(item, f"{path}[{i}]"))
+    return fields
+
+
+def contract_record(shown: str, report, code: int) -> dict:
+    """One run's contract record: its exit code and contract fields, or
+    the exception it raised."""
+    record = {"command": shown, "exit": code}
+    if isinstance(report, Exception):
+        record["crash"] = type(report).__name__
+    else:
+        record["fields"] = contract_fields(json.loads(cli.canonical_json(report)))
+    return record
 
 
 def main(argv=None) -> int:
@@ -315,29 +405,19 @@ def main(argv=None) -> int:
         action="store_true",
         help="also run a fixed set of rejected inputs",
     )
+    parser.add_argument(
+        "--contract",
+        action="store_true",
+        help="print the runs' contract records as one JSON list instead of digests",
+    )
     args = parser.parse_args(argv)
-    with tempfile.TemporaryDirectory() as tmp:
-        commands = default_commands(Path(tmp))
-        if args.bench_inputs:
-            commands += bench_commands(Path(tmp))
-        commands += [shlex.split(line) for line in args.also]
-        print_digests(commands, tmp)
-    if args.error_paths:
-        with tempfile.TemporaryDirectory() as tmp:
-            commands = error_commands(Path(tmp))
-            cwd = os.getcwd()
-            os.chdir(tmp)
-            try:
-                for command in commands:
-                    try:
-                        digest, code = report_digest(command)
-                    except Exception as err:  # an uncaught error exits 1 from `metron`
-                        digest, code = f"crash: {type(err).__name__}", 1
-                    print(f"{digest}  {shlex.join(command)}  (exit {code})", flush=True)
-            finally:
-                os.chdir(cwd)
-    with tempfile.TemporaryDirectory() as tmp:
-        print_digests(added_commands(Path(tmp), args.error_paths), tmp)
+    outcomes = runs(args.bench_inputs, args.error_paths, args.also)
+    if args.contract:
+        records = [contract_record(*outcome) for outcome in outcomes]
+        print(json.dumps(records, indent=1, sort_keys=True))
+        return 0
+    for shown, report, code in outcomes:
+        print(f"{report_digest(report)}  {shown}  (exit {code})", flush=True)
     return 0
 
 

@@ -58,7 +58,13 @@ import numpy as np
 
 from . import symmatrix as sm
 from .bundle import ChartDomain, Connection, curvature
-from .transport import DEFAULT_STEPS_PER_SEGMENT, Grid, GridTransporter, flow_operators
+from .transport import (
+    DEFAULT_STEPS_PER_SEGMENT,
+    MIN_STEPS_PER_SEGMENT,
+    Grid,
+    GridTransporter,
+    flow_operators,
+)
 
 __all__ = [
     "UNDER_RESOLVED",
@@ -94,6 +100,10 @@ class SolveOptions:
     kernel_cutoff: float = 1e-8
     transport_tol: float = 1e-7
     seed: int = 0
+
+    def __post_init__(self):
+        if self.steps_per_segment < MIN_STEPS_PER_SEGMENT:
+            raise ValueError(f"steps_per_segment must be >= {MIN_STEPS_PER_SEGMENT}")
 
     def grid_counts(self, domain: ChartDomain) -> tuple[int, ...]:
         if self.grid_per_axis is None:

@@ -15,14 +15,20 @@ having coefficients -Gamma_i^T (the dual connection of the identity
 metric); vectors, as 1 x r rows, are (trivial line | conn), the trivial
 line being the rank-1 zero connection.
 
-One integrator solves this equation for a whole batch of segments at
-once, with the coefficients evaluated at all 2s+1 Runge-Kutta nodes of
-every segment in one vectorised call and all segments stepped together
-by stacked matrix products. Integrating one state per fibre basis
-value gives the flow operator of a segment on the flattened fibre
-(row-major vec); grid edges, polylines, loops and the short legs of the
+The equation is linear, so one RK4 step multiplies the flattened state
+(row-major vec) by a step matrix, a polynomial in h M with
+M = Gamma_u (x) I - I (x) Gamma*_u^T at the step's three nodes (Hairer,
+Norsett & Wanner, Solving ODEs I, II.1). `flow_operators` builds the
+step matrices of a whole batch of segments at once and multiplies them
+pairwise, in ceil(log2 s) levels of batched products, into each
+segment's flow operator; no Python loop runs over the steps. The
+coefficients of both connections come from one evaluator over the
+union of their expression DAGs at all 2s+1 nodes of a chunk of
+segments per vectorised call, so a conjugate target costs only its
+negations. Grid edges, polylines, loops and the short legs of the
 finite-difference stencils all use these operators. A value whose
-right-hand side vanishes along the path is transported exactly.
+right-hand side vanishes along the path is transported exactly, and an
+operator that is not finite raises FloatingPointError.
 
 A section is parallel exactly when it is constant under this
 transport, so loop holonomy and disagreement between alternative grid
@@ -36,6 +42,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import expr as ex
 from .bundle import ChartDomain, Connection
 
 __all__ = [
@@ -52,6 +59,9 @@ DEFAULT_STEPS_PER_SEGMENT = 32
 # enough to amortise the per-node interpreter cost, small enough that
 # the temporaries of large expression trees stay out of the peak memory.
 POINTS_PER_EVALUATION = 1024
+# Step matrices are built and composed for as many segments at a time as
+# keep their d x d generators at the nodes within this many entries.
+MATRIX_ENTRIES_PER_BATCH = 2**14
 
 
 @dataclass
@@ -86,57 +96,95 @@ class PolylinePath:
         return PolylinePath(tuple(reversed(self.vertices)), self.steps_per_segment)
 
 
-def _generator_nodes(conn: Connection, starts, ends, steps: int) -> np.ndarray:
-    """Gamma_u at the 2s+1 Runge-Kutta nodes of every segment starts[e]
-    -> ends[e], from vectorised evaluations over whole segments:
-    (E, 2s+1, r, r)."""
-    starts = np.asarray(starts, dtype=float)
-    u = np.asarray(ends, dtype=float) - starts
-    t = np.arange(2 * steps + 1) * (0.5 / steps)
-    gu = np.empty((len(u), len(t), conn.r, conn.r))
-    per_call = max(1, POINTS_PER_EVALUATION // len(t))
-    for lo in range(0, len(u), per_call):
-        part = slice(lo, lo + per_call)
-        gamma = conn.coeff_array(starts[part, None, :] + t[:, None] * u[part, None, :])
-        up = u[part, None, :, None, None]
-        gu[part] = up[:, :, 0] * gamma[:, :, 0]
-        for i in range(1, u.shape[1]):
-            gu[part] += up[:, :, i] * gamma[:, :, i]
-    return gu
+def _generator_nodes(evaluate, r1: int, r2: int, starts, u, nodes):
+    """Gamma_u of conn and of dual, (n, 2s+1, r1, r1) and (n, 2s+1, r2, r2),
+    at the Runge-Kutta nodes (fractions of the segment) of the segments
+    starts[e] -> starts[e] + u[e], from one call of the evaluator of
+    both connections' coefficients (dual's, then conn's, axis by axis)."""
+    values = evaluate(starts[:, None, :] + nodes[:, None] * u[:, None, :])
+    values = values.reshape(values.shape[:2] + (u.shape[1], -1))
+    up = u[:, None, :, None]
+    gu = up[:, :, 0] * values[:, :, 0]
+    for i in range(1, u.shape[1]):
+        gu += up[:, :, i] * values[:, :, i]
+    n, t = gu.shape[:2]
+    return gu[..., r2 * r2 :].reshape(n, t, r1, r1), gu[..., : r2 * r2].reshape(n, t, r2, r2)
 
 
-def _rk4(a: np.ndarray, b: np.ndarray, y: np.ndarray, steps: int):
-    """Classical RK4 for Y' = A Y - Y B over the unit parameter interval,
-    for a batch of segments at once. a and b hold the generators at the
-    2s+1 nodes, (E, 2s+1, ...) broadcasting against the state y of
-    shape (E, ..., p, r) or (..., p, r), the same start for every
-    segment."""
+def _plus_identity(x: np.ndarray) -> np.ndarray:
+    """x + I, in place, for a stack (..., d, d) that owns its data."""
+    x.reshape(x.shape[:-2] + (-1,))[..., :: x.shape[-1] + 1] += 1.0
+    return x
 
-    def rate(j, y):
-        return a[:, j] @ y - y @ b[:, j]
 
-    h = 1.0 / steps
-    for k in range(steps):
-        k1 = rate(2 * k, y)
-        k2 = rate(2 * k + 1, y + (h / 2.0) * k1)
-        k3 = rate(2 * k + 1, y + (h / 2.0) * k2)
-        k4 = rate(2 * k + 2, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return y
+def _step_matrices(a: np.ndarray, b: np.ndarray, h: float) -> np.ndarray:
+    """The RK4 step matrices T_k of Y' = A Y - Y B from the generators at
+    the 2s+1 nodes, (n, 2s+1, ...) -> (n, s, d, d). With M = A (x) I -
+    I (x) B^T on the row-major vec at the nodes 2k, 2k+1, 2k+2:
+
+        K2 = M2 (I + h/2 M1),  K3 = M2 (I + h/2 K2),  K4 = M3 (I + h K3),
+        T_k = I + h/6 (M1 + 2 K2 + 2 K3 + K4)."""
+    r1, r2 = a.shape[-1], b.shape[-1]
+    gen = np.zeros(a.shape[:2] + (r1, r2, r1, r2))
+    for j in range(r2):
+        gen[..., :, j, :, j] = a
+    bt = b.swapaxes(-1, -2)
+    for i in range(r1):
+        gen[..., i, :, i, :] -= bt
+    gen = gen.reshape(a.shape[:2] + (r1 * r2, r1 * r2))
+    m1, m2, m3 = gen[:, :-1:2], gen[:, 1::2], gen[:, 2::2]
+    k = m2 @ _plus_identity((h / 2.0) * m1)
+    step = m1 + 2.0 * k
+    k = m2 @ _plus_identity((h / 2.0) * k)
+    step += 2.0 * k
+    step += m3 @ _plus_identity(h * k)
+    step *= h / 6.0
+    return _plus_identity(step)
+
+
+def _compose(steps: np.ndarray) -> np.ndarray:
+    """The products T_{s-1} ... T_1 T_0 of step matrices (n, s, d, d), in
+    ceil(log2 s) levels of pairwise batched products (parallel prefix,
+    Blelloch 1990); at a level with an odd count the last factor
+    carries over to the next."""
+    while steps.shape[1] > 1:
+        half = steps.shape[1] // 2
+        pairs = steps[:, 1 : 2 * half : 2] @ steps[:, : 2 * half : 2]
+        carried = steps[:, 2 * half :]
+        steps = np.concatenate((pairs, carried), axis=1) if carried.shape[1] else pairs
+    return steps[:, 0]
 
 
 def flow_operators(conn: Connection, dual: Connection, starts, ends, steps: int) -> np.ndarray:
     """Flow operators on the flattened fibre between conn and dual along
-    every segment starts[e] -> ends[e]: (E, d, d), integrated with one
-    state per fibre basis value. Raises FloatingPointError when an
-    operator is not finite, so that an overflowing transport is never
-    certified."""
-    b = _generator_nodes(dual, starts, ends, steps)[:, :, None]
-    a = _generator_nodes(conn, starts, ends, steps)[:, :, None]
-    d = conn.r * dual.r
+    every segment starts[e] -> ends[e]: (E, d, d), each the product of
+    its s RK4 step matrices. Raises FloatingPointError when an operator
+    is not finite, so that an overflowing transport is never certified.
+
+    One evaluator walks the union of the two connections' DAGs, so a
+    conjugate dual costs only its negations. Segments are evaluated
+    POINTS_PER_EVALUATION nodes at a time, and each such chunk's step
+    matrices are built in batches of MATRIX_ENTRIES_PER_BATCH entries."""
+    starts = np.asarray(starts, dtype=float)
+    u = np.asarray(ends, dtype=float) - starts
+    m, r1, r2 = conn.domain.m, conn.r, dual.r
+    evaluate = ex.Evaluator(
+        e for i in range(m) for g in (dual.gamma[i], conn.gamma[i]) for row in g for e in row
+    )
+    nodes = np.arange(2 * steps + 1) * (0.5 / steps)
+    d = r1 * r2
+    ops = np.empty((len(u), d, d))
+    per_call = max(1, POINTS_PER_EVALUATION // len(nodes))
+    per_batch = max(1, MATRIX_ENTRIES_PER_BATCH // (len(nodes) * d * d))
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        y = _finite(_rk4(a, b, np.eye(d).reshape(d, -1, dual.r), steps))
-    return y.reshape(len(b), d, d).transpose(0, 2, 1)
+        for lo in range(0, len(u), per_call):
+            part = slice(lo, lo + per_call)
+            a, b = _generator_nodes(evaluate, r1, r2, starts[part], u[part], nodes)
+            out = ops[part]
+            for sub in range(0, len(a), per_batch):
+                batch = slice(sub, sub + per_batch)
+                out[batch] = _compose(_step_matrices(a[batch], b[batch], 1.0 / steps))
+    return _finite(ops)
 
 
 def _finite(values: np.ndarray) -> np.ndarray:

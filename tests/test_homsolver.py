@@ -31,13 +31,22 @@ from metron.homsolver import (
     solve_parallel_forms,
     stabilized_constraint_subspace,
 )
-from metron.transport import PolylinePath
+from metron.transport import MIN_STEPS_PER_SEGMENT, PolylinePath
 from oracles import (
     holonomy_fixed_dim,
     hom_constraint_kernel,
     nilpotent_parallel_forms,
 )
 
+
+
+@pytest.mark.parametrize("steps", [-4, 0, 1, MIN_STEPS_PER_SEGMENT - 1])
+def test_solve_options_reject_too_few_steps(steps):
+    """Too few RK4 steps per edge is refused where the options are made,
+    not divided by inside transport or certified from one step."""
+    with pytest.raises(ValueError, match="steps_per_segment"):
+        SolveOptions(steps_per_segment=steps)
+    assert SolveOptions(steps_per_segment=MIN_STEPS_PER_SEGMENT).steps_per_segment == 8
 
 def _span_dim(rows):
     if len(rows) == 0:

@@ -56,12 +56,22 @@ def test_decide_metricity_leaves_caller_options_unchanged():
     assert options.transport_tol == 1e-5
 
 
-def test_no_evaluator_outlives_an_analysis():
+def test_no_evaluator_outlives_an_analysis(monkeypatch):
     """Evaluators belong to the connections, metrics and gauge maps that
-    build them; once the analysis and its inputs are dropped, none is
-    left, so no process-wide compile cache holds them."""
+    build them, or to the one call that evaluates through them; once the
+    analysis and its inputs are dropped, none is left, so no
+    process-wide compile cache holds them."""
     gc.collect()
     before = [o for o in gc.get_objects() if isinstance(o, ex.Evaluator)]
+    built = 0
+    init = ex.Evaluator.__init__
+
+    def counted(self, roots):
+        nonlocal built
+        built += 1
+        init(self, roots)
+
+    monkeypatch.setattr(ex.Evaluator, "__init__", counted)
 
     def new_evaluators():
         return [
@@ -73,7 +83,7 @@ def test_no_evaluator_outlives_an_analysis():
     conn = half_plane_levi_civita()[0]
     cert = decide_metricity(conn, options=FAST)
     assert cert.verdict == "RegularlyMetric"
-    assert new_evaluators()  # held by the connection, its dual and the metric
+    assert built  # the analysis evaluated through evaluators of its own
     del conn, cert
     gc.collect()
     assert new_evaluators() == []

@@ -235,12 +235,16 @@ def _oracle_cases():
     rand_dual = dual_connection(random_constant_metric(rng, dom, 3), rand)
     # (name, the fibre's two connections, the oracle's fibre kind and
     # connections, grid nodes per axis, steps); hyp_dual, the dual of the
-    # identity metric, is the conjugate connection of hyp
+    # identity metric, is the conjugate connection of hyp. The odd step
+    # counts leave a factor over at some levels of the pairwise product.
+    vector = (zero_connection(hyp.domain, 1), hyp)
     return [
         ("hyperbolic-hom", (hyp, hyp_dual), ("hom", hyp, hyp_dual), 5, 32),
         ("hyperbolic-form", (hyp, hyp_dual), ("form", hyp, None), 5, 32),
-        ("hyperbolic-vector", (zero_connection(hyp.domain, 1), hyp), ("vector", hyp, None), 5, 32),
+        ("hyperbolic-vector", vector, ("vector", hyp, None), 5, 32),
+        ("hyperbolic-vector-33-steps", vector, ("vector", hyp, None), 5, 33),
         ("random-rank3-hom", (rand, rand_dual), ("hom", rand, rand_dual), 4, 16),
+        ("random-rank3-hom-9-steps", (rand, rand_dual), ("hom", rand, rand_dual), 4, 9),
     ]
 
 
