@@ -40,7 +40,12 @@ Runs, in one process and through the same code path as `metron`:
   the spanning tree overflow), then `dual` and `solve-fe` on the half
   plane with a singular `metric`, `gauge-check` on it with a singular
   `gauge`, and `gauge-check` with a regular `gauge` and a singular
-  `metric`.
+  `metric`, and `metricity` on two rank-1 connections on [-1, 1]^2
+  whose base point x1 = 0 is where sqrt(x1^2) has no derivative: in
+  Gamma_1 = sqrt(x1^2)*x2, Gamma_2 = x1 the prolongation needs it only
+  along x2, where it is exactly 0 (certified NotMetric), while in
+  Gamma_1 = 0, Gamma_2 = sqrt(x1^2) the curvature needs its x1
+  derivative (rejected at `$`).
 
 Each run prints one line, `<sha256>  <command>  (exit <code>)`, so two
 checkouts can be compared with diff:
@@ -121,6 +126,13 @@ SKEWED_PROBLEM = {
     "connection": [[["0", "0"], ["0", "0"]], [["0", "0.03*x1"], ["-30*x1", "0"]]],
     "metric": [["1000", "0"], ["0", "0.001"]],
     "seed": 7,
+}
+
+# rank 1 on [-1, 1]^2: the base point of the default grid is x1 = x2 = 0
+SQRT_PROBLEM = {"dim": 2, "rank": 1, "domain": {"lower": [-1.0, -1.0], "upper": [1.0, 1.0]}}
+SQRT_AT_BASE = {
+    "sqrt-structural-zero": [[["sqrt(x1^2)*x2"]], [["x1"]]],
+    "sqrt-singular-derivative": [[["0"]], [["sqrt(x1^2)"]]],
 }
 
 
@@ -306,6 +318,11 @@ def added_commands(out: Path, error_paths: bool) -> list[list[str]]:
             ["gauge-check", paths["singular-gauge"]],
             ["gauge-check", paths["gauge-singular-metric"]],
         ]
+        for name, connection in SQRT_AT_BASE.items():
+            path = out / f"{name}.json"
+            problem = {**SQRT_PROBLEM, "connection": connection}
+            path.write_text(json.dumps(problem), encoding="utf-8")
+            commands.append(["metricity", str(path)])
     return commands
 
 

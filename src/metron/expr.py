@@ -3,11 +3,15 @@
 Immutable expression trees with exact symbolic partial derivatives, a
 recursive-descent parser for the small coefficient grammar, a walker
 that evaluates one tree at one point and names the subtree that leaves
-the real domain, and an evaluator that runs the union DAG of many trees
+the real domain, an evaluator that runs the union DAG of many trees
 as numpy operations over many points at once (transport integration,
-constraint rows, grid residuals). Every algorithm over a tree runs over
-one iterative post-order walk (_topo_order), so a tree of any depth,
-such as a sum of thousands of terms, needs no recursion.
+constraint rows, grid residuals), and `taylor`, which runs that DAG
+once on truncated multivariate Taylor series at one point (the exact
+partial derivatives up to a degree, with no derivative tree built;
+Griewank & Walther, Evaluating Derivatives, 2nd ed., ch. 13). Every
+algorithm over a tree runs over one iterative post-order walk
+(_topo_order), so a tree of any depth, such as a sum of thousands of
+terms, needs no recursion.
 
 Grammar (EBNF):
 
@@ -34,8 +38,10 @@ symbolic matrix inversion tractable.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -65,6 +71,10 @@ __all__ = [
     "differentiate",
     "to_string",
     "Evaluator",
+    "TaylorBasis",
+    "taylor_basis",
+    "taylor",
+    "derivative_failure",
     "variables",
     "contains",
     "ZERO",
@@ -494,13 +504,15 @@ def evaluate(e: ScalarExpression, point) -> float:
     zero, log/sqrt outside their domains, fractional powers of negative
     numbers, and overflow.
     """
-    return _evaluate(e, point, {})
+    memo: dict = {}
+    _evaluate(_topo_order((e,)), point, memo)
+    return memo[e]
 
 
-def _evaluate(e: ScalarExpression, point, memo: dict) -> float:
-    """evaluate() with a memo that the caller may share between
-    expressions at the same point."""
-    for node in _topo_order((e,), memo):
+def _evaluate(order, point, memo: dict):
+    """Evaluate the nodes of a post-order walk into memo, which holds
+    their operands; the first node that leaves its domain raises."""
+    for node in order:
         kind = type(node)
         if kind is Const:
             v = node.value
@@ -555,7 +567,6 @@ def _evaluate(e: ScalarExpression, point, memo: dict) -> float:
                     raise DomainError("overflow", node, point) from None
             v = _check_finite(v, node, point)
         memo[node] = v
-    return memo[e]
 
 
 # ---------------------------------------------------------------------------
@@ -746,8 +757,237 @@ class Evaluator:
         return out.reshape(x.shape[:-1] + (len(self._outputs),))
 
     def _locate(self, points: np.ndarray, message: str):
+        order = _topo_order(self.roots)
         for point in points.tolist():
-            memo: dict = {}
-            for root in self.roots:
-                _evaluate(root, point, memo)
+            _evaluate(order, point, {})
         raise DomainError(message) from None
+
+
+# ---------------------------------------------------------------------------
+# Truncated Taylor series at one point
+# ---------------------------------------------------------------------------
+
+
+class TaylorBasis:
+    """The monomials x^a of total degree <= degree in m coordinates, in
+    graded order: 1, then x1 .. xm, then x1^2, x1 x2, ..., so the
+    coefficients up to a lower degree are a prefix. A series is an array
+    whose first axis runs over the basis (or a longer one); the
+    coefficient of x^a is d^a f / a! at the expansion point."""
+
+    def __init__(self, m: int, degree: int):
+        monomials = []
+        for d in range(degree + 1):
+            for combo in itertools.combinations_with_replacement(range(m), d):
+                monomials.append(tuple(combo.count(i) for i in range(m)))
+        index = {a: k for k, a in enumerate(monomials)}
+        prefix = [math.comb(m + d, d) for d in range(degree + 1)]
+        pairs = sorted(
+            (index[tuple(p + q for p, q in zip(a, b))], i, j)
+            for i, a in enumerate(monomials)
+            for j, b in enumerate(monomials[: prefix[degree - sum(a)]])
+        )
+        target, self._left, self._right = np.array(pairs, dtype=np.intp).T
+        self.degree, self.size = degree, len(monomials)
+        self.monomials = tuple(monomials)
+        self._starts = np.searchsorted(target, np.arange(self.size))
+        lower = monomials[: prefix[degree - 1]] if degree else []
+        raised = [[tuple(e + (i == l) for i, e in enumerate(a)) for a in lower] for l in range(m)]
+        self._dsource = np.array([[index[a] for a in row] for row in raised], dtype=np.intp)
+        self._dfactor = np.array([[a[l] + 1.0 for a in lower] for l in range(m)])
+        self._outside: dict[int, np.ndarray] = {}
+
+    def product(self, a, b, multiply=np.multiply) -> np.ndarray:
+        """Truncated Cauchy product of two series; `multiply` combines
+        coefficients (np.matmul for matrix-valued series)."""
+        return np.add.reduceat(multiply(a[self._left], b[self._right]), self._starts, axis=0)
+
+    def derivatives(self, c) -> np.ndarray:
+        """The partial derivatives of a series along every coordinate,
+        one degree lower, stacked on a new first axis: (m, lower size, ...)."""
+        factor = self._dfactor.reshape(self._dfactor.shape + (1,) * (c.ndim - 1))
+        return c[self._dsource] * factor
+
+    def variable(self, i: int, value: float) -> np.ndarray:
+        """The series of coordinate x_{i+1} at a point where it is value."""
+        s = np.zeros(self.size)
+        s[0] = value
+        if self.degree:
+            s[1 + i] = 1.0
+        return s
+
+    def outside(self, mask: int) -> np.ndarray:
+        """Positions of the monomials that mention a coordinate outside
+        the bitmask (bit i for x_{i+1})."""
+        found = self._outside.get(mask)
+        if found is None:
+            found = self._outside[mask] = np.array(
+                [
+                    k
+                    for k, a in enumerate(self.monomials)
+                    if any(e and not mask >> i & 1 for i, e in enumerate(a))
+                ],
+                dtype=np.intp,
+            )
+        return found
+
+
+@lru_cache(maxsize=None)
+def taylor_basis(m: int, degree: int) -> TaylorBasis:
+    """The shared basis of degree `degree` in m coordinates."""
+    return TaylorBasis(m, degree)
+
+
+def _compose(basis: TaylorBasis, a: np.ndarray, coeffs) -> np.ndarray:
+    """sum_k coeffs[k] (a - a_0)^k by Horner: a function with Taylor
+    coefficients coeffs at a_0, applied to the series a."""
+    h = a.copy()
+    h[0] = 0.0
+    s = coeffs[-1] * h
+    for c in coeffs[-2:0:-1]:
+        s[0] = c
+        s = basis.product(h, s)
+    s[0] = coeffs[0]
+    return s
+
+
+def _power_coeffs(x, p, value, degree: int) -> list:
+    """Taylor coefficients of t^p at t = x: binom(p, k) x^(p - k), exactly 0
+    once the binomial is (p a whole number below k)."""
+    coeffs, binom = [value], 1.0
+    for k in range(1, degree + 1):
+        binom *= (p - k + 1) / k
+        coeffs.append(binom * x ** (p - k) if binom else 0.0)
+    return coeffs
+
+
+def _function_coeffs(op: str, x, value, degree: int) -> list:
+    """Taylor coefficients at t = x of the function `op` (of 1/t for
+    '/'), value being its value there; exp reads only value."""
+    if op == "exp":
+        return [value / math.factorial(k) for k in range(degree + 1)]
+    if op == "log":
+        return [value] + [(-1.0) ** (k + 1) / (k * x**k) for k in range(1, degree + 1)]
+    if op == "/":
+        return [(-1.0) ** k / x ** (k + 1) for k in range(degree + 1)]
+    if op == "sqrt":
+        return _power_coeffs(x, 0.5, value, degree)
+    s, c = np.sin(x), np.cos(x)
+    cycle = (s, c, -s, -c) if op == "sin" else (c, -s, -c, s)
+    return [value] + [cycle[k % 4] / math.factorial(k) for k in range(1, degree + 1)]
+
+
+def _series(basis: TaylorBasis, node, value: float, a, b, x: float) -> np.ndarray:
+    """The series of one node from its operands' series a and b (a float
+    for an operand that mentions no coordinate); x is a's value."""
+    op = node.op
+    if op == "neg":
+        return -a
+    if op in ("+", "-"):
+        if type(a) is float:  # a constant moves the constant term only
+            s = -b if op == "-" else b.copy()
+        elif type(b) is float:
+            s = a.copy()
+        else:
+            return a + b if op == "+" else a - b
+        s[0] = value
+        return s
+    if op == "*":
+        return a * b if type(a) is float or type(b) is float else basis.product(a, b)
+    degree, x = basis.degree, np.float64(x)  # numpy scalars obey np.errstate
+    if op == "/":
+        if type(b) is float:
+            return a / b
+        inverse = _compose(basis, b, _function_coeffs("/", b[0], None, degree))
+        s = a * inverse if type(a) is float else basis.product(a, inverse)
+        s[0] = value
+        return s
+    if op == "^":
+        if type(b) is float:
+            return _compose(basis, a, _power_coeffs(x, b, value, degree))
+        # f^g = exp(g log f); log f is NaN where f <= 0
+        if type(a) is float:
+            exponent = np.log(x) * b
+        else:
+            log = _compose(basis, a, _function_coeffs("log", x, np.log(x), degree))
+            exponent = basis.product(log, b)
+        return _compose(basis, exponent, _function_coeffs("exp", None, np.float64(value), degree))
+    return _compose(basis, a, _function_coeffs(op, x, np.float64(value), degree))
+
+
+def taylor(roots, point, degree: int) -> np.ndarray:
+    """Taylor coefficients of total degree <= degree of each root at
+    point: an array (taylor_basis(len(point), degree).size, len(roots)).
+
+    One walk over the union DAG of roots in truncated series
+    arithmetic: sums termwise, products as truncated Cauchy products,
+    and each quotient, power and function as that function's own Taylor
+    series at the operand's value, composed with the operand's
+    non-constant part. The values are evaluate()'s, so a root that
+    leaves its domain at point raises its DomainError. A derivative that
+    does not exist at point (sqrt at 0) leaves inf or NaN in the
+    coefficients that need it, and a coefficient along a coordinate that
+    a subtree does not mention is exactly 0.
+    """
+    point = tuple(float(v) for v in point)
+    order = _topo_order(roots)
+    values: dict = {}
+    _evaluate(order, point, values)
+    basis = taylor_basis(len(point), degree)
+    series: dict = {}
+    masks: dict = {}
+    broken: set = set()
+    with np.errstate(all="raise", under="ignore"):
+        for node in order:
+            kind = type(node)
+            if kind is Const:
+                masks[node] = 0
+                series[node] = node.value
+                continue
+            if kind is Var:
+                masks[node] = 1 << (node.index - 1)
+                series[node] = basis.variable(node.index - 1, values[node])
+                continue
+            operands = (node.arg,) if kind is Unary else (node.left, node.right)
+            mask = masks[node] = masks[operands[0]] | masks[operands[-1]]
+            if not mask:
+                series[node] = values[node]
+                continue
+            args = (series[operands[0]], series[operands[-1]], values[operands[0]])
+            try:
+                s = _series(basis, node, values[node], *args)
+                bad = not broken.isdisjoint(operands)
+            except FloatingPointError:  # an inf or NaN coefficient
+                with np.errstate(all="ignore"):
+                    s = _series(basis, node, values[node], *args)
+                bad = True
+            if bad:  # inf * 0 is NaN: restore the exact zeros of unmentioned coordinates
+                broken.add(node)
+                s[basis.outside(mask)] = 0.0
+            series[node] = s
+    out = np.zeros((basis.size, len(roots)))
+    for j, root in enumerate(roots):
+        if masks[root]:
+            out[:, j] = series[root]
+        else:
+            out[0, j] = series[root]
+    return out
+
+
+def derivative_failure(roots, point, degree: int) -> DomainError:
+    """The DomainError that says why some Taylor coefficient of roots at
+    point is not finite: the first value or partial derivative of order
+    <= degree, in graded order, whose evaluation leaves the real domain
+    (evaluate() names the subtree), else one naming the first root."""
+    point = tuple(float(v) for v in point)
+    memo: dict = {}
+    layer = list(roots)
+    for _ in range(degree + 1):
+        try:
+            _evaluate(_topo_order(layer, memo), point, memo)
+        except DomainError as err:
+            return err
+        layer = list(
+            dict.fromkeys(differentiate(e, i) for e in layer for i in range(1, len(point) + 1))
+        )
+    return DomainError(f"non-finite Taylor coefficient in '{to_string(roots[0])}'", point=point)

@@ -21,15 +21,21 @@ solver therefore runs two independent mechanisms:
 
 1. Infinitesimal: intersect the kernels of the induced curvature
    operators and their covariant derivatives at the base point until the
-   dimension stabilises (prolongation). One recursion per connection,
+   dimension stabilises (prolongation; Kobayashi & Nomizu I, II.10).
+   One recursion per connection,
 
        B -> d_l B - [Gamma_l, B]     (starting from the curvature R_ij),
 
-   generates each new order symbolically, so no discretisation error
-   enters the constraints; the generators B of conn pair with those B*
-   of its target into P -> B P - P B*. Every solver reads one problem,
+   generates each new order. Order k needs only the (k + 1)-jet of
+   Gamma at the base point, so one walk of both connections' expression
+   DAGs in truncated Taylor arithmetic (`expr.taylor`) gives exact
+   derivatives, and the recursion runs on the coefficient arrays: d_l
+   shifts coefficients and products are truncated Cauchy products. No
+   discretisation error enters the constraints, and no expression is
+   built; the generators B of conn pair with those B* of its target
+   into P -> B P - P B*. Every solver reads one problem,
    a `Prolongation` of conn, its target and the options: one grid, one
-   base node, each order built and evaluated once, and one grid
+   base node, each order computed once, and one grid
    transporter per RK4 step count, which lives as long as the problem.
    An analysis solves hom, S2 and Omega2 on one problem whose target is
    the conjugate; every kind cuts its own candidate subspace with its
@@ -56,8 +62,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import symmatrix as sm
-from .bundle import ChartDomain, Connection, curvature
+from . import expr as ex
+from .bundle import ChartDomain, Connection
 from .transport import (
     DEFAULT_STEPS_PER_SEGMENT,
     MIN_STEPS_PER_SEGMENT,
@@ -185,37 +191,48 @@ def _intertwining_operator(b: np.ndarray, bs: np.ndarray) -> np.ndarray:
     return np.kron(b, eye) - np.kron(eye, bs.T)
 
 
-def _commutator(a, b):
-    return sm.mat_sub(sm.mat_mul(a, b), sm.mat_mul(b, a))
-
-
-def _generator_orders(conn: Connection, max_order: int):
-    """Symbolic constraint generators of one connection, yielded order by
-    order, so that orders past the one where the solver stops are never
-    built. Order zero is the curvature R_ij (i < j); each next order
-    applies B -> d_l B - [Gamma_l, B] along every axis l."""
-    m = conn.domain.m
-    entries = curvature(conn).entries
-    gens = [entries[i][j] for i in range(m) for j in range(i + 1, m)]
-    yield gens
-    for _ in range(max_order):
-        gens = [
-            sm.mat_sub(sm.mat_diff(b, l + 1), _commutator(conn.gamma[l], b))
-            for b in gens
-            for l in range(m)
-        ]
-        yield gens
-
-
-def _generator_values(gens, x) -> list:
-    """One order of the two recursions in gens (conn's, then the
-    target's) at x, from one evaluation, zipped into pairs (B, B*)."""
-    mats = [mat for seq in gens for mat in seq]
-    if not mats:  # a one-dimensional chart has no curvature
+def _order_values(problem: "Prolongation", order: int) -> list:
+    """Order `order` of the two recursions (conn's, then the target's)
+    at the base point, zipped into pairs (B, B*): the constant terms of
+    the recursion run on the Taylor coefficients of degree order + 1 of
+    both connections. A non-finite order raises DomainError."""
+    conn, dual = problem.conn, problem.dual
+    m, r = conn.domain.m, conn.r
+    if m == 1:  # a one-dimensional chart has no curvature
         return []
-    r = len(mats[0])
-    values = sm.eval_matrix([row for mat in mats for row in mat], x)
-    return list(zip(*values.reshape(2, -1, r, r)))
+    roots = [e for c in (conn, dual) for g in c.gamma for row in g for e in row]
+    degree = order + 1
+    coeffs = ex.taylor(roots, problem.x0, degree)
+    gamma = coeffs.reshape(-1, 2, m, r, r)
+    # R_ij = d_i Gamma_j - d_j Gamma_i + [Gamma_j, Gamma_i] for i < j
+    i, j = np.triu_indices(m, 1)
+    grad = ex.taylor_basis(m, degree).derivatives(gamma)  # grad[l, :, :, k] = d_l Gamma_k
+    basis = ex.taylor_basis(m, degree - 1)
+    g_l = gamma[:, :, None]
+    with np.errstate(all="ignore"):  # a non-finite order is named below
+        gens = np.moveaxis(grad[i, :, :, j] - grad[j, :, :, i], 0, 2)
+        gj, gi = gamma[:, :, j], gamma[:, :, i]
+        gens += basis.product(gj, gi, np.matmul) - basis.product(gi, gj, np.matmul)
+        for _ in range(order):
+            # every generator along every axis l, generator-major
+            lower = ex.taylor_basis(m, basis.degree - 1)
+            b = gens[:, :, :, None]
+            gens = np.moveaxis(basis.derivatives(gens), 0, 3)
+            gens -= lower.product(g_l, b, np.matmul) - lower.product(b, g_l, np.matmul)
+            gens = gens.reshape(gens.shape[:2] + (-1, r, r))
+            basis = lower
+    values = gens[0]
+    if not np.isfinite(values).all():
+        finite = np.isfinite(coeffs).all(axis=0)
+        if finite.all():  # Gamma's jets are finite; their products overflow
+            largest = roots[int(np.abs(coeffs).max(axis=0).argmax())]
+            raise ex.DomainError(
+                f"prolongation order {order} overflows on '{ex.to_string(largest)}'",
+                point=problem.x0.tolist(),
+            )
+        failing = [e for e, ok in zip(roots, finite) if not ok]
+        raise ex.derivative_failure(failing, problem.x0, degree)
+    return list(zip(values[0], values[1]))
 
 
 def _constraint_rows(b, bs, subspace: np.ndarray, scale_ref: float):
@@ -233,10 +250,11 @@ class Prolongation:
     the base node, the evaluated constraint generators and the grid
     transporters.
 
-    Each order is built and evaluated when a solve first reaches it,
-    once, and kept for the solves after it, so no order past the last
-    solve's stop is built. The transporters, one per step count, live as
-    long as the problem does.
+    Each order is computed when a solve first reaches it, once, from
+    Taylor coefficients of degree order + 1, and kept for the solves
+    after it, so no order or degree past the last solve's stop is
+    computed. The transporters, one per step count, live as long as the
+    problem does.
     """
 
     def __init__(self, conn: Connection, dual: Connection, options: SolveOptions = SolveOptions()):
@@ -245,9 +263,6 @@ class Prolongation:
         self.base_index = self.grid.nearest_node(conn.domain.center())
         self.x0 = self.grid.nodes[self.base_index]
         self.transporters: dict[int, GridTransporter] = {}
-        self._generators = zip(
-            _generator_orders(conn, options.max_order), _generator_orders(dual, options.max_order)
-        )
         self._values: list[list] = []
 
     def orders(self):
@@ -255,10 +270,9 @@ class Prolongation:
         lists of pairs (B, B*)."""
         for order in itertools.count():
             if order == len(self._values):
-                gens = next(self._generators, None)
-                if gens is None:
+                if order > self.options.max_order:
                     return
-                self._values.append(_generator_values(gens, self.x0))
+                self._values.append(_order_values(self, order))
             yield self._values[order]
 
 

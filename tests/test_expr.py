@@ -1,3 +1,4 @@
+import math
 import re
 import sys
 
@@ -311,3 +312,88 @@ def test_derivative_linearity_in_sum(e, point, i):
     d1 = ex.evaluate(ex.differentiate(e, i), point)
     d2 = ex.evaluate(ex.differentiate(doubled, i), point)
     assert d2 == pytest.approx(2.0 * d1, abs=1e-10, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Taylor coefficients against exact derivatives
+# ---------------------------------------------------------------------------
+
+
+def _exact_coefficients(e, point, degree):
+    """d^a e / a! at point for every monomial of the basis, from
+    differentiate() trees evaluated by evaluate()."""
+    basis = ex.taylor_basis(len(point), degree)
+    out = []
+    for powers in basis.monomials:
+        d = e
+        for i, k in enumerate(powers):
+            for _ in range(k):
+                d = ex.differentiate(d, i + 1)
+        out.append(ex.evaluate(d, point) / np.prod([math.factorial(k) for k in powers]))
+    return np.array(out)
+
+
+TAYLOR_CASES = [
+    # every op, mixed partials in two and three coordinates
+    ("x1*x2^2 - 3*x1 + x2 - 2", (0.3, 0.7)),
+    ("-(x1*x2) + x2*x2*x2", (-0.4, 0.6)),
+    ("x1/x2 + 1/(1 + x1*x2*x3)", (0.3, 0.7, -0.5)),
+    ("x1^3*x2^4 + x3^2", (0.3, -0.7, 0.2)),
+    ("(x1 + x2)^2.5 + x2^0.5", (0.2, 0.9)),
+    ("x1^x2 + 2^(x1*x3)", (1.5, 0.4, -0.3)),
+    ("exp(x1*x2) + exp(-x3)", (0.3, -0.2, 0.5)),
+    ("log(1 + x1^2 + x2) + log(x3)", (0.5, 0.3, 2.0)),
+    ("sin(x1*x2) + cos(x1 - x3)", (0.3, -1.2, 0.4)),
+    ("sqrt(x1 + x2^2) * sqrt(x3)", (0.5, 0.3, 0.8)),
+    ("sin(x1)/cos(x2) * exp(x1)^(1/3)", (0.4, 0.2)),
+    # a base whose value is 0
+    ("x1^2", (0.0, 0.4)),
+    ("x1^2*x2 + x1^3", (0.0, 0.0, 0.0)),
+]
+
+
+@pytest.mark.parametrize("text, point", TAYLOR_CASES)
+@pytest.mark.parametrize("degree", [0, 1, 2, 3, 4])
+def test_taylor_coefficients_match_exact_derivatives(text, point, degree):
+    e = ex.parse(text)
+    got = ex.taylor([e], point, degree)[:, 0]
+    want = _exact_coefficients(e, point, degree)
+    assert got.shape == (math.comb(len(point) + degree, degree),)
+    assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
+
+
+def test_taylor_roots_share_one_walk():
+    """Several roots come back column by column, constants included."""
+    roots = [ex.parse("x1*x2"), ex.parse("3"), ex.parse("exp(x2)")]
+    got = ex.taylor(roots, (0.5, -0.5), 2)
+    for j, e in enumerate(roots):
+        assert np.array_equal(got[:, j], ex.taylor([e], (0.5, -0.5), 2)[:, 0])
+    assert got[:, 1].tolist() == [3.0, 0, 0, 0, 0, 0]
+
+
+def test_taylor_structural_zeros_are_exact():
+    """sqrt(x1^2) has no x1 derivative at 0, but every coefficient along
+    a coordinate its subtree does not mention is exactly 0, never NaN."""
+    basis = ex.taylor_basis(3, 3)
+    for text in ("sqrt(x1^2)", "sqrt(x1^2)*x2", "x3 + (x1^2)^0.25*x2"):
+        e = ex.parse(text)
+        got = ex.taylor([e], (0.0, 0.0, 0.0), 3)[:, 0]
+        mentioned = ex.variables(e)
+        for c, powers in zip(got, basis.monomials):
+            if any(k and i + 1 not in mentioned for i, k in enumerate(powers)):
+                assert c == 0.0, (text, powers)
+        assert not np.isfinite(got).all()  # the x1 derivatives do not exist
+
+
+def test_taylor_names_a_value_that_leaves_its_domain():
+    with pytest.raises(ex.DomainError, match=re.escape("'sqrt(x1 - 1)' at (0.5, 0.0)")):
+        ex.taylor([ex.parse("x2 + sqrt(x1 - 1)")], (0.5, 0.0), 2)
+
+
+def test_derivative_failure_names_the_singular_derivative():
+    """The first partial derivative, in graded order, that evaluate()
+    cannot take, with the point as plain floats."""
+    e = ex.parse("sqrt(x1^2)")
+    err = ex.derivative_failure([e], np.array([0.0, 0.0]), 1)
+    assert str(err) == "division by zero in '2*x1/(2*sqrt(x1^2))' at (0.0, 0.0)"
+    assert err.node is not None and not ex.contains(e, err.node)

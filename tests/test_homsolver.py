@@ -1,10 +1,15 @@
 import dataclasses
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from metron import expr as ex
 from metron import symmatrix as sm
 from metron.bundle import (
+    ChartDomain,
+    Connection,
     apply_gauge,
     conjugate_connection,
     curvature,
@@ -26,11 +31,13 @@ from metron.homsolver import (
     Prolongation,
     SolveOptions,
     _intertwining_operator,
+    _order_values,
     local_system_residual,
     solve_hom,
     solve_parallel_forms,
     stabilized_constraint_subspace,
 )
+from metron.statmodels import alpha_connection, get_family
 from metron.transport import MIN_STEPS_PER_SEGMENT, PolylinePath
 from oracles import (
     holonomy_fixed_dim,
@@ -38,6 +45,7 @@ from oracles import (
     nilpotent_parallel_forms,
 )
 
+PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 
 
 @pytest.mark.parametrize("steps", [-4, 0, 1, MIN_STEPS_PER_SEGMENT - 1])
@@ -166,17 +174,17 @@ def test_generic_polynomial_kernel_matches_pointwise_intersection():
 
 def test_generic_connection_builds_no_prolongation_order(monkeypatch):
     """A generic connection's kernel closes on the curvature alone, so
-    the covariant-derivative orders must never be built symbolically."""
+    no covariant-derivative order is computed, and the Taylor walk stops
+    at degree 1: order k needs the (k + 1)-jets of Gamma."""
     rng = np.random.default_rng(0)
     conn = random_polynomial_connection(rng, square_domain(5), 2)
     dual = dual_connection(identity_metric(conn.domain, 2), conn)
-    curvature(conn), curvature(dual)  # cached on the connections
-    calls = []
-    mat_diff = sm.mat_diff
-    monkeypatch.setattr(sm, "mat_diff", lambda a, i: calls.append(i) or mat_diff(a, i))
+    degrees = []
+    taylor = ex.taylor
+    monkeypatch.setattr(ex, "taylor", lambda roots, x, d: degrees.append(d) or taylor(roots, x, d))
     space = solve_hom(Prolongation(conn, dual, SolveOptions(grid_per_axis=5, steps_per_segment=16)))
     assert space.dimension == 0 and space.stabilization_order == 0
-    assert calls == []
+    assert degrees == [1]
 
 
 def test_solve_options_are_frozen():
@@ -356,3 +364,74 @@ def test_one_dimensional_chart_line_bundle():
     sym = _forms(conn, "symmetric")
     assert sym.dimension == 1
     assert sym.stabilized
+
+
+# ---------------------------------------------------------------------------
+# prolongation orders against the symbolic recursion
+# ---------------------------------------------------------------------------
+
+
+def _symbolic_orders(conn, max_order):
+    """The constraint generators built as expression trees, order by
+    order: the curvature R_ij (i < j), then B -> d_l B - [Gamma_l, B]
+    along every axis l, generator-major."""
+    m = conn.domain.m
+    entries = curvature(conn).entries
+    gens = [entries[i][j] for i in range(m) for j in range(i + 1, m)]
+    yield gens
+    for _ in range(max_order):
+        gens = [
+            sm.mat_sub(
+                sm.mat_diff(b, l + 1),
+                sm.mat_sub(sm.mat_mul(conn.gamma[l], b), sm.mat_mul(b, conn.gamma[l])),
+            )
+            for b in gens
+            for l in range(m)
+        ]
+        yield gens
+
+
+def _problem_connection(path):
+    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    grid = data["domain"].get("gridPerAxis", 9)
+    domain = ChartDomain(data["domain"]["lower"], data["domain"]["upper"], (grid,) * data["dim"])
+    return Connection(domain, data["rank"], data["connection"])
+
+
+def _order_cases():
+    cases = {path.name: _problem_connection(path) for path in sorted(PROBLEMS.glob("*.json"))}
+    for alpha in (-1.0, -0.5, 0.0, 0.5, 1.0):
+        cases[f"gaussian1d {alpha:+g}"] = alpha_connection(get_family("gaussian1d"), alpha)
+    rng = np.random.default_rng(17)
+    nilpotent = nilpotent_connection(square_domain(5))
+    cases["gauged"] = apply_gauge(random_polynomial_gauge(rng, nilpotent.domain, 2), nilpotent)
+    for k in range(12):
+        r = (2, 2, 3)[k % 3]
+        cases[f"corpus {k}"] = random_polynomial_connection(rng, square_domain(5), r, scale=0.4)
+    return cases
+
+
+ORDER_CASES = _order_cases()
+
+
+@pytest.mark.parametrize("name", list(ORDER_CASES))
+def test_each_order_matches_the_symbolic_recursion(name):
+    """Every order of both recursions, from Taylor coefficients, agrees
+    with the generators built as trees and evaluated at the base point,
+    to 1e-12 of that order's largest entry. An order of a flat or
+    parallel-curvature connection is roundoff on both sides, so, as in
+    the solver's drop rule, the scale is at least 1."""
+    conn = ORDER_CASES[name]
+    problem = Prolongation(conn, conjugate_connection(conn), SolveOptions(grid_per_axis=5))
+    orders = [_order_values(problem, k) for k in range(4)]
+    reference = zip(
+        _symbolic_orders(conn, 3), _symbolic_orders(conjugate_connection(conn), 3)
+    )
+    for got, (gens, target_gens) in zip(orders, reference, strict=True):
+        assert len(got) == len(gens)
+        if not gens:  # a one-dimensional chart has no curvature
+            continue
+        want = sm.eval_matrix([row for mat in gens + target_gens for row in mat], problem.x0)
+        got = np.concatenate([np.array([b for b, _ in got]), np.array([bs for _, bs in got])])
+        want = want.reshape(got.shape)
+        assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1.0)

@@ -89,6 +89,36 @@ def test_no_evaluator_outlives_an_analysis(monkeypatch):
     assert new_evaluators() == []
 
 
+def _expression_cache_sizes():
+    return len(ex._INTERN), [len(cache) for cache in ex._DIFF_CACHE]
+
+
+def _fresh_generic_connection():
+    rng = np.random.default_rng(20261019)
+    return random_polynomial_connection(rng, square_domain(5), 3, scale=0.4)
+
+
+@pytest.mark.parametrize(
+    "build, verdict",
+    [
+        (lambda: half_plane_levi_civita()[0], "RegularlyMetric"),
+        (_fresh_generic_connection, "NotMetric"),
+    ],
+    ids=["half-plane", "generic"],
+)
+def test_an_analysis_builds_no_expression(build, verdict):
+    """Once the conjugate's negations exist, an analysis adds no node to
+    the intern table and no derivative to the differentiation caches: the
+    prolongation reads Taylor coefficients, not symbolic generators. The
+    half plane reaches order 1 and runs the transport; the fresh generic
+    connection stops at order 0."""
+    conn = build()
+    conjugate_connection(conn)
+    before = _expression_cache_sizes()
+    assert decide_metricity(conn, options=FAST).verdict == verdict
+    assert _expression_cache_sizes() == before
+
+
 def test_decide_metricity_honours_caller_tolerances():
     """Hyperbolic's genuine solutions carry roundoff-level transport
     residuals, so a 1e-30 gate must reject every one of them."""
@@ -207,12 +237,12 @@ def _forms(conn, symmetry, options=SolveOptions()):
 def _generator_evaluations(monkeypatch, run):
     """(number of prolongation-order evaluations, result) of run()."""
     calls = []
-    evaluate = homsolver._generator_values
+    evaluate = homsolver._order_values
     monkeypatch.setattr(
-        homsolver, "_generator_values", lambda *a: calls.append(1) or evaluate(*a)
+        homsolver, "_order_values", lambda *a: calls.append(1) or evaluate(*a)
     )
     result = run()
-    monkeypatch.setattr(homsolver, "_generator_values", evaluate)
+    monkeypatch.setattr(homsolver, "_order_values", evaluate)
     return len(calls), result
 
 
