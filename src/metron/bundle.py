@@ -22,7 +22,6 @@ test suite instead of being assumed.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -129,8 +128,8 @@ class ChartDomain:
     def sample_points(self, counts: tuple[int, ...] | None = None) -> np.ndarray:
         counts = self.samples_per_axis if counts is None else counts
         axes = [self.axis_points(i, n) for i, n in enumerate(counts)]
-        pts = np.array(list(itertools.product(*axes)))
-        return pts
+        grids = np.meshgrid(*axes, indexing="ij")  # the last axis runs fastest
+        return np.stack([g.ravel() for g in grids], axis=-1)
 
     def center(self) -> np.ndarray:
         return (np.asarray(self.lower) + np.asarray(self.upper)) / 2.0
@@ -141,17 +140,13 @@ class ChartDomain:
 
 
 def _validate_entries(rows, domain: ChartDomain, what: str):
-    """Reject coordinates beyond the chart: one walk over all entries,
-    and a walk per entry only to name the first offender."""
-    entries = [e for row in rows for e in row]
-    if max(ex.variables(*entries), default=0) <= domain.m:
-        return
-    for e in entries:
-        bad = [i for i in ex.variables(e) if i > domain.m]
-        if bad:
-            raise ValueError(
-                f"{what} uses x{bad[0]} but the chart has dimension {domain.m}"
-            )
+    """Reject coordinates beyond the chart, read from the entries' masks;
+    the error names the first offending entry's lowest such coordinate."""
+    for row in rows:
+        for e in row:
+            if e.mask >> domain.m:
+                bad = min(i for i in ex.variables(e) if i > domain.m)
+                raise ValueError(f"{what} uses x{bad} but the chart has dimension {domain.m}")
 
 
 @dataclass

@@ -25,6 +25,7 @@ import re
 import sys
 import time
 from dataclasses import replace
+from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
 
 import numpy as np
@@ -89,27 +90,23 @@ def _format_float(v: float, digits: int = 17) -> str:
 
 
 def canonical_json(obj, indent: int = 0) -> str:
-    """Deterministic JSON: sorted keys, fixed float formatting."""
+    """Deterministic JSON: sorted keys, fixed float formatting. The
+    common leaf types are told apart by exact type first."""
     pad = " " * indent
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, _F):
+    kind = type(obj)
+    if kind is str:
+        return _json_string(obj)
+    if kind is _F:
         return _format_float(obj.value, obj.digits)
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _format_float(float(obj))
-    if isinstance(obj, str):
-        return json.dumps(obj)
+    if kind is float:
+        return _format_float(obj)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         items = []
         for key in sorted(obj):
             items.append(
-                f"{pad}  {json.dumps(str(key))}: {canonical_json(obj[key], indent + 2)}"
+                f"{pad}  {_json_string(str(key))}: {canonical_json(obj[key], indent + 2)}"
             )
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
     if isinstance(obj, (list, tuple, np.ndarray)):
@@ -118,6 +115,16 @@ def canonical_json(obj, indent: int = 0) -> str:
             return "[]"
         items = [f"{pad}  {canonical_json(v, indent + 2)}" for v in seq]
         return "[\n" + ",\n".join(items) + f"\n{pad}]"
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return _format_float(float(obj))
+    if isinstance(obj, str):
+        return _json_string(obj)
     raise TypeError(f"cannot serialise {type(obj).__name__}")
 
 
@@ -174,20 +181,16 @@ def _check_expressions(value, dim: int, path: str, diagnostics: list):
     """Diagnose every expression of value; returns the parsed value."""
     leaves: list = []
     tree = _parsed(value, path, leaves)
-    parsed = [e for _, e in leaves if not isinstance(e, ex.ParseError)]
-    # one walk over all entries; a walk per entry only to name offenders
-    outside = max(ex.variables(*parsed), default=0) > dim
     for leaf_path, e in leaves:
         if isinstance(e, ex.ParseError):
             diagnostics.append(_diag(leaf_path, "parse", e.message, e.offset))
-            continue
-        bad = sorted(i for i in ex.variables(e) if i > dim) if outside else []
-        if bad:
+        elif e.mask >> dim:
+            bad = min(i for i in ex.variables(e) if i > dim)
             diagnostics.append(
                 _diag(
                     leaf_path,
                     "unknown-variable",
-                    f"expression uses x{bad[0]} but the problem has dim {dim}",
+                    f"expression uses x{bad} but the problem has dim {dim}",
                 )
             )
     return tree

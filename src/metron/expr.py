@@ -34,7 +34,11 @@ no-ops so that derivative trees stay small; a fold whose value would
 not be finite keeps its node, so that evaluation names the subtree.
 Memoised evaluation and differentiation then cost one visit per
 distinct node, which keeps the large rational trees produced by
-symbolic matrix inversion tractable.
+symbolic matrix inversion tractable. A fact that follows from the
+operands is computed once, when the factory builds the node, and lives
+on it (Filliatre & Conchon, Type-Safe Modular Hash-Consing, 2006):
+every node carries the bitmask of the coordinates its subtree mentions,
+so `variables` reads the roots' masks and walks nothing.
 """
 from __future__ import annotations
 
@@ -132,9 +136,12 @@ class DomainError(ExpressionError):
 @dataclass(frozen=True, eq=False)
 class ScalarExpression:
     """Base node type. Identity comparison is structural equality (hash-consing),
-    and nodes hash by identity, so a dict keyed by node is a memo."""
+    and nodes hash by identity, so a dict keyed by node is a memo. `mask`
+    has bit i set when the subtree mentions x_{i+1}; the factory that
+    builds a node sets it from its operands' masks."""
 
-    __slots__ = ()
+    __slots__ = ("mask",)
+    mask: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,11 +174,11 @@ class Binary(ScalarExpression):
 _INTERN: dict = {}
 
 
-def _intern(key, build):
+def _intern(key, cls, *fields):
+    """The node cls(*fields) under key, built the first time key is seen."""
     node = _INTERN.get(key)
     if node is None:
-        node = build()
-        _INTERN[key] = node
+        node = _INTERN[key] = cls(*fields)
     return node
 
 
@@ -181,7 +188,7 @@ def const(value: float) -> Const:
         raise ValueError("NaN constant is not a valid expression")
     if v == 0.0:
         v = 0.0  # canonicalise -0.0
-    return _intern(("c", v), lambda: Const(v))
+    return _intern(("c", v), Const, 0, v)
 
 
 ZERO = const(0.0)
@@ -191,96 +198,101 @@ ONE = const(1.0)
 def var(index: int) -> Var:
     if not 1 <= index <= MAX_VARIABLES:
         raise ValueError(f"coordinate index must be 1..{MAX_VARIABLES}, got {index}")
-    return _intern(("v", index), lambda: Var(index))
-
-
-def _is_const(e, value=None):
-    return isinstance(e, Const) and (value is None or e.value == value)
+    return _intern(("v", index), Var, 1 << (index - 1), index)
 
 
 def neg(a: ScalarExpression) -> ScalarExpression:
-    if _is_const(a):
+    if type(a) is Const:
         return const(-a.value)
-    if isinstance(a, Unary) and a.op == "neg":
+    if type(a) is Unary and a.op == "neg":
         return a.arg
-    return _intern(("u", "neg", id(a)), lambda: Unary("neg", a))
+    return _intern(("u", "neg", id(a)), Unary, a.mask, "neg", a)
 
 
 def add(a: ScalarExpression, b: ScalarExpression) -> ScalarExpression:
-    if _is_const(a) and _is_const(b) and math.isfinite(v := a.value + b.value):
+    ca, cb = type(a) is Const, type(b) is Const
+    if ca and cb and math.isfinite(v := a.value + b.value):
         return const(v)
-    if _is_const(a, 0.0):
+    if ca and a.value == 0.0:
         return b
-    if _is_const(b, 0.0):
+    if cb and b.value == 0.0:
         return a
-    return _intern(("b", "+", id(a), id(b)), lambda: Binary("+", a, b))
+    return _intern(("b", "+", id(a), id(b)), Binary, a.mask | b.mask, "+", a, b)
 
 
 def sub(a: ScalarExpression, b: ScalarExpression) -> ScalarExpression:
-    if _is_const(a) and _is_const(b) and math.isfinite(v := a.value - b.value):
+    ca, cb = type(a) is Const, type(b) is Const
+    if ca and cb and math.isfinite(v := a.value - b.value):
         return const(v)
-    if _is_const(b, 0.0):
+    if cb and b.value == 0.0:
         return a
-    if _is_const(a, 0.0):
+    if ca and a.value == 0.0:
         return neg(b)
     if a is b:
         return ZERO
-    return _intern(("b", "-", id(a), id(b)), lambda: Binary("-", a, b))
+    return _intern(("b", "-", id(a), id(b)), Binary, a.mask | b.mask, "-", a, b)
 
 
 def mul(a: ScalarExpression, b: ScalarExpression) -> ScalarExpression:
-    if _is_const(a) and _is_const(b) and math.isfinite(v := a.value * b.value):
+    ca, cb = type(a) is Const, type(b) is Const
+    if ca and cb and math.isfinite(v := a.value * b.value):
         return const(v)
-    if _is_const(a, 0.0) or _is_const(b, 0.0):
+    va = a.value if ca else None
+    vb = b.value if cb else None
+    if va == 0.0 or vb == 0.0:
         return ZERO
-    if _is_const(a, 1.0):
+    if va == 1.0:
         return b
-    if _is_const(b, 1.0):
+    if vb == 1.0:
         return a
-    if _is_const(a, -1.0):
+    if va == -1.0:
         return neg(b)
-    if _is_const(b, -1.0):
+    if vb == -1.0:
         return neg(a)
-    return _intern(("b", "*", id(a), id(b)), lambda: Binary("*", a, b))
+    return _intern(("b", "*", id(a), id(b)), Binary, a.mask | b.mask, "*", a, b)
 
 
 def div(a: ScalarExpression, b: ScalarExpression) -> ScalarExpression:
-    if _is_const(b, 1.0):
+    ca, cb = type(a) is Const, type(b) is Const
+    vb = b.value if cb else None
+    if vb == 1.0:
         return a
-    if _is_const(b, -1.0):
+    if vb == -1.0:
         return neg(a)
-    if _is_const(a, 0.0):
+    if ca and a.value == 0.0:
         # Drops a potential pole of the denominator; fine for the
         # derivative algebra this factory exists for.
         return ZERO
-    if _is_const(a) and _is_const(b) and b.value != 0.0 and math.isfinite(v := a.value / b.value):
+    if ca and cb and vb != 0.0 and math.isfinite(v := a.value / vb):
         return const(v)
     if a is b:
         return ONE
-    return _intern(("b", "/", id(a), id(b)), lambda: Binary("/", a, b))
+    return _intern(("b", "/", id(a), id(b)), Binary, a.mask | b.mask, "/", a, b)
 
 
 def pow_(a: ScalarExpression, b: ScalarExpression) -> ScalarExpression:
-    if _is_const(b, 1.0):
+    ca, cb = type(a) is Const, type(b) is Const
+    vb = b.value if cb else None
+    if vb == 1.0:
         return a
-    if _is_const(b, 0.0):
+    if vb == 0.0:
         return ONE
-    if _is_const(a, 1.0):
+    if ca and a.value == 1.0:
         return ONE
-    if _is_const(a) and _is_const(b):
+    if ca and cb:
         try:
-            v = a.value ** b.value
+            v = a.value ** vb
         except (ValueError, OverflowError, ZeroDivisionError):
             v = None
         if v is not None and isinstance(v, float) and math.isfinite(v):
             return const(v)
-    return _intern(("b", "^", id(a), id(b)), lambda: Binary("^", a, b))
+    return _intern(("b", "^", id(a), id(b)), Binary, a.mask | b.mask, "^", a, b)
 
 
 def func(name: str, a: ScalarExpression) -> ScalarExpression:
     if name not in FUNCTIONS:
         raise ValueError(f"unknown function {name!r}")
-    if _is_const(a):
+    if type(a) is Const:
         try:
             v = getattr(math, name)(a.value)
         except (ValueError, OverflowError):
@@ -288,7 +300,7 @@ def func(name: str, a: ScalarExpression) -> ScalarExpression:
         if v is not None and math.isfinite(v):
             return const(v)
         # keep the node so evaluation reports the domain error
-    return _intern(("u", name, id(a)), lambda: Unary(name, a))
+    return _intern(("u", name, id(a)), Unary, a.mask, name, a)
 
 
 # ---------------------------------------------------------------------------
@@ -482,8 +494,11 @@ def contains(root: ScalarExpression, node: ScalarExpression) -> bool:
 
 def variables(*roots: ScalarExpression) -> set[int]:
     """Set of coordinate indices (1-based) that the expressions mention,
-    from one walk over their union."""
-    return {node.index for node in _topo_order(roots) if type(node) is Var}
+    read from the roots' masks."""
+    mask = 0
+    for root in roots:
+        mask |= root.mask
+    return {i + 1 for i in range(MAX_VARIABLES) if mask >> i & 1}
 
 
 # ---------------------------------------------------------------------------
@@ -935,21 +950,18 @@ def taylor(roots, point, degree: int) -> np.ndarray:
     _evaluate(order, point, values)
     basis = taylor_basis(len(point), degree)
     series: dict = {}
-    masks: dict = {}
     broken: set = set()
     with np.errstate(all="raise", under="ignore"):
         for node in order:
             kind = type(node)
             if kind is Const:
-                masks[node] = 0
                 series[node] = node.value
                 continue
             if kind is Var:
-                masks[node] = 1 << (node.index - 1)
                 series[node] = basis.variable(node.index - 1, values[node])
                 continue
+            mask = node.mask
             operands = (node.arg,) if kind is Unary else (node.left, node.right)
-            mask = masks[node] = masks[operands[0]] | masks[operands[-1]]
             if not mask:
                 series[node] = values[node]
                 continue
@@ -967,7 +979,7 @@ def taylor(roots, point, degree: int) -> np.ndarray:
             series[node] = s
     out = np.zeros((basis.size, len(roots)))
     for j, root in enumerate(roots):
-        if masks[root]:
+        if root.mask:
             out[:, j] = series[root]
         else:
             out[0, j] = series[root]

@@ -35,8 +35,10 @@ solver therefore runs two independent mechanisms:
    built; the generators B of conn pair with those B* of its target
    into P -> B P - P B*. Every solver reads one problem,
    a `Prolongation` of conn, its target and the options: one grid, one
-   base node, each order computed once, and one grid
-   transporter per RK4 step count, which lives as long as the problem.
+   base node, each order computed once with one operator matrix per
+   generator, and one grid transporter per RK4 step count, which lives
+   as long as the problem. Each solve restricts those operators to its
+   own subspace.
    An analysis solves hom, S2 and Omega2 on one problem whose target is
    the conjugate; every kind cuts its own candidate subspace with its
    own scale and stops on its own.
@@ -59,6 +61,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -69,6 +72,7 @@ from .transport import (
     MIN_STEPS_PER_SEGMENT,
     Grid,
     GridTransporter,
+    _intertwining_operator,
     flow_operators,
 )
 
@@ -185,27 +189,27 @@ def nullspace(matrix: np.ndarray, rel_cutoff: float) -> np.ndarray:
     return vt[rank:]
 
 
-def _intertwining_operator(b: np.ndarray, bs: np.ndarray) -> np.ndarray:
-    """Matrix of P -> B P - P B* on row-major flattened P."""
-    eye = np.eye(len(b))
-    return np.kron(b, eye) - np.kron(eye, bs.T)
+@lru_cache(maxsize=None)
+def _axis_pairs(m: int) -> tuple:
+    """The axis pairs i < j of the curvature R_ij, as two index arrays."""
+    return np.triu_indices(m, 1)
 
 
-def _order_values(problem: "Prolongation", order: int) -> list:
-    """Order `order` of the two recursions (conn's, then the target's)
-    at the base point, zipped into pairs (B, B*): the constant terms of
+def _order_values(problem: "Prolongation", order: int) -> np.ndarray:
+    """Order `order` of the two recursions at the base point, (2, n, r, r):
+    conn's n generators B, then the target's B*, the constant terms of
     the recursion run on the Taylor coefficients of degree order + 1 of
     both connections. A non-finite order raises DomainError."""
     conn, dual = problem.conn, problem.dual
     m, r = conn.domain.m, conn.r
     if m == 1:  # a one-dimensional chart has no curvature
-        return []
+        return np.zeros((2, 0, r, r))
     roots = [e for c in (conn, dual) for g in c.gamma for row in g for e in row]
     degree = order + 1
     coeffs = ex.taylor(roots, problem.x0, degree)
     gamma = coeffs.reshape(-1, 2, m, r, r)
     # R_ij = d_i Gamma_j - d_j Gamma_i + [Gamma_j, Gamma_i] for i < j
-    i, j = np.triu_indices(m, 1)
+    i, j = _axis_pairs(m)
     grad = ex.taylor_basis(m, degree).derivatives(gamma)  # grad[l, :, :, k] = d_l Gamma_k
     basis = ex.taylor_basis(m, degree - 1)
     g_l = gamma[:, :, None]
@@ -232,29 +236,33 @@ def _order_values(problem: "Prolongation", order: int) -> list:
             )
         failing = [e for e, ok in zip(roots, finite) if not ok]
         raise ex.derivative_failure(failing, problem.x0, degree)
-    return list(zip(values[0], values[1]))
+    return values
 
 
-def _constraint_rows(b, bs, subspace: np.ndarray, scale_ref: float):
-    """Rows of one generator's constraint operator restricted to the
-    candidate subspace, normalised; None if the generator vanishes."""
-    magnitude = max(np.abs(b).max(), np.abs(bs).max())
-    if magnitude <= GENERATOR_DROP_REL * scale_ref:
-        return None, magnitude
-    return (_intertwining_operator(b, bs) @ subspace.T) / magnitude, magnitude
+def _constraint_rows(operators, magnitudes, subspace: np.ndarray, scale_ref: float):
+    """The rows of one order's constraint operators restricted to the
+    candidate subspace, each generator's block normalised by its
+    magnitude, leaving out generators that vanish against the largest
+    magnitude before them; returns (rows, the new scale_ref)."""
+    ceiling = np.maximum.accumulate(np.concatenate(([scale_ref], magnitudes)))
+    kept = magnitudes > GENERATOR_DROP_REL * ceiling[:-1]
+    rows = (operators[kept] @ subspace.T) / magnitudes[kept, None, None]
+    return rows.reshape(len(rows) * len(subspace.T), len(subspace)), ceiling[-1]
 
 
 class Prolongation:
     """One problem: the intertwiner equation from conn into the target
     `dual` under `options`, and what every solve of it shares: the grid,
-    the base node, the evaluated constraint generators and the grid
-    transporters.
+    the base node, the evaluated constraint generators and operators,
+    and the grid transporters.
 
     Each order is computed when a solve first reaches it, once, from
     Taylor coefficients of degree order + 1, and kept for the solves
     after it, so no order or degree past the last solve's stop is
-    computed. The transporters, one per step count, live as long as the
-    problem does.
+    computed. Each generator's operator P -> B P - P B* is built once,
+    with its order, and every solve restricts it to its own subspace.
+    The transporters, one per step count, live as long as the problem
+    does.
     """
 
     def __init__(self, conn: Connection, dual: Connection, options: SolveOptions = SolveOptions()):
@@ -263,17 +271,26 @@ class Prolongation:
         self.base_index = self.grid.nearest_node(conn.domain.center())
         self.x0 = self.grid.nodes[self.base_index]
         self.transporters: dict[int, GridTransporter] = {}
-        self._values: list[list] = []
+        self._orders: list[tuple] = []
+
+    def constraints(self):
+        """Order by order from order zero: the generators' values
+        (2, n, r, r), the B then the B*; their operators P -> B P - P B*
+        on row-major P, (n, r*r, r*r); and their magnitudes max |B|, |B*|."""
+        for order in itertools.count():
+            if order == len(self._orders):
+                if order > self.options.max_order:
+                    return
+                values = _order_values(self, order)
+                operators = _intertwining_operator(values[0], values[1])
+                self._orders.append((values, operators, np.abs(values).max(axis=(0, 2, 3))))
+            yield self._orders[order]
 
     def orders(self):
         """The evaluated generators, order by order from order zero, as
         lists of pairs (B, B*)."""
-        for order in itertools.count():
-            if order == len(self._values):
-                if order > self.options.max_order:
-                    return
-                self._values.append(_order_values(self, order))
-            yield self._values[order]
+        for values, _, _ in self.constraints():
+            yield list(zip(*values))
 
 
 def get_transporter(problem: Prolongation, steps: int) -> GridTransporter:
@@ -309,16 +326,10 @@ def stabilized_constraint_subspace(problem: Prolongation, subspace: np.ndarray |
     dim_prev = subspace.shape[0]
     dims: list[int] = []
     stabilized = False
-    for values in problem.orders():
-        for b, bs in values:
-            rows, magnitude = _constraint_rows(b, bs, subspace, scale_ref)
-            scale_ref = max(scale_ref, magnitude)
-            if rows is not None:
-                blocks.append(rows)
-        stacked = (
-            np.vstack(blocks) if blocks else np.zeros((0, subspace.shape[0]))
-        )
-        kernel = nullspace(stacked, problem.options.kernel_cutoff)
+    for _, operators, magnitudes in problem.constraints():
+        rows, scale_ref = _constraint_rows(operators, magnitudes, subspace, scale_ref)
+        blocks.append(rows)
+        kernel = nullspace(np.vstack(blocks), problem.options.kernel_cutoff)
         dims.append(kernel.shape[0])
         if kernel.shape[0] == dim_prev or kernel.shape[0] == 0:
             stabilized = True

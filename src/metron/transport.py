@@ -117,21 +117,28 @@ def _plus_identity(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _step_matrices(a: np.ndarray, b: np.ndarray, h: float) -> np.ndarray:
-    """The RK4 step matrices T_k of Y' = A Y - Y B from the generators at
-    the 2s+1 nodes, (n, 2s+1, ...) -> (n, s, d, d). With M = A (x) I -
-    I (x) B^T on the row-major vec at the nodes 2k, 2k+1, 2k+2:
-
-        K2 = M2 (I + h/2 M1),  K3 = M2 (I + h/2 K2),  K4 = M3 (I + h K3),
-        T_k = I + h/6 (M1 + 2 K2 + 2 K3 + K4)."""
+def _intertwining_operator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The matrices M = A (x) I - I (x) B^T of Y -> A Y - Y B on the
+    row-major vec, for stacks (..., r1, r1) and (..., r2, r2) ->
+    (..., r1 r2, r1 r2), written by strided assignment."""
     r1, r2 = a.shape[-1], b.shape[-1]
-    gen = np.zeros(a.shape[:2] + (r1, r2, r1, r2))
+    gen = np.zeros(a.shape[:-2] + (r1, r2, r1, r2))
     for j in range(r2):
         gen[..., :, j, :, j] = a
     bt = b.swapaxes(-1, -2)
     for i in range(r1):
         gen[..., i, :, i, :] -= bt
-    gen = gen.reshape(a.shape[:2] + (r1 * r2, r1 * r2))
+    return gen.reshape(a.shape[:-2] + (r1 * r2, r1 * r2))
+
+
+def _step_matrices(a: np.ndarray, b: np.ndarray, h: float) -> np.ndarray:
+    """The RK4 step matrices T_k of Y' = A Y - Y B from the generators at
+    the 2s+1 nodes, (n, 2s+1, ...) -> (n, s, d, d). With M the
+    intertwining operator at the nodes 2k, 2k+1, 2k+2:
+
+        K2 = M2 (I + h/2 M1),  K3 = M2 (I + h/2 K2),  K4 = M3 (I + h K3),
+        T_k = I + h/6 (M1 + 2 K2 + 2 K3 + K4)."""
+    gen = _intertwining_operator(a, b)
     m1, m2, m3 = gen[:, :-1:2], gen[:, 1::2], gen[:, 2::2]
     k = m2 @ _plus_identity((h / 2.0) * m1)
     step = m1 + 2.0 * k

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,33 @@ def test_domain_grid_is_strictly_interior_and_centered():
 def test_domain_rejects_bad_bounds():
     with pytest.raises(ValueError):
         ChartDomain((0.0,), (0.0,))
+
+
+@pytest.mark.parametrize("counts", [(7,), (5, 9), (3, 1, 4), (2, 2, 2, 2)])
+def test_sample_points_are_the_axis_product_in_c_order(counts):
+    """The grid is the product of the axis points, the last axis running
+    fastest, value for value."""
+    m = len(counts)
+    dom = ChartDomain(tuple(-1.0 - i for i in range(m)), tuple(0.5 + i for i in range(m)), counts)
+    axes = [dom.axis_points(i, n) for i, n in enumerate(counts)]
+    assert np.array_equal(dom.sample_points(), np.array(list(itertools.product(*axes))))
+
+
+def test_a_coordinate_beyond_the_chart_names_its_entry():
+    """An entry mentioning x3 on a 2-dimensional chart is refused with
+    the coordinate named, for connections, forms and gauges."""
+    dom = square_domain(5)
+    gamma = (sm.zeros_mat(2), ((ex.ZERO, ex.parse("x1 + x3")), (ex.ZERO, ex.ZERO)))
+    with pytest.raises(ValueError) as err:
+        Connection(dom, 2, gamma)
+    assert str(err.value) == "connection coefficient uses x3 but the chart has dimension 2"
+    entries = ((ex.ONE, ex.ZERO), (ex.ZERO, ex.parse("1 + x3^2")))
+    with pytest.raises(ValueError) as err:
+        MetricField(dom, 2, entries)
+    assert str(err.value) == "form coefficient uses x3 but the chart has dimension 2"
+    with pytest.raises(ValueError) as err:
+        GaugeTransform(dom, 2, entries)
+    assert str(err.value) == "gauge coefficient uses x3 but the chart has dimension 2"
 
 
 # ---------------------------------------------------------------------------

@@ -269,6 +269,52 @@ def test_validate_unknown_variable(capsys, tmp_path):
     )
 
 
+def test_unknown_variable_diagnostic_names_the_lowest_coordinate(capsys, tmp_path):
+    """Each entry that mentions a coordinate beyond dim gets one
+    diagnostic at its own path, naming its lowest such coordinate."""
+    problem = json.loads(json.dumps(BASE_PROBLEM))
+    problem["connection"][1][0][1] = "x3"
+    problem["connection"][0][1][0] = "x9 + x4*x2 + x1"
+    path = _write(tmp_path, "p.json", problem)
+    code, out, _ = _run(capsys, "validate", path, "--quiet")
+    assert code == 2
+    assert json.loads(out)["result"]["diagnostics"] == [
+        {
+            "path": "connection[0][1][0]",
+            "code": "unknown-variable",
+            "message": "expression uses x4 but the problem has dim 2",
+        },
+        {
+            "path": "connection[1][0][1]",
+            "code": "unknown-variable",
+            "message": "expression uses x3 but the problem has dim 2",
+        },
+    ]
+
+
+def test_a_corpus_analysis_walks_its_expressions_once(monkeypatch, tmp_path):
+    """Loading a benchmark corpus file reads the coordinates from the
+    nodes' masks and walks no expression DAG; deciding it walks the union
+    DAG of the connection and its conjugate once, for the Taylor
+    coefficients. Counts walks, not time."""
+    from metron import expr
+
+    monkeypatch.syspath_prepend(str(REPO / "perfbench"))
+    import gen
+
+    walks = []
+    topo_order = expr._topo_order
+    monkeypatch.setattr(expr, "_topo_order", lambda *a: walks.append(1) or topo_order(*a))
+    for k, problem in enumerate(gen.corpus_problems(1)[:3]):  # ranks 2, 2, 3
+        path = _write(tmp_path, f"corpus-{k}.json", problem)
+        loaded = cli.ProblemObjects(problem, cli.build_parser().parse_args(["metricity", path]))
+        assert walks == []
+        certificate = cli.decide_metricity(loaded.connection, loaded.options)
+        assert certificate.verdict == "NotMetric"
+        assert len(walks) == 1
+        walks.clear()
+
+
 def _string_leaves(value) -> int:
     if isinstance(value, str):
         return 1

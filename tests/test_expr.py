@@ -1,6 +1,8 @@
+import json
 import math
 import re
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -187,6 +189,84 @@ def test_evaluator_names_a_pole_only_an_intermediate_value_hits():
 def test_variables():
     assert ex.variables(ex.parse("x1*x3 + exp(x2)")) == {1, 2, 3}
     assert ex.variables(ex.parse("4")) == set()
+
+
+def _walked_variables(roots) -> dict:
+    """node -> the Var indices of its subtree, for every node of the
+    union DAG of roots, from a walk that reads no mask."""
+    found: dict = {}
+    stack = list(roots)
+    while stack:
+        node = stack[-1]
+        if node in found:
+            stack.pop()
+            continue
+        kids = [getattr(node, name) for name in ("arg", "left", "right") if hasattr(node, name)]
+        pending = [kid for kid in kids if kid not in found]
+        if pending:
+            stack += pending
+            continue
+        stack.pop()
+        found[node] = {node.index} if type(node) is ex.Var else set().union(*map(found.get, kids))
+    return found
+
+
+def _mask_cases() -> dict:
+    """Named lists of roots: the problem files, corpus connections, the
+    statistical families, gauged connections and derivative trees."""
+    from metron.bundle import apply_gauge
+    from metron.corpus import involution_corpus, nilpotent_connection, random_polynomial_gauge
+    from metron.statmodels import FAMILIES, alpha_connection, fisher_metric
+
+    def leaves(value):
+        if isinstance(value, str):
+            return [ex.parse(value)]
+        if isinstance(value, (list, dict)):
+            items = value.values() if isinstance(value, dict) else value
+            return [e for item in items for e in leaves(item)]
+        return []
+
+    def entries(conn):
+        return [e for g in conn.gamma for row in g for e in row]
+
+    problems = Path(__file__).resolve().parents[1] / "problems"
+    cases = {
+        path.name: leaves({k: v for k, v in json.loads(path.read_text()).items() if k != "domain"})
+        for path in sorted(problems.glob("*.json"))
+    }
+    for k, (conn, _) in enumerate(involution_corpus(seed=7, count=12)):
+        cases[f"corpus {k}"] = entries(conn)
+    for name, family in FAMILIES.items():
+        metric = fisher_metric(family)
+        cases[name] = entries(alpha_connection(family, 0.5)) + [
+            e for row in metric.entries for e in row
+        ]
+    rng = np.random.default_rng(5)
+    nilpotent = nilpotent_connection()
+    gauge = random_polynomial_gauge(rng, nilpotent.domain, 2)
+    cases["gauged"] = entries(apply_gauge(gauge, nilpotent))
+    cases["derivatives"] = [
+        ex.differentiate(e, i) for e in cases["gauged"] + cases["gaussian1d"] for i in (1, 2, 3)
+    ]
+    return cases
+
+
+MASK_CASES = _mask_cases()
+
+
+@pytest.mark.parametrize("name", list(MASK_CASES))
+def test_every_node_masks_the_variables_a_walk_finds(name):
+    """Each node's mask, set by its factory, has bit i exactly when a walk
+    of its subtree meets x_{i+1}; variables() of the roots agrees."""
+    roots = MASK_CASES[name]
+    found = _walked_variables(roots)
+    assert roots
+    for node, indices in found.items():
+        assert {i + 1 for i in range(ex.MAX_VARIABLES) if node.mask >> i & 1} == indices, (
+            name,
+            ex.to_string(node),
+        )
+    assert ex.variables(*roots) == set().union(*map(found.get, roots))
 
 
 # ---------------------------------------------------------------------------

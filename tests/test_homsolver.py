@@ -31,7 +31,6 @@ from metron.homsolver import (
     Prolongation,
     SolveOptions,
     _intertwining_operator,
-    _order_values,
     local_system_residual,
     solve_hom,
     solve_parallel_forms,
@@ -120,6 +119,20 @@ def test_hom_curvature_kernel_matches_brute_force():
     expected = [np.eye(2), NILPOTENT_MATRIX]
     got = [v.reshape(2, 2) for v in vt[2:]]
     assert _same_span(got, expected)
+
+
+@pytest.mark.parametrize("r1, r2", [(1, 1), (2, 2), (3, 3), (4, 4), (2, 3), (3, 1), (1, 4)])
+def test_intertwining_operator_is_the_kronecker_form(r1, r2):
+    """The strided build of P -> B P - P B* on the row-major vec is
+    kron(B, I) - kron(I, B*^T), for one pair and for a stack of pairs."""
+    rng = np.random.default_rng(10 * r1 + r2)
+    b, bs = rng.standard_normal((3, r1, r1)), rng.standard_normal((3, r2, r2))
+    want = np.array([np.kron(x, np.eye(r2)) - np.kron(np.eye(r1), y.T) for x, y in zip(b, bs)])
+    assert np.array_equal(_intertwining_operator(b[0], bs[0]), want[0])
+    assert np.array_equal(_intertwining_operator(b, bs), want)
+    p = rng.standard_normal((r1, r2))
+    got = (_intertwining_operator(b[1], bs[1]) @ p.reshape(-1)).reshape(r1, r2)
+    assert np.abs(got - (b[1] @ p - p @ bs[1])).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +436,7 @@ def test_each_order_matches_the_symbolic_recursion(name):
     the solver's drop rule, the scale is at least 1."""
     conn = ORDER_CASES[name]
     problem = Prolongation(conn, conjugate_connection(conn), SolveOptions(grid_per_axis=5))
-    orders = [_order_values(problem, k) for k in range(4)]
+    orders = list(problem.orders())  # max_order 3: orders 0..3
     reference = zip(
         _symbolic_orders(conn, 3), _symbolic_orders(conjugate_connection(conn), 3)
     )

@@ -1,4 +1,5 @@
 import gc
+import itertools
 
 import numpy as np
 import pytest
@@ -270,6 +271,41 @@ def test_analysis_evaluates_each_prolongation_order_once(monkeypatch):
     )
     assert spaces["symmetric"].dimension == spaces["hom"].dimension == 0
     assert (shared, alone) == (1, 3)
+
+
+ONE_BUILD_CASES = {
+    "half plane": lambda: half_plane_levi_civita()[0],
+    "gaussian alpha 0": lambda: alpha_connection(get_family("gaussian1d"), 0.0),
+    "corpus": lambda: random_polynomial_connection(
+        np.random.default_rng(7), square_domain(5), 3, scale=0.4
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(ONE_BUILD_CASES))
+def test_each_generator_operator_is_built_once(monkeypatch, case):
+    """decide_metricity builds the operator P -> B P - P B* of every
+    generator of every order it reaches exactly once; hom, S2 and Omega2
+    each restrict that one operator to their own subspace."""
+    conn = ONE_BUILD_CASES[case]()
+    built, orders, problems = [], [], []
+    build, evaluate = homsolver._intertwining_operator, homsolver._order_values
+    monkeypatch.setattr(
+        homsolver,
+        "_intertwining_operator",
+        lambda b, bs: built.append(np.asarray(b)[..., 0, 0].size) or build(b, bs),
+    )
+    monkeypatch.setattr(homsolver, "_order_values", lambda *a: orders.append(1) or evaluate(*a))
+    prolongation = metricity.Prolongation
+    monkeypatch.setattr(
+        metricity, "Prolongation", lambda *a: problems.append(prolongation(*a)) or problems[-1]
+    )
+    decide_metricity(conn, options=FAST)
+    (problem,) = problems
+    reached = list(itertools.islice(problem.orders(), len(orders)))
+    generators = sum(len(pairs) for pairs in reached)
+    assert generators > 0
+    assert sum(built) == generators
 
 
 @pytest.mark.parametrize("alpha", [-0.5, 0.5])
