@@ -144,8 +144,7 @@ def _validate_entries(rows, domain: ChartDomain, what: str):
     the error names the first offending entry's lowest such coordinate."""
     for row in rows:
         for e in row:
-            if e.mask >> domain.m:
-                bad = min(i for i in ex.variables(e) if i > domain.m)
+            if bad := ex.beyond(e, domain.m):
                 raise ValueError(f"{what} uses x{bad} but the chart has dimension {domain.m}")
 
 

@@ -90,16 +90,14 @@ def _format_float(v: float, digits: int = 17) -> str:
 
 
 def canonical_json(obj, indent: int = 0) -> str:
-    """Deterministic JSON: sorted keys, fixed float formatting. The
-    common leaf types are told apart by exact type first."""
+    """Deterministic JSON: sorted keys, fixed float formatting."""
     pad = " " * indent
-    kind = type(obj)
-    if kind is str:
+    if isinstance(obj, str):
         return _json_string(obj)
-    if kind is _F:
+    if isinstance(obj, _F):
         return _format_float(obj.value, obj.digits)
-    if kind is float:
-        return _format_float(obj)
+    if isinstance(obj, (float, np.floating)):
+        return _format_float(float(obj))
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -121,10 +119,6 @@ def canonical_json(obj, indent: int = 0) -> str:
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _format_float(float(obj))
-    if isinstance(obj, str):
-        return _json_string(obj)
     raise TypeError(f"cannot serialise {type(obj).__name__}")
 
 
@@ -184,8 +178,7 @@ def _check_expressions(value, dim: int, path: str, diagnostics: list):
     for leaf_path, e in leaves:
         if isinstance(e, ex.ParseError):
             diagnostics.append(_diag(leaf_path, "parse", e.message, e.offset))
-        elif e.mask >> dim:
-            bad = min(i for i in ex.variables(e) if i > dim)
+        elif bad := ex.beyond(e, dim):
             diagnostics.append(
                 _diag(
                     leaf_path,

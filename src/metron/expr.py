@@ -80,6 +80,7 @@ __all__ = [
     "taylor",
     "derivative_failure",
     "variables",
+    "beyond",
     "contains",
     "ZERO",
     "ONE",
@@ -499,6 +500,13 @@ def variables(*roots: ScalarExpression) -> set[int]:
     for root in roots:
         mask |= root.mask
     return {i + 1 for i in range(MAX_VARIABLES) if mask >> i & 1}
+
+
+def beyond(e: ScalarExpression, dim: int) -> int:
+    """The lowest coordinate index (1-based) above dim that e mentions,
+    read from its mask; 0 when e stays within x1..x_dim."""
+    high = e.mask >> dim
+    return dim + (high & -high).bit_length() if high else 0
 
 
 # ---------------------------------------------------------------------------

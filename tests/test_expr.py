@@ -267,6 +267,9 @@ def test_every_node_masks_the_variables_a_walk_finds(name):
             ex.to_string(node),
         )
     assert ex.variables(*roots) == set().union(*map(found.get, roots))
+    for root in roots:
+        for dim in range(4):
+            assert ex.beyond(root, dim) == min((i for i in found[root] if i > dim), default=0)
 
 
 # ---------------------------------------------------------------------------
