@@ -45,7 +45,8 @@ Runs, in one process and through the same code path as `metron`:
   Gamma_1 = sqrt(x1^2)*x2, Gamma_2 = x1 the prolongation needs it only
   along x2, where it is exactly 0 (certified NotMetric), while in
   Gamma_1 = 0, Gamma_2 = sqrt(x1^2) the curvature needs its x1
-  derivative (rejected at `$`).
+  derivative (rejected at `$`), and `gauge-check` on the half plane with
+  the regular `gauge` [[1, x1], [0, 1]] (certified, exit 0).
 
 Each run prints one line, `<sha256>  <command>  (exit <code>)`, so two
 checkouts can be compared with diff:
@@ -307,6 +308,7 @@ def added_commands(out: Path, error_paths: bool) -> list[list[str]]:
             "singular-metric": {"metric": singular},
             "singular-gauge": {"gauge": [["1", "x1"], ["0", "0"]]},
             "gauge-singular-metric": {"metric": singular, "gauge": [["1", "x1"], ["0", "1"]]},
+            "regular-gauge": {"gauge": [["1", "x1"], ["0", "1"]]},
         }
         paths = {}
         for name, changes in variants.items():
@@ -323,6 +325,7 @@ def added_commands(out: Path, error_paths: bool) -> list[list[str]]:
             problem = {**SQRT_PROBLEM, "connection": connection}
             path.write_text(json.dumps(problem), encoding="utf-8")
             commands.append(["metricity", str(path)])
+        commands.append(["gauge-check", paths["regular-gauge"]])
     return commands
 
 

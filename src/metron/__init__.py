@@ -21,7 +21,6 @@ from .bundle import (  # noqa: F401
     dual_gauge_compatibility_residual,
     identity_metric,
     levi_civita,
-    metric_covariant_derivative,
     pushforward_metric,
     zero_connection,
 )
@@ -38,7 +37,6 @@ from .homsolver import (  # noqa: F401
     Prolongation,
     SolutionSpace,
     SolveOptions,
-    local_system_residual,
     solve_hom,
     solve_parallel_forms,
     stabilized_constraint_subspace,
@@ -57,9 +55,4 @@ from .statmodels import (  # noqa: F401
     get_family,
     skewness_tensor,
 )
-from .transport import (  # noqa: F401
-    Grid,
-    PolylinePath,
-    loop_holonomy_hom,
-    transport_hom,
-)
+from .transport import Grid  # noqa: F401

@@ -38,13 +38,11 @@ __all__ = [
     "CurvatureField",
     "zero_connection",
     "identity_metric",
-    "constant_metric",
     "curvature",
     "dual_connection",
     "conjugate_connection",
     "apply_gauge",
     "pushforward_metric",
-    "metric_covariant_derivative",
     "dual_gauge_compatibility_residual",
     "levi_civita",
     "numerical_rank",
@@ -133,10 +131,6 @@ class ChartDomain:
 
     def center(self) -> np.ndarray:
         return (np.asarray(self.lower) + np.asarray(self.upper)) / 2.0
-
-    def contains(self, point) -> bool:
-        p = np.asarray(point, dtype=float)
-        return bool(np.all(p > np.asarray(self.lower)) and np.all(p < np.asarray(self.upper)))
 
 
 def _validate_entries(rows, domain: ChartDomain, what: str):
@@ -245,13 +239,6 @@ class MetricField:
 
 def identity_metric(domain: ChartDomain, r: int) -> MetricField:
     return MetricField(domain, r, sm.identity_mat(r), declared_rank=r)
-
-
-def constant_metric(domain: ChartDomain, matrix: np.ndarray) -> MetricField:
-    matrix = np.asarray(matrix, dtype=float)
-    r = matrix.shape[0]
-    entries = tuple(tuple(ex.const(matrix[i, j]) for j in range(r)) for i in range(r))
-    return MetricField(domain, r, entries, declared_rank=numerical_rank(matrix))
 
 
 @dataclass
@@ -385,29 +372,6 @@ def pushforward_metric(phi: GaugeTransform, metric: MetricField) -> MetricField:
     return MetricField(metric.domain, metric.r, entries, declared_rank=metric.declared_rank)
 
 
-def metric_covariant_derivative(conn: Connection, metric: MetricField):
-    """(nabla g)_i = d_i G - Gamma_i G - G Gamma_i^T, plus its grid residual.
-
-    Returns (field, residual) where field[i] is an r x r expression
-    matrix and residual is the maximum absolute entry over the sample
-    grid. Residual zero (to tolerance) certifies that the connection
-    preserves the form on the chart.
-    """
-    g = metric.entries
-    field_entries = []
-    for i in range(conn.domain.m):
-        gi = conn.gamma[i]
-        field_entries.append(
-            sm.mat_sub(
-                sm.mat_sub(sm.mat_diff(g, i + 1), sm.mat_mul(gi, g)),
-                sm.mat_mul(g, sm.mat_transpose(gi)),
-            )
-        )
-    rows = [row for fe in field_entries for row in fe]
-    residual = sm.max_abs_on_points(rows, conn.domain.sample_points())
-    return tuple(field_entries), residual
-
-
 def dual_gauge_compatibility_residual(
     phi: GaugeTransform, metric: MetricField, conn: Connection
 ) -> float:
@@ -419,8 +383,8 @@ def dual_gauge_compatibility_residual(
     """
     lhs = apply_gauge(phi, dual_connection(metric, conn))
     rhs = dual_connection(pushforward_metric(phi, metric), apply_gauge(phi, conn))
-    rows = [row for a, b in zip(lhs.gamma, rhs.gamma) for row in sm.mat_sub(a, b)]
-    return sm.max_abs_on_points(rows, conn.domain.sample_points())
+    pts = conn.domain.sample_points()
+    return float(np.abs(lhs.coeff_array(pts) - rhs.coeff_array(pts)).max())
 
 
 def levi_civita(metric: MetricField) -> Connection:

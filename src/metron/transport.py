@@ -1,4 +1,4 @@
-"""Parallel transport along polylines and over the sample grid.
+"""Parallel transport over the sample grid.
 
 Transport is classical fourth-order Runge-Kutta with a fixed, uniform
 number of steps per segment (no adaptive stepping, so repeated runs are
@@ -25,19 +25,16 @@ segment's flow operator; no Python loop runs over the steps. The
 coefficients of both connections come from one evaluator over the
 union of their expression DAGs at all 2s+1 nodes of a chunk of
 segments per vectorised call, so a conjugate target costs only its
-negations. Grid edges, polylines, loops and the short legs of the
-finite-difference stencils all use these operators. A value whose
-right-hand side vanishes along the path is transported exactly, and an
-operator that is not finite raises FloatingPointError.
+negations. A value whose right-hand side vanishes along a segment is
+transported exactly, and an operator that is not finite raises
+FloatingPointError.
 
 A section is parallel exactly when it is constant under this
-transport, so loop holonomy and disagreement between alternative grid
-routes measure the failure of a candidate to solve the underlying
-first-order system.
+transport, so disagreement between alternative grid routes measures
+the failure of a candidate to solve the underlying first-order system.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -46,10 +43,7 @@ from . import expr as ex
 from .bundle import ChartDomain, Connection
 
 __all__ = [
-    "PolylinePath",
     "Grid",
-    "transport_hom",
-    "loop_holonomy_hom",
     "GridTransporter",
 ]
 
@@ -62,38 +56,6 @@ POINTS_PER_EVALUATION = 1024
 # Step matrices are built and composed for as many segments at a time as
 # keep their d x d generators at the nodes within this many entries.
 MATRIX_ENTRIES_PER_BATCH = 2**14
-
-
-@dataclass
-class PolylinePath:
-    """Ordered interior vertices joined by straight segments."""
-
-    vertices: tuple
-    steps_per_segment: int = DEFAULT_STEPS_PER_SEGMENT
-
-    def __post_init__(self):
-        self.vertices = tuple(np.asarray(v, dtype=float) for v in self.vertices)
-        if len(self.vertices) < 2:
-            raise ValueError("path needs at least two vertices")
-        if self.steps_per_segment < MIN_STEPS_PER_SEGMENT:
-            raise ValueError(
-                f"steps_per_segment must be >= {MIN_STEPS_PER_SEGMENT}"
-            )
-        for a, b in zip(self.vertices, self.vertices[1:]):
-            if np.allclose(a, b):
-                raise ValueError("consecutive vertices must be distinct")
-
-    def validate_inside(self, domain: ChartDomain):
-        for v in self.vertices:
-            if not domain.contains(v):
-                raise ValueError(f"path vertex {tuple(v)} leaves the chart domain")
-
-    @property
-    def closed(self) -> bool:
-        return bool(np.allclose(self.vertices[0], self.vertices[-1]))
-
-    def reversed(self) -> "PolylinePath":
-        return PolylinePath(tuple(reversed(self.vertices)), self.steps_per_segment)
 
 
 def _generator_nodes(evaluate, r1: int, r2: int, starts, u, nodes):
@@ -199,40 +161,6 @@ def _finite(values: np.ndarray) -> np.ndarray:
     if not np.isfinite(values).all():
         raise FloatingPointError("transport left the floating-point range")
     return values
-
-
-def _path_operator(conn, dual, path: PolylinePath, steps: int) -> np.ndarray:
-    """Flow operator along the whole polyline: the segments' operators
-    composed in order (first segment rightmost)."""
-    verts = np.array(path.vertices)
-    ops = flow_operators(conn, dual, verts[:-1], verts[1:], steps)
-    op = ops[0]
-    for seg in ops[1:]:
-        op = seg @ op
-    return op
-
-
-def transport_hom(
-    conn: Connection, dual: Connection, path: PolylinePath, phi0: np.ndarray
-) -> np.ndarray:
-    """The end value of an intertwiner value phi0 (conn.r x dual.r)
-    transported along the path between conn and dual; a vector is the
-    1 x r intertwiner from the rank-1 zero connection."""
-    phi0 = np.asarray(phi0, dtype=float)
-    if phi0.shape != (conn.r, dual.r):
-        raise ValueError(f"initial value must be {conn.r}x{dual.r}")
-    path.validate_inside(dual.domain)
-    end = _path_operator(conn, dual, path, path.steps_per_segment) @ phi0.reshape(-1)
-    return end.reshape(phi0.shape)
-
-
-def loop_holonomy_hom(conn: Connection, dual: Connection, loop: PolylinePath) -> np.ndarray:
-    """Linear operator (on flattened endomorphisms) of transport around a
-    closed polyline. Solutions of the intertwining system are fixed points."""
-    if not loop.closed:
-        raise ValueError("loop must be closed (first vertex == last vertex)")
-    loop.validate_inside(conn.domain)
-    return _path_operator(conn, dual, loop, loop.steps_per_segment)
 
 
 class Grid:

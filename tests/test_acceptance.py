@@ -9,8 +9,6 @@ in test_statmodels) forces the zero form unless alpha is -1, 0 or 1, so
 the +-0.5 cases are genuinely not metric and that single assertion is
 red by design rather than weakened. See notes on the decision record.
 """
-import json
-
 import numpy as np
 
 from metron import cli
@@ -20,17 +18,7 @@ from metron.bundle import (
     conjugate_connection,
     dual_connection,
     identity_metric,
-    metric_covariant_derivative,
-)
-from metron.corpus import (
-    NILPOTENT_MATRIX,
-    flat_connection,
-    half_plane_levi_civita,
-    involution_corpus,
-    nilpotent_connection,
-    random_polynomial_connection,
-    random_polynomial_gauge,
-    square_domain,
+    numerical_rank,
 )
 from metron.homsolver import Prolongation, SolveOptions, solve_hom
 from metron.metricity import (
@@ -38,7 +26,7 @@ from metron.metricity import (
     decide_metricity,
     gauge_index,
     index_report,
-    parallel_form_residuals,
+    split_symmetric,
 )
 from metron.statmodels import (
     alpha_connection,
@@ -46,11 +34,23 @@ from metron.statmodels import (
     fisher_metric,
     get_family,
 )
-from metron.transport import PolylinePath, transport_hom
 from oracles import (
     fisher_oracle,
     hom_constraint_kernel,
     nilpotent_parallel_forms,
+)
+from support import (
+    NILPOTENT_MATRIX,
+    flat_connection,
+    half_plane_levi_civita,
+    involution_corpus,
+    local_system_residual,
+    metric_covariant_derivative,
+    nilpotent_connection,
+    random_polynomial_connection,
+    random_polynomial_gauge,
+    square_domain,
+    transport_along,
 )
 
 SEED = 20240815
@@ -242,12 +242,18 @@ def test_c07_induced_form_parallelism():
         nilpotent_connection(),
         half_plane_levi_civita()[0],
     ):
-        spaces = analyze(conn)
-        for idx in range(spaces["hom"].dimension):
-            out = parallel_form_residuals(conn, spaces["hom"], idx)
-            worst_q = max(worst_q, out["q_residual"])
-            worst_w = max(worst_w, out["omega_residual"])
-            rank_constant = rank_constant and out["phi_rank_constant"]
+        hom = analyze(conn)["hom"]
+        g, conjugate = np.eye(conn.r), conjugate_connection(conn)
+        for field_phi in hom.extensions:
+            # q = g(Phi ., .) and omega = g(Phi* ., .) of the identity g,
+            # substituted into the system of forms: intertwiners into the
+            # conjugate
+            phi_sym, phi_alt = split_symmetric(g, field_phi)
+            q, w = phi_sym @ g, phi_alt @ g
+            worst_q = max(worst_q, local_system_residual(q[None], hom.grid, conn, conjugate))
+            worst_w = max(worst_w, local_system_residual(w[None], hom.grid, conn, conjugate))
+            ranks = numerical_rank(phi_sym, scale=np.linalg.norm(field_phi, axis=(1, 2)))
+            rank_constant = rank_constant and bool(np.all(ranks == ranks[0]))
     ok = worst_q <= 1e-6 and worst_w <= 1e-6 and rank_constant
     _report(
         7,
@@ -365,9 +371,7 @@ def test_c09_transport_order():
         )
         phi0 = np.array([[1.0, 0.3], [-0.2, 0.8]])
         ends = {
-            steps: transport_hom(
-                conn, dual, PolylinePath(verts, steps_per_segment=steps), phi0
-            )
+            steps: transport_along(conn, dual, verts, phi0, steps=steps)
             for steps in (8, 16, 32)
         }
         ratios.append(

@@ -11,32 +11,32 @@ from metron.bundle import (
     GaugeTransform,
     MetricField,
     apply_gauge,
-    constant_metric,
     curvature,
     dual_connection,
     dual_gauge_compatibility_residual,
     identity_metric,
-    levi_civita,
-    metric_covariant_derivative,
     numerical_rank,
     pushforward_metric,
     zero_connection,
 )
-from metron.corpus import (
+from oracles import levi_civita_oracle
+from support import (
     NILPOTENT_MATRIX,
+    constant_metric,
     flat_connection,
     half_plane_levi_civita,
     half_plane_metric,
     involution_corpus,
+    metric_covariant_derivative,
     nilpotent_connection,
+    path_operator,
     random_constant_gauge,
     random_constant_metric,
     random_polynomial_connection,
     random_polynomial_gauge,
     square_domain,
+    transport_along,
 )
-from metron.transport import PolylinePath, transport_hom, loop_holonomy_hom
-from oracles import levi_civita_oracle
 
 
 def _max_coeff_diff(a: Connection, b: Connection) -> float:
@@ -122,17 +122,14 @@ def test_nilpotent_curvature_matches_loop_deficit():
     eye = np.eye(r)
     deficits = []
     for eps in (0.08, 0.04):
-        square = PolylinePath(
-            (
-                x0,
-                x0 + np.array([eps, 0.0]),
-                x0 + np.array([eps, eps]),
-                x0 + np.array([0.0, eps]),
-                x0,
-            ),
-            steps_per_segment=16,
+        square = (
+            x0,
+            x0 + np.array([eps, 0.0]),
+            x0 + np.array([eps, eps]),
+            x0 + np.array([0.0, eps]),
+            x0,
         )
-        h = loop_holonomy_hom(conn, conn, square)
+        h = path_operator(conn, conn, square, steps=16)
         n = NILPOTENT_MATRIX
         commutator_action = np.kron(n, eye) - np.kron(eye, n.T)
         deficits.append((eps, h - np.eye(r * r), commutator_action))
@@ -431,14 +428,11 @@ def test_transport_preserves_metric_pairing():
     """Dynamic witness of compatibility: transport a vector with the
     metric's own connection and watch g(v, v) stay constant."""
     conn, metric = half_plane_levi_civita()
-    path = PolylinePath(
-        (np.array([-0.5, 1.0]), np.array([0.5, 1.2]), np.array([0.6, 1.5])),
-        steps_per_segment=32,
-    )
+    path = (np.array([-0.5, 1.0]), np.array([0.5, 1.2]), np.array([0.6, 1.5]))
     v0 = np.array([0.3, -0.7])
-    v1 = transport_hom(zero_connection(conn.domain, 1), conn, path, v0[None])[0]
-    g_start = metric.matrix_at(path.vertices[0])
-    g_end = metric.matrix_at(path.vertices[-1])
+    v1 = transport_along(zero_connection(conn.domain, 1), conn, path, v0[None], steps=32)[0]
+    g_start = metric.matrix_at(path[0])
+    g_end = metric.matrix_at(path[-1])
     before = v0 @ g_start @ v0
     after = v1 @ g_end @ v1
     assert abs(after - before) <= 1e-7 * (1.0 + abs(before))

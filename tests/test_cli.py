@@ -611,6 +611,35 @@ def test_demo_script_prints_the_three_verdicts():
     assert verdicts == ["RegularlyMetric", "SingularMetricOnly", "RegularlyMetric"]
 
 
+def test_every_export_resolves():
+    """Each name in a module's `__all__` is bound in it, and each public
+    name the package binds is exported by the module that defines it, so
+    a deletion leaves no stale export; the test fixtures are no module
+    of metron."""
+    import importlib
+    import pkgutil
+
+    import metron
+
+    names = [info.name for info in pkgutil.iter_modules(metron.__path__)]
+    assert "corpus" not in names
+    modules = [importlib.import_module(f"metron.{name}") for name in names]
+    stale = [
+        f"{module.__name__}.{name}"
+        for module in modules
+        for name in module.__all__
+        if not hasattr(module, name)
+    ]
+    unexported = [
+        name
+        for name, value in vars(metron).items()
+        if not name.startswith("_")
+        and hasattr(value, "__module__")
+        and name not in importlib.import_module(value.__module__).__all__
+    ]
+    assert (stale, unexported) == ([], [])
+
+
 def test_timings_are_reported_only_with_a_result(capsys, tmp_path, monkeypatch):
     """--timings fills timingMs for an analysis and for validate, its
     diagnostics included, and leaves it 0 on every error path."""

@@ -215,7 +215,7 @@ def _mask_cases() -> dict:
     """Named lists of roots: the problem files, corpus connections, the
     statistical families, gauged connections and derivative trees."""
     from metron.bundle import apply_gauge
-    from metron.corpus import involution_corpus, nilpotent_connection, random_polynomial_gauge
+    from support import involution_corpus, nilpotent_connection, random_polynomial_gauge
     from metron.statmodels import FAMILIES, alpha_connection, fisher_metric
 
     def leaves(value):

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,32 +17,33 @@ from metron.bundle import (
     dual_connection,
     identity_metric,
 )
-from metron.corpus import (
-    NILPOTENT_MATRIX,
-    flat_connection,
-    half_plane_levi_civita,
-    involution_corpus,
-    nilpotent_connection,
-    random_constant_metric,
-    random_polynomial_connection,
-    random_polynomial_gauge,
-    square_domain,
-)
 from metron.homsolver import (
     Prolongation,
     SolveOptions,
     _intertwining_operator,
-    local_system_residual,
+    _order_values,
     solve_hom,
     solve_parallel_forms,
     stabilized_constraint_subspace,
 )
 from metron.statmodels import alpha_connection, get_family
-from metron.transport import MIN_STEPS_PER_SEGMENT, PolylinePath
+from metron.transport import MIN_STEPS_PER_SEGMENT
 from oracles import (
     holonomy_fixed_dim,
     hom_constraint_kernel,
     nilpotent_parallel_forms,
+)
+from support import (
+    NILPOTENT_MATRIX,
+    flat_connection,
+    half_plane_levi_civita,
+    involution_corpus,
+    local_system_residual,
+    nilpotent_connection,
+    random_constant_metric,
+    random_polynomial_connection,
+    random_polynomial_gauge,
+    square_domain,
 )
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
@@ -85,7 +87,7 @@ def _same_span(basis_a, basis_b, tol=1e-8) -> bool:
 def _curvature_operator(conn, dual):
     """P -> R_12 P - P R*_12 at the base node, from order zero of the
     prolongation."""
-    ((b, bs),) = next(Prolongation(conn, dual, SolveOptions()).orders())
+    (b,), (bs,) = _order_values(Prolongation(conn, dual, SolveOptions()), 0)
     return _intertwining_operator(b, bs)
 
 
@@ -266,8 +268,8 @@ def test_hyperbolic_parallel_forms_and_holonomy_oracle():
     for x0, eps in (((-0.4, 1.0), 0.5), ((0.0, 1.2), 0.35)):
         x0 = np.array(x0)
         loops.append(
-            PolylinePath(
-                (
+            SimpleNamespace(
+                vertices=(
                     x0,
                     x0 + np.array([eps, 0.0]),
                     x0 + np.array([eps, eps * 0.6]),
@@ -436,15 +438,15 @@ def test_each_order_matches_the_symbolic_recursion(name):
     the solver's drop rule, the scale is at least 1."""
     conn = ORDER_CASES[name]
     problem = Prolongation(conn, conjugate_connection(conn), SolveOptions(grid_per_axis=5))
-    orders = list(problem.orders())  # max_order 3: orders 0..3
+    orders = [_order_values(problem, k) for k in range(4)]  # max_order 3: orders 0..3
     reference = zip(
         _symbolic_orders(conn, 3), _symbolic_orders(conjugate_connection(conn), 3)
     )
-    for got, (gens, target_gens) in zip(orders, reference, strict=True):
-        assert len(got) == len(gens)
+    for values, (gens, target_gens) in zip(orders, reference, strict=True):
+        assert values.shape[1] == len(gens)
         if not gens:  # a one-dimensional chart has no curvature
             continue
         want = sm.eval_matrix([row for mat in gens + target_gens for row in mat], problem.x0)
-        got = np.concatenate([np.array([b for b, _ in got]), np.array([bs for _, bs in got])])
+        got = values.reshape(-1, conn.r, conn.r)  # the B, then the B*
         want = want.reshape(got.shape)
         assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1.0)

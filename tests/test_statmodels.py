@@ -9,7 +9,6 @@ from metron.bundle import (
     conjugate_connection,
     curvature,
     dual_connection,
-    metric_covariant_derivative,
 )
 from metron.homsolver import Prolongation, SolveOptions, solve_parallel_forms
 from metron.statmodels import (
@@ -20,8 +19,8 @@ from metron.statmodels import (
     get_family,
     skewness_tensor,
 )
-from metron.transport import PolylinePath, loop_holonomy_hom
 from oracles import fisher_oracle, skewness_oracle
+from support import metric_covariant_derivative, path_operator
 
 # the sigma -> 0.5 corner of the gaussian box makes the transport flow
 # stiff (rates up to ~12); 128 steps per edge keeps the integration error
@@ -129,17 +128,14 @@ def test_exponential_and_mixture_connections_flat():
     family = get_family("gaussian1d")
     conn = alpha_connection(family, 1.0)
     x0 = np.array([-0.3, 1.0])
-    loop = PolylinePath(
-        (
-            x0,
-            x0 + np.array([0.5, 0.0]),
-            x0 + np.array([0.5, 0.5]),
-            x0 + np.array([0.0, 0.5]),
-            x0,
-        ),
-        steps_per_segment=32,
+    loop = (
+        x0,
+        x0 + np.array([0.5, 0.0]),
+        x0 + np.array([0.5, 0.5]),
+        x0 + np.array([0.0, 0.5]),
+        x0,
     )
-    h = loop_holonomy_hom(conn, conn, loop)
+    h = path_operator(conn, conn, loop)
     assert np.abs(h - np.eye(4)).max() <= 1e-8
 
 

@@ -2,25 +2,21 @@ import numpy as np
 import pytest
 
 from metron.bundle import identity_metric, dual_connection, zero_connection
-from metron.corpus import (
+from metron.transport import Grid, GridTransporter
+from metron import expr as ex
+from metron.bundle import Connection
+from oracles import constant_hom_transport, rk4_flow_operator
+from support import (
     NILPOTENT_MATRIX,
     flat_connection,
     half_plane_levi_civita,
     nilpotent_connection,
+    path_operator,
     random_constant_metric,
     random_polynomial_connection,
     square_domain,
+    transport_along,
 )
-from metron.transport import (
-    Grid,
-    GridTransporter,
-    PolylinePath,
-    loop_holonomy_hom,
-    transport_hom,
-)
-from metron import expr as ex
-from metron.bundle import Connection
-from oracles import constant_hom_transport, rk4_flow_operator
 
 
 def _constant_connection(dom, matrices):
@@ -34,9 +30,9 @@ def _constant_connection(dom, matrices):
 
 def test_zero_connection_transport_is_identity():
     conn = flat_connection()
-    path = PolylinePath((np.array([-0.5, -0.5]), np.array([0.5, 0.3]), np.array([0.0, 0.6])))
+    path = (np.array([-0.5, -0.5]), np.array([0.5, 0.3]), np.array([0.0, 0.6]))
     phi0 = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(transport_hom(conn, conn, path, phi0), phi0)
+    assert np.array_equal(transport_along(conn, conn, path, phi0), phi0)
 
 
 def test_constant_coefficients_match_matrix_exponential():
@@ -49,11 +45,9 @@ def test_constant_coefficients_match_matrix_exponential():
     conn = _constant_connection(dom, [g1, g2])
     dual = _constant_connection(dom, [gs1, gs2])
     length = 0.8
-    path = PolylinePath(
-        (np.array([-0.4, 0.1]), np.array([-0.4 + length, 0.1])), steps_per_segment=32
-    )
+    path = (np.array([-0.4, 0.1]), np.array([-0.4 + length, 0.1]))
     phi0 = rng.standard_normal((2, 2))
-    got = transport_hom(conn, dual, path, phi0)
+    got = transport_along(conn, dual, path, phi0, steps=32)
     want = constant_hom_transport(g1, gs1, length, phi0)
     assert np.abs(got - want).max() <= 1e-8
 
@@ -62,13 +56,10 @@ def test_transport_reversibility():
     conn, _ = half_plane_levi_civita()
     g0 = identity_metric(conn.domain, 2)
     dual = dual_connection(g0, conn)
-    path = PolylinePath(
-        (np.array([-0.5, 1.0]), np.array([0.3, 1.4]), np.array([0.7, 1.1])),
-        steps_per_segment=32,
-    )
+    path = (np.array([-0.5, 1.0]), np.array([0.3, 1.4]), np.array([0.7, 1.1]))
     phi0 = np.array([[0.2, -1.0], [0.5, 0.9]])
-    there = transport_hom(conn, dual, path, phi0)
-    back = transport_hom(conn, dual, path.reversed(), there)
+    there = transport_along(conn, dual, path, phi0, steps=32)
+    back = transport_along(conn, dual, path[::-1], there, steps=32)
     assert np.abs(back - phi0).max() <= 1e-8
 
 
@@ -78,22 +69,10 @@ def test_transport_concatenation():
     b = np.array([0.2, 0.1])
     c = np.array([0.6, 0.5])
     phi0 = np.array([[1.0, 0.5], [0.0, 1.0]])
-    first = transport_hom(conn, conn, PolylinePath((a, b)), phi0)
-    second = transport_hom(conn, conn, PolylinePath((b, c)), first)
-    joined = transport_hom(conn, conn, PolylinePath((a, b, c)), phi0)
+    first = transport_along(conn, conn, (a, b), phi0)
+    second = transport_along(conn, conn, (b, c), first)
+    joined = transport_along(conn, conn, (a, b, c), phi0)
     assert np.abs(second - joined).max() <= 1e-9
-
-
-def test_path_must_stay_inside_domain():
-    conn = flat_connection()
-    path = PolylinePath((np.array([0.0, 0.0]), np.array([2.0, 0.0])))
-    with pytest.raises(ValueError):
-        transport_hom(conn, conn, path, np.eye(2))
-
-
-def test_step_floor_enforced():
-    with pytest.raises(ValueError):
-        PolylinePath((np.array([0.0, 0.0]), np.array([0.5, 0.0])), steps_per_segment=4)
 
 
 def test_rk4_order_on_three_connections():
@@ -119,8 +98,7 @@ def test_rk4_order_on_three_connections():
         phi0 = np.array([[1.0, 0.3], [-0.2, 0.8]])
         ends = {}
         for steps in (8, 16, 32):
-            path = PolylinePath(verts, steps_per_segment=steps)
-            ends[steps] = transport_hom(conn, dual, path, phi0)
+            ends[steps] = transport_along(conn, dual, verts, phi0, steps=steps)
         d_coarse = np.abs(ends[8] - ends[16]).max()
         d_fine = np.abs(ends[16] - ends[32]).max()
         assert d_fine > 0.0
@@ -133,46 +111,36 @@ def test_rk4_order_on_three_connections():
 # ---------------------------------------------------------------------------
 
 
-def _square_loop(x0, eps, steps=16):
+def _square_loop(x0, eps):
     x0 = np.asarray(x0, float)
-    return PolylinePath(
-        (
-            x0,
-            x0 + np.array([eps, 0.0]),
-            x0 + np.array([eps, eps]),
-            x0 + np.array([0.0, eps]),
-            x0,
-        ),
-        steps_per_segment=steps,
+    return (
+        x0,
+        x0 + np.array([eps, 0.0]),
+        x0 + np.array([eps, eps]),
+        x0 + np.array([0.0, eps]),
+        x0,
     )
 
 
 def test_flat_loop_holonomy_is_identity():
     conn = flat_connection()
     loop = _square_loop([-0.3, -0.3], 0.5)
-    h = loop_holonomy_hom(conn, conn, loop)
+    h = path_operator(conn, conn, loop, steps=16)
     assert np.abs(h - np.eye(4)).max() <= 1e-8
 
 
 def test_loop_orientation_inverts_holonomy():
     conn = nilpotent_connection()
     loop = _square_loop([0.1, 0.0], 0.4)
-    h = loop_holonomy_hom(conn, conn, loop)
-    h_rev = loop_holonomy_hom(conn, conn, loop.reversed())
+    h = path_operator(conn, conn, loop, steps=16)
+    h_rev = path_operator(conn, conn, loop[::-1], steps=16)
     assert np.abs(h @ h_rev - np.eye(4)).max() <= 1e-9
-
-
-def test_open_loop_rejected():
-    conn = flat_connection()
-    path = PolylinePath((np.array([0.0, 0.0]), np.array([0.5, 0.0])))
-    with pytest.raises(ValueError):
-        loop_holonomy_hom(conn, conn, path)
 
 
 def test_solution_fixed_by_loop_holonomy():
     conn = nilpotent_connection()
     loop = _square_loop([0.0, -0.2], 0.5)
-    h = loop_holonomy_hom(conn, conn, loop)
+    h = path_operator(conn, conn, loop, steps=16)
     for solution in (np.eye(2), NILPOTENT_MATRIX):
         v = solution.reshape(-1)
         assert np.abs(h @ v - v).max() <= 1e-9
