@@ -22,7 +22,6 @@ test suite instead of being assumed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -76,7 +75,6 @@ def numerical_rank(
     return int(ranks) if ranks.ndim == 0 else ranks
 
 
-@dataclass
 class ChartDomain:
     """Open box chart with a deterministic interior sample grid.
 
@@ -85,13 +83,14 @@ class ChartDomain:
     box centre is a node whenever the count is odd.
     """
 
-    lower: tuple[float, ...]
-    upper: tuple[float, ...]
-    samples_per_axis: tuple[int, ...] | None = None
-
-    def __post_init__(self):
-        self.lower = tuple(float(v) for v in self.lower)
-        self.upper = tuple(float(v) for v in self.upper)
+    def __init__(
+        self,
+        lower: tuple[float, ...],
+        upper: tuple[float, ...],
+        samples_per_axis: tuple[int, ...] | None = None,
+    ):
+        self.lower = tuple(float(v) for v in lower)
+        self.upper = tuple(float(v) for v in upper)
         if len(self.lower) != len(self.upper):
             raise ValueError("lower and upper must have the same length")
         if not self.lower:
@@ -101,10 +100,9 @@ class ChartDomain:
         for lo, up in zip(self.lower, self.upper):
             if not lo < up:
                 raise ValueError(f"need lower < upper per axis, got [{lo}, {up}]")
-        if self.samples_per_axis is None:
-            self.samples_per_axis = (9,) * len(self.lower)
-        else:
-            self.samples_per_axis = tuple(int(n) for n in self.samples_per_axis)
+        if samples_per_axis is None:
+            samples_per_axis = (9,) * len(self.lower)
+        self.samples_per_axis = tuple(int(n) for n in samples_per_axis)
         if len(self.samples_per_axis) != len(self.lower):
             raise ValueError("samples_per_axis must match the dimension")
         for n in self.samples_per_axis:
@@ -142,16 +140,13 @@ def _validate_entries(rows, domain: ChartDomain, what: str):
                 raise ValueError(f"{what} uses x{bad} but the chart has dimension {domain.m}")
 
 
-@dataclass
 class Connection:
     """Connection coefficients Gamma[i][a][b] over a chart domain."""
 
-    domain: ChartDomain
-    r: int
-    gamma: tuple  # m x r x r nested tuple of ScalarExpression
-
-    def __post_init__(self):
-        self.gamma = tuple(sm.as_matrix(g) for g in self.gamma)
+    def __init__(self, domain: ChartDomain, r: int, gamma: tuple):
+        self.domain = domain
+        self.r = r
+        self.gamma = tuple(sm.as_matrix(g) for g in gamma)  # m x r x r ScalarExpression
         if len(self.gamma) != self.domain.m:
             raise ValueError(
                 f"expected {self.domain.m} coefficient matrices, got {len(self.gamma)}"
@@ -187,22 +182,19 @@ def zero_connection(domain: ChartDomain, r: int) -> Connection:
     return Connection(domain, r, tuple(sm.zeros_mat(r) for _ in range(domain.m)))
 
 
-@dataclass
 class MetricField:
     """Symmetric form field."""
 
-    domain: ChartDomain
-    r: int
-    entries: tuple  # r x r ScalarExpression
-    declared_rank: int | None = None
-
-    def __post_init__(self):
-        self.entries = sm.as_matrix(self.entries)
-        if len(self.entries) != self.r or any(len(row) != self.r for row in self.entries):
-            raise ValueError(f"form must be {self.r}x{self.r}")
-        _validate_entries(self.entries, self.domain, "form coefficient")
-        if self.declared_rank is None:
-            self.declared_rank = self.r
+    def __init__(
+        self, domain: ChartDomain, r: int, entries: tuple, declared_rank: int | None = None
+    ):
+        self.domain = domain
+        self.r = r
+        self.entries = sm.as_matrix(entries)  # r x r ScalarExpression
+        if len(self.entries) != r or any(len(row) != r for row in self.entries):
+            raise ValueError(f"form must be {r}x{r}")
+        _validate_entries(self.entries, domain, "form coefficient")
+        self.declared_rank = r if declared_rank is None else declared_rank
         pts = self.domain.sample_points()
         mats = self.matrix_at(pts)
         skew = np.abs(mats - mats.swapaxes(-1, -2)).max(axis=(-2, -1))
@@ -241,20 +233,17 @@ def identity_metric(domain: ChartDomain, r: int) -> MetricField:
     return MetricField(domain, r, sm.identity_mat(r), declared_rank=r)
 
 
-@dataclass
 class GaugeTransform:
     """Pointwise endomorphism phi[a][b]; invertibility is only required
     when it is used as a gauge transformation, not as a solution candidate."""
 
-    domain: ChartDomain
-    r: int
-    entries: tuple
-
-    def __post_init__(self):
-        self.entries = sm.as_matrix(self.entries)
-        if len(self.entries) != self.r or any(len(row) != self.r for row in self.entries):
-            raise ValueError(f"gauge matrix must be {self.r}x{self.r}")
-        _validate_entries(self.entries, self.domain, "gauge coefficient")
+    def __init__(self, domain: ChartDomain, r: int, entries: tuple):
+        self.domain = domain
+        self.r = r
+        self.entries = sm.as_matrix(entries)
+        if len(self.entries) != r or any(len(row) != r for row in self.entries):
+            raise ValueError(f"gauge matrix must be {r}x{r}")
+        _validate_entries(self.entries, domain, "gauge coefficient")
 
     @cached_property
     def _fn(self):
@@ -276,13 +265,13 @@ class GaugeTransform:
             )
 
 
-@dataclass
 class CurvatureField:
     """Curvature coefficients R[i][j][a][b], antisymmetric in (i, j)."""
 
-    domain: ChartDomain
-    r: int
-    entries: tuple  # m x m nested tuple of r x r expression matrices
+    def __init__(self, domain: ChartDomain, r: int, entries: tuple):
+        self.domain = domain
+        self.r = r
+        self.entries = entries  # m x m nested tuple of r x r expression matrices
 
     def matrix_at(self, x, i: int, j: int) -> np.ndarray:
         return sm.eval_matrix(self.entries[i][j], x)

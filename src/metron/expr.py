@@ -27,8 +27,10 @@ exponent (2, 0.5, 1e-3), and must be finite. Unary minus binds at the
 base level, so "-x1^2" parses as (-x1)^2. Parentheses, unary minus and
 '^' operands nest at most MAX_NESTING deep.
 
-Nodes are hash-consed: structurally identical subtrees are the same
-Python object. Construction goes through the factory functions below
+Nodes are immutable plain classes whose repr goes through `to_string`,
+so that printing a tree of any depth needs no recursion either. They
+are hash-consed: structurally identical subtrees are the same Python
+object. Construction goes only through the factory functions below
 (const, var, add, ...), which also fold constants and drop algebraic
 no-ops so that derivative trees stay small; a fold whose value would
 not be finite keeps its node, so that evaluation names the subtree.
@@ -44,7 +46,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -134,42 +135,58 @@ class DomainError(ExpressionError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
 class ScalarExpression:
     """Base node type. Identity comparison is structural equality (hash-consing),
     and nodes hash by identity, so a dict keyed by node is a memo. `mask`
     has bit i set when the subtree mentions x_{i+1}; the factory that
-    builds a node sets it from its operands' masks."""
+    builds a node sets it from its operands' masks. A node is shared by
+    every tree in the process, so its fields cannot be set or deleted."""
 
     __slots__ = ("mask",)
-    mask: int
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an expression node")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an expression node")
+
+    def __repr__(self):
+        return f"{type(self).__name__}({to_string(self)})"
 
 
-@dataclass(frozen=True, eq=False)
 class Const(ScalarExpression):
     __slots__ = ("value",)
-    value: float
+
+    def __init__(self, mask: int, value: float):
+        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True, eq=False)
 class Var(ScalarExpression):
     __slots__ = ("index",)
-    index: int  # 1-based: x1 .. x9
+
+    def __init__(self, mask: int, index: int):
+        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "index", index)  # 1-based: x1 .. x9
 
 
-@dataclass(frozen=True, eq=False)
 class Unary(ScalarExpression):
     __slots__ = ("op", "arg")
-    op: str  # 'neg' or a function name
-    arg: ScalarExpression
+
+    def __init__(self, mask: int, op: str, arg: ScalarExpression):
+        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "op", op)  # 'neg' or a function name
+        object.__setattr__(self, "arg", arg)
 
 
-@dataclass(frozen=True, eq=False)
 class Binary(ScalarExpression):
     __slots__ = ("op", "left", "right")
-    op: str  # '+', '-', '*', '/', '^'
-    left: ScalarExpression
-    right: ScalarExpression
+
+    def __init__(self, mask: int, op: str, left: ScalarExpression, right: ScalarExpression):
+        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "op", op)  # '+', '-', '*', '/', '^'
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
 _INTERN: dict = {}

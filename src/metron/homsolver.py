@@ -94,6 +94,8 @@ TRUNCATION_SHRINK = 2.0  # per step doubling: RK4 truncation shrinks 16x, holono
 GENERATOR_DROP_REL = 1e-9
 
 
+# the one dataclass in metron: cli derives options with dataclasses.replace,
+# and a frozen field raises FrozenInstanceError
 @dataclass(frozen=True)
 class SolveOptions:
     """Knobs shared by the solvers, and the one carrier of the kernel and
@@ -116,20 +118,32 @@ class SolveOptions:
         return (self.grid_per_axis,) * domain.m
 
 
-@dataclass
 class SolutionSpace:
     """Certified basis of parallel sections, with grid extensions."""
 
-    base_point: tuple
-    basis: np.ndarray  # (dimension, r, r)
-    dimension: int
-    certified_residual: float
-    stabilized: bool
-    stabilization_order: int
-    constraint_dim: int  # dimension of the infinitesimal candidate space
-    grid: Grid | None
-    extensions: np.ndarray  # (dimension, n_nodes, r, r)
-    flags: tuple[str, ...] = ()
+    def __init__(
+        self,
+        base_point: tuple,
+        basis: np.ndarray,
+        dimension: int,
+        certified_residual: float,
+        stabilized: bool,
+        stabilization_order: int,
+        constraint_dim: int,
+        grid: Grid | None,
+        extensions: np.ndarray,
+        flags: tuple[str, ...] = (),
+    ):
+        self.base_point = base_point
+        self.basis = basis  # (dimension, r, r)
+        self.dimension = dimension
+        self.certified_residual = certified_residual
+        self.stabilized = stabilized
+        self.stabilization_order = stabilization_order
+        self.constraint_dim = constraint_dim  # dimension of the infinitesimal candidate space
+        self.grid = grid
+        self.extensions = extensions  # (dimension, n_nodes, r, r)
+        self.flags = flags
 
     def contains(self, matrix: np.ndarray, tol: float = 1e-8) -> bool:
         """Whether a matrix lies in the span of the basis (Frobenius)."""

@@ -28,8 +28,6 @@ members rather than building them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .bundle import (
@@ -64,41 +62,70 @@ RANK_SEARCH_DRAWS = 64
 RANDOM_FAMILY_SIZE = 8
 
 
-@dataclass
 class MetricityCertificate:
-    verdict: str  # 'RegularlyMetric' | 'SingularMetricOnly' | 'NotMetric'
-    max_witness_rank: int
-    dim_s2: int
-    dim_omega2: int
-    dim_j: int
-    exact_sequence_ok: bool
-    witness_base: np.ndarray | None
-    witness_field: np.ndarray | None  # values over the grid nodes
-    witness_rank: int | None
-    witness_min_abs_det: float | None
-    witness_transport_residual: float | None
-    residuals: dict
-    options: SolveOptions  # the tolerances and knobs the certificate ran with
-    stabilized: bool
-    certified: bool
-    flags: tuple[str, ...]
-    base_point: tuple
-    spaces: dict = field(default_factory=dict, repr=False)
+    def __init__(
+        self,
+        verdict: str,
+        max_witness_rank: int,
+        dim_s2: int,
+        dim_omega2: int,
+        dim_j: int,
+        exact_sequence_ok: bool,
+        witness_base: np.ndarray | None,
+        witness_field: np.ndarray | None,
+        witness_rank: int | None,
+        witness_min_abs_det: float | None,
+        witness_transport_residual: float | None,
+        residuals: dict,
+        options: SolveOptions,
+        stabilized: bool,
+        certified: bool,
+        flags: tuple[str, ...],
+        base_point: tuple,
+        spaces: dict | None = None,
+    ):
+        self.verdict = verdict  # 'RegularlyMetric' | 'SingularMetricOnly' | 'NotMetric'
+        self.max_witness_rank = max_witness_rank
+        self.dim_s2 = dim_s2
+        self.dim_omega2 = dim_omega2
+        self.dim_j = dim_j
+        self.exact_sequence_ok = exact_sequence_ok
+        self.witness_base = witness_base
+        self.witness_field = witness_field  # values over the grid nodes
+        self.witness_rank = witness_rank
+        self.witness_min_abs_det = witness_min_abs_det
+        self.witness_transport_residual = witness_transport_residual
+        self.residuals = residuals
+        self.options = options  # the tolerances and knobs the certificate ran with
+        self.stabilized = stabilized
+        self.certified = certified
+        self.flags = flags
+        self.base_point = base_point
+        self.spaces = {} if spaces is None else spaces
 
     @property
     def is_regular(self) -> bool:
         return self.verdict == "RegularlyMetric"
 
 
-@dataclass
 class IndexReport:
-    sb_given_g: int
-    sb: int
-    ind_decision: str  # 'Zero' | 'AtLeastOne'
-    max_parallel_metric_rank: int
-    family_size: int
-    flags: tuple[str, ...]
-    verdict: str
+    def __init__(
+        self,
+        sb_given_g: int,
+        sb: int,
+        ind_decision: str,
+        max_parallel_metric_rank: int,
+        family_size: int,
+        flags: tuple[str, ...],
+        verdict: str,
+    ):
+        self.sb_given_g = sb_given_g
+        self.sb = sb
+        self.ind_decision = ind_decision  # 'Zero' | 'AtLeastOne'
+        self.max_parallel_metric_rank = max_parallel_metric_rank
+        self.family_size = family_size
+        self.flags = flags
+        self.verdict = verdict
 
 
 def split_symmetric(g: np.ndarray, p: np.ndarray):

@@ -25,8 +25,6 @@ exponential/mixture ends in these families are checked numerically.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-
 from . import expr as ex
 from . import symmatrix as sm
 from .bundle import ChartDomain, Connection, MetricField, levi_civita
@@ -73,12 +71,12 @@ _CLOSED_FORMS = {
 }
 
 
-@dataclass(frozen=True)
 class StatisticalFamily:
     """Name plus the parameter box kept away from boundary singularities."""
 
-    name: str
-    domain: ChartDomain
+    def __init__(self, name: str, domain: ChartDomain):
+        self.name = name
+        self.domain = domain
 
     @property
     def m(self) -> int:
@@ -141,13 +139,20 @@ def alpha_connection(family: StatisticalFamily, alpha: float) -> Connection:
     return Connection(family.domain, m, tuple(gamma))
 
 
-@dataclass
 class AlphaScanReport:
-    family: str
-    alphas: tuple[float, ...]
-    certificates: list[MetricityCertificate]
-    theorem_consistent: bool
-    flags: tuple[str, ...]
+    def __init__(
+        self,
+        family: str,
+        alphas: tuple[float, ...],
+        certificates: list[MetricityCertificate],
+        theorem_consistent: bool,
+        flags: tuple[str, ...],
+    ):
+        self.family = family
+        self.alphas = alphas
+        self.certificates = certificates
+        self.theorem_consistent = theorem_consistent
+        self.flags = flags
 
 
 def alpha_scan(

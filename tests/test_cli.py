@@ -640,6 +640,30 @@ def test_every_export_resolves():
     assert (stale, unexported) == ([], [])
 
 
+def test_solve_options_is_the_only_dataclass():
+    """The classes metron defines are plain classes, so importing it
+    generates no methods; SolveOptions keeps dataclasses.replace."""
+    import dataclasses
+    import importlib
+    import pkgutil
+
+    import metron
+
+    modules = [
+        importlib.import_module(f"metron.{info.name}")
+        for info in pkgutil.iter_modules(metron.__path__)
+    ]
+    found = [
+        f"{module.__name__}.{name}"
+        for module in modules
+        for name, value in vars(module).items()
+        if isinstance(value, type)
+        and value.__module__ == module.__name__
+        and dataclasses.is_dataclass(value)
+    ]
+    assert found == ["metron.homsolver.SolveOptions"]
+
+
 def test_timings_are_reported_only_with_a_result(capsys, tmp_path, monkeypatch):
     """--timings fills timingMs for an analysis and for validate, its
     diagnostics included, and leaves it 0 on every error path."""

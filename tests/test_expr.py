@@ -121,6 +121,27 @@ def test_deep_sum_is_walked_without_recursion():
     assert ex.parse(ex.to_string(e)) is e
 
 
+def test_repr_of_a_deep_sum_needs_no_recursion():
+    """A node's repr is its class name and to_string, so printing a tree
+    deeper than the recursion limit works."""
+    e = ex.parse(" + ".join(f"{k}*x1" for k in range(1, 3000)))
+    text = repr(e)
+    assert text.startswith("Binary(") and "2999*x1" in text
+
+
+def test_nodes_refuse_assignment_and_deletion():
+    """Every tree and analysis in the process shares each node, so a node
+    keeps its fields."""
+    node = ex.parse("x1 + x2")
+    with pytest.raises(AttributeError):
+        node.mask = 0
+    with pytest.raises(AttributeError):
+        node.op = "-"
+    with pytest.raises(AttributeError):
+        del node.left
+    assert (node.mask, ex.to_string(node)) == (0b11, "x1 + x2")
+
+
 def test_domain_errors():
     with pytest.raises(ex.DomainError):
         ex.evaluate(ex.parse("x1^0.5"), (-2.0,))

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from metron import expr as ex
-from metron import homsolver, metricity, transport
+from metron import bundle, homsolver, metricity, transport
 from metron.bundle import (
     ChartDomain,
     Connection,
@@ -27,7 +27,6 @@ from metron.metricity import (
 )
 from metron.statmodels import ALPHA_SCAN_OPTIONS, FAMILIES, alpha_connection, get_family
 from oracles import hom_constraint_kernel
-import support
 from support import (
     NILPOTENT_MATRIX,
     constant_metric,
@@ -133,11 +132,16 @@ def test_decide_metricity_honours_caller_tolerances():
 def test_index_report_reads_the_certificate_hom_space_for_every_metric(monkeypatch):
     """Each declared metric is one gauge_index evaluation on the
     certificate's intertwiners into the conjugate: nothing solves,
-    builds a dual connection or a transporter, the random members are
-    counted rather than built, and no expression node is interned."""
+    builds a dual connection or a transporter, the one metric built is
+    the identity (the eight random members are counted rather than
+    built), and no expression node is interned."""
     conn, metric = half_plane_levi_civita()
     cert = decide_metricity(conn, options=FAST)
-    calls = []
+    calls, metrics_built = [], []
+    init = bundle.MetricField.__init__
+    monkeypatch.setattr(
+        bundle.MetricField, "__init__", lambda *a, **k: metrics_built.append(1) or init(*a, **k)
+    )
 
     def counted(owner, name):
         fn = getattr(owner, name)
@@ -149,16 +153,14 @@ def test_index_report_reads_the_certificate_hom_space_for_every_metric(monkeypat
         (metricity, "gauge_index"),
         (homsolver, "_solve"),
         (transport.GridTransporter, "__init__"),
-        (support, "random_constant_metric"),
     ):
         counted(owner, name)
     before = len(ex._INTERN)
     report = index_report(conn, cert, primary_metric=metric)
     assert report.family_size == 10
     assert calls == ["gauge_index", "gauge_index"]  # the primary and the identity
+    assert len(metrics_built) == 1
     assert len(ex._INTERN) == before
-    modules = {getattr(value, "__module__", None) for value in vars(metricity).values()}
-    assert support.__name__ not in modules
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
