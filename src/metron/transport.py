@@ -32,10 +32,11 @@ FloatingPointError.
 A section is parallel exactly when it is constant under this
 transport, so disagreement between alternative grid routes measures
 the failure of a candidate to solve the underlying first-order system.
+A value reaches every grid node along a lattice path from the base
+node that runs along axis 0 first, then axis 1, and so on; every other
+grid edge is a route checked against it.
 """
 from __future__ import annotations
-
-from functools import cached_property
 
 import numpy as np
 
@@ -164,12 +165,15 @@ def _finite(values: np.ndarray) -> np.ndarray:
 
 
 class Grid:
-    """Sample grid as a graph: axis-aligned edges, BFS spanning tree.
+    """Sample grid as a graph: axis-aligned edges, lattice-path spanning tree.
 
-    Nodes are the chart's interior sample points in lexicographic order.
-    The spanning tree is grown by breadth-first search from the base
-    node, scanning neighbours axis by axis, +direction before
-    -direction, so the construction is deterministic.
+    Nodes are the chart's interior sample points in lexicographic order,
+    `multi` (N, m) their indices along the axes, and an edge joins a node
+    to the next one along an axis. From a base node, the edge along axis
+    a is a tree edge exactly when its ends agree with the base on every
+    axis after a, and it points away from the base: tree paths run along
+    axis 0 first, then axis 1, and so on. This is the breadth-first tree
+    that scans neighbours axis by axis, +direction before -direction.
     """
 
     def __init__(self, domain: ChartDomain, counts: tuple[int, ...] | None = None):
@@ -178,62 +182,32 @@ class Grid:
         if any(n < 3 for n in self.counts):
             raise ValueError("grid too coarse: need at least 3 nodes per axis")
         self.nodes = domain.sample_points(self.counts)
-        self._strides = np.cumprod((1,) + tuple(reversed(self.counts[1:])))[::-1]
-
-    def index_of(self, multi: tuple[int, ...]) -> int:
-        return int(np.dot(multi, self._strides))
-
-    def multi_of(self, index: int) -> tuple[int, ...]:
-        out = []
-        for s in self._strides:
-            out.append(index // s)
-            index %= s
-        return tuple(out)
+        self.multi = np.indices(self.counts).reshape(len(self.counts), -1).T
 
     def nearest_node(self, point) -> int:
         d = np.abs(self.nodes - np.asarray(point, float)).sum(axis=1)
         return int(np.argmin(d))
 
-    @cached_property
+    @property
     def edges(self) -> list[tuple[int, int]]:
-        out = []
-        m = len(self.counts)
-        for idx in range(len(self.nodes)):
-            multi = self.multi_of(idx)
-            for axis in range(m):
-                if multi[axis] + 1 < self.counts[axis]:
-                    nb = list(multi)
-                    nb[axis] += 1
-                    out.append((idx, self.index_of(tuple(nb))))
-        return out
-
-    def neighbors(self, idx: int):
-        multi = self.multi_of(idx)
-        for axis in range(len(self.counts)):
-            for step in (1, -1):
-                coord = multi[axis] + step
-                if 0 <= coord < self.counts[axis]:
-                    nb = list(multi)
-                    nb[axis] = coord
-                    yield self.index_of(tuple(nb))
+        """(node, next node along an axis), node-major and then by axis."""
+        start, axis = np.nonzero(self.multi + 1 < self.counts)
+        stride = np.cumprod((1,) + self.counts[:0:-1])[::-1]
+        return list(zip(start.tolist(), (start + stride[axis]).tolist()))
 
     def spanning_tree(self, root: int):
-        """(tree_edges ordered parent->child by discovery, non_tree_edges)."""
-        seen = {root}
-        order = [root]
-        tree = []
-        head = 0
-        while head < len(order):
-            u = order[head]
-            head += 1
-            for v in self.neighbors(u):
-                if v not in seen:
-                    seen.add(v)
-                    order.append(v)
-                    tree.append((u, v))
-        tree_set = {frozenset(e) for e in tree}
-        non_tree = [e for e in self.edges if frozenset(e) not in tree_set]
-        return tree, non_tree
+        """(tree_edges parent -> child, each parent the root or an earlier
+        child; non_tree_edges in `edges` order)."""
+        ends = np.array(self.edges)
+        base, start = self.multi[root], self.multi[ends[:, 0]]
+        axis = (self.multi[ends[:, 1]] != start).argmax(axis=1)
+        after = np.arange(len(self.counts)) > axis[:, None]
+        in_tree = ~((start != base) & after).any(axis=1)
+        flip = self.multi[ends[:, 0], axis] < base[axis]  # the next node is the parent
+        tree = np.where(flip[:, None], ends[:, ::-1], ends)[in_tree]
+        depth = np.abs(self.multi[tree[:, 1]] - base).sum(axis=1)
+        tree = tree[np.argsort(depth, kind="stable")]
+        return list(map(tuple, tree.tolist())), list(map(tuple, ends[~in_tree].tolist()))
 
 
 class GridTransporter:

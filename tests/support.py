@@ -242,10 +242,9 @@ _FD_WEIGHTS = (-1.0, 9.0, -45.0, 45.0, -9.0, 1.0)  # divide by 60 h
 def _owner_index(grid: Grid, node_multi, axis: int, direction: int):
     nb = list(node_multi)
     nb[axis] += direction
-    if 0 <= nb[axis] < grid.counts[axis]:
-        return grid.index_of(tuple(nb))
-    nb[axis] = node_multi[axis] - direction
-    return grid.index_of(tuple(nb))
+    if not 0 <= nb[axis] < grid.counts[axis]:
+        nb[axis] = node_multi[axis] - direction
+    return int(np.ravel_multi_index(nb, grid.counts))
 
 
 def local_system_residual(
@@ -278,7 +277,7 @@ def local_system_residual(
     # the owner, so each leg continues the previous one.
     owners, weights, legs = [], [], []
     for node_idx, node in enumerate(grid.nodes):
-        multi = grid.multi_of(node_idx)
+        multi = grid.multi[node_idx]
         for axis in range(m):
             for side in (1, -1):
                 owner = _owner_index(grid, multi, axis, side)

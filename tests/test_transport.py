@@ -4,7 +4,7 @@ import pytest
 from metron.bundle import identity_metric, dual_connection, zero_connection
 from metron.transport import Grid, GridTransporter
 from metron import expr as ex
-from metron.bundle import Connection
+from metron.bundle import ChartDomain, Connection
 from oracles import constant_hom_transport, rk4_flow_operator
 from support import (
     NILPOTENT_MATRIX,
@@ -162,6 +162,42 @@ def test_grid_tree_covers_all_nodes():
 def test_grid_too_coarse_rejected():
     with pytest.raises(ValueError):
         Grid(square_domain(2))
+
+
+def _bfs_tree(counts, root):
+    """Reference tree: breadth-first search from root, scanning
+    neighbours axis by axis, +direction before -direction."""
+    seen, order, tree = {root}, [root], []
+    for u in order:
+        multi = np.unravel_index(u, counts)
+        for axis in range(len(counts)):
+            for step in (1, -1):
+                nb = list(multi)
+                nb[axis] += step
+                if 0 <= nb[axis] < counts[axis]:
+                    v = int(np.ravel_multi_index(nb, counts))
+                    if v not in seen:
+                        seen.add(v)
+                        order.append(v)
+                        tree.append((u, v))
+    return tree
+
+
+@pytest.mark.parametrize("counts", [(3,), (5,), (4, 5), (9, 9), (3, 4, 5), (3, 3, 3, 3)])
+def test_lattice_path_tree_is_the_breadth_first_tree(counts):
+    m = len(counts)
+    grid = Grid(ChartDomain((-1.0,) * m, (1.0,) * m), counts)
+    n = int(np.prod(counts))
+    assert np.array_equal(grid.multi, np.array(np.unravel_index(np.arange(n), counts)).T)
+    for root in range(n):
+        tree, non_tree = grid.spanning_tree(root)
+        assert set(tree) == set(_bfs_tree(counts, root))
+        in_tree = {frozenset(e) for e in tree}
+        assert non_tree == [e for e in grid.edges if frozenset(e) not in in_tree]
+        reached = {root}
+        for parent, child in tree:
+            assert parent in reached and child not in reached
+            reached.add(child)
 
 
 def _spanning_tree_extend(conn, value):
