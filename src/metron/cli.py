@@ -54,7 +54,6 @@ from .statmodels import ALPHA_SCAN_OPTIONS, alpha_scan, get_family
 
 __all__ = ["main", "run_command", "validate_problem", "canonical_json"]
 
-SUBSTITUTION_RESIDUAL = 1e-6
 TOLERANCE_MESSAGE = "tolerance must be positive and finite"
 # arrays and objects inside one another: a problem file's connection
 # (object > dim > rank > rank) is the deepest part of either input format
@@ -271,7 +270,7 @@ def _validate(data) -> tuple[list[dict], dict]:
             diagnostics.append(_diag("tolerances", "type", "tolerances must be an object"))
         else:
             for key, v in tolerances.items():
-                if key not in ("transport", "kernel", "substitution"):
+                if key not in ("transport", "kernel"):
                     diagnostics.append(
                         _diag(f"tolerances.{key}", "unknown-key", "unknown tolerance override")
                     )
@@ -362,10 +361,6 @@ class ProblemObjects:
         )
         tolerances = data.get("tolerances") or {}
         self.options = _solve_options(args, SolveOptions(seed=data.get("seed") or 0), tolerances)
-        # echoed in the report; no check reads it
-        self.substitution_residual = float(
-            tolerances.get("substitution", SUBSTITUTION_RESIDUAL)
-        )
 
     def base_metric(self) -> MetricField:
         """The problem's metric, else the identity; one that is not
@@ -402,7 +397,7 @@ def _space_summary(space) -> dict:
     }
 
 
-def _certificate_dict(cert, substitution_residual: float = SUBSTITUTION_RESIDUAL) -> dict:
+def _certificate_dict(cert) -> dict:
     witness = None
     if cert.witness_base is not None:
         witness = {
@@ -427,7 +422,6 @@ def _certificate_dict(cert, substitution_residual: float = SUBSTITUTION_RESIDUAL
         "toleranceProfile": {
             "kernelCutoff": cert.options.kernel_cutoff,
             "transportResidual": cert.options.transport_tol,
-            "substitutionResidual": substitution_residual,
             "metricRegularDet": DET_REGULARITY_FLOOR,
             "metricConditionMax": CONDITION_CEILING,
             "rankRelCutoff": RANK_REL_CUTOFF,
@@ -439,7 +433,7 @@ def _cmd_metricity(p: ProblemObjects, args):
     # the certificate's dimension bookkeeping always uses the identity
     # base metric; a user metric enters through `index` and `dual`
     cert = decide_metricity(p.connection, options=p.options)
-    return {"certificate": _certificate_dict(cert, p.substitution_residual)}, cert.certified
+    return {"certificate": _certificate_dict(cert)}, cert.certified
 
 
 def _metric_family(p: ProblemObjects, path: str) -> list[MetricField]:
@@ -478,7 +472,7 @@ def _cmd_index(p: ProblemObjects, args):
             "familySize": report.family_size,
             "flags": list(report.flags),
         },
-        "certificate": _certificate_dict(cert, p.substitution_residual),
+        "certificate": _certificate_dict(cert),
     }
     return result, cert.certified
 

@@ -702,6 +702,26 @@ def test_non_finite_file_tolerance_is_rejected(capsys, tmp_path):
     assert [(d["path"], d["code"]) for d in diags] == [("tolerances.transport", "value")]
 
 
+def test_substitution_tolerance_is_an_unknown_key(capsys, tmp_path):
+    """No check reads a direct-substitution residual, so the key is
+    rejected like any other unknown override, and the profile echoes only
+    the gates that run; before, it was accepted and echoed."""
+    path = _write(tmp_path, "p.json", dict(BASE_PROBLEM, tolerances={"substitution": 1e-6}))
+    code, out, _ = _run(capsys, "metricity", path, "--quiet")
+    assert code == 2
+    diags = json.loads(out)["result"]["diagnostics"]
+    assert [(d["path"], d["code"]) for d in diags] == [("tolerances.substitution", "unknown-key")]
+    code, out, _ = _run(capsys, "metricity", _write(tmp_path, "q.json", BASE_PROBLEM), "--quiet")
+    assert code == 0
+    assert sorted(json.loads(out)["result"]["certificate"]["toleranceProfile"]) == [
+        "kernelCutoff",
+        "metricConditionMax",
+        "metricRegularDet",
+        "rankRelCutoff",
+        "transportResidual",
+    ]
+
+
 def _with_entry(text):
     problem = json.loads(json.dumps(BASE_PROBLEM))
     problem["connection"][0][0][0] = text
