@@ -113,10 +113,6 @@ class ChartDomain:
     def m(self) -> int:
         return len(self.lower)
 
-    @property
-    def span(self) -> np.ndarray:
-        return np.asarray(self.upper) - np.asarray(self.lower)
-
     def axis_points(self, i: int, count: int) -> np.ndarray:
         fractions = (np.arange(count) + 1.0) / (count + 1.0)
         return self.lower[i] + fractions * (self.upper[i] - self.lower[i])
@@ -209,10 +205,6 @@ class MetricField:
     def matrix_at(self, x) -> np.ndarray:
         """The form's matrix at x, or at each point of a stack (..., m)."""
         return self._fn(x)
-
-    def verify_declared_rank(self, rel_cutoff: float = RANK_REL_CUTOFF) -> bool:
-        ranks = numerical_rank(self.matrix_at(self.domain.sample_points()), rel_cutoff)
-        return bool(np.all(ranks == self.declared_rank))
 
     def regularity_margin(self) -> tuple[float, float]:
         """(min |det|, max condition number) over the sample grid."""

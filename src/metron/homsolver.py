@@ -111,6 +111,8 @@ class SolveOptions:
     def __post_init__(self):
         if self.steps_per_segment < MIN_STEPS_PER_SEGMENT:
             raise ValueError(f"steps_per_segment must be >= {MIN_STEPS_PER_SEGMENT}")
+        if self.max_order < 0:
+            raise ValueError("max_order must be >= 0")
 
     def grid_counts(self, domain: ChartDomain) -> tuple[int, ...]:
         if self.grid_per_axis is None:

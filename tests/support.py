@@ -267,7 +267,7 @@ def local_system_residual(
         return 0.0
     m, r = conn.domain.m, conn.r
     n_nodes = len(grid.nodes)
-    hs = FD_STENCIL_FRACTION * conn.domain.span
+    hs = FD_STENCIL_FRACTION * (np.array(conn.domain.upper) - conn.domain.lower)
     fields = fields.reshape(k, n_nodes, r * r)
     steps = 2 * DEFAULT_STEPS_PER_SEGMENT  # for the first, longest legs
     unit = np.eye(m)

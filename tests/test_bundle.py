@@ -399,7 +399,6 @@ def test_metric_pole_hit_only_by_an_intermediate_value_is_named():
 def test_metric_rank_verification():
     dom = square_domain(3)
     singular = MetricField(dom, 2, (("1", "1"), ("1", "1")), declared_rank=1)
-    assert singular.verify_declared_rank()
     assert not singular.is_regular()
     regular = constant_metric(dom, np.diag([1.0, 2.0]))
     assert regular.is_regular()

@@ -664,6 +664,27 @@ def test_solve_options_is_the_only_dataclass():
     assert found == ["metron.homsolver.SolveOptions"]
 
 
+def test_metron_imports_only_the_stdlib_and_numpy():
+    """numpy is the one runtime dependency in pyproject.toml. scipy and
+    hypothesis are test extras, so an import of either under src/ would
+    pass every test here and still break a plain install. Imports inside
+    functions count too; relative imports are metron's own."""
+    import ast
+
+    allowed = set(sys.stdlib_module_names) | {"numpy", "metron"}
+    stray = []
+    for path in sorted((REPO / "src" / "metron").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            stray += [f"{path.name}: {n}" for n in names if n.split(".")[0] not in allowed]
+    assert stray == []
+
+
 def test_timings_are_reported_only_with_a_result(capsys, tmp_path, monkeypatch):
     """--timings fills timingMs for an analysis and for validate, its
     diagnostics included, and leaves it 0 on every error path."""

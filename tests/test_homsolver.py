@@ -57,6 +57,14 @@ def test_solve_options_reject_too_few_steps(steps):
         SolveOptions(steps_per_segment=steps)
     assert SolveOptions(steps_per_segment=MIN_STEPS_PER_SEGMENT).steps_per_segment == 8
 
+
+def test_solve_options_reject_a_negative_max_order():
+    """With no prolongation order to run, the solver never bound its
+    kernel and raised UnboundLocalError; the options refuse the value."""
+    with pytest.raises(ValueError, match="max_order"):
+        SolveOptions(grid_per_axis=5, steps_per_segment=16, max_order=-1)
+    assert SolveOptions(max_order=0).max_order == 0
+
 def _span_dim(rows):
     if len(rows) == 0:
         return 0
