@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .bundle import (  # noqa: F401
     ChartDomain,
     Connection,
-    CurvatureField,
     GaugeTransform,
     MetricField,
     apply_gauge,

@@ -34,7 +34,6 @@ __all__ = [
     "Connection",
     "MetricField",
     "GaugeTransform",
-    "CurvatureField",
     "zero_connection",
     "identity_metric",
     "curvature",
@@ -155,19 +154,15 @@ class Connection:
         )
 
     @cached_property
-    def _evaluator(self) -> ex.Evaluator:
-        return ex.Evaluator(e for g in self.gamma for row in g for e in row)
-
-    def coeff_array(self, x) -> np.ndarray:
-        """Evaluate all coefficients at points x of shape (..., m); the
-        result has shape (..., m, r, r).
+    def coeff_array(self) -> ex.Evaluator:
+        """The coefficients' evaluator, built on first use: at points x of
+        shape (..., m) it returns shape (..., m, r, r).
 
         Raises DomainError naming the subtree and the point at the first
         point (in C order) where some coefficient leaves its domain,
         also where only an intermediate value does.
         """
-        x = np.asarray(x, dtype=float)
-        return self._evaluator(x).reshape(x.shape[:-1] + (self.domain.m, self.r, self.r))
+        return ex.Evaluator(self.gamma)
 
     def coeff_at(self, x) -> np.ndarray:
         """Evaluate all coefficients at a point, shape (m, r, r)."""
@@ -199,12 +194,10 @@ class MetricField:
             raise ValueError(f"form is not symmetric at sample point {tuple(pts[bad[0]].tolist())}")
 
     @cached_property
-    def _fn(self):
-        return sm.compile_matrix(self.entries)
-
-    def matrix_at(self, x) -> np.ndarray:
-        """The form's matrix at x, or at each point of a stack (..., m)."""
-        return self._fn(x)
+    def matrix_at(self) -> ex.Evaluator:
+        """The form's evaluator: its matrix at x, or at each point of a
+        stack (..., m)."""
+        return ex.Evaluator(self.entries)
 
     def regularity_margin(self) -> tuple[float, float]:
         """(min |det|, max condition number) over the sample grid."""
@@ -238,12 +231,10 @@ class GaugeTransform:
         _validate_entries(self.entries, domain, "gauge coefficient")
 
     @cached_property
-    def _fn(self):
-        return sm.compile_matrix(self.entries)
-
-    def matrix_at(self, x) -> np.ndarray:
-        """The map's matrix at x, or at each point of a stack (..., m)."""
-        return self._fn(x)
+    def matrix_at(self) -> ex.Evaluator:
+        """The map's evaluator: its matrix at x, or at each point of a
+        stack (..., m)."""
+        return ex.Evaluator(self.entries)
 
     def min_abs_det_on_grid(self) -> float:
         dets = np.linalg.det(self.matrix_at(self.domain.sample_points()))
@@ -257,33 +248,10 @@ class GaugeTransform:
             )
 
 
-class CurvatureField:
-    """Curvature coefficients R[i][j][a][b], antisymmetric in (i, j)."""
-
-    def __init__(self, domain: ChartDomain, r: int, entries: tuple):
-        self.domain = domain
-        self.r = r
-        self.entries = entries  # m x m nested tuple of r x r expression matrices
-
-    def matrix_at(self, x, i: int, j: int) -> np.ndarray:
-        return sm.eval_matrix(self.entries[i][j], x)
-
-    def pairs(self):
-        m = self.domain.m
-        return [(i, j) for i in range(m) for j in range(i + 1, m)]
-
-    def max_abs_on_grid(self) -> float:
-        rows = [row for i, j in self.pairs() for row in self.entries[i][j]]
-        if not rows:
-            return 0.0
-        return sm.max_abs_on_points(rows, self.domain.sample_points())
-
-    def is_flat(self, tol: float = 1e-9) -> bool:
-        return self.max_abs_on_grid() <= tol
-
-
-def curvature(conn: Connection) -> CurvatureField:
-    """R_ij = d_i Gamma_j - d_j Gamma_i + Gamma_j Gamma_i - Gamma_i Gamma_j."""
+def curvature(conn: Connection) -> tuple:
+    """R_ij = d_i Gamma_j - d_j Gamma_i + Gamma_j Gamma_i - Gamma_i Gamma_j,
+    as the m x m nested tuple of r x r expression matrices R[i][j]; R_ji
+    is -R_ij node for node, and R_ii is zero."""
     cached = conn.__dict__.get("_curvature")
     if cached is not None:
         return cached
@@ -298,8 +266,7 @@ def curvature(conn: Connection) -> CurvatureField:
             )
             entries[i][j] = rij
             entries[j][i] = sm.mat_neg(rij)
-    field = CurvatureField(conn.domain, r, tuple(tuple(row) for row in entries))
-    conn.__dict__["_curvature"] = field
+    field = conn.__dict__["_curvature"] = tuple(tuple(row) for row in entries)
     return field
 
 

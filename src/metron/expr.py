@@ -729,25 +729,30 @@ _BINARY_UFUNCS = {
 
 
 class Evaluator:
-    """Evaluate several expressions at many points with one numpy
+    """Evaluate an array of expressions at many points with one numpy
     operation per distinct node of their union DAG.
 
-    Evaluator(roots)(x), with x of shape (..., m), returns an array of
-    shape (..., len(roots)). Subtrees that roots share are computed
-    once, and each temporary is dropped after its last use, so the
-    arrays alive at once stay at the width of the DAG rather than its
-    size. Nothing is cached across evaluators: the owner of an
-    evaluator decides how long its step list lives.
+    Evaluator(entries)(x), with entries a nested tuple or list of
+    expressions of any depth and shape s, and x of shape (..., m),
+    returns an array of shape (...,) + s; a ragged nesting raises
+    ValueError. Subtrees that entries share are computed once, and each
+    temporary is dropped after its last use, so the arrays alive at once
+    stay at the width of the DAG rather than its size. Nothing is cached
+    across evaluators: the owner of an evaluator decides how long its
+    step list lives.
 
     Domain failures, intermediate values included, raise DomainError:
     the points are walked again in C order with evaluate(), which names
     the first subtree and point that leave the real domain.
     """
 
-    __slots__ = ("roots", "_init", "_vars", "_steps", "_outputs")
+    __slots__ = ("roots", "shape", "_init", "_vars", "_steps", "_outputs")
 
-    def __init__(self, roots):
-        self.roots = tuple(roots)
+    def __init__(self, entries):
+        array = np.array(entries, dtype=object)
+        if not all(isinstance(e, ScalarExpression) for e in array.flat):
+            raise ValueError("entries must be a rectangular array of expressions")
+        self.roots, self.shape = tuple(array.flat), array.shape
         order = _topo_order(self.roots)
         slot = {node: k for k, node in enumerate(order)}
         init: list = [None] * len(order)
@@ -794,7 +799,7 @@ class Evaluator:
         out = np.empty((len(points), len(self._outputs)))
         for j, k in enumerate(self._outputs):
             out[:, j] = vals[k]
-        return out.reshape(x.shape[:-1] + (len(self._outputs),))
+        return out.reshape(x.shape[:-1] + self.shape)
 
     def _locate(self, points: np.ndarray, message: str):
         order = _topo_order(self.roots)

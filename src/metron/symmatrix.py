@@ -7,8 +7,6 @@ bounds this to rank <= 4, which covers every chart handled here.
 """
 from __future__ import annotations
 
-import numpy as np
-
 from . import expr as ex
 
 __all__ = [
@@ -25,9 +23,6 @@ __all__ = [
     "det_expr",
     "adjugate_mat",
     "inverse_mat",
-    "compile_matrix",
-    "eval_matrix",
-    "max_abs_on_points",
     "MAX_INVERSE_RANK",
 ]
 
@@ -140,25 +135,3 @@ def inverse_mat(a):
     adj = adjugate_mat(a)
     return tuple(tuple(ex.div(adj[i][j], det) for j in range(r)) for i in range(r))
 
-
-def compile_matrix(entries):
-    """Callable x -> array for a matrix of expressions: at points x of
-    shape (..., m) it returns shape (..., rows, cols). One evaluator
-    serves all entries; the callable owns it."""
-    shape = (len(entries), len(entries[0]))
-    fn = ex.Evaluator(e for row in entries for e in row)
-
-    def evaluate(x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return fn(x).reshape(x.shape[:-1] + shape)
-
-    return evaluate
-
-
-def eval_matrix(entries, x) -> np.ndarray:
-    return compile_matrix(entries)(x)
-
-
-def max_abs_on_points(entries, points) -> float:
-    """Largest absolute entry over all points, in one evaluation."""
-    return float(np.abs(eval_matrix(entries, points)).max(initial=0.0))

@@ -139,7 +139,7 @@ def flow_operators(conn: Connection, dual: Connection, starts, ends, steps: int)
     u = np.asarray(ends, dtype=float) - starts
     m, r1, r2 = conn.domain.m, conn.r, dual.r
     evaluate = ex.Evaluator(
-        e for i in range(m) for g in (dual.gamma[i], conn.gamma[i]) for row in g for e in row
+        [e for i in range(m) for g in (dual.gamma[i], conn.gamma[i]) for row in g for e in row]
     )
     nodes = np.arange(2 * steps + 1) * (0.5 / steps)
     d = r1 * r2

@@ -202,11 +202,9 @@ def nilpotent_parallel_forms(conn, symmetric: bool, points):
     constant curvature span: curvature-kernel candidates that also
     satisfy the first-order system by direct substitution."""
     from metron.bundle import curvature
-    from metron import symmatrix as sm
 
-    curv = curvature(conn)
     x0 = conn.domain.center()
-    r_num = sm.eval_matrix(curv.entries[0][1], x0)
+    r_num = ex.Evaluator(curvature(conn))(x0)[0, 1]
     # normalise: the example has R_12 = x-independent N times nothing
     candidates = form_constraint_kernel(r_num, symmetric)
     kept = []

@@ -208,8 +208,7 @@ def metric_covariant_derivative(conn: Connection, metric: MetricField):
                 sm.mat_mul(g, sm.mat_transpose(gi)),
             )
         )
-    rows = [row for fe in field_entries for row in fe]
-    residual = sm.max_abs_on_points(rows, conn.domain.sample_points())
+    residual = float(np.abs(ex.Evaluator(field_entries)(conn.domain.sample_points())).max())
     return tuple(field_entries), residual
 
 

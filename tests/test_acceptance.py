@@ -12,6 +12,7 @@ red by design rather than weakened. See notes on the decision record.
 import numpy as np
 
 from metron import cli
+from metron import expr as ex
 from metron import symmatrix as sm
 from metron.bundle import (
     apply_gauge,
@@ -69,7 +70,7 @@ def _max_coeff_diff(a, b) -> float:
     pts = a.domain.sample_points()
     worst = 0.0
     for ga, gb in zip(a.gamma, b.gamma):
-        worst = max(worst, sm.max_abs_on_points(sm.mat_sub(ga, gb), pts))
+        worst = max(worst, float(np.abs(ex.Evaluator(sm.mat_sub(ga, gb))(pts)).max()))
     return worst
 
 

@@ -163,6 +163,43 @@ def test_gauge_check_command(capsys, tmp_path):
     assert result["curvatureConjugationResidual"] <= 1e-8
 
 
+def test_gauge_check_conjugation_residual_matches_a_per_pair_loop(tmp_path):
+    """On a 3-coordinate chart, gauge-check's one broadcast over every
+    (i, j) reads the same curvatureConjugationResidual as a loop over
+    the pairs i < j, each pair's curvature evaluated on its own."""
+    from metron import expr as ex
+    from metron.bundle import ChartDomain, Connection, GaugeTransform, apply_gauge, curvature
+
+    problem = {
+        "dim": 3,
+        "rank": 2,
+        "domain": {"lower": [-1.0, -1.0, -1.0], "upper": [1.0, 1.0, 1.0], "gridPerAxis": 3},
+        "connection": [
+            [["x2", "x3/2"], ["0", "x1*x2"]],
+            [["x3^2/3", "0"], ["x1", "1 - x3"]],
+            [["0", "x1 + x2"], ["x2/5", "x1*x3"]],
+        ],
+        "gauge": [["1 + 0.1*x3", "0.2*x1"], ["0.1*x2", "1"]],
+    }
+    path = _write(tmp_path, "p.json", problem)
+    report, code = cli.run_command(cli.build_parser().parse_args(["gauge-check", path]))
+    assert code == 0
+    dom = ChartDomain((-1.0,) * 3, (1.0,) * 3, (3, 3, 3))
+    conn = Connection(dom, 2, problem["connection"])
+    phi = GaugeTransform(dom, 2, problem["gauge"])
+    base, trans = curvature(conn), curvature(apply_gauge(phi, conn))
+    pts = dom.sample_points()
+    pm = phi.matrix_at(pts)
+    pm_inv = np.linalg.inv(pm)
+    conj = 0.0
+    for i in range(3):
+        for j in range(i + 1, 3):
+            expected = pm_inv @ ex.Evaluator(base[i][j])(pts) @ pm
+            conj = max(conj, float(np.abs(ex.Evaluator(trans[i][j])(pts) - expected).max()))
+    assert conj > 0.0
+    assert report["result"]["curvatureConjugationResidual"] == conj
+
+
 def _half_plane(**changes):
     problem = json.loads((PROBLEMS / "hyperbolic.json").read_text(encoding="utf-8"))
     return {**problem, **changes}

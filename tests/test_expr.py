@@ -200,6 +200,39 @@ def test_evaluator_shares_subtrees_between_roots():
     assert ex.Evaluator([first, second])(points[0, 0]).shape == (2,)
 
 
+def test_evaluator_returns_its_input_shape():
+    """A nested array of expressions evaluates to an array of the same
+    shape after the points' batch axes, at any nesting depth."""
+    a, b, c = ex.parse("x1 + x2"), ex.parse("x1*x2"), ex.parse("exp(x2)")
+    nested = (((a, b), (c, ex.ONE)), ((b, a), (ex.ZERO, c)), ((a, a), (b, b)))
+    points = np.random.default_rng(7).uniform(-1, 1, size=(4, 5, 2))
+    values = ex.Evaluator(nested)(points)
+    assert values.shape == (4, 5, 3, 2, 2)
+    for p, got in zip(points.reshape(-1, 2).tolist(), values.reshape(-1, 3, 2, 2)):
+        for idx in np.ndindex(3, 2, 2):
+            e = nested[idx[0]][idx[1]][idx[2]]
+            assert got[idx] == pytest.approx(ex.evaluate(e, p), abs=1e-15)
+    single = ex.Evaluator([list(row) for row in nested[0]])(points[0, 0])
+    assert single.shape == (2, 2)
+    assert np.array_equal(single, values[0, 0, 0])
+    assert ex.Evaluator([])(points).shape == (4, 5, 0)
+    assert ex.Evaluator([])(points[0, 0]).shape == (0,)
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        ((ex.var(1), ex.var(2)), (ex.ONE,)),
+        (((ex.var(1),), (ex.ONE,)), ((ex.ZERO,), (ex.var(1), ex.ONE))),
+        ((ex.var(1), "x2"),),
+        (ex.var(1), 2.0),
+    ],
+)
+def test_evaluator_rejects_ragged_or_non_expression_entries(entries):
+    with pytest.raises(ValueError):
+        ex.Evaluator(entries)
+
+
 def test_evaluator_names_a_pole_only_an_intermediate_value_hits():
     e = ex.parse("1 + 1/(1/(x1 - 0.5))")
     points = np.array([[0.25, 0.0], [0.5, 0.1], [0.5, 0.2]])

@@ -180,13 +180,12 @@ def test_generic_polynomial_kernel_matches_pointwise_intersection():
     k, stabilized, _ = stabilized_constraint_subspace(shared)
     assert stabilized
     from metron.bundle import curvature
-    from metron import symmatrix as sm
 
-    curv, dual_curv = curvature(conn), curvature(dual)
+    curv, dual_curv = ex.Evaluator(curvature(conn)), ex.Evaluator(curvature(dual))
     rows = []
     for p in dom.sample_points()[::6][:5]:
-        r_mat = sm.eval_matrix(curv.entries[0][1], p)
-        rs_mat = sm.eval_matrix(dual_curv.entries[0][1], p)
+        r_mat = curv(p)[0, 1]
+        rs_mat = dual_curv(p)[0, 1]
         rows.append(np.kron(r_mat, np.eye(2)) - np.kron(np.eye(2), rs_mat.T))
     stacked = np.vstack(rows)
     s = np.linalg.svd(stacked, compute_uv=False)
@@ -399,7 +398,7 @@ def _symbolic_orders(conn, max_order):
     order: the curvature R_ij (i < j), then B -> d_l B - [Gamma_l, B]
     along every axis l, generator-major."""
     m = conn.domain.m
-    entries = curvature(conn).entries
+    entries = curvature(conn)
     gens = [entries[i][j] for i in range(m) for j in range(i + 1, m)]
     yield gens
     for _ in range(max_order):
@@ -454,7 +453,7 @@ def test_each_order_matches_the_symbolic_recursion(name):
         assert values.shape[1] == len(gens)
         if not gens:  # a one-dimensional chart has no curvature
             continue
-        want = sm.eval_matrix([row for mat in gens + target_gens for row in mat], problem.x0)
+        want = ex.Evaluator(gens + target_gens)(problem.x0)
         got = values.reshape(-1, conn.r, conn.r)  # the B, then the B*
         want = want.reshape(got.shape)
         assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1.0)
