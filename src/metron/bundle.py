@@ -52,11 +52,10 @@ RANK_REL_CUTOFF = 1e-8
 IRREGULAR_METRIC = "dual connection needs a regular metric on the chart"
 
 
-def numerical_rank(
-    matrix: np.ndarray, rel_cutoff: float = RANK_REL_CUTOFF, scale: float | np.ndarray | None = None
-):
-    """Rank by SVD with a cutoff relative to the largest singular value;
-    for a stack of matrices (..., a, b), an integer array of their ranks.
+def numerical_rank(matrix: np.ndarray, scale: float | np.ndarray | None = None):
+    """Rank by SVD with a cutoff RANK_REL_CUTOFF relative to the largest
+    singular value; for a stack of matrices (..., a, b), an integer array
+    of their ranks.
 
     Pass `scale` when the matrix is derived from data of a known size
     (for example the symmetric part of a unit-norm endomorphism): the
@@ -70,7 +69,7 @@ def numerical_rank(
     else:
         floor = np.asarray(0.0 if scale is None else scale, float)[..., None]
         reference = np.maximum(s[..., :1], floor)
-        ranks = ((s > rel_cutoff * reference) & (reference > 0.0)).sum(axis=-1)
+        ranks = ((s > RANK_REL_CUTOFF * reference) & (reference > 0.0)).sum(axis=-1)
     return int(ranks) if ranks.ndim == 0 else ranks
 
 
@@ -176,16 +175,13 @@ def zero_connection(domain: ChartDomain, r: int) -> Connection:
 class MetricField:
     """Symmetric form field."""
 
-    def __init__(
-        self, domain: ChartDomain, r: int, entries: tuple, declared_rank: int | None = None
-    ):
+    def __init__(self, domain: ChartDomain, r: int, entries: tuple):
         self.domain = domain
         self.r = r
         self.entries = sm.as_matrix(entries)  # r x r ScalarExpression
         if len(self.entries) != r or any(len(row) != r for row in self.entries):
             raise ValueError(f"form must be {r}x{r}")
         _validate_entries(self.entries, domain, "form coefficient")
-        self.declared_rank = r if declared_rank is None else declared_rank
         pts = self.domain.sample_points()
         mats = self.matrix_at(pts)
         skew = np.abs(mats - mats.swapaxes(-1, -2)).max(axis=(-2, -1))
@@ -208,14 +204,12 @@ class MetricField:
         return float(np.abs(np.linalg.det(mats)).min()), float(cond.max())
 
     def is_regular(self) -> bool:
-        if self.declared_rank != self.r:
-            return False
         min_det, max_cond = self.regularity_margin()
         return min_det >= DET_REGULARITY_FLOOR and max_cond <= CONDITION_CEILING
 
 
 def identity_metric(domain: ChartDomain, r: int) -> MetricField:
-    return MetricField(domain, r, sm.identity_mat(r), declared_rank=r)
+    return MetricField(domain, r, sm.identity_mat(r))
 
 
 class GaugeTransform:
@@ -317,7 +311,7 @@ def pushforward_metric(phi: GaugeTransform, metric: MetricField) -> MetricField:
     phi.require_invertible()
     pinv = sm.inverse_mat(phi.entries)
     entries = sm.mat_mul(pinv, sm.mat_mul(metric.entries, sm.mat_transpose(pinv)))
-    return MetricField(metric.domain, metric.r, entries, declared_rank=metric.declared_rank)
+    return MetricField(metric.domain, metric.r, entries)
 
 
 def dual_gauge_compatibility_residual(

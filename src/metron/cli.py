@@ -306,7 +306,7 @@ def _metric_field(domain: ChartDomain, r: int, tree, path: str) -> MetricField:
     is built; a form that is not symmetric there raises _InputError at
     path, and an entry that leaves its domain raises it at the entry."""
     try:
-        return MetricField(domain, r, tree, declared_rank=r)
+        return MetricField(domain, r, tree)
     except ValueError as err:
         raise _InputError([_diag(path, "value", str(err))]) from None
     except ex.DomainError as err:

@@ -99,7 +99,7 @@ def get_family(name: str) -> StatisticalFamily:
 
 def fisher_metric(family: StatisticalFamily) -> MetricField:
     entries = _CLOSED_FORMS[family.name][1]
-    return MetricField(family.domain, family.m, entries, declared_rank=family.m)
+    return MetricField(family.domain, family.m, entries)
 
 
 def skewness_tensor(family: StatisticalFamily):

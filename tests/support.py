@@ -35,7 +35,6 @@ from metron.bundle import (
     GaugeTransform,
     MetricField,
     levi_civita,
-    numerical_rank,
     zero_connection,
 )
 from metron.transport import DEFAULT_STEPS_PER_SEGMENT, Grid, flow_operators
@@ -66,7 +65,7 @@ def half_plane_metric(domain: ChartDomain | None = None) -> MetricField:
     domain = domain or half_plane_domain()
     inv_sq = ex.div(ex.ONE, ex.mul(ex.var(2), ex.var(2)))
     entries = ((inv_sq, ex.ZERO), (ex.ZERO, inv_sq))
-    return MetricField(domain, 2, entries, declared_rank=2)
+    return MetricField(domain, 2, entries)
 
 
 def half_plane_levi_civita(domain: ChartDomain | None = None):
@@ -78,7 +77,7 @@ def constant_metric(domain: ChartDomain, matrix: np.ndarray) -> MetricField:
     matrix = np.asarray(matrix, dtype=float)
     r = matrix.shape[0]
     entries = tuple(tuple(ex.const(matrix[i, j]) for j in range(r)) for i in range(r))
-    return MetricField(domain, r, entries, declared_rank=numerical_rank(matrix))
+    return MetricField(domain, r, entries)
 
 
 def _random_polynomial_entry(rng: np.random.Generator, m: int, degree: int, scale: float):

@@ -236,7 +236,7 @@ def test_dual_motion_bounded_by_parallelism_residual():
 
 def test_dual_requires_regular_metric():
     dom = square_domain(5)
-    singular = MetricField(dom, 2, (("1", "0"), ("0", "0")), declared_rank=1)
+    singular = MetricField(dom, 2, (("1", "0"), ("0", "0")))
     with pytest.raises(ValueError):
         dual_connection(singular, flat_connection(dom))
 
@@ -298,7 +298,7 @@ def test_pushforward_scaling():
 
 def test_pushforward_preserves_rank_of_singular_metric():
     dom = square_domain(5)
-    singular = MetricField(dom, 2, (("1", "1"), ("1", "1")), declared_rank=1)
+    singular = MetricField(dom, 2, (("1", "1"), ("1", "1")))
     rng = np.random.default_rng(9)
     phi = random_polynomial_gauge(rng, dom, 2)
     pushed = pushforward_metric(phi, singular)
@@ -335,7 +335,7 @@ def test_forced_nonparallel_metric():
     dom = square_domain(5)
     conn = flat_connection(dom)
     entries = (("1 + x1", "0"), ("0", "1"))
-    metric = MetricField(dom, 2, entries, declared_rank=2)
+    metric = MetricField(dom, 2, entries)
     field, residual = metric_covariant_derivative(conn, metric)
     assert residual == pytest.approx(1.0)
     # the offending entry is exactly d1 g11 = 1
@@ -383,7 +383,7 @@ def test_compat_random_polynomial_data():
 def test_metric_field_rejects_asymmetric_entries():
     dom = square_domain(3)
     with pytest.raises(ValueError):
-        MetricField(dom, 2, (("1", "x1"), ("0", "1")), declared_rank=2)
+        MetricField(dom, 2, (("1", "x1"), ("0", "1")))
 
 
 def test_metric_pole_hit_only_by_an_intermediate_value_is_named():
@@ -400,7 +400,7 @@ def test_metric_pole_hit_only_by_an_intermediate_value_is_named():
 
 def test_metric_rank_verification():
     dom = square_domain(3)
-    singular = MetricField(dom, 2, (("1", "1"), ("1", "1")), declared_rank=1)
+    singular = MetricField(dom, 2, (("1", "1"), ("1", "1")))
     assert not singular.is_regular()
     regular = constant_metric(dom, np.diag([1.0, 2.0]))
     assert regular.is_regular()
