@@ -113,6 +113,9 @@ class SolveOptions:
             raise ValueError(f"steps_per_segment must be >= {MIN_STEPS_PER_SEGMENT}")
         if self.max_order < 0:
             raise ValueError("max_order must be >= 0")
+        for name in ("kernel_cutoff", "transport_tol"):
+            if not 0.0 < getattr(self, name) < float("inf"):  # NaN fails both
+                raise ValueError(f"{name} must be positive and finite")
 
     def grid_counts(self, domain: ChartDomain) -> tuple[int, ...]:
         if self.grid_per_axis is None:

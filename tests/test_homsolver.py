@@ -65,6 +65,16 @@ def test_solve_options_reject_a_negative_max_order():
         SolveOptions(grid_per_axis=5, steps_per_segment=16, max_order=-1)
     assert SolveOptions(max_order=0).max_order == 0
 
+
+@pytest.mark.parametrize("name", ["kernel_cutoff", "transport_tol"])
+@pytest.mark.parametrize("value", [-1.0, 0.0, float("nan"), float("inf")])
+def test_solve_options_reject_a_tolerance_that_is_not_positive_and_finite(name, value):
+    """A negative or NaN transport tolerance made the half plane a
+    certified NotMetric; the options refuse every such tolerance."""
+    with pytest.raises(ValueError, match=name):
+        SolveOptions(grid_per_axis=5, steps_per_segment=16, **{name: value})
+    assert getattr(SolveOptions(**{name: 1e-3}), name) == 1e-3
+
 def _span_dim(rows):
     if len(rows) == 0:
         return 0
