@@ -202,8 +202,8 @@ def _intern(key, cls, *fields):
 
 def const(value: float) -> Const:
     v = float(value)
-    if math.isnan(v):
-        raise ValueError("NaN constant is not a valid expression")
+    if not math.isfinite(v):
+        raise ValueError(f"{v} constant is not a valid expression")
     if v == 0.0:
         v = 0.0  # canonicalise -0.0
     return _intern(("c", v), Const, 0, v)
@@ -992,9 +992,6 @@ def taylor(roots, point, degree: int) -> np.ndarray:
                 continue
             mask = node.mask
             operands = (node.arg,) if kind is Unary else (node.left, node.right)
-            if not mask:
-                series[node] = values[node]
-                continue
             args = (series[operands[0]], series[operands[-1]], values[operands[0]])
             try:
                 s = _series(basis, node, values[node], *args)

@@ -380,6 +380,16 @@ def test_compat_random_polynomial_data():
 # ---------------------------------------------------------------------------
 
 
+def test_an_infinite_coefficient_is_refused_where_it_is_given():
+    """An infinite number entry made decide_metricity raise OverflowError
+    and coeff_array return inf; the connection refuses it."""
+    dom = square_domain(5)
+    with pytest.raises(ValueError, match="inf constant"):
+        Connection(dom, 1, [[[float("inf")]], [["x1"]]])
+    with pytest.raises(ValueError, match="-inf constant"):
+        Connection(dom, 1, [[["x2"]], [[float("-inf")]]])
+
+
 def test_metric_field_rejects_asymmetric_entries():
     dom = square_domain(3)
     with pytest.raises(ValueError):

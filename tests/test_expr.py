@@ -142,6 +142,14 @@ def test_nodes_refuse_assignment_and_deletion():
     assert (node.mask, ex.to_string(node)) == (0b11, "x1 + x2")
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_a_constant_must_be_finite(value):
+    """An infinite constant failed far from its source: its repr raised
+    OverflowError and evaluation returned it unnamed."""
+    with pytest.raises(ValueError, match="constant is not a valid expression"):
+        ex.const(value)
+
+
 def test_domain_errors():
     with pytest.raises(ex.DomainError):
         ex.evaluate(ex.parse("x1^0.5"), (-2.0,))
