@@ -25,6 +25,8 @@ The three named examples:
 """
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from metron import expr as ex
@@ -122,6 +124,67 @@ def random_polynomial_connection(
         for _ in range(domain.m)
     )
     return Connection(domain, r, gamma)
+
+
+def random_polynomial_text(rng: np.random.Generator, m: int, degree: int, scale: float) -> str:
+    """Random polynomial in x1..xm of total degree <= degree with
+    coefficients in [-scale, scale], as an expression string."""
+    terms = [
+        "*".join([repr(float(rng.uniform(-scale, scale)))] + [f"x{i}" for i in combo])
+        for d in range(degree + 1)
+        for combo in itertools.combinations_with_replacement(range(1, m + 1), d)
+    ]
+    return " + ".join(f"({t})" for t in terms)
+
+
+def planted_metric_connection(
+    rng: np.random.Generator,
+    domain: ChartDomain,
+    eta: np.ndarray,
+    degree: int = 2,
+    scale: float = 0.3,
+) -> Connection:
+    """A connection that preserves the constant symmetric form eta:
+    Gamma_i = A_i eta^{-1} with each A_i an antisymmetric matrix of random
+    polynomials, written as expression strings. With (nabla g)_i =
+    d_i G - Gamma_i G - G Gamma_i^T, eta is parallel: the last two terms
+    are -A_i - A_i^T = 0."""
+    eta_inv = np.linalg.inv(np.asarray(eta, dtype=float))
+    r = len(eta_inv)
+    gamma = []
+    for _ in range(domain.m):
+        a = [[None] * r for _ in range(r)]
+        for i, j in itertools.combinations(range(r), 2):
+            p = random_polynomial_text(rng, domain.m, degree, scale)
+            a[i][j], a[j][i] = f"({p})", f"-({p})"
+        gamma.append(
+            [
+                [
+                    " + ".join(
+                        f"{a[i][k]}*{float(eta_inv[k, j])!r}"
+                        for k in range(r)
+                        if a[i][k] is not None and eta_inv[k, j] != 0.0
+                    )
+                    or "0"
+                    for j in range(r)
+                ]
+                for i in range(r)
+            ]
+        )
+    return Connection(domain, r, gamma)
+
+
+def unit_triangular_gauge(
+    rng: np.random.Generator, domain: ChartDomain, r: int, degree: int = 2, scale: float = 0.3
+) -> GaugeTransform:
+    """P = I + N with N strictly upper triangular random polynomials, as
+    expression strings: det P = 1 on the whole chart."""
+    entries = [["0"] * r for _ in range(r)]
+    for i in range(r):
+        entries[i][i] = "1"
+        for j in range(i + 1, r):
+            entries[i][j] = random_polynomial_text(rng, domain.m, degree, scale)
+    return GaugeTransform(domain, r, entries)
 
 
 def random_constant_metric(
