@@ -3,9 +3,10 @@
 Immutable expression trees with exact symbolic partial derivatives, a
 recursive-descent parser for the small coefficient grammar, a walker
 that evaluates one tree at one point and names the subtree that leaves
-the real domain, an evaluator that runs the union DAG of many trees
-as numpy operations over many points at once (transport integration,
-constraint rows, grid residuals), and `taylor`, which runs that DAG
+the real domain, an evaluator that runs the union DAG of a nested
+array of trees as numpy operations over many points at once and returns
+the array's shape per point (transport integration, grid residuals,
+curvature), and `taylor`, which runs that DAG
 once on truncated multivariate Taylor series at one point (the exact
 partial derivatives up to a degree, with no derivative tree built;
 Griewank & Walther, Evaluating Derivatives, 2nd ed., ch. 13). Every
