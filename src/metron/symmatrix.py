@@ -134,4 +134,3 @@ def inverse_mat(a):
     det = det_expr(a)
     adj = adjugate_mat(a)
     return tuple(tuple(ex.div(adj[i][j], det) for j in range(r)) for i in range(r))
-

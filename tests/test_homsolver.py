@@ -75,6 +75,7 @@ def test_solve_options_reject_a_tolerance_that_is_not_positive_and_finite(name, 
         SolveOptions(grid_per_axis=5, steps_per_segment=16, **{name: value})
     assert getattr(SolveOptions(**{name: 1e-3}), name) == 1e-3
 
+
 def _span_dim(rows):
     if len(rows) == 0:
         return 0

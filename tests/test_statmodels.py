@@ -122,7 +122,8 @@ def test_exponential_and_mixture_connections_flat():
         family = get_family(name)
         for alpha in (1.0, -1.0):
             conn = alpha_connection(family, alpha)
-            assert np.abs(ex.Evaluator(curvature(conn))(conn.domain.sample_points())).max() <= 1e-8, (name, alpha)
+            values = ex.Evaluator(curvature(conn))(conn.domain.sample_points())
+            assert np.abs(values).max() <= 1e-8, (name, alpha)
     # cross-check flatness of the gaussian exponential connection by
     # loop transport: holonomy of a closed loop is the identity
     family = get_family("gaussian1d")
