@@ -80,7 +80,6 @@ __all__ = [
     "TaylorBasis",
     "taylor_basis",
     "taylor",
-    "derivative_failure",
     "variables",
     "beyond",
     "contains",
@@ -961,9 +960,10 @@ def _series(basis: TaylorBasis, node, value: float, a, b, x: float) -> np.ndarra
     return _compose(basis, a, _function_coeffs(op, x, np.float64(value), degree))
 
 
-def taylor(roots, point, degree: int) -> np.ndarray:
-    """Taylor coefficients of total degree <= degree of each root at
-    point: an array (taylor_basis(len(point), degree).size, len(roots)).
+def taylor(roots, point, degree: int) -> tuple[np.ndarray, list]:
+    """The Taylor coefficients of total degree <= degree of each root at
+    point, an array (taylor_basis(len(point), degree).size, len(roots)),
+    and the list of the roots' origins (below).
 
     One walk over the union DAG of roots in truncated series
     arithmetic: sums termwise, products as truncated Cauchy products,
@@ -972,8 +972,11 @@ def taylor(roots, point, degree: int) -> np.ndarray:
     non-constant part. The values are evaluate()'s, so a root that
     leaves its domain at point raises its DomainError. A derivative that
     does not exist at point (sqrt at 0) leaves inf or NaN in the
-    coefficients that need it, and a coefficient along a coordinate that
-    a subtree does not mention is exactly 0.
+    coefficients that need it. The origin of such a root is the first
+    subtree of it, in post-order, whose own series was not finite from
+    finite operands; it is None for a root that holds no such subtree.
+    A coefficient along a coordinate that a subtree does not mention is
+    exactly 0.
     """
     point = tuple(float(v) for v in point)
     order = _topo_order(roots)
@@ -981,7 +984,7 @@ def taylor(roots, point, degree: int) -> np.ndarray:
     _evaluate(order, point, values)
     basis = taylor_basis(len(point), degree)
     series: dict = {}
-    broken: set = set()
+    origin: dict = {}  # node whose series is not finite -> the subtree that made it so
     with np.errstate(all="raise", under="ignore"):
         for node in order:
             kind = type(node)
@@ -991,19 +994,21 @@ def taylor(roots, point, degree: int) -> np.ndarray:
             if kind is Var:
                 series[node] = basis.variable(node.index - 1, values[node])
                 continue
-            mask = node.mask
             operands = (node.arg,) if kind is Unary else (node.left, node.right)
             args = (series[operands[0]], series[operands[-1]], values[operands[0]])
             try:
                 s = _series(basis, node, values[node], *args)
-                bad = not broken.isdisjoint(operands)
+                cause = None
             except FloatingPointError:  # an inf or NaN coefficient
                 with np.errstate(all="ignore"):
                     s = _series(basis, node, values[node], *args)
-                bad = True
-            if bad:  # inf * 0 is NaN: restore the exact zeros of unmentioned coordinates
-                broken.add(node)
-                s[basis.outside(mask)] = 0.0
+                cause = node
+            if origin:
+                cause = next((origin[a] for a in operands if a in origin), cause)
+            if cause is not None:
+                # inf * 0 is NaN: restore the exact zeros of unmentioned coordinates
+                origin[node] = cause
+                s[basis.outside(node.mask)] = 0.0
             series[node] = s
     out = np.zeros((basis.size, len(roots)))
     for j, root in enumerate(roots):
@@ -1011,23 +1016,4 @@ def taylor(roots, point, degree: int) -> np.ndarray:
             out[:, j] = series[root]
         else:
             out[0, j] = series[root]
-    return out
-
-
-def derivative_failure(roots, point, degree: int) -> DomainError:
-    """The DomainError that says why some Taylor coefficient of roots at
-    point is not finite: the first value or partial derivative of order
-    <= degree, in graded order, whose evaluation leaves the real domain
-    (evaluate() names the subtree), else one naming the first root."""
-    point = tuple(float(v) for v in point)
-    memo: dict = {}
-    layer = list(roots)
-    for _ in range(degree + 1):
-        try:
-            _evaluate(_topo_order(layer, memo), point, memo)
-        except DomainError as err:
-            return err
-        layer = list(
-            dict.fromkeys(differentiate(e, i) for e in layer for i in range(1, len(point) + 1))
-        )
-    return DomainError(f"non-finite Taylor coefficient in '{to_string(roots[0])}'", point=point)
+    return out, [origin.get(root) for root in roots]

@@ -213,14 +213,16 @@ def _order_values(problem: "Prolongation", order: int) -> np.ndarray:
     """Order `order` of the two recursions at the base point, (2, n, r, r):
     conn's n generators B, then the target's B*, the constant terms of
     the recursion run on the Taylor coefficients of degree order + 1 of
-    both connections. A non-finite order raises DomainError."""
+    both connections. A non-finite order raises DomainError: at the
+    origin `taylor` gives the first root whose jet is not finite, else,
+    when every jet is finite, at the root with the largest coefficient."""
     conn, dual = problem.conn, problem.dual
     m, r = conn.domain.m, conn.r
     if m == 1:  # a one-dimensional chart has no curvature
         return np.zeros((2, 0, r, r))
     roots = [e for c in (conn, dual) for g in c.gamma for row in g for e in row]
     degree = order + 1
-    coeffs = ex.taylor(roots, problem.x0, degree)
+    coeffs, origins = ex.taylor(roots, problem.x0, degree)
     gamma = coeffs.reshape(-1, 2, m, r, r)
     # R_ij = d_i Gamma_j - d_j Gamma_i + [Gamma_j, Gamma_i] for i < j
     i, j = _axis_pairs(m)
@@ -248,8 +250,11 @@ def _order_values(problem: "Prolongation", order: int) -> np.ndarray:
                 f"prolongation order {order} overflows on '{ex.to_string(largest)}'",
                 point=problem.x0.tolist(),
             )
-        failing = [e for e, ok in zip(roots, finite) if not ok]
-        raise ex.derivative_failure(failing, problem.x0, degree)
+        raise ex.DomainError(
+            f"prolongation order {order} needs a derivative that is not finite",
+            origins[int(finite.argmin())],
+            problem.x0.tolist(),
+        )
     return values
 
 

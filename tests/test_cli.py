@@ -840,17 +840,40 @@ def test_no_input_exits_1(capsys, tmp_path, monkeypatch, name, command):
 @pytest.mark.parametrize("text", ["1e300*1e300*x1", "x1*1e300*1e300"])
 def test_overflowing_constant_product_is_named(capsys, tmp_path, monkeypatch, text):
     """A product of constants that overflows, in an entry or only in its
-    derivatives, exits 2 naming the product and a point, not with a NaN
-    or infinite constant that fails far from it. The entry's product is
-    located at the entry; the derivative's is in no entry, so at `$`."""
+    derivatives, exits 2 at the entry naming the product and a point,
+    not with a NaN or infinite constant that fails far from it. An
+    overflowing derivative is named by the entry's subtree whose series
+    overflows."""
     monkeypatch.chdir(tmp_path)
     _write(tmp_path, "p.json", _with_entry(text))
     code, out, _ = _run(capsys, "metricity", "p.json", "--quiet")
     assert code == 2
     diags = json.loads(out)["result"]["diagnostics"]
-    path = {"1e300*1e300*x1": "connection[0][0][0]", "x1*1e300*1e300": "$"}[text]
-    assert [(d["path"], d["code"]) for d in diags] == [(path, "error")]
-    assert "non-finite value in '1e+300*1e+300' at (" in diags[0]["message"]
+    assert [(d["path"], d["code"]) for d in diags] == [("connection[0][0][0]", "error")]
+    named = {
+        "1e300*1e300*x1": "non-finite value in '1e+300*1e+300' at (",
+        "x1*1e300*1e300": "needs a derivative that is not finite in 'x1*1e+300*1e+300' at (",
+    }[text]
+    assert named in diags[0]["message"]
+
+
+def test_singular_derivative_is_named_at_its_entry(capsys, tmp_path, monkeypatch):
+    """A derivative that does not exist at the base point (sqrt at 0)
+    exits 2 at the entry, naming the entry's subtree whose derivative it
+    is, the prolongation order and the point as plain floats."""
+    monkeypatch.chdir(tmp_path)
+    connection = [[["0"]], [["x2*x2 + 3*sqrt(x1^2)*exp(x2)"]]]
+    _write(tmp_path, "p.json", dict(BASE_PROBLEM, rank=1, connection=connection))
+    code, out, _ = _run(capsys, "metricity", "p.json", "--quiet")
+    assert code == 2
+    assert json.loads(out)["result"]["diagnostics"] == [
+        {
+            "path": "connection[1][0][0]",
+            "code": "error",
+            "message": "prolongation order 0 needs a derivative that is not finite"
+            " in 'sqrt(x1^2)' at (0.0, 0.0)",
+        }
+    ]
 
 
 LOCATED_FAILURES = {

@@ -95,24 +95,35 @@ def _fresh_generic_connection():
     return random_polynomial_connection(rng, square_domain(5), 3, scale=0.4)
 
 
+def _singular_connection():
+    return Connection(square_domain(5), 1, [[["0"]], [["sqrt(x1^2)"]]])
+
+
 @pytest.mark.parametrize(
     "build, verdict",
     [
         (lambda: half_plane_levi_civita()[0], "RegularlyMetric"),
         (_fresh_generic_connection, "NotMetric"),
+        (_singular_connection, "DomainError"),
     ],
-    ids=["half-plane", "generic"],
+    ids=["half-plane", "generic", "singular"],
 )
 def test_an_analysis_builds_no_expression(build, verdict):
     """Once the conjugate's negations exist, an analysis adds no node to
     the intern table and no derivative to the differentiation caches: the
     prolongation reads Taylor coefficients, not symbolic generators. The
     half plane reaches order 1 and runs the transport; the fresh generic
-    connection stops at order 0."""
+    connection stops at order 0; the singular one fails at order 0,
+    where sqrt(x1^2) has no derivative, and names it without
+    differentiating."""
     conn = build()
     conjugate_connection(conn)
     before = _expression_cache_sizes()
-    assert decide_metricity(conn, options=FAST).verdict == verdict
+    try:
+        got = decide_metricity(conn, options=FAST).verdict
+    except ex.DomainError:
+        got = "DomainError"
+    assert got == verdict
     assert _expression_cache_sizes() == before
 
 
