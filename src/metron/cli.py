@@ -137,55 +137,48 @@ def _diag(path: str, code: str, message: str, offset: int | None = None) -> dict
     return d
 
 
-def _expect_shape(value, dims: tuple[int, ...], path: str, diagnostics: list) -> bool:
+def _parse_array(value, dims: tuple[int, ...], path: str, problems: list, entries: list):
+    """value read as an array of expression strings of shape dims, each
+    string parsed; (path, expression or ParseError) of each leaf goes to
+    entries and the diagnostic of a wrong length or type to problems,
+    both in walk order."""
     if not dims:
         if not isinstance(value, str):
-            diagnostics.append(
-                _diag(path, "type", f"expected an expression string, got {type(value).__name__}")
-            )
-            return False
-        return True
-    if not isinstance(value, list) or len(value) != dims[0]:
-        got = len(value) if isinstance(value, list) else type(value).__name__
-        diagnostics.append(
-            _diag(path, "shape", f"expected a list of length {dims[0]}, got {got}")
-        )
-        return False
-    ok = True
-    for idx, item in enumerate(value):
-        ok = _expect_shape(item, dims[1:], f"{path}[{idx}]", diagnostics) and ok
-    return ok
-
-
-def _parsed(value, path: str, leaves: list):
-    """value with every string leaf parsed; (path, expression or
-    ParseError) of each leaf is appended to leaves, in order."""
-    if isinstance(value, str):
+            got = type(value).__name__
+            problems.append(_diag(path, "type", f"expected an expression string, got {got}"))
+            return None
         try:
             tree = ex.parse(value)
         except ex.ParseError as err:
             tree = err
-        leaves.append((path, tree))
+        entries.append((path, tree))
         return tree
-    return [_parsed(item, f"{path}[{idx}]", leaves) for idx, item in enumerate(value)]
+    if not isinstance(value, list) or len(value) != dims[0]:
+        got = len(value) if isinstance(value, list) else type(value).__name__
+        problems.append(_diag(path, "shape", f"expected a list of length {dims[0]}, got {got}"))
+        return None
+    return [
+        _parse_array(item, dims[1:], f"{path}[{idx}]", problems, entries)
+        for idx, item in enumerate(value)
+    ]
 
 
-def _check_expressions(value, dim: int, path: str, diagnostics: list):
-    """Diagnose every expression of value; returns the parsed value."""
-    leaves: list = []
-    tree = _parsed(value, path, leaves)
-    for leaf_path, e in leaves:
-        if isinstance(e, ex.ParseError):
-            diagnostics.append(_diag(leaf_path, "parse", e.message, e.offset))
-        elif bad := ex.beyond(e, dim):
-            diagnostics.append(
-                _diag(
-                    leaf_path,
-                    "unknown-variable",
-                    f"expression uses x{bad} but the problem has dim {dim}",
-                )
-            )
-    return tree
+def _expression_array(value, dims: tuple[int, ...], dim: int, path: str, diagnostics: list):
+    """The parsed array and its (path, expression) entries, from one walk
+    of value; None after appending to diagnostics the array's shape
+    errors, or if it has none, its parse and unknown-variable errors."""
+    problems: list = []
+    entries: list = []
+    tree = _parse_array(value, dims, path, problems, entries)
+    if not problems:
+        for leaf, e in entries:
+            if isinstance(e, ex.ParseError):
+                problems.append(_diag(leaf, "parse", e.message, e.offset))
+            elif bad := ex.beyond(e, dim):
+                message = f"expression uses x{bad} but the problem has dim {dim}"
+                problems.append(_diag(leaf, "unknown-variable", message))
+    diagnostics += problems
+    return None if problems else (tree, entries)
 
 
 def _is_tolerance(value) -> bool:
@@ -198,11 +191,12 @@ def validate_problem(data) -> list[dict]:
 
 
 def _validate(data) -> tuple[list[dict], dict]:
-    """The diagnostics, and the parsed expression arrays by key."""
+    """The diagnostics, and by key each expression array's parsed array
+    and entries (None for an invalid one)."""
     diagnostics: list[dict] = []
-    trees: dict = {}
+    arrays: dict = {}
     if not isinstance(data, dict):
-        return [_diag("$", "type", "problem file must be a JSON object")], trees
+        return [_diag("$", "type", "problem file must be a JSON object")], arrays
     dim = data.get("dim")
     rank = data.get("rank")
     if not isinstance(dim, int) or not 1 <= dim <= ex.MAX_VARIABLES:
@@ -245,20 +239,15 @@ def _validate(data) -> tuple[list[dict], dict]:
     if "connection" not in data:
         diagnostics.append(_diag("connection", "missing", "connection array is required"))
     if dim is not None and rank is not None:
-        if "connection" in data and _expect_shape(
-            data["connection"], (dim, rank, rank), "connection", diagnostics
-        ):
-            trees["connection"] = _check_expressions(
-                data["connection"], dim, "connection", diagnostics
-            )
         for key, dims in (
+            ("connection", (dim, rank, rank)),
             ("metric", (rank, rank)),
             ("gauge", (rank, rank)),
             ("dualConnection", (dim, rank, rank)),
         ):
-            if key in data and data[key] is not None:
-                if _expect_shape(data[key], dims, key, diagnostics):
-                    trees[key] = _check_expressions(data[key], dim, key, diagnostics)
+            # a null connection is a shape error; the other arrays are optional
+            if key in data and (key == "connection" or data[key] is not None):
+                arrays[key] = _expression_array(data[key], dims, dim, key, diagnostics)
     seed = data.get("seed")
     if seed is not None and not isinstance(seed, int):
         diagnostics.append(_diag("seed", "type", "seed must be an integer"))
@@ -276,7 +265,7 @@ def _validate(data) -> tuple[list[dict], dict]:
                     )
                 elif not _is_tolerance(v):
                     diagnostics.append(_diag(f"tolerances.{key}", "value", TOLERANCE_MESSAGE))
-    return diagnostics, trees
+    return diagnostics, arrays
 
 
 def _problem_hash(data) -> str:
@@ -301,23 +290,18 @@ def _solve_options(args, defaults: SolveOptions, tolerances: dict) -> SolveOptio
     return replace(options, **{k: v for k, v in flags.items() if v is not None})
 
 
-def _metric_field(domain: ChartDomain, r: int, tree, path: str) -> MetricField:
-    """The metric of a validated entry array, evaluated on the grid as it
-    is built; a form that is not symmetric there raises _InputError at
-    path, and an entry that leaves its domain raises it at the entry."""
+def _metric_field(domain: ChartDomain, r: int, array, path: str) -> MetricField:
+    """The metric of a validated (array, entries) pair, evaluated on the
+    grid as it is built; a form that is not symmetric there raises
+    _InputError at path, and an entry that leaves its domain raises it at
+    the entry."""
+    tree, entries = array
     try:
         return MetricField(domain, r, tree)
     except ValueError as err:
         raise _InputError([_diag(path, "value", str(err))]) from None
     except ex.DomainError as err:
-        raise _InputError([_failure(err, _entries(tree, path))]) from None
-
-
-def _entries(value, path: str) -> list:
-    """(path, expression) of every entry of a parsed array, in order."""
-    if not isinstance(value, list):
-        return [(path, value)]
-    return [pair for idx, item in enumerate(value) for pair in _entries(item, f"{path}[{idx}]")]
+        raise _InputError([_failure(err, entries)]) from None
 
 
 def _failure(err: Exception, entries=()) -> dict:
@@ -333,11 +317,12 @@ class ProblemObjects:
         """Validate the problem and build its analysis objects from the
         expression arrays the validation parsed; an invalid problem
         raises _InputError with its diagnostics."""
-        diagnostics, trees = _validate(data)
+        diagnostics, arrays = _validate(data)
         if diagnostics:
             raise _InputError(diagnostics)
         # in file order, so that a failure is named at its first entry
-        self.entries = [pair for key in data if key in trees for pair in _entries(trees[key], key)]
+        self.entries = [pair for key in data if key in arrays for pair in arrays[key][1]]
+        trees = {key: tree for key, (tree, _) in arrays.items()}
         m, r = data["dim"], data["rank"]
         dom = data["domain"]
         grid = args.grid or dom.get("gridPerAxis") or 9
@@ -347,7 +332,7 @@ class ProblemObjects:
         self.r = r
         self.connection = Connection(self.domain, r, trees["connection"])
         self.metric = (
-            _metric_field(self.domain, r, trees["metric"], "metric")
+            _metric_field(self.domain, r, arrays["metric"], "metric")
             if data.get("metric")
             else None
         )
@@ -446,16 +431,15 @@ def _metric_family(p: ProblemObjects, path: str) -> list[MetricField]:
             [_diag("--metric-family", "type", "metric family must be a list of matrices")]
         )
     diagnostics: list[dict] = []
-    trees = []
-    for k, mat in enumerate(entries):
-        where = f"--metric-family[{k}]"
-        if _expect_shape(mat, (p.r, p.r), where, diagnostics):
-            trees.append(_check_expressions(mat, p.domain.m, where, diagnostics))
+    arrays = [
+        _expression_array(mat, (p.r, p.r), p.domain.m, f"--metric-family[{k}]", diagnostics)
+        for k, mat in enumerate(entries)
+    ]
     if diagnostics:
         raise _InputError(diagnostics)
     return [
-        _metric_field(p.domain, p.r, tree, f"--metric-family[{k}]")
-        for k, tree in enumerate(trees)
+        _metric_field(p.domain, p.r, array, f"--metric-family[{k}]")
+        for k, array in enumerate(arrays)
     ]
 
 
