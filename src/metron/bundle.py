@@ -22,6 +22,7 @@ test suite instead of being assumed.
 """
 from __future__ import annotations
 
+import math
 from functools import cached_property
 
 import numpy as np
@@ -96,8 +97,8 @@ class ChartDomain:
         if len(self.lower) > ex.MAX_VARIABLES:
             raise ValueError(f"at most {ex.MAX_VARIABLES} coordinates supported")
         for lo, up in zip(self.lower, self.upper):
-            if not lo < up:
-                raise ValueError(f"need lower < upper per axis, got [{lo}, {up}]")
+            if not -math.inf < lo < up < math.inf:
+                raise ValueError(f"need finite lower < upper per axis, got [{lo}, {up}]")
         if samples_per_axis is None:
             samples_per_axis = (9,) * len(self.lower)
         self.samples_per_axis = tuple(int(n) for n in samples_per_axis)

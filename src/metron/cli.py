@@ -181,8 +181,16 @@ def _expression_array(value, dims: tuple[int, ...], dim: int, path: str, diagnos
     return None if problems else (tree, entries)
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)  # JSON true is an int
+
+
+def _is_finite(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
 def _is_tolerance(value) -> bool:
-    return isinstance(value, (int, float)) and math.isfinite(value) and value > 0
+    return _is_finite(value) and value > 0
 
 
 def validate_problem(data) -> list[dict]:
@@ -199,10 +207,10 @@ def _validate(data) -> tuple[list[dict], dict]:
         return [_diag("$", "type", "problem file must be a JSON object")], arrays
     dim = data.get("dim")
     rank = data.get("rank")
-    if not isinstance(dim, int) or not 1 <= dim <= ex.MAX_VARIABLES:
+    if not _is_integer(dim) or not 1 <= dim <= ex.MAX_VARIABLES:
         diagnostics.append(_diag("dim", "value", "dim must be an integer in 1..9"))
         dim = None
-    if not isinstance(rank, int) or not 1 <= rank <= sm.MAX_INVERSE_RANK:
+    if not _is_integer(rank) or not 1 <= rank <= sm.MAX_INVERSE_RANK:
         diagnostics.append(
             _diag("rank", "value", f"rank must be an integer in 1..{sm.MAX_INVERSE_RANK}")
         )
@@ -216,7 +224,7 @@ def _validate(data) -> tuple[list[dict], dict]:
             if (
                 not isinstance(bounds, list)
                 or len(bounds) != dim
-                or not all(isinstance(v, (int, float)) for v in bounds)
+                or not all(_is_finite(v) for v in bounds)
             ):
                 diagnostics.append(
                     _diag(f"domain.{key}", "shape", f"must be a list of {dim} numbers")
@@ -227,12 +235,12 @@ def _validate(data) -> tuple[list[dict], dict]:
             and len(domain["lower"]) == len(domain["upper"]) == dim
         ):
             for i, (lo, hi) in enumerate(zip(domain["lower"], domain["upper"])):
-                if isinstance(lo, (int, float)) and isinstance(hi, (int, float)) and not lo < hi:
+                if _is_finite(lo) and _is_finite(hi) and not lo < hi:
                     diagnostics.append(
                         _diag(f"domain.lower[{i}]", "value", "need lower < upper")
                     )
         grid = domain.get("gridPerAxis")
-        if grid is not None and (not isinstance(grid, int) or grid < 3):
+        if grid is not None and (not _is_integer(grid) or grid < 3):
             diagnostics.append(
                 _diag("domain.gridPerAxis", "value", "gridPerAxis must be an integer >= 3")
             )
@@ -249,7 +257,7 @@ def _validate(data) -> tuple[list[dict], dict]:
             if key in data and (key == "connection" or data[key] is not None):
                 arrays[key] = _expression_array(data[key], dims, dim, key, diagnostics)
     seed = data.get("seed")
-    if seed is not None and not isinstance(seed, int):
+    if seed is not None and not _is_integer(seed):
         diagnostics.append(_diag("seed", "type", "seed must be an integer"))
     elif seed is not None and seed < 0:
         diagnostics.append(_diag("seed", "value", "seed must be an integer >= 0"))

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -63,8 +64,9 @@ def test_domain_grid_is_strictly_interior_and_centered():
 
 
 def test_domain_rejects_bad_bounds():
-    with pytest.raises(ValueError):
-        ChartDomain((0.0,), (0.0,))
+    for lower, upper in [(0.0, 0.0), (0.0, math.inf), (-math.inf, 0.0), (0.0, math.nan)]:
+        with pytest.raises(ValueError):
+            ChartDomain((lower,), (upper,))
 
 
 @pytest.mark.parametrize("counts", [(7,), (5, 9), (3, 1, 4), (2, 2, 2, 2)])

@@ -432,6 +432,37 @@ def test_negative_file_seed_is_rejected(capsys, tmp_path):
     assert [(d["path"], d["code"]) for d in diags] == [("seed", "value")]
 
 
+def _domain(**changes):
+    return {"domain": dict(BASE_PROBLEM["domain"], **changes)}
+
+
+NOT_NUMBERS = {
+    "rank": ({"rank": True}, ("rank", "value")),
+    "dim": ({"dim": True}, ("dim", "value")),
+    "seed": ({"seed": True}, ("seed", "type")),
+    "grid": (_domain(gridPerAxis=True), ("domain.gridPerAxis", "value")),
+    "lower": (_domain(lower=[False, -1.0]), ("domain.lower", "shape")),
+    "upper": (_domain(upper=[1.0, True]), ("domain.upper", "shape")),
+    "kernel": ({"tolerances": {"kernel": True}}, ("tolerances.kernel", "value")),
+    "infinite-upper": (_domain(upper=[1.0, "1e400"]), ("domain.upper", "shape")),
+}
+
+
+@pytest.mark.parametrize("command", ["metricity", "validate"])
+@pytest.mark.parametrize("name", list(NOT_NUMBERS))
+def test_booleans_and_infinities_are_not_numbers(capsys, tmp_path, name, command):
+    """JSON true and false are no integer or number, and 1e400 (read as
+    inf) is no bound: each exits 2 at its own field. Before, rank true
+    ended in a traceback, true and false were read as 1 and 0, and an
+    infinite bound passed validate."""
+    changes, diagnostic = NOT_NUMBERS[name]
+    text = json.dumps(dict(BASE_PROBLEM, **changes)).replace('"1e400"', "1e400")
+    code, out, _ = _run(capsys, command, _write(tmp_path, "p.json", text), "--quiet")
+    assert code == 2
+    diags = json.loads(out)["result"]["diagnostics"]
+    assert [(d["path"], d["code"]) for d in diags] == [diagnostic]
+
+
 @pytest.mark.parametrize(
     "payload, path, code",
     [
