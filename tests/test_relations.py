@@ -1,4 +1,5 @@
-"""Relations that hold by construction: planted parallel metrics.
+"""Relations that hold by construction: planted parallel metrics and
+chart scaling.
 
 Gamma_i = A_i eta^{-1}, with each A_i an antisymmetric matrix of seeded
 random polynomials, preserves the constant form eta
@@ -6,11 +7,22 @@ random polynomials, preserves the constant form eta
 metric whatever the polynomials are, and eta lies in its space S2 of
 parallel symmetric forms. A gauge map P carries this over: P . nabla
 preserves P^{-1} eta P^{-T}.
+
+A connection's local forms transform under the chart change x = s y + b
+as Gamma'_j(y) = s Gamma_j(s y + b) on the box mapped with it
+(Kobayashi & Nomizu I, ch. II). The bundle and its parallel sections
+are the same, so the verdict, the dimensions and `certified` cannot
+depend on s: the prolongation's cutoffs must be unit-free.
 """
+import json
+import re
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from metron.bundle import apply_gauge, pushforward_metric
+from metron.bundle import ChartDomain, Connection, apply_gauge, pushforward_metric
 from metron.homsolver import SolveOptions
 from metron.metricity import decide_metricity
 from support import (
@@ -52,3 +64,53 @@ def test_a_gauged_planted_metric_is_never_certified_otherwise(eta, seed, scale):
         s2 = cert.spaces["symmetric"]
         pushed = pushforward_metric(phi, constant_metric(dom, eta))
         assert s2.contains(pushed.matrix_at(s2.base_point))
+
+
+REPO = Path(__file__).resolve().parents[1]
+SHIFT = (0.3, -0.2)
+SCALES = [1e-3, 1e-2, 0.1, 10.0, 100.0, 1e3]
+
+
+def _scaling_inputs() -> dict:
+    sys.path.insert(0, str(REPO / "perfbench"))
+    import gen
+
+    inputs = {
+        name: json.loads((REPO / "problems" / f"{name}.json").read_text(encoding="utf-8"))
+        for name in ("hyperbolic", "nilpotent", "flat2x2")
+    }
+    inputs["gauged-flat-r4-1"] = gen.gauged_flat_problem(1)
+    for k, problem in enumerate(gen.corpus_problems(1)[:3]):
+        inputs[f"corpus-1-{k:03d}"] = problem
+    return inputs
+
+
+SCALING_INPUTS = _scaling_inputs()
+
+
+def _rescaled(problem: dict, s: float):
+    """The problem's connection in the chart x = s y + SHIFT: the same
+    strings with each x_i substituted, times s, on the mapped box."""
+    domain = problem["domain"]
+    lower = [(lo - b) / s for lo, b in zip(domain["lower"], SHIFT)]
+    upper = [(hi - b) / s for hi, b in zip(domain["upper"], SHIFT)]
+
+    def substituted(text):
+        return f"{s!r}*(" + re.sub(
+            r"x([1-9])", lambda m: f"({s!r}*x{m[1]} + {SHIFT[int(m[1]) - 1]!r})", text
+        ) + ")"
+
+    gamma = [[[substituted(e) for e in row] for row in g] for g in problem["connection"]]
+    return Connection(ChartDomain(lower, upper), problem["rank"], gamma)
+
+
+def _answer(cert) -> tuple:
+    return cert.verdict, cert.dim_j, cert.dim_s2, cert.dim_omega2, cert.certified
+
+
+@pytest.mark.parametrize("name", list(SCALING_INPUTS))
+def test_chart_scaling_keeps_the_answer(name):
+    problem = SCALING_INPUTS[name]
+    want = _answer(decide_metricity(_rescaled(problem, 1.0), OPTIONS))
+    got = {s: _answer(decide_metricity(_rescaled(problem, s), OPTIONS)) for s in SCALES}
+    assert got == dict.fromkeys(SCALES, want)
