@@ -186,7 +186,10 @@ def _is_integer(value) -> bool:
 
 
 def _is_finite(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    """Whether value is a number that a float holds finitely (JSON true
+    is an int, 1e400 reads as inf and a 400-digit integer overflows)."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return number and -sys.float_info.max <= value <= sys.float_info.max
 
 
 def _is_tolerance(value) -> bool:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -445,6 +446,8 @@ NOT_NUMBERS = {
     "upper": (_domain(upper=[1.0, True]), ("domain.upper", "shape")),
     "kernel": ({"tolerances": {"kernel": True}}, ("tolerances.kernel", "value")),
     "infinite-upper": (_domain(upper=[1.0, "1e400"]), ("domain.upper", "shape")),
+    "huge-upper": (_domain(upper=[1.0, "1" + "0" * 400]), ("domain.upper", "shape")),
+    "huge-kernel": ({"tolerances": {"kernel": "1" + "0" * 400}}, ("tolerances.kernel", "value")),
 }
 
 
@@ -452,11 +455,12 @@ NOT_NUMBERS = {
 @pytest.mark.parametrize("name", list(NOT_NUMBERS))
 def test_booleans_and_infinities_are_not_numbers(capsys, tmp_path, name, command):
     """JSON true and false are no integer or number, and 1e400 (read as
-    inf) is no bound: each exits 2 at its own field. Before, rank true
-    ended in a traceback, true and false were read as 1 and 0, and an
-    infinite bound passed validate."""
+    inf) or an integer too large for a float is no bound or tolerance:
+    each exits 2 at its own field. Before, rank true ended in a
+    traceback, true and false were read as 1 and 0, an infinite bound
+    passed validate, and a 400-digit integer was rejected at `$`."""
     changes, diagnostic = NOT_NUMBERS[name]
-    text = json.dumps(dict(BASE_PROBLEM, **changes)).replace('"1e400"', "1e400")
+    text = re.sub(r'"(1e400|10{400})"', r"\1", json.dumps(dict(BASE_PROBLEM, **changes)))
     code, out, _ = _run(capsys, command, _write(tmp_path, "p.json", text), "--quiet")
     assert code == 2
     diags = json.loads(out)["result"]["diagnostics"]
