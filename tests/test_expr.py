@@ -501,8 +501,8 @@ TAYLOR_CASES = [
 @pytest.mark.parametrize("degree", [0, 1, 2, 3, 4])
 def test_taylor_coefficients_match_exact_derivatives(text, point, degree):
     e = ex.parse(text)
-    got, origins = ex.taylor([e], point, degree)
-    got = got[:, 0]
+    coeffs, origins = ex.taylor([e], point, degree)
+    got = coeffs[:, 0]
     want = _exact_coefficients(e, point, degree)
     assert got.shape == (math.comb(len(point) + degree, degree),)
     assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())

@@ -96,9 +96,8 @@ def _rescaled(problem: dict, s: float):
     upper = [(hi - b) / s for hi, b in zip(domain["upper"], SHIFT)]
 
     def substituted(text):
-        return f"{s!r}*(" + re.sub(
-            r"x([1-9])", lambda m: f"({s!r}*x{m[1]} + {SHIFT[int(m[1]) - 1]!r})", text
-        ) + ")"
+        body = re.sub(r"x([1-9])", lambda m: f"({s!r}*x{m[1]} + {SHIFT[int(m[1]) - 1]!r})", text)
+        return f"{s!r}*({body})"
 
     gamma = [[[substituted(e) for e in row] for row in g] for g in problem["connection"]]
     return Connection(ChartDomain(lower, upper), problem["rank"], gamma)
