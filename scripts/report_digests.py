@@ -45,8 +45,10 @@ Runs, in one process and through the same code path as `metron`:
   Gamma_1 = sqrt(x1^2)*x2, Gamma_2 = x1 the prolongation needs it only
   along x2, where it is exactly 0 (certified NotMetric), while in
   Gamma_1 = 0, Gamma_2 = sqrt(x1^2) the curvature needs its x1
-  derivative (rejected at `$`), and `gauge-check` on the half plane with
-  the regular `gauge` [[1, x1], [0, 1]] (certified, exit 0).
+  derivative (rejected at `$`), `gauge-check` on the half plane with
+  the regular `gauge` [[1, x1], [0, 1]] (certified, exit 0), and
+  `metricity` on the zero rank-1 connection on [-1, 1]^5 at 9 nodes per
+  axis, a grid of 59,049 nodes, refused at `domain.gridPerAxis`.
 
 Each run prints one line, `<sha256>  <command>  (exit <code>)`, so two
 checkouts can be compared with diff:
@@ -129,6 +131,13 @@ SKEWED_PROBLEM = {
     "seed": 7,
 }
 
+# 9^5 = 59,049 grid nodes, more than cli.MAX_GRID_NODES
+OVERSIZED_GRID = {
+    "dim": 5,
+    "rank": 1,
+    "domain": {"lower": [-1.0] * 5, "upper": [1.0] * 5, "gridPerAxis": 9},
+    "connection": [[["0"]]] * 5,
+}
 # rank 1 on [-1, 1]^2: the base point of the default grid is x1 = x2 = 0
 SQRT_PROBLEM = {"dim": 2, "rank": 1, "domain": {"lower": [-1.0, -1.0], "upper": [1.0, 1.0]}}
 SQRT_AT_BASE = {
@@ -326,6 +335,9 @@ def added_commands(out: Path, error_paths: bool) -> list[list[str]]:
             path.write_text(json.dumps(problem), encoding="utf-8")
             commands.append(["metricity", str(path)])
         commands.append(["gauge-check", paths["regular-gauge"]])
+        path = out / "oversized-grid.json"
+        path.write_text(json.dumps(OVERSIZED_GRID), encoding="utf-8")
+        commands.append(["metricity", str(path)])
     return commands
 
 

@@ -58,6 +58,10 @@ TOLERANCE_MESSAGE = "tolerance must be positive and finite"
 # arrays and objects inside one another: a problem file's connection
 # (object > dim > rank > rank) is the deepest part of either input format
 MAX_JSON_DEPTH = 4
+DEFAULT_GRID_PER_AXIS = 9
+# An analysis builds every node of the sample grid, per_axis^dim of them,
+# and transports along each edge; 3^9 = 19,683 keeps dim 9 reachable
+MAX_GRID_NODES = 20_000
 
 COMMANDS = (
     "dual",
@@ -201,9 +205,21 @@ def validate_problem(data) -> list[dict]:
     return _validate(data)[0]
 
 
-def _validate(data) -> tuple[list[dict], dict]:
+def _oversized_grid(path: str, per_axis: int, dim: int) -> list[dict]:
+    """The diagnostic of a grid with more than MAX_GRID_NODES nodes, at
+    path; none for a smaller one."""
+    nodes = per_axis**dim
+    if nodes <= MAX_GRID_NODES:
+        return []
+    count = f"{nodes:,}" if nodes < 10**18 else f"about 10^{dim * math.log10(per_axis):.0f}"
+    message = f"{per_axis} nodes per axis at dim {dim} make {count} grid nodes"
+    return [_diag(path, "value", f"{message}; at most {MAX_GRID_NODES:,} are allowed")]
+
+
+def _validate(data, grid_flag: int | None = None) -> tuple[list[dict], dict]:
     """The diagnostics, and by key each expression array's parsed array
-    and entries (None for an invalid one)."""
+    and entries (None for an invalid one). The grid is the one grid_flag
+    (--grid) sets, else the file's."""
     diagnostics: list[dict] = []
     arrays: dict = {}
     if not isinstance(data, dict):
@@ -247,6 +263,10 @@ def _validate(data) -> tuple[list[dict], dict]:
             diagnostics.append(
                 _diag("domain.gridPerAxis", "value", "gridPerAxis must be an integer >= 3")
             )
+        elif grid_flag is not None:
+            diagnostics += _oversized_grid("--grid", grid_flag, dim)
+        else:
+            diagnostics += _oversized_grid("domain.gridPerAxis", grid or DEFAULT_GRID_PER_AXIS, dim)
     if "connection" not in data:
         diagnostics.append(_diag("connection", "missing", "connection array is required"))
     if dim is not None and rank is not None:
@@ -328,7 +348,7 @@ class ProblemObjects:
         """Validate the problem and build its analysis objects from the
         expression arrays the validation parsed; an invalid problem
         raises _InputError with its diagnostics."""
-        diagnostics, arrays = _validate(data)
+        diagnostics, arrays = _validate(data, args.grid)
         if diagnostics:
             raise _InputError(diagnostics)
         # in file order, so that a failure is named at its first entry
@@ -336,7 +356,7 @@ class ProblemObjects:
         trees = {key: tree for key, (tree, _) in arrays.items()}
         m, r = data["dim"], data["rank"]
         dom = data["domain"]
-        grid = args.grid or dom.get("gridPerAxis") or 9
+        grid = args.grid or dom.get("gridPerAxis") or DEFAULT_GRID_PER_AXIS
         self.domain = ChartDomain(
             tuple(dom["lower"]), tuple(dom["upper"]), (grid,) * m
         )
@@ -540,6 +560,8 @@ def _cmd_alpha_scan(args, options: SolveOptions):
     diagnostics, alphas = [], []
     try:
         family = get_family(args.family)
+        if args.grid is not None:
+            diagnostics += _oversized_grid("--grid", args.grid, family.m)
     except ValueError as err:
         diagnostics.append(_diag("--family", "value", str(err)))
     for text in (a.strip() for a in args.alphas.split(",") if a.strip() != ""):

@@ -23,11 +23,20 @@ step matrices of a whole batch of segments at once and multiplies them
 pairwise, in ceil(log2 s) levels of batched products, into each
 segment's flow operator; no Python loop runs over the steps. The
 coefficients of both connections come from one evaluator over the
-union of their expression DAGs at all 2s+1 nodes of a chunk of
+union of their expression DAGs at the 2s+1 nodes of a chunk of
 segments per vectorised call, so a conjugate target costs only its
 negations. A value whose right-hand side vanishes along a segment is
 transported exactly, and an operator that is not finite raises
 FloatingPointError.
+
+Each distinct operator is built once. A generator changes only along
+the coordinates that some coefficient reads, so segments that agree
+there, in their start and in their direction, share one operator; and
+a segment whose direction has no component along those coordinates
+has a constant generator, whose s step matrices are all one matrix.
+Both rules skip only points that differ from evaluated ones in
+coordinates no coefficient reads, so every operator is bitwise the
+one that step-by-step integration of its own segment gives.
 
 A section is parallel exactly when it is constant under this
 transport, so disagreement between alternative grid routes measures
@@ -60,10 +69,11 @@ MATRIX_ENTRIES_PER_BATCH = 2**14
 
 
 def _generator_nodes(evaluate, r1: int, r2: int, starts, u, nodes):
-    """Gamma_u of conn and of dual, (n, 2s+1, r1, r1) and (n, 2s+1, r2, r2),
-    at the Runge-Kutta nodes (fractions of the segment) of the segments
-    starts[e] -> starts[e] + u[e], from one call of the evaluator of
-    both connections' coefficients (dual's, then conn's, axis by axis)."""
+    """Gamma_u of conn and of dual, (n, t, r1, r1) and (n, t, r2, r2),
+    at the t Runge-Kutta nodes (fractions of the segment) of the
+    segments starts[e] -> starts[e] + u[e], from one call of the
+    evaluator of both connections' coefficients (dual's, then conn's,
+    axis by axis)."""
     values = evaluate(starts[:, None, :] + nodes[:, None] * u[:, None, :])
     values = values.reshape(values.shape[:2] + (u.shape[1], -1))
     up = u[:, None, :, None]
@@ -131,29 +141,77 @@ def flow_operators(conn: Connection, dual: Connection, starts, ends, steps: int)
     its s RK4 step matrices. Raises FloatingPointError when an operator
     is not finite, so that an overflowing transport is never certified.
 
+    Each distinct flow operator is built once. Only the coordinates R
+    that some coefficient of conn or dual reads (the OR of the entries'
+    masks) can change a generator, so two rules skip work and leave
+    every operator bitwise the same:
+    1. segments that agree in their start's R-coordinates and in their
+       direction u share one operator, built for the first of them;
+    2. a segment whose u has no component along R has one generator at
+       all its nodes: it is evaluated at its start only, and its s equal
+       step matrices are one step matrix, composed s times.
+    The points skipped differ from evaluated ones only in coordinates
+    that no entry reads. The segments built keep their first-occurrence
+    order, so a DomainError names the same entry and point as a
+    step-by-step evaluation of every segment would.
+
     One evaluator walks the union of the two connections' DAGs, so a
-    conjugate dual costs only its negations. Segments are evaluated
-    POINTS_PER_EVALUATION nodes at a time, and each such chunk's step
-    matrices are built in batches of MATRIX_ENTRIES_PER_BATCH entries."""
+    conjugate dual costs only its negations. Segments are evaluated at
+    most POINTS_PER_EVALUATION points (or one segment) at a time, and
+    each such chunk's step matrices are built in batches of
+    MATRIX_ENTRIES_PER_BATCH entries."""
     starts = np.asarray(starts, dtype=float)
     u = np.asarray(ends, dtype=float) - starts
     m, r1, r2 = conn.domain.m, conn.r, dual.r
-    evaluate = ex.Evaluator(
-        [e for i in range(m) for g in (dual.gamma[i], conn.gamma[i]) for row in g for e in row]
-    )
+    entries = [
+        e for i in range(m) for g in (dual.gamma[i], conn.gamma[i]) for row in g for e in row
+    ]
+    evaluate = ex.Evaluator(entries)
+    used = ex.variables(*entries)
+    read = np.array([i + 1 in used for i in range(m)], dtype=bool)
+    # rule 1: each segment takes the operator of the first segment whose
+    # key (start on R, u) has the same bits; a stable sort of the keys
+    # puts that segment first among them
+    key = [starts[:, i] for i in np.flatnonzero(read)] + [u[:, i] for i in range(m)]
+    key = [column.view(np.int64) for column in key]
+    order = np.lexsort(key)
+    fresh = np.zeros(len(order), dtype=bool)  # first of its key in sorted order
+    fresh[:1] = True
+    for column in key:
+        column = column[order]
+        fresh[1:] |= column[1:] != column[:-1]
+    owner = np.empty_like(order)
+    owner[order] = order[fresh][np.cumsum(fresh) - 1]
+    built = np.flatnonzero(owner == np.arange(len(owner)))
+    # rule 2: a generator that cannot change along u is read at the start
+    moving = np.zeros(len(u), dtype=bool)
+    for i in np.flatnonzero(read):
+        moving |= u[:, i] != 0.0
     nodes = np.arange(2 * steps + 1) * (0.5 / steps)
     d = r1 * r2
     ops = np.empty((len(u), d, d))
-    per_call = max(1, POINTS_PER_EVALUATION // len(nodes))
     per_batch = max(1, MATRIX_ENTRIES_PER_BATCH // (len(nodes) * d * d))
+    # runs of one kind in their order, so that the first point to leave
+    # the real domain is still the first evaluated there
+    runs = np.split(built, np.flatnonzero(np.diff(moving[built])) + 1) if len(built) else []
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        for lo in range(0, len(u), per_call):
-            part = slice(lo, lo + per_call)
-            a, b = _generator_nodes(evaluate, r1, r2, starts[part], u[part], nodes)
-            out = ops[part]
-            for sub in range(0, len(a), per_batch):
-                batch = slice(sub, sub + per_batch)
-                out[batch] = _compose(_step_matrices(a[batch], b[batch], 1.0 / steps))
+        for run in runs:
+            fixed = not moving[run[0]]
+            at = nodes[:1] if fixed else nodes
+            per_call = max(1, POINTS_PER_EVALUATION // len(at))
+            for lo in range(0, len(run), per_call):
+                part = run[lo : lo + per_call]
+                a, b = _generator_nodes(evaluate, r1, r2, starts[part], u[part], at)
+                if fixed:  # three equal nodes make the one step matrix
+                    a, b = a.repeat(3, axis=1), b.repeat(3, axis=1)
+                for sub in range(0, len(part), per_batch):
+                    batch = slice(sub, sub + per_batch)
+                    step = _step_matrices(a[batch], b[batch], 1.0 / steps)
+                    if fixed:
+                        step = np.broadcast_to(step, (len(step), steps, d, d))
+                    ops[part[batch]] = _compose(step)
+    shared = np.flatnonzero(owner != np.arange(len(owner)))
+    ops[shared] = ops[owner[shared]]
     return _finite(ops)
 
 

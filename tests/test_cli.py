@@ -437,6 +437,67 @@ def _domain(**changes):
     return {"domain": dict(BASE_PROBLEM["domain"], **changes)}
 
 
+def _zero_problem(dim, **domain):
+    """The zero rank-1 connection on [-1, 1]^dim."""
+    box = {"lower": [-1.0] * dim, "upper": [1.0] * dim, **domain}
+    return {"dim": dim, "rank": 1, "domain": box, "connection": [[["0"]]] * dim}
+
+
+OVERSIZED_GRIDS = {
+    # (command line after the problem file, problem, diagnostic path, nodes)
+    "file": (("metricity",), _zero_problem(5, gridPerAxis=9), "domain.gridPerAxis", "59,049"),
+    "default": (("validate",), _zero_problem(9), "domain.gridPerAxis", "387,420,489"),
+    "flag": (("index", "--grid", "150"), BASE_PROBLEM, "--grid", "22,500"),
+    "flag-over-file": (
+        ("metricity", "--grid", "4"),
+        _zero_problem(9, gridPerAxis=3),
+        "--grid",
+        "262,144",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(OVERSIZED_GRIDS))
+def test_an_oversized_grid_is_refused_before_evaluation(capsys, tmp_path, monkeypatch, name):
+    """A grid of more than MAX_GRID_NODES nodes exits 2 at the field or
+    flag that sets it, with its node count, and evaluates nothing.
+    Before, the dim-5 file ran for 5 s and the dim-9 one without end."""
+    (command, *flags), problem, path, count = OVERSIZED_GRIDS[name]
+
+    def evaluated(*args):
+        raise AssertionError("evaluated a coefficient")
+
+    monkeypatch.setattr(cli.ex.Evaluator, "__call__", evaluated)
+    code, out, _ = _run(capsys, command, _write(tmp_path, "p.json", problem), "--quiet", *flags)
+    assert code == 2
+    [diag] = json.loads(out)["result"]["diagnostics"]
+    assert (diag["path"], diag["code"]) == (path, "value")
+    assert f" {count} grid nodes" in diag["message"]
+
+
+def test_the_largest_grids_are_allowed(capsys, tmp_path):
+    """3^9 nodes keep dim 9 reachable: --grid 3 overrides the default 9
+    per axis; 141^2 = 19,881 nodes at dim 2 pass too."""
+    assert 3**9 <= cli.MAX_GRID_NODES < 142**2
+    path = _write(tmp_path, "p.json", _zero_problem(9))
+    code, _, _ = _run(capsys, "validate", path, "--quiet", "--grid", "3")
+    assert code == 0
+    assert cli.validate_problem(_zero_problem(2, gridPerAxis=141)) == []
+    assert [d["path"] for d in cli.validate_problem(_zero_problem(2, gridPerAxis=142))] == [
+        "domain.gridPerAxis"
+    ]
+
+
+def test_alpha_scan_refuses_an_oversized_grid(capsys):
+    code, out, _ = _run(
+        capsys, "alpha-scan", "--family", "gaussian1d", "--alphas=0", "--grid", "200"
+    )
+    assert code == 2
+    [diag] = json.loads(out)["result"]["diagnostics"]
+    assert (diag["path"], diag["code"]) == ("--grid", "value")
+    assert " 40,000 grid nodes" in diag["message"]
+
+
 NOT_NUMBERS = {
     "rank": ({"rank": True}, ("rank", "value")),
     "dim": ({"dim": True}, ("dim", "value")),

@@ -1,5 +1,5 @@
-"""Relations that hold by construction: planted parallel metrics and
-chart scaling.
+"""Relations that hold by construction: planted parallel metrics, chart
+scaling and the exchange of two coordinates.
 
 Gamma_i = A_i eta^{-1}, with each A_i an antisymmetric matrix of seeded
 random polynomials, preserves the constant form eta
@@ -12,7 +12,11 @@ A connection's local forms transform under the chart change x = s y + b
 as Gamma'_j(y) = s Gamma_j(s y + b) on the box mapped with it
 (Kobayashi & Nomizu I, ch. II). The bundle and its parallel sections
 are the same, so the verdict, the dimensions and `certified` cannot
-depend on s: the prolongation's cutoffs must be unit-free.
+depend on s: the prolongation's cutoffs must be unit-free. Exchanging
+x1 and x2 is such a chart change too, with Gamma'_1 = Gamma_2 and
+Gamma'_2 = Gamma_1 read at the swapped point; when the coefficients
+read only one of the two, the coordinate transport never reads moves
+from grid axis 0 to axis 1.
 """
 import json
 import re
@@ -22,9 +26,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from metron import expr as ex
 from metron.bundle import ChartDomain, Connection, apply_gauge, pushforward_metric
 from metron.homsolver import SolveOptions
 from metron.metricity import decide_metricity
+from metron.statmodels import alpha_connection, get_family
 from support import (
     constant_metric,
     planted_metric_connection,
@@ -113,3 +119,41 @@ def test_chart_scaling_keeps_the_answer(name):
     want = _answer(decide_metricity(_rescaled(problem, 1.0), OPTIONS))
     got = {s: _answer(decide_metricity(_rescaled(problem, s), OPTIONS)) for s in SCALES}
     assert got == dict.fromkeys(SCALES, want)
+
+
+def _swap_inputs() -> dict:
+    """(connection, options) of the gaussian1d alpha connections, which
+    read only x2, at grid 4 and 128 steps, and of the half plane."""
+    scan = SolveOptions(grid_per_axis=4, steps_per_segment=128)
+    inputs = {
+        f"gaussian1d{alpha:+g}": (alpha_connection(get_family("gaussian1d"), alpha), scan)
+        for alpha in (-1.0, 0.0, 0.5)
+    }
+    half_plane = SCALING_INPUTS["hyperbolic"]
+    inputs["hyperbolic"] = (_rescaled(half_plane, 1.0), OPTIONS)
+    return inputs
+
+
+SWAP_INPUTS = _swap_inputs()
+
+
+def _swapped(conn: Connection) -> Connection:
+    """conn in the chart (x2, x1): x1 and x2 exchanged in every entry,
+    Gamma_1 with Gamma_2, and the box's two axes."""
+
+    def swap(e):
+        return re.sub(r"x([12])", lambda m: f"x{3 - int(m[1])}", ex.to_string(e))
+
+    gamma = [[[swap(e) for e in row] for row in conn.gamma[i]] for i in (1, 0)]
+    box = conn.domain
+    return Connection(ChartDomain(box.lower[::-1], box.upper[::-1]), conn.r, gamma)
+
+
+@pytest.mark.parametrize("name", list(SWAP_INPUTS))
+def test_exchanging_the_coordinates_keeps_the_answer(name):
+    conn, options = SWAP_INPUTS[name]
+    swapped = _swapped(conn)
+    read = ex.variables(*(e for g in conn.gamma for row in g for e in row))
+    assert read == {2}  # so the swapped entries read x1 alone
+    assert ex.variables(*(e for g in swapped.gamma for row in g for e in row)) == {1}
+    assert _answer(decide_metricity(swapped, options)) == _answer(decide_metricity(conn, options))

@@ -1,10 +1,14 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from metron.bundle import identity_metric, dual_connection, zero_connection
 from metron.transport import Grid, GridTransporter
 from metron import expr as ex
-from metron.bundle import ChartDomain, Connection
+from metron import statmodels, transport
+from metron.bundle import ChartDomain, Connection, MetricField, conjugate_connection
 from oracles import constant_hom_transport, rk4_flow_operator
 from support import (
     NILPOTENT_MATRIX,
@@ -269,3 +273,105 @@ def test_grid_edge_operators_match_pointwise_rk4_oracle(case):
         want = rk4_flow_operator(kind, conn, dual, grid.nodes[u], grid.nodes[v], steps)
         worst = max(worst, float(np.abs(op - want).max()))
     assert worst <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# each distinct operator built once
+# ---------------------------------------------------------------------------
+
+PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
+
+
+def _stepwise_operators(conn, dual, starts, ends, steps):
+    """Every segment integrated step by step: the generators at all its
+    2s+1 nodes, their RK4 step matrices, composed."""
+    starts = np.asarray(starts, dtype=float)
+    u = np.asarray(ends, dtype=float) - starts
+    m = conn.domain.m
+    evaluate = ex.Evaluator(
+        [e for i in range(m) for g in (dual.gamma[i], conn.gamma[i]) for row in g for e in row]
+    )
+    nodes = np.arange(2 * steps + 1) * (0.5 / steps)
+    a, b = transport._generator_nodes(evaluate, conn.r, dual.r, starts, u, nodes)
+    return transport._compose(transport._step_matrices(a, b, 1.0 / steps))
+
+
+def _exactness_cases():
+    gaussian = statmodels.get_family("gaussian1d")
+    hyp, _ = half_plane_levi_civita()
+    x1 = ex.var(1)
+    reads_x1 = MetricField(
+        hyp.domain, 2, ((ex.add(ex.const(2.0), ex.mul(x1, x1)), ex.ZERO), (ex.ZERO, ex.ONE))
+    )
+    problem = json.loads((PROBLEMS / "flat2x2.json").read_text(encoding="utf-8"))
+    box = ChartDomain(problem["domain"]["lower"], problem["domain"]["upper"])
+    flat = Connection(box, problem["rank"], problem["connection"])
+    rng = np.random.default_rng(5)
+    rand = random_polynomial_connection(rng, square_domain(4), 3, scale=0.5)
+    cases = {}
+    for alpha in (-1.0, 0.5):
+        conn = statmodels.alpha_connection(gaussian, alpha)
+        cases[f"gaussian{alpha:+}"] = (conn, conjugate_connection(conn))
+    cases["hyperbolic-hom"] = (hyp, dual_connection(identity_metric(hyp.domain, 2), hyp))
+    cases["hyperbolic-form"] = (hyp, conjugate_connection(hyp))
+    cases["hyperbolic-vector"] = (zero_connection(hyp.domain, 1), hyp)
+    cases["flat2x2"] = (flat, conjugate_connection(flat))
+    cases["hyperbolic-dual-reads-x1"] = (hyp, dual_connection(reads_x1, hyp))
+    rand_metric = random_constant_metric(rng, rand.domain, 3)
+    cases["random-rank3"] = (rand, dual_connection(rand_metric, rand))
+    return cases
+
+
+EXACTNESS_CASES = _exactness_cases()
+# polylines through the box, as fractions of it: diagonal legs, and a
+# loop whose legs return along their own lines
+POLYLINES = (
+    ((0.25, 0.25), (0.75, 0.375), (0.875, 0.875), (0.1, 0.6)),
+    ((0.2, 0.2), (0.7, 0.2), (0.7, 0.7), (0.2, 0.7), (0.2, 0.2), (0.7, 0.7)),
+)
+
+
+@pytest.mark.parametrize("steps", [8, 9, 32, 33, 128])
+@pytest.mark.parametrize("name", list(EXACTNESS_CASES))
+def test_operators_equal_step_by_step_integration(name, steps):
+    """Sharing operators between segments and composing a constant
+    generator's one step matrix change no bit: every grid edge in both
+    directions, and polylines with diagonal legs."""
+    conn, dual = EXACTNESS_CASES[name]
+    grid = Grid(conn.domain, (4, 4))
+    edges = np.array(grid.edges)
+    both = np.concatenate((edges, edges[:, ::-1]))  # one batch, so that u and -u meet
+    lower, upper = np.asarray(conn.domain.lower), np.asarray(conn.domain.upper)
+    segments = [(grid.nodes[both[:, 0]], grid.nodes[both[:, 1]])]
+    for fractions in POLYLINES:
+        verts = lower + np.asarray(fractions) * (upper - lower)
+        segments.append((verts[:-1], verts[1:]))
+    for starts, ends in segments:
+        got = transport.flow_operators(conn, dual, starts, ends, steps)
+        assert np.array_equal(got, _stepwise_operators(conn, dual, starts, ends, steps))
+    path = lower + np.asarray(POLYLINES[0]) * (upper - lower)
+    want = np.eye(conn.r * dual.r)
+    for op in _stepwise_operators(conn, dual, path[:-1], path[1:], steps):
+        want = op @ want
+    assert np.array_equal(path_operator(conn, dual, path, steps), want)
+
+
+def test_each_distinct_operator_is_built_once(monkeypatch):
+    """gaussian1d reads only x2. On a 4 x 4 grid the x1-edges take one
+    step matrix per distinct (x2, direction), 12 in all; the x2-edges
+    are integrated step by step, 3 distinct ones of the 12."""
+    built = []
+
+    def counted(a, b, h, real=transport._step_matrices):
+        out = real(a, b, h)
+        built.append(out.shape[0] * out.shape[1])
+        return out
+
+    monkeypatch.setattr(transport, "_step_matrices", counted)
+    family = statmodels.get_family("gaussian1d")
+    conn = statmodels.alpha_connection(family, 0.0)
+    grid = Grid(family.domain, (4, 4))
+    base = grid.nearest_node(family.domain.center())
+    transporter = GridTransporter(conn, conjugate_connection(conn), grid, base, 128)
+    assert len(transporter.operators) == 24
+    assert sum(built) == 3 * 128 + 12
