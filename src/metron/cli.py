@@ -24,7 +24,6 @@ import math
 import re
 import sys
 import time
-from dataclasses import replace
 from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
 
@@ -310,7 +309,7 @@ def _solve_options(args, defaults: SolveOptions, tolerances: dict) -> SolveOptio
         "kernel_cutoff": tolerances.get("kernel"),
         "transport_tol": tolerances.get("transport"),
     }
-    options = replace(defaults, **{k: float(v) for k, v in given.items() if v is not None})
+    options = defaults.replace(**{k: float(v) for k, v in given.items() if v is not None})
     flags = {
         "grid_per_axis": args.grid,
         "max_order": args.max_order,
@@ -318,7 +317,7 @@ def _solve_options(args, defaults: SolveOptions, tolerances: dict) -> SolveOptio
         "transport_tol": args.tol_transport,
         "seed": args.seed,
     }
-    return replace(options, **{k: v for k, v in flags.items() if v is not None})
+    return options.replace(**{k: v for k, v in flags.items() if v is not None})
 
 
 def _metric_field(domain: ChartDomain, r: int, array, path: str) -> MetricField:

@@ -61,7 +61,6 @@ substituting them into the equation with finite-difference derivatives.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -94,28 +93,61 @@ TRUNCATION_SHRINK = 2.0  # per step doubling: RK4 truncation shrinks 16x, holono
 GENERATOR_DROP_REL = 1e-9
 
 
-# the one dataclass in metron: cli derives options with dataclasses.replace,
-# and a frozen field raises FrozenInstanceError
-@dataclass(frozen=True)
 class SolveOptions:
     """Knobs shared by the solvers, and the one carrier of the kernel and
-    transport tolerances; defaults match the shipped tolerances."""
+    transport tolerances; defaults match the shipped tolerances.
 
-    grid_per_axis: int | None = None
-    steps_per_segment: int = DEFAULT_STEPS_PER_SEGMENT
-    max_order: int = 3
-    kernel_cutoff: float = 1e-8
-    transport_tol: float = 1e-7
-    seed: int = 0
+    Frozen, compared and hashed by value: assigning or deleting a field
+    raises AttributeError, and a variant comes from replace(), which
+    checks it as construction does."""
 
-    def __post_init__(self):
-        if self.steps_per_segment < MIN_STEPS_PER_SEGMENT:
+    def __init__(
+        self,
+        grid_per_axis: int | None = None,
+        steps_per_segment: int = DEFAULT_STEPS_PER_SEGMENT,
+        max_order: int = 3,
+        kernel_cutoff: float = 1e-8,
+        transport_tol: float = 1e-7,
+        seed: int = 0,
+    ):
+        if steps_per_segment < MIN_STEPS_PER_SEGMENT:
             raise ValueError(f"steps_per_segment must be >= {MIN_STEPS_PER_SEGMENT}")
-        if self.max_order < 0:
+        if max_order < 0:
             raise ValueError("max_order must be >= 0")
-        for name in ("kernel_cutoff", "transport_tol"):
-            if not 0.0 < getattr(self, name) < float("inf"):  # NaN fails both
+        for name, value in (("kernel_cutoff", kernel_cutoff), ("transport_tol", transport_tol)):
+            if not 0.0 < value < float("inf"):  # NaN fails both
                 raise ValueError(f"{name} must be positive and finite")
+        # the fields, in order: written past __setattr__, read by every method below
+        self.__dict__.update(
+            grid_per_axis=grid_per_axis,
+            steps_per_segment=steps_per_segment,
+            max_order=max_order,
+            kernel_cutoff=kernel_cutoff,
+            transport_tol=transport_tol,
+            seed=seed,
+        )
+
+    def replace(self, **changes) -> SolveOptions:
+        """These options with the named fields changed, checked anew."""
+        return SolveOptions(**{**self.__dict__, **changes})
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of frozen SolveOptions")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of frozen SolveOptions")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__dict__ == other.__dict__
+
+    def __hash__(self):
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
+        return f"SolveOptions({fields})"
 
     def grid_counts(self, domain: ChartDomain) -> tuple[int, ...]:
         if self.grid_per_axis is None:

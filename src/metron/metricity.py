@@ -14,8 +14,9 @@ Two integer gradings accompany the verdict:
   read off one seeded, deterministic stack of elements of the solution
   space (`_rank_candidates`), which also finds the witness;
 * the overall index: the same minimum over a declared finite family of
-  regular metrics (the identity, the user's metrics, and eight random
-  constant regular metrics).
+  regular metrics: the identity, the user's metrics, and eight random
+  constant regular metrics, which are counted in the family's size but
+  never built, the identity standing for them.
 
 Both vanish exactly in the regularly metric case, and both are gauge
 invariants; the test suite asserts these equivalences on its named and

@@ -12,12 +12,13 @@ mixture structures through
 
     Gamma(alpha)^k_ij = Gamma(0)^k_ij - (alpha / 2) g^{kl} T_ijl,
 
-with Gamma(0) the Levi-Civita connection of g. The closed forms (Amari
-& Nagaoka, Methods of Information Geometry, 2000) live in one table of
-expression strings in chart coordinates: gaussian1d (mu, sigma) =
-(x1, x2); bernoulli p = x1; poisson and exponential lambda = x1. The
-test suite certifies them against direct quadrature of the defining
-expectations, never trusting them as typed.
+with Gamma(0) the Levi-Civita connection of g. A family builds Gamma(0)
+and the contraction g^{-1} T once; each alpha only combines them. The
+closed forms (Amari & Nagaoka, Methods of Information Geometry, 2000)
+live in one table of expression strings in chart coordinates:
+gaussian1d (mu, sigma) = (x1, x2); bernoulli p = x1; poisson and
+exponential lambda = x1. The test suite certifies them against direct
+quadrature of the defining expectations, never trusting them as typed.
 
 The duality g(dual of alpha) = (-alpha) and the flatness of the
 exponential/mixture ends in these families are checked numerically.
@@ -25,6 +26,8 @@ exponential/mixture ends in these families are checked numerically.
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
+
 from . import expr as ex
 from . import symmatrix as sm
 from .bundle import ChartDomain, Connection, MetricField, levi_civita
@@ -72,7 +75,11 @@ _CLOSED_FORMS = {
 
 
 class StatisticalFamily:
-    """Name plus the parameter box kept away from boundary singularities."""
+    """Name plus the parameter box kept away from boundary singularities.
+
+    Every member of the alpha-family shares g, its Levi-Civita
+    connection Gamma(0) and T; `alpha_forms` builds them once per family
+    object."""
 
     def __init__(self, name: str, domain: ChartDomain):
         self.name = name
@@ -81,6 +88,22 @@ class StatisticalFamily:
     @property
     def m(self) -> int:
         return self.domain.m
+
+    @cached_property
+    def alpha_forms(self) -> tuple[tuple, tuple]:
+        """(Gamma(0)^k_ij, (g^{-1} T)^k_ij = sum_l g^{kl} T_ijl) as interned
+        expression tuples, built on first use. Building them checks that
+        the Fisher metric is symmetric and regular on the box; no
+        evaluator outlives the call."""
+        metric = fisher_metric(self)
+        base = levi_civita(metric).gamma
+        ginv = sm.inverse_mat(metric.entries)
+        # plane i of the contraction is (g^{-1} T_i^T)^T, T_i = T[i]
+        contracted = tuple(
+            sm.mat_transpose(sm.mat_mul(ginv, sm.mat_transpose(plane)))
+            for plane in skewness_tensor(self)
+        )
+        return base, contracted
 
 
 FAMILIES = {
@@ -115,28 +138,18 @@ def skewness_tensor(family: StatisticalFamily):
 
 def alpha_connection(family: StatisticalFamily, alpha: float) -> Connection:
     """Gamma(alpha)^k_ij = Gamma(0)^k_ij - (alpha/2) g^{kl} T_ijl on the
-    parameter chart (fibre = tangent bundle, rank = dimension)."""
-    metric = fisher_metric(family)
-    base = levi_civita(metric)
-    if alpha == 0.0:
-        return base
-    m = family.m
-    ginv = sm.inverse_mat(metric.entries)
-    t = skewness_tensor(family)
-    half_alpha = ex.const(-alpha / 2.0)
-    gamma = []
-    for i in range(m):
-        rows = []
-        for j in range(m):
-            row = []
-            for k in range(m):
-                corr = ex.ZERO
-                for l in range(m):
-                    corr = ex.add(corr, ex.mul(ginv[k][l], t[i][j][l]))
-                row.append(ex.add(base.gamma[i][j][k], ex.mul(half_alpha, corr)))
-            rows.append(tuple(row))
-        gamma.append(tuple(rows))
-    return Connection(family.domain, m, tuple(gamma))
+    parameter chart (fibre = tangent bundle, rank = dimension), combined
+    from the family's shared `alpha_forms`."""
+    base, contracted = family.alpha_forms
+    half_alpha = ex.const(-alpha / 2.0)  # at alpha 0 every sum folds to Gamma(0)'s node
+    gamma = tuple(
+        tuple(
+            tuple(ex.add(b, ex.mul(half_alpha, c)) for b, c in zip(brow, crow))
+            for brow, crow in zip(bplane, cplane)
+        )
+        for bplane, cplane in zip(base, contracted)
+    )
+    return Connection(family.domain, family.m, gamma)
 
 
 class AlphaScanReport:
@@ -170,13 +183,21 @@ def alpha_scan(
     example a positive alpha that is itself not metric) leaves the
     implication unfalsified. Without options the scan runs with
     ALPHA_SCAN_OPTIONS: grid 7 per axis, 128 RK4 steps per segment.
+
+    An analysis that fails (ArithmeticError, ValueError, DomainError)
+    propagates with its message prefixed by its alpha, "alpha 10000: ...".
     """
     alphas = tuple(sorted(float(a) for a in alphas))
     options = options or ALPHA_SCAN_OPTIONS
     certificates = []
     for a in alphas:
-        conn = alpha_connection(family, a)
-        certificates.append(decide_metricity(conn, options=options))
+        try:
+            certificates.append(decide_metricity(alpha_connection(family, a), options=options))
+        except (ArithmeticError, ValueError, ex.DomainError) as err:
+            # the same exception, so that callers still sort it by type,
+            # whose message now names the alpha that failed
+            err.args = (f"alpha {a:g}: {str(err) or type(err).__name__}",)
+            raise
     positive = [c for a, c in zip(alphas, certificates) if a > 0.0]
     all_positive_regular = bool(positive) and all(c.is_regular for c in positive)
     some_not_regular = any(not c.is_regular for c in certificates)

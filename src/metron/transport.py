@@ -33,10 +33,12 @@ Each distinct operator is built once. A generator changes only along
 the coordinates that some coefficient reads, so segments that agree
 there, in their start and in their direction, share one operator; and
 a segment whose direction has no component along those coordinates
-has a constant generator, whose s step matrices are all one matrix.
+has a constant generator, whose s step matrices are all one matrix,
+so that each level of their pairwise products is one product too.
 Both rules skip only points that differ from evaluated ones in
-coordinates no coefficient reads, so every operator is bitwise the
-one that step-by-step integration of its own segment gives.
+coordinates no coefficient reads, and products of equal factors, so
+every operator is bitwise the one that step-by-step integration of its
+own segment gives.
 
 A section is parallel exactly when it is constant under this
 transport, so disagreement between alternative grid routes measures
@@ -135,6 +137,19 @@ def _compose(steps: np.ndarray) -> np.ndarray:
     return steps[:, 0]
 
 
+def _compose_equal(step: np.ndarray, s: int) -> np.ndarray:
+    """_compose of s copies of each step matrix in (n, d, d), bit for bit,
+    with one product per level and distinct factor: every level of
+    _compose holds equal pair products and, last, at most one other
+    factor."""
+    last = None  # the factor after the equal ones
+    while s + (last is not None) > 1:
+        if s % 2:  # the last equal factor pairs with `last`, or is carried
+            last = step if last is None else last @ step
+        step, s = step @ step, s // 2
+    return step if last is None else last
+
+
 def flow_operators(conn: Connection, dual: Connection, starts, ends, steps: int) -> np.ndarray:
     """Flow operators on the flattened fibre between conn and dual along
     every segment starts[e] -> ends[e]: (E, d, d), each the product of
@@ -149,7 +164,8 @@ def flow_operators(conn: Connection, dual: Connection, starts, ends, steps: int)
        direction u share one operator, built for the first of them;
     2. a segment whose u has no component along R has one generator at
        all its nodes: it is evaluated at its start only, and its s equal
-       step matrices are one step matrix, composed s times.
+       step matrices are one step matrix, composed in _compose's own
+       association with one product per level (`_compose_equal`).
     The points skipped differ from evaluated ones only in coordinates
     that no entry reads. The segments built keep their first-occurrence
     order, so a DomainError names the same entry and point as a
@@ -158,8 +174,9 @@ def flow_operators(conn: Connection, dual: Connection, starts, ends, steps: int)
     One evaluator walks the union of the two connections' DAGs, so a
     conjugate dual costs only its negations. Segments are evaluated at
     most POINTS_PER_EVALUATION points (or one segment) at a time, and
-    each such chunk's step matrices are built in batches of
-    MATRIX_ENTRIES_PER_BATCH entries."""
+    each such chunk's step matrices are built and composed in batches
+    that hold at most MATRIX_ENTRIES_PER_BATCH entries (or one segment)
+    at once."""
     starts = np.asarray(starts, dtype=float)
     u = np.asarray(ends, dtype=float) - starts
     m, r1, r2 = conn.domain.m, conn.r, dual.r
@@ -190,7 +207,6 @@ def flow_operators(conn: Connection, dual: Connection, starts, ends, steps: int)
     nodes = np.arange(2 * steps + 1) * (0.5 / steps)
     d = r1 * r2
     ops = np.empty((len(u), d, d))
-    per_batch = max(1, MATRIX_ENTRIES_PER_BATCH // (len(nodes) * d * d))
     # runs of one kind in their order, so that the first point to leave
     # the real domain is still the first evaluated there
     runs = np.split(built, np.flatnonzero(np.diff(moving[built])) + 1) if len(built) else []
@@ -199,6 +215,10 @@ def flow_operators(conn: Connection, dual: Connection, starts, ends, steps: int)
             fixed = not moving[run[0]]
             at = nodes[:1] if fixed else nodes
             per_call = max(1, POINTS_PER_EVALUATION // len(at))
+            # the d x d matrices a segment holds at once: its generators
+            # at the 2s+1 nodes, or at the three equal nodes of a fixed one
+            held = 3 if fixed else len(nodes)
+            per_batch = max(1, MATRIX_ENTRIES_PER_BATCH // (held * d * d))
             for lo in range(0, len(run), per_call):
                 part = run[lo : lo + per_call]
                 a, b = _generator_nodes(evaluate, r1, r2, starts[part], u[part], at)
@@ -207,9 +227,7 @@ def flow_operators(conn: Connection, dual: Connection, starts, ends, steps: int)
                 for sub in range(0, len(part), per_batch):
                     batch = slice(sub, sub + per_batch)
                     step = _step_matrices(a[batch], b[batch], 1.0 / steps)
-                    if fixed:
-                        step = np.broadcast_to(step, (len(step), steps, d, d))
-                    ops[part[batch]] = _compose(step)
+                    ops[part[batch]] = _compose_equal(step[:, 0], steps) if fixed else _compose(step)
     shared = np.flatnonzero(owner != np.arange(len(owner)))
     ops[shared] = ops[owner[shared]]
     return _finite(ops)

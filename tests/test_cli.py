@@ -610,6 +610,7 @@ def test_linear_algebra_failure_is_internal_not_rejected_input(capsys, monkeypat
     "family, alphas, code, diagnostic",
     [
         ("bernoulli", "1e4", 3, "internal"),
+        ("bernoulli", "-1,0,1e4", 3, "internal"),
         ("bernoulli", "1e300", 3, "internal"),
         ("poisson", "1e300", 3, "internal"),
         ("exponential", "1e300", 3, "internal"),
@@ -622,14 +623,18 @@ def test_overflowing_transport_is_never_certified(capsys, family, alphas, code, 
     structure on a 1-d chart is RegularlyMetric, q = exp(2 int Gamma)),
     poisson and exponential an SVD that did not converge. The gaussian
     coefficients overflow before any transport, so that input is
-    rejected as a domain failure."""
-    argv = ("alpha-scan", "--family", family, "--alphas", alphas, "--quiet")
+    rejected as a domain failure. Either message names the alpha that
+    failed, the largest, also among alphas that pass."""
+    failed = f"{max(float(a) for a in alphas.split(',')):g}"
+    argv = ("alpha-scan", "--family", family, f"--alphas={alphas}", "--quiet")
     exit_code, out, _ = _run(capsys, *argv)
     assert exit_code == code
     diags = json.loads(out)["result"]["diagnostics"]
     assert [(d["path"], d["code"]) for d in diags] == [("$", diagnostic)]
     if code == 3:
-        assert diags[0]["message"] == "transport left the floating-point range"
+        assert diags[0]["message"] == f"alpha {failed}: transport left the floating-point range"
+    else:
+        assert diags[0]["message"].startswith(f"alpha {failed}: prolongation order 0 overflows")
 
 
 def test_tree_transport_overflow_is_named(capsys, recwarn):
@@ -642,7 +647,7 @@ def test_tree_transport_overflow_is_named(capsys, recwarn):
     assert exit_code == 3
     diags = json.loads(out)["result"]["diagnostics"]
     assert [(d["path"], d["code"], d["message"]) for d in diags] == [
-        ("$", "internal", "transport left the floating-point range")
+        ("$", "internal", "alpha 1000: transport left the floating-point range")
     ]
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
     assert "Warning" not in err
@@ -773,9 +778,9 @@ def test_every_export_resolves():
     assert (stale, unexported) == ([], [])
 
 
-def test_solve_options_is_the_only_dataclass():
+def test_metron_defines_no_dataclass():
     """The classes metron defines are plain classes, so importing it
-    generates no methods; SolveOptions keeps dataclasses.replace."""
+    generates no methods; SolveOptions derives variants with replace()."""
     import dataclasses
     import importlib
     import pkgutil
@@ -794,7 +799,16 @@ def test_solve_options_is_the_only_dataclass():
         and value.__module__ == module.__name__
         and dataclasses.is_dataclass(value)
     ]
-    assert found == ["metron.homsolver.SolveOptions"]
+    assert found == []
+
+
+def test_importing_the_cli_loads_no_dataclasses():
+    """A fresh interpreter that imports metron.cli, and so every module
+    of metron, never loads dataclasses (neither numpy nor the standard
+    modules metron reads import it)."""
+    probe = "import sys, metron.cli; print(sorted(set(sys.modules) & {'dataclasses'}))"
+    done = _python("-c", probe)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
 def test_metron_imports_only_the_stdlib_and_numpy():

@@ -6,7 +6,6 @@ tests/contract.json holds one record per run of
 with `--contract` only for a change that means to move a record, and
 say in CHANGES.md which records moved and why.
 """
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -45,7 +44,7 @@ def test_contract_catches_a_moved_verdict(monkeypatch):
     monkeypatch.setattr(
         cli,
         "_solve_options",
-        lambda *args: dataclasses.replace(solve_options(*args), transport_tol=1e-30),
+        lambda *args: solve_options(*args).replace(transport_tol=1e-30),
     )
     command = "metricity problems/hyperbolic.json"
     record = report_digests.contract_record(command, *report_digests.run(command.split()))

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 from pathlib import Path
 from types import SimpleNamespace
@@ -222,9 +221,57 @@ def test_generic_connection_builds_no_prolongation_order(monkeypatch):
 
 def test_solve_options_are_frozen():
     options = SolveOptions(grid_per_axis=5, steps_per_segment=16)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         options.transport_tol = 1.0
+    with pytest.raises(AttributeError):
+        del options.transport_tol
+    with pytest.raises(AttributeError):
+        options.unknown = 1
     assert options.transport_tol == 1e-7
+    assert options == SolveOptions(5, 16)
+
+
+def test_solve_options_compare_hash_and_print_by_value():
+    """What the frozen dataclass gave: keyword and positional
+    construction, value equality and hash, a repr naming every field."""
+    options = SolveOptions(5, 16, 2, 1e-9, 1e-6, 7)
+    same = SolveOptions(
+        grid_per_axis=5,
+        steps_per_segment=16,
+        max_order=2,
+        kernel_cutoff=1e-9,
+        transport_tol=1e-6,
+        seed=7,
+    )
+    assert options == same and hash(options) == hash(same)
+    assert options != SolveOptions(5, 16, 2, 1e-9, 1e-6, 8)
+    assert options != (5, 16, 2, 1e-9, 1e-6, 7)
+    assert len({options, same, SolveOptions()}) == 2
+    assert repr(SolveOptions()) == (
+        "SolveOptions(grid_per_axis=None, steps_per_segment=32, max_order=3,"
+        " kernel_cutoff=1e-08, transport_tol=1e-07, seed=0)"
+    )
+
+
+def test_solve_options_replace_changes_only_the_named_fields():
+    options = SolveOptions(grid_per_axis=5, steps_per_segment=16, seed=3)
+    variant = options.replace(transport_tol=1e-9, max_order=1)
+    assert variant == SolveOptions(5, 16, 1, 1e-8, 1e-9, 3)
+    assert options == SolveOptions(grid_per_axis=5, steps_per_segment=16, seed=3)
+    assert options.replace() == options
+
+
+@pytest.mark.parametrize(
+    "changes", [{"steps_per_segment": 1}, {"transport_tol": float("nan")}, {"max_order": -1}]
+)
+def test_solve_options_replace_checks_as_construction_does(changes):
+    (name,) = changes
+    with pytest.raises(ValueError, match=name):
+        SolveOptions(**changes)
+    with pytest.raises(ValueError, match=name):
+        SolveOptions(grid_per_axis=5).replace(**changes)
+    with pytest.raises(TypeError):
+        SolveOptions().replace(grid=5)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,15 @@ x1 and x2 is such a chart change too, with Gamma'_1 = Gamma_2 and
 Gamma'_2 = Gamma_1 read at the swapped point; when the coefficients
 read only one of the two, the coordinate transport never reads moves
 from grid axis 0 to axis 1.
+
+For a regular metric g, the g-dual connection, defined by
+g(dual_X s, s') = X g(s, s') - g(s, nabla_X s'), is metric exactly when
+the connection is: the duality that the paper's Amari functors build
+on. With G constant, Gamma*_i = -G Gamma_i^T G^{-1} is the connection
+induced on the dual bundle, carried back through G. Its parallel
+symmetric forms are those of the dual bundle, as many as the
+connection's own for the holonomy groups tested here: orthogonal for
+the planted metrics, generic otherwise.
 """
 import json
 import re
@@ -27,13 +36,21 @@ import numpy as np
 import pytest
 
 from metron import expr as ex
-from metron.bundle import ChartDomain, Connection, apply_gauge, pushforward_metric
+from metron.bundle import (
+    ChartDomain,
+    Connection,
+    apply_gauge,
+    dual_connection,
+    pushforward_metric,
+)
 from metron.homsolver import SolveOptions
 from metron.metricity import decide_metricity
 from metron.statmodels import alpha_connection, get_family
 from support import (
     constant_metric,
     planted_metric_connection,
+    random_constant_metric,
+    random_polynomial_connection,
     square_domain,
     unit_triangular_gauge,
 )
@@ -157,3 +174,29 @@ def test_exchanging_the_coordinates_keeps_the_answer(name):
     assert read == {2}  # so the swapped entries read x1 alone
     assert ex.variables(*(e for g in swapped.gamma for row in g for e in row)) == {1}
     assert _answer(decide_metricity(swapped, options)) == _answer(decide_metricity(conn, options))
+
+
+def _duality_inputs() -> dict:
+    """Seeded planted-metric and generic connections on the 5-node box,
+    each with a seeded constant regular metric."""
+    dom = square_domain(5)
+    inputs = {}
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        inputs[f"planted-{seed}"] = planted_metric_connection(rng, dom, PLANTED[seed])
+        inputs[f"generic-{seed}"] = random_polynomial_connection(rng, dom, 2, scale=0.4)
+    return inputs
+
+
+DUALITY_INPUTS = _duality_inputs()
+
+
+@pytest.mark.parametrize("name", list(DUALITY_INPUTS))
+def test_the_metric_dual_keeps_the_answer(name):
+    conn = DUALITY_INPUTS[name]
+    rng = np.random.default_rng(100 + list(DUALITY_INPUTS).index(name))
+    g = random_constant_metric(rng, conn.domain, conn.r, indefinite=name.endswith("1"))
+    dual = dual_connection(g, conn)
+    want = decide_metricity(conn, OPTIONS)
+    got = decide_metricity(dual, OPTIONS)
+    assert (got.verdict, got.dim_s2, got.certified) == (want.verdict, want.dim_s2, want.certified)

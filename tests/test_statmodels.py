@@ -4,15 +4,18 @@ import numpy as np
 import pytest
 
 from metron import expr as ex
+from metron import statmodels
 from metron import symmatrix as sm
 from metron.bundle import (
     conjugate_connection,
     curvature,
     dual_connection,
+    levi_civita,
 )
 from metron.homsolver import Prolongation, SolveOptions, solve_parallel_forms
 from metron.statmodels import (
     FAMILIES,
+    StatisticalFamily,
     alpha_connection,
     alpha_scan,
     fisher_metric,
@@ -163,6 +166,47 @@ def test_alpha_zero_self_dual():
     fisher = fisher_metric(family)
     conn = alpha_connection(family, 0.0)
     assert _max_coeff_diff(dual_connection(fisher, conn), conn) <= 1e-9
+
+
+@pytest.mark.parametrize("name", list(FAMILIES))
+def test_alpha_connection_combines_the_shared_forms(name):
+    """Gamma(alpha) = Gamma(0) - (alpha/2) g^{-1} T written out here from
+    the family's metric, its Levi-Civita connection and T: the shared
+    forms give the same interned nodes at every alpha, and hold nothing
+    but expression nodes."""
+    family = get_family(name)
+    metric = fisher_metric(family)
+    base = levi_civita(metric).gamma
+    ginv = sm.inverse_mat(metric.entries)
+    t = skewness_tensor(family)
+    m = family.m
+    for alpha in (-1.0, -0.5, 0.0, 0.5, 1.0, 30.0):
+        got = alpha_connection(family, alpha).gamma
+        for i, j, k in itertools.product(range(m), repeat=3):
+            corr = ex.ZERO
+            for l in range(m):
+                corr = ex.add(corr, ex.mul(ginv[k][l], t[i][j][l]))
+            want = ex.add(base[i][j][k], ex.mul(ex.const(-alpha / 2.0), corr))
+            assert got[i][j][k] is want, (name, alpha, i, j, k)
+    assert alpha_connection(family, 0.0).gamma == base
+    leaves = np.array(family.alpha_forms, dtype=object).ravel()
+    assert all(isinstance(e, ex.ScalarExpression) for e in leaves)
+
+
+def test_a_scan_builds_the_shared_forms_once(monkeypatch):
+    """Five alphas of one family object build its metric and Levi-Civita
+    connection once; a second scan builds nothing."""
+    calls = []
+    for real in (fisher_metric, levi_civita):
+        monkeypatch.setattr(
+            statmodels, real.__name__, lambda *a, real=real: calls.append(real.__name__) or real(*a)
+        )
+    shared = get_family("bernoulli")
+    family = StatisticalFamily(shared.name, shared.domain)  # a fresh object, no forms yet
+    alpha_scan(family, [-1.0, -0.5, 0.0, 0.5, 1.0], options=SCAN_OPTS)
+    assert calls == ["fisher_metric", "levi_civita"]
+    alpha_scan(family, [2.0], options=SCAN_OPTS)
+    assert calls == ["fisher_metric", "levi_civita"]
 
 
 # ---------------------------------------------------------------------------

@@ -333,10 +333,12 @@ POLYLINES = (
 
 @pytest.mark.parametrize("steps", [8, 9, 32, 33, 128])
 @pytest.mark.parametrize("name", list(EXACTNESS_CASES))
-def test_operators_equal_step_by_step_integration(name, steps):
+def test_operators_equal_step_by_step_integration(name, steps, monkeypatch):
     """Sharing operators between segments and composing a constant
     generator's one step matrix change no bit: every grid edge in both
-    directions, and polylines with diagonal legs."""
+    directions, and polylines with diagonal legs; nor does the batch
+    size, down to one segment per batch (gaussian's x1-edges are
+    constant runs)."""
     conn, dual = EXACTNESS_CASES[name]
     grid = Grid(conn.domain, (4, 4))
     edges = np.array(grid.edges)
@@ -349,11 +351,24 @@ def test_operators_equal_step_by_step_integration(name, steps):
     for starts, ends in segments:
         got = transport.flow_operators(conn, dual, starts, ends, steps)
         assert np.array_equal(got, _stepwise_operators(conn, dual, starts, ends, steps))
+        with monkeypatch.context() as patch:
+            patch.setattr(transport, "MATRIX_ENTRIES_PER_BATCH", 1)
+            assert np.array_equal(transport.flow_operators(conn, dual, starts, ends, steps), got)
     path = lower + np.asarray(POLYLINES[0]) * (upper - lower)
     want = np.eye(conn.r * dual.r)
     for op in _stepwise_operators(conn, dual, path[:-1], path[1:], steps):
         want = op @ want
     assert np.array_equal(path_operator(conn, dual, path, steps), want)
+
+
+@pytest.mark.parametrize("d", [1, 4])
+def test_equal_factors_compose_bitwise_as_any_factors(d):
+    """_compose_equal takes one product per level, and gives the bits
+    of _compose over s copies of each matrix, for every s to 70."""
+    step = np.eye(d) + 0.3 * np.random.default_rng(d).standard_normal((5, d, d))
+    for s in range(1, 71):
+        want = transport._compose(np.repeat(step[:, None], s, axis=1))
+        assert np.array_equal(transport._compose_equal(step, s), want), s
 
 
 def test_each_distinct_operator_is_built_once(monkeypatch):
