@@ -36,7 +36,7 @@ a segment whose direction has no component along those coordinates
 has a constant generator, whose s step matrices are all one matrix,
 so that each level of their pairwise products is one product too.
 Both rules skip only points that differ from evaluated ones in
-coordinates no coefficient reads, and products of equal factors, so
+coordinates no coefficient reads, and products equal to ones taken, so
 every operator is bitwise the one that step-by-step integration of its
 own segment gives.
 
