@@ -45,10 +45,13 @@ Runs, in one process and through the same code path as `metron`:
   Gamma_1 = sqrt(x1^2)*x2, Gamma_2 = x1 the prolongation needs it only
   along x2, where it is exactly 0 (certified NotMetric), while in
   Gamma_1 = 0, Gamma_2 = sqrt(x1^2) the curvature needs its x1
-  derivative (rejected at `$`), `gauge-check` on the half plane with
-  the regular `gauge` [[1, x1], [0, 1]] (certified, exit 0), and
-  `metricity` on the zero rank-1 connection on [-1, 1]^5 at 9 nodes per
-  axis, a grid of 59,049 nodes, refused at `domain.gridPerAxis`.
+  derivative (rejected at `connection[1][0][0]`), `gauge-check` on the
+  half plane with the regular `gauge` [[1, x1], [0, 1]] (certified,
+  exit 0), `metricity` on the zero rank-1 connection on [-1, 1]^5 at 9
+  nodes per axis, a grid of 59,049 nodes, refused at
+  `domain.gridPerAxis`, and `curvature` on the second sqrt connection,
+  whose symbolic x1 derivative divides by zero on the grid (rejected at
+  the entry it differentiates, `connection[1][0][0]`).
 
 Each run prints one line, `<sha256>  <command>  (exit <code>)`, so two
 checkouts can be compared with diff:
@@ -338,6 +341,7 @@ def added_commands(out: Path, error_paths: bool) -> list[list[str]]:
         path = out / "oversized-grid.json"
         path.write_text(json.dumps(OVERSIZED_GRID), encoding="utf-8")
         commands.append(["metricity", str(path)])
+        commands.append(["curvature", str(out / "sqrt-singular-derivative.json")])
     return commands
 
 

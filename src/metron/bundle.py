@@ -184,7 +184,8 @@ class MetricField:
             raise ValueError(f"form must be {r}x{r}")
         _validate_entries(self.entries, domain, "form coefficient")
         pts = self.domain.sample_points()
-        mats = self.matrix_at(pts)
+        # kept for regularity_margin, which reads the same grid
+        self._grid_matrices = mats = self.matrix_at(pts)
         skew = np.abs(mats - mats.swapaxes(-1, -2)).max(axis=(-2, -1))
         bad = np.flatnonzero(skew > 1e-9 * (1.0 + np.abs(mats).max(axis=(-2, -1))))
         if bad.size:
@@ -198,7 +199,7 @@ class MetricField:
 
     def regularity_margin(self) -> tuple[float, float]:
         """(min |det|, max condition number) over the sample grid."""
-        mats = self.matrix_at(self.domain.sample_points())
+        mats = self._grid_matrices
         s = np.linalg.svd(mats, compute_uv=False)
         with np.errstate(divide="ignore", invalid="ignore"):
             cond = np.where(s[:, -1] == 0, np.inf, s[:, 0] / s[:, -1])

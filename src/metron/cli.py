@@ -336,9 +336,16 @@ def _metric_field(domain: ChartDomain, r: int, array, path: str) -> MetricField:
 
 def _failure(err: Exception, entries=()) -> dict:
     """The diagnostic of a failed run: at the first (path, expression)
-    entry holding the subtree a DomainError names, else at `$`."""
+    entry holding the subtree a DomainError names, else at the first
+    entry with a derivative holding it (one that `curvature` built),
+    else at `$`."""
     node = getattr(err, "node", None)
-    path = next((p for p, tree in entries if ex.contains(tree, node)), "$")
+    path = next((p for p, tree in entries if ex.contains(tree, node)), None)
+    if path is None:
+        derived = (
+            p for p, tree in entries for d in ex.built_derivatives(tree) if ex.contains(d, node)
+        )
+        path = next(derived, "$")
     return _diag(path, "error", str(err) or type(err).__name__)
 
 

@@ -75,6 +75,7 @@ __all__ = [
     "parse",
     "evaluate",
     "differentiate",
+    "built_derivatives",
     "to_string",
     "Evaluator",
     "TaylorBasis",
@@ -661,6 +662,12 @@ def differentiate(e: ScalarExpression, i: int) -> ScalarExpression:
                 d = mul(node, add(mul(db, func("log", a)), mul(b, div(da, a))))
         memo[node] = d
     return memo[e]
+
+
+def built_derivatives(e: ScalarExpression) -> list[ScalarExpression]:
+    """The derivatives of e that `differentiate` has built, along x1, x2,
+    ... in order, read from its memo; this builds none."""
+    return [memo[e] for memo in _DIFF_CACHE if e in memo]
 
 
 # ---------------------------------------------------------------------------

@@ -203,14 +203,24 @@ def _pair_basis(r: int, sign: float) -> np.ndarray:
     return rows.reshape(-1, r * r)
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+@lru_cache(maxsize=None)
 def symmetric_basis(r: int) -> np.ndarray:
     """Orthonormal (Frobenius) basis of symmetric matrices, rows = vec:
-    the diagonal units, then the off-diagonal pairs."""
-    return np.vstack([np.eye(r * r)[:: r + 1], _pair_basis(r, 1.0)])
+    the diagonal units, then the off-diagonal pairs. Built once per
+    rank, read-only."""
+    return _read_only(np.vstack([np.eye(r * r)[:: r + 1], _pair_basis(r, 1.0)]))
 
 
+@lru_cache(maxsize=None)
 def antisymmetric_basis(r: int) -> np.ndarray:
-    return _pair_basis(r, -1.0)  # (0, 1) for r = 1
+    """The off-diagonal pairs E_ij - E_ji, rows = vec; (0, 1) for r = 1.
+    Built once per rank, read-only."""
+    return _read_only(_pair_basis(r, -1.0))
 
 
 NULLSPACE_NOISE_FLOOR = 1e-10
@@ -391,59 +401,62 @@ def stabilized_constraint_subspace(problem: Prolongation, subspace: np.ndarray |
 def _solve(problem: Prolongation, subspace: np.ndarray | None) -> SolutionSpace:
     """Prolong the problem on `subspace` (all matrices when None) at its
     base node and certify the candidates by transport over its grid. An
-    empty candidate space runs the same path on empty arrays and builds
-    no transporter."""
+    empty candidate space stops after the kernel SVD that emptied it: it
+    builds no transporter and certifies nothing."""
     r, grid, options = problem.conn.r, problem.grid, problem.options
     candidates, stabilized, order = stabilized_constraint_subspace(problem, subspace)
     flags: list[str] = []
     if not stabilized:
         flags.append("stabilization-not-reached:lower-bound-only")
     k = candidates.shape[0]
-    fields = np.zeros((0, len(grid.nodes), r * r))
-    disc = np.zeros((0, 0))
+    basis_vecs = np.zeros((0, r * r))
+    extensions = np.zeros((0, len(grid.nodes), r * r))
+    residual = 0.0
     if k:
         transporter = get_transporter(problem, options.steps_per_segment)
         fields = transporter.extend(candidates)  # (k, N, r*r)
         disc = transporter.discrepancies(fields).reshape(k, -1)  # (k, E*d)
-    if disc.shape[1] == 0:
-        coeffs = np.eye(k)
-        residuals = np.zeros(k)
-    else:
-        _, _, vt = np.linalg.svd(disc.T, full_matrices=False)
-        # rows of vt: coefficient directions in the candidate space, by
-        # decreasing discrepancy; walk them in reverse so the most
-        # solution-like direction comes first.
-        coeffs = vt[::-1]
-        residuals = np.abs(coeffs @ disc).max(axis=1)
-    keep = residuals <= options.transport_tol
-    kept_coeffs = coeffs[keep]
-    kept_residuals = residuals[keep]
-    if stabilized and not keep.all():
-        flags.append("transport-rejected-stabilized-directions")
-        fine = get_transporter(problem, 2 * options.steps_per_segment)
-        rejected = coeffs[~keep] @ candidates
-        fine_disc = fine.discrepancies(fine.extend(rejected)).reshape(len(rejected), -1)
-        if np.any(TRUNCATION_SHRINK * np.abs(fine_disc).max(axis=1) < residuals[~keep]):
-            flags.append(UNDER_RESOLVED)
-    # deterministic ordering: by residual, then lexicographic; canonical
-    # sign: the first entry above 1e-9 in magnitude is positive
-    if kept_coeffs.shape[0] > 0:
-        order_idx = np.lexsort(
-            tuple(kept_coeffs[:, c] for c in range(kept_coeffs.shape[1] - 1, -1, -1))
-            + (kept_residuals,)
-        )
-        kept_coeffs = kept_coeffs[order_idx]
-        kept_residuals = kept_residuals[order_idx]
-        lead = kept_coeffs[np.arange(len(kept_coeffs)), np.argmax(np.abs(kept_coeffs) > 1e-9, 1)]
-        kept_coeffs = np.where(lead < 0, -1.0, 1.0)[:, None] * kept_coeffs
-    basis_vecs = kept_coeffs @ candidates
-    extensions = np.tensordot(kept_coeffs, fields, axes=(1, 0))
+        if disc.shape[1] == 0:
+            coeffs = np.eye(k)
+            residuals = np.zeros(k)
+        else:
+            _, _, vt = np.linalg.svd(disc.T, full_matrices=False)
+            # rows of vt: coefficient directions in the candidate space, by
+            # decreasing discrepancy; walk them in reverse so the most
+            # solution-like direction comes first.
+            coeffs = vt[::-1]
+            residuals = np.abs(coeffs @ disc).max(axis=1)
+        keep = residuals <= options.transport_tol
+        kept_coeffs = coeffs[keep]
+        kept_residuals = residuals[keep]
+        if stabilized and not keep.all():
+            flags.append("transport-rejected-stabilized-directions")
+            fine = get_transporter(problem, 2 * options.steps_per_segment)
+            rejected = coeffs[~keep] @ candidates
+            fine_disc = fine.discrepancies(fine.extend(rejected)).reshape(len(rejected), -1)
+            if np.any(TRUNCATION_SHRINK * np.abs(fine_disc).max(axis=1) < residuals[~keep]):
+                flags.append(UNDER_RESOLVED)
+        # deterministic ordering: by residual, then lexicographic; canonical
+        # sign: the first entry above 1e-9 in magnitude is positive
+        if kept_coeffs.shape[0] > 0:
+            order_idx = np.lexsort(
+                tuple(kept_coeffs[:, c] for c in range(kept_coeffs.shape[1] - 1, -1, -1))
+                + (kept_residuals,)
+            )
+            kept_coeffs = kept_coeffs[order_idx]
+            kept_residuals = kept_residuals[order_idx]
+            first = np.argmax(np.abs(kept_coeffs) > 1e-9, 1)
+            lead = kept_coeffs[np.arange(len(kept_coeffs)), first]
+            kept_coeffs = np.where(lead < 0, -1.0, 1.0)[:, None] * kept_coeffs
+            residual = float(kept_residuals.max())
+        basis_vecs = kept_coeffs @ candidates
+        extensions = np.tensordot(kept_coeffs, fields, axes=(1, 0))
     dim = basis_vecs.shape[0]
     return SolutionSpace(
         base_point=tuple(problem.x0),
         basis=basis_vecs.reshape(dim, r, r),
         dimension=dim,
-        certified_residual=float(kept_residuals.max()) if dim else 0.0,
+        certified_residual=residual,
         stabilized=stabilized,
         stabilization_order=order,
         constraint_dim=k,

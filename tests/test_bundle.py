@@ -410,6 +410,30 @@ def test_metric_pole_hit_only_by_an_intermediate_value_is_named():
     )
 
 
+def test_a_metric_is_evaluated_on_its_grid_once(monkeypatch):
+    """Construction's symmetry check evaluates the sample grid;
+    is_regular and regularity_margin read those matrices again instead
+    of evaluating it a second time, and give the margin of a fresh
+    evaluation bit for bit."""
+    dom = ChartDomain((-1.0, 0.75), (1.0, 1.75), (5, 5))
+    entries = [["1 + x1*x1", "x1*x2/4"], ["x1*x2/4", "x2"]]
+    calls = []
+    evaluate = ex.Evaluator.__call__
+    monkeypatch.setattr(
+        ex.Evaluator, "__call__", lambda self, x: calls.append(len(x)) or evaluate(self, x)
+    )
+    metric = MetricField(dom, 2, entries)
+    assert metric.is_regular()
+    margin = metric.regularity_margin()
+    assert calls == [25]
+    mats = ex.Evaluator(sm.as_matrix(entries))(dom.sample_points())
+    s = np.linalg.svd(mats, compute_uv=False)
+    assert margin == (
+        float(np.abs(np.linalg.det(mats)).min()),
+        float((s[:, 0] / s[:, -1]).max()),
+    )
+
+
 def test_metric_rank_verification():
     dom = square_domain(3)
     singular = MetricField(dom, 2, (("1", "1"), ("1", "1")))

@@ -433,6 +433,122 @@ def test_negative_file_seed_is_rejected(capsys, tmp_path):
     assert [(d["path"], d["code"]) for d in diags] == [("seed", "value")]
 
 
+REJECTED_STRUCTURES = {
+    "not-an-object": ([2, 1], "$", "type", "problem file must be a JSON object"),
+    "domain-not-an-object": (
+        dict(BASE_PROBLEM, domain=[-1.0, 1.0]),
+        "domain",
+        "type",
+        "domain must be an object",
+    ),
+    "lower-not-below-upper": (
+        dict(BASE_PROBLEM, domain={"lower": [-1.0, 1.0], "upper": [1.0, 1.0]}),
+        "domain.lower[1]",
+        "value",
+        "need lower < upper",
+    ),
+    "missing-connection": (
+        {k: v for k, v in BASE_PROBLEM.items() if k != "connection"},
+        "connection",
+        "missing",
+        "connection array is required",
+    ),
+    "tolerances-not-an-object": (
+        dict(BASE_PROBLEM, tolerances=[1e-7]),
+        "tolerances",
+        "type",
+        "tolerances must be an object",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["metricity", "validate"])
+@pytest.mark.parametrize("name", list(REJECTED_STRUCTURES))
+def test_a_malformed_structure_is_rejected_at_its_key(capsys, tmp_path, name, command):
+    problem, path, code, message = REJECTED_STRUCTURES[name]
+    exit_code, out, _ = _run(capsys, command, _write(tmp_path, "p.json", problem), "--quiet")
+    assert exit_code == 2
+    assert json.loads(out)["result"]["diagnostics"] == [
+        {"path": path, "code": code, "message": message}
+    ]
+
+
+@pytest.mark.parametrize(
+    "text, message, offset",
+    [
+        ("x1 $ 2", "unexpected character '$'", 3),
+        ("x1 + .", "malformed number '.'", 5),
+        ("x1 x2", "unexpected trailing input", 3),
+    ],
+)
+def test_a_parse_error_is_named_with_its_offset(capsys, tmp_path, text, message, offset):
+    problem = json.loads(json.dumps(BASE_PROBLEM))
+    problem["connection"][1][0][1] = text
+    code, out, _ = _run(capsys, "metricity", _write(tmp_path, "p.json", problem), "--quiet")
+    assert code == 2
+    assert json.loads(out)["result"]["diagnostics"] == [
+        {"path": "connection[1][0][1]", "code": "parse", "message": message, "offset": offset}
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv, path, code, message",
+    [
+        (["gauge-check", "PROBLEM"], "gauge", "missing", "gauge-check needs a gauge matrix"),
+        (["alpha-scan", "--alphas=0"], "--family", "missing", "alpha-scan needs --family NAME"),
+        (
+            ["alpha-scan", "--family", "bernoulli", "--alphas=,"],
+            "--alphas",
+            "value",
+            "need at least one alpha",
+        ),
+    ],
+    ids=["gauge-check-without-gauge", "alpha-scan-without-family", "alpha-scan-no-alpha"],
+)
+def test_a_missing_command_input_is_named(capsys, tmp_path, argv, path, code, message):
+    problem = _write(tmp_path, "p.json", BASE_PROBLEM)
+    argv = [problem if arg == "PROBLEM" else arg for arg in argv]
+    exit_code, out, err = _run(capsys, *argv)
+    assert exit_code == 2
+    assert json.loads(out)["result"]["diagnostics"] == [
+        {"path": path, "code": code, "message": message}
+    ]
+    assert err.splitlines()[1] == f"  [{code}] {path}: {message}"
+
+
+@pytest.mark.parametrize(
+    "argv, lines",
+    [
+        (
+            ["index", str(PROBLEMS / "hyperbolic.json")],
+            [
+                "metron index: exit 0",
+                "  verdict=RegularlyMetric dimJ=2 dimS2=1 dimOmega2=1",
+                "  sb=0 sb_given_g=0 ind=Zero",
+            ],
+        ),
+        (
+            ["solve-fe", str(PROBLEMS / "flat2x2.json")],
+            ["metron solve-fe: exit 0", "  dim=4 residual=0.000e+00 stabilized=True"],
+        ),
+        (
+            ["alpha-scan", "--family", "bernoulli", "--alphas", "1,-1"],
+            [
+                "metron alpha-scan: exit 0",
+                "  alpha=-1: RegularlyMetric",
+                "  alpha=1: RegularlyMetric",
+                "  theorem4Consistent=True",
+            ],
+        ),
+    ],
+    ids=["index", "solve-fe", "alpha-scan"],
+)
+def test_the_summary_on_stderr(capsys, argv, lines):
+    code, _, err = _run(capsys, *argv)
+    assert code == 0
+    assert err.splitlines() == lines
+
+
 def _domain(**changes):
     return {"domain": dict(BASE_PROBLEM["domain"], **changes)}
 
@@ -982,6 +1098,30 @@ def test_singular_derivative_is_named_at_its_entry(capsys, tmp_path, monkeypatch
             "code": "error",
             "message": "prolongation order 0 needs a derivative that is not finite"
             " in 'sqrt(x1^2)' at (0.0, 0.0)",
+        }
+    ]
+
+
+@pytest.mark.parametrize("gauge", [None, [["1"]]], ids=["curvature", "gauge-check"])
+def test_a_derivative_failure_is_named_at_its_entry(capsys, tmp_path, monkeypatch, gauge):
+    """`curvature` and `gauge-check` evaluate the derivative trees that
+    `curvature` built: a failure in one is named at the entry whose
+    derivative it is, with the same message, as `metricity` names it.
+    Before, it was named at `$`."""
+    monkeypatch.chdir(tmp_path)
+    problem = dict(BASE_PROBLEM, rank=1, connection=[[["0"]], [["sqrt(x1^2)"]]])
+    problem["domain"] = {"lower": [-1.0, -1.0], "upper": [1.0, 1.0]}
+    if gauge:
+        problem["gauge"] = gauge
+    _write(tmp_path, "p.json", problem)
+    command = "gauge-check" if gauge else "curvature"
+    code, out, _ = _run(capsys, command, "p.json", "--quiet")
+    assert code == 2
+    assert json.loads(out)["result"]["diagnostics"] == [
+        {
+            "path": "connection[1][0][0]",
+            "code": "error",
+            "message": "division by zero in '2*x1/(2*sqrt(x1^2))' at (0.0, -0.8)",
         }
     ]
 

@@ -21,9 +21,11 @@ from metron.homsolver import (
     SolveOptions,
     _intertwining_operator,
     _order_values,
+    antisymmetric_basis,
     solve_hom,
     solve_parallel_forms,
     stabilized_constraint_subspace,
+    symmetric_basis,
 )
 from metron.statmodels import alpha_connection, get_family
 from metron.transport import MIN_STEPS_PER_SEGMENT
@@ -217,6 +219,53 @@ def test_generic_connection_builds_no_prolongation_order(monkeypatch):
     space = solve_hom(Prolongation(conn, dual, SolveOptions(grid_per_axis=5, steps_per_segment=16)))
     assert space.dimension == 0 and space.stabilization_order == 0
     assert degrees == [1]
+
+
+def test_an_empty_candidate_space_stops_after_its_kernel_svd(monkeypatch):
+    """A generic connection leaves no candidate in hom, S2 or Omega2.
+    Each solve stops after the one kernel SVD that emptied it: no
+    transporter, no extension and no certification, and the empty space
+    has the shapes of its kind."""
+    rng = np.random.default_rng(0)
+    conn = random_polynomial_connection(rng, square_domain(5), 2)
+    options = SolveOptions(grid_per_axis=5, steps_per_segment=16)
+    problem = Prolongation(conn, conjugate_connection(conn), options)
+    calls = []
+    svd, tensordot = np.linalg.svd, np.tensordot
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append("svd") or svd(*a, **k))
+    monkeypatch.setattr(
+        np, "tensordot", lambda *a, **k: calls.append("tensordot") or tensordot(*a, **k)
+    )
+    spaces = [
+        solve_hom(problem),
+        solve_parallel_forms(problem, "symmetric"),
+        solve_parallel_forms(problem, "antisymmetric"),
+    ]
+    assert calls == ["svd"] * 3
+    assert problem.transporters == {}
+    for space in spaces:
+        assert (space.dimension, space.constraint_dim, space.certified_residual) == (0, 0, 0.0)
+        assert space.basis.shape == (0, 2, 2)
+        assert space.extensions.shape == (0, 25, 2, 2)
+        assert space.stabilized and space.stabilization_order == 0 and space.flags == ()
+        assert space.grid is problem.grid and space.base_point == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_the_form_bases_are_built_once_per_rank_read_only(r):
+    """Orthonormal rows, each a symmetric (antisymmetric) matrix, the
+    whole space of them; one array per rank that no caller can write."""
+    for basis, sign, count in (
+        (symmetric_basis, 1.0, r * (r + 1) // 2),
+        (antisymmetric_basis, -1.0, r * (r - 1) // 2),
+    ):
+        rows = basis(r)
+        assert basis(r) is rows
+        assert not rows.flags.writeable
+        assert rows.shape == (count, r * r)
+        np.testing.assert_allclose(rows @ rows.T, np.eye(count), atol=1e-15)
+        mats = rows.reshape(-1, r, r)
+        assert np.array_equal(mats.swapaxes(1, 2), sign * mats)
 
 
 def test_solve_options_are_frozen():

@@ -1,4 +1,5 @@
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -284,6 +285,25 @@ def test_gaussian_scan_matches_closed_form_dimension_table():
     # a positive scanned alpha fails to be regularly metric, so the scan
     # cannot falsify the positive-alpha implication
     assert report.theorem_consistent
+
+
+def test_a_scan_flags_an_alpha_that_contradicts_the_positive_ones(monkeypatch):
+    """Every scanned positive alpha regularly metric while a negative one
+    is not falsifies the implication: theorem_consistent drops and the
+    flag names the offending alphas. Certificates are stand-ins, in the
+    sorted order of the alphas."""
+    regular = iter([False, True, False, True, True])
+    monkeypatch.setattr(
+        statmodels,
+        "decide_metricity",
+        lambda conn, options: SimpleNamespace(is_regular=next(regular)),
+    )
+    report = alpha_scan(get_family("bernoulli"), [1.0, -1.0, 0.5, -0.5, 0.0])
+    assert report.alphas == (-1.0, -0.5, 0.0, 0.5, 1.0)
+    assert not report.theorem_consistent
+    assert report.flags == (
+        "POSITIVE-ALPHA-SCAN-REGULAR-BUT-ALPHAS--1,0-NOT-REGULAR:solver-bug-or-counter-signal",
+    )
 
 
 def test_scan_certificates_satisfy_certificate_invariants():
