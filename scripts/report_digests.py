@@ -49,9 +49,13 @@ Runs, in one process and through the same code path as `metron`:
   half plane with the regular `gauge` [[1, x1], [0, 1]] (certified,
   exit 0), `metricity` on the zero rank-1 connection on [-1, 1]^5 at 9
   nodes per axis, a grid of 59,049 nodes, refused at
-  `domain.gridPerAxis`, and `curvature` on the second sqrt connection,
+  `domain.gridPerAxis`, `curvature` on the second sqrt connection,
   whose symbolic x1 derivative divides by zero on the grid (rejected at
-  the entry it differentiates, `connection[1][0][0]`).
+  the entry it differentiates, `connection[1][0][0]`), and `metricity`
+  on a rank-2 connection on [0.5, 1]^2 with the finite entries 1e200*x2
+  and 1e200*x1, whose product at order 0 of the prolongation overflows
+  (rejected at the entry with the largest coefficient,
+  `connection[0][0][1]`).
 
 Each run prints one line, `<sha256>  <command>  (exit <code>)`, so two
 checkouts can be compared with diff:
@@ -146,6 +150,13 @@ SQRT_PROBLEM = {"dim": 2, "rank": 1, "domain": {"lower": [-1.0, -1.0], "upper": 
 SQRT_AT_BASE = {
     "sqrt-structural-zero": [[["sqrt(x1^2)*x2"]], [["x1"]]],
     "sqrt-singular-derivative": [[["0"]], [["sqrt(x1^2)"]]],
+}
+# finite entries whose product in the curvature overflows at the base point
+PROLONGATION_OVERFLOW = {
+    "dim": 2,
+    "rank": 2,
+    "domain": {"lower": [0.5, 0.5], "upper": [1.0, 1.0], "gridPerAxis": 5},
+    "connection": [[["0", "1e200*x2"], ["0", "0"]], [["0", "0"], ["1e200*x1", "0"]]],
 }
 
 
@@ -342,6 +353,9 @@ def added_commands(out: Path, error_paths: bool) -> list[list[str]]:
         path.write_text(json.dumps(OVERSIZED_GRID), encoding="utf-8")
         commands.append(["metricity", str(path)])
         commands.append(["curvature", str(out / "sqrt-singular-derivative.json")])
+        path = out / "prolongation-overflow.json"
+        path.write_text(json.dumps(PROLONGATION_OVERFLOW), encoding="utf-8")
+        commands.append(["metricity", str(path)])
     return commands
 
 

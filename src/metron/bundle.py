@@ -16,6 +16,15 @@ used throughout are:
     gauge action     Gamma'_i = P^{-1} (Gamma_i P - d_i P)
     metric pushforward  G' = P^{-1} G P^{-T}
 
+Coefficients are numpy object arrays of interned expression nodes:
+Gamma of shape (m, r, r), a metric or gauge map (r, r). Nodes add,
+subtract, multiply and divide through the expression factories, so
+these formulas are array algebra (`@` folds each sum left from its first
+product); each keeps its operands in the order written here, which fixes
+the nodes it interns. Inverses are adjugate over determinant, which
+keeps every coefficient inside the closed-form expression class;
+cofactor expansion bounds them to rank <= MAX_INVERSE_RANK.
+
 The dual construction g.nabla is an involution with fixed points exactly
 the g-preserving connections; both facts are asserted numerically in the
 test suite instead of being assumed.
@@ -28,7 +37,6 @@ from functools import cached_property
 import numpy as np
 
 from . import expr as ex
-from . import symmatrix as sm
 
 __all__ = [
     "ChartDomain",
@@ -45,8 +53,12 @@ __all__ = [
     "dual_gauge_compatibility_residual",
     "levi_civita",
     "numerical_rank",
+    "as_expr",
+    "inverse_mat",
+    "MAX_INVERSE_RANK",
 ]
 
+MAX_INVERSE_RANK = 4
 DET_REGULARITY_FLOOR = 1e-8
 CONDITION_CEILING = 1e8
 RANK_REL_CUTOFF = 1e-8
@@ -126,32 +138,50 @@ class ChartDomain:
         return (np.asarray(self.lower) + np.asarray(self.upper)) / 2.0
 
 
-def _validate_entries(rows, domain: ChartDomain, what: str):
-    """Reject coordinates beyond the chart, read from the entries' masks;
-    the error names the first offending entry's lowest such coordinate."""
-    for row in rows:
-        for e in row:
-            if bad := ex.beyond(e, domain.m):
-                raise ValueError(f"{what} uses x{bad} but the chart has dimension {domain.m}")
+def as_expr(entry) -> ex.ScalarExpression:
+    if isinstance(entry, ex.ScalarExpression):
+        return entry
+    if isinstance(entry, str):
+        return ex.parse(entry)
+    return ex.const(float(entry))
+
+
+def _expression_array(entries, shape: tuple, domain: ChartDomain, what: str) -> np.ndarray:
+    """entries (nested sequences or an array of expressions, strings or
+    numbers) as a read-only object array of nodes of the given shape.
+    Refuses another shape, a ragged nesting included, and coordinates
+    beyond the chart, read from the entries' masks: that error names the
+    first offending entry's lowest such coordinate."""
+    array = np.array(entries, dtype=object)
+    if array.shape != shape:
+        expected, got = ("x".join(map(str, dims)) for dims in (shape, array.shape))
+        raise ValueError(f"{what}s must be {expected}, got {got or 'a scalar'}")
+    array = np.frompyfunc(as_expr, 1, 1)(array)
+    for e in array.flat:
+        if bad := ex.beyond(e, domain.m):
+            raise ValueError(f"{what} uses x{bad} but the chart has dimension {domain.m}")
+    array.flags.writeable = False
+    return array
+
+
+def _diff(a: np.ndarray, k) -> np.ndarray:
+    """d/dx_k of every entry of a, the coordinate numbers k broadcast
+    against a."""
+    return np.frompyfunc(ex.differentiate, 2, 1)(a, k)
+
+
+def _gradient(a: np.ndarray, m: int) -> np.ndarray:
+    """d_1 a .. d_m a of an (r, r) array, stacked as (m, r, r)."""
+    return _diff(a, np.arange(1, m + 1)[:, None, None])
 
 
 class Connection:
     """Connection coefficients Gamma[i][a][b] over a chart domain."""
 
-    def __init__(self, domain: ChartDomain, r: int, gamma: tuple):
+    def __init__(self, domain: ChartDomain, r: int, gamma):
         self.domain = domain
         self.r = r
-        self.gamma = tuple(sm.as_matrix(g) for g in gamma)  # m x r x r ScalarExpression
-        if len(self.gamma) != self.domain.m:
-            raise ValueError(
-                f"expected {self.domain.m} coefficient matrices, got {len(self.gamma)}"
-            )
-        for g in self.gamma:
-            if len(g) != self.r or any(len(row) != self.r for row in g):
-                raise ValueError(f"coefficient matrices must be {self.r}x{self.r}")
-        _validate_entries(
-            [row for g in self.gamma for row in g], self.domain, "connection coefficient"
-        )
+        self.gamma = _expression_array(gamma, (domain.m, r, r), domain, "connection coefficient")
 
     @cached_property
     def coeff_array(self) -> ex.Evaluator:
@@ -170,19 +200,16 @@ class Connection:
 
 
 def zero_connection(domain: ChartDomain, r: int) -> Connection:
-    return Connection(domain, r, tuple(sm.zeros_mat(r) for _ in range(domain.m)))
+    return Connection(domain, r, np.full((domain.m, r, r), ex.ZERO))
 
 
 class MetricField:
     """Symmetric form field."""
 
-    def __init__(self, domain: ChartDomain, r: int, entries: tuple):
+    def __init__(self, domain: ChartDomain, r: int, entries):
         self.domain = domain
         self.r = r
-        self.entries = sm.as_matrix(entries)  # r x r ScalarExpression
-        if len(self.entries) != r or any(len(row) != r for row in self.entries):
-            raise ValueError(f"form must be {r}x{r}")
-        _validate_entries(self.entries, domain, "form coefficient")
+        self.entries = _expression_array(entries, (r, r), domain, "form coefficient")
         pts = self.domain.sample_points()
         # kept for regularity_margin, which reads the same grid
         self._grid_matrices = mats = self.matrix_at(pts)
@@ -211,20 +238,17 @@ class MetricField:
 
 
 def identity_metric(domain: ChartDomain, r: int) -> MetricField:
-    return MetricField(domain, r, sm.identity_mat(r))
+    return MetricField(domain, r, np.where(np.eye(r, dtype=bool), ex.ONE, ex.ZERO))
 
 
 class GaugeTransform:
     """Pointwise endomorphism phi[a][b]; invertibility is only required
     when it is used as a gauge transformation, not as a solution candidate."""
 
-    def __init__(self, domain: ChartDomain, r: int, entries: tuple):
+    def __init__(self, domain: ChartDomain, r: int, entries):
         self.domain = domain
         self.r = r
-        self.entries = sm.as_matrix(entries)
-        if len(self.entries) != r or any(len(row) != r for row in self.entries):
-            raise ValueError(f"gauge matrix must be {r}x{r}")
-        _validate_entries(self.entries, domain, "gauge coefficient")
+        self.entries = _expression_array(entries, (r, r), domain, "gauge coefficient")
 
     @cached_property
     def matrix_at(self) -> ex.Evaluator:
@@ -244,25 +268,47 @@ class GaugeTransform:
             )
 
 
-def curvature(conn: Connection) -> tuple:
+def det_expr(a: np.ndarray) -> ex.ScalarExpression:
+    """The determinant of a square array of expressions, by cofactor
+    expansion along the first row (ONE for the empty matrix)."""
+    det = ex.ZERO if len(a) else ex.ONE
+    for j in range(len(a)):
+        term = a[0, j] * det_expr(np.delete(a[1:], j, axis=1))
+        det = det + term if j % 2 == 0 else det - term
+    return det
+
+
+def inverse_mat(a: np.ndarray) -> np.ndarray:
+    """Adjugate over determinant, for rank <= MAX_INVERSE_RANK."""
+    r = len(a)
+    if r > MAX_INVERSE_RANK:
+        raise ValueError(
+            f"symbolic inverse supported for rank <= {MAX_INVERSE_RANK}, got {r}"
+        )
+    adjugate = np.empty((r, r), dtype=object)
+    for i, j in np.ndindex(r, r):
+        cofactor = det_expr(np.delete(np.delete(a, i, axis=0), j, axis=1))
+        adjugate[j, i] = cofactor if (i + j) % 2 == 0 else -cofactor
+    return adjugate / det_expr(a)
+
+
+def curvature(conn: Connection) -> np.ndarray:
     """R_ij = d_i Gamma_j - d_j Gamma_i + Gamma_j Gamma_i - Gamma_i Gamma_j,
-    as the m x m nested tuple of r x r expression matrices R[i][j]; R_ji
-    is -R_ij node for node, and R_ii is zero."""
+    as the read-only (m, m, r, r) array R[i][j]; R_ji is -R_ij node for
+    node, and R_ii is zero."""
     cached = conn.__dict__.get("_curvature")
     if cached is not None:
         return cached
     m, r = conn.domain.m, conn.r
-    entries = [[sm.zeros_mat(r) for _ in range(m)] for _ in range(m)]
-    for i in range(m):
-        for j in range(i + 1, m):
-            gi, gj = conn.gamma[i], conn.gamma[j]
-            rij = sm.mat_add(
-                sm.mat_sub(sm.mat_diff(gj, i + 1), sm.mat_diff(gi, j + 1)),
-                sm.mat_sub(sm.mat_mul(gj, gi), sm.mat_mul(gi, gj)),
-            )
-            entries[i][j] = rij
-            entries[j][i] = sm.mat_neg(rij)
-    field = conn.__dict__["_curvature"] = tuple(tuple(row) for row in entries)
+    i, j = np.triu_indices(m, 1)
+    gi, gj = conn.gamma[i], conn.gamma[j]
+    rij = (_diff(gj, i[:, None, None] + 1) - _diff(gi, j[:, None, None] + 1)) + (
+        gj @ gi - gi @ gj
+    )
+    field = np.full((m, m, r, r), ex.ZERO)
+    field[i, j], field[j, i] = rij, -rij
+    field.flags.writeable = False
+    conn.__dict__["_curvature"] = field
     return field
 
 
@@ -275,45 +321,32 @@ def dual_connection(metric: MetricField, conn: Connection) -> Connection:
     if not metric.is_regular():
         raise ValueError(IRREGULAR_METRIC)
     g = metric.entries
-    ginv = sm.inverse_mat(g)
-    gamma_star = []
-    for i in range(conn.domain.m):
-        num = sm.mat_sub(
-            sm.mat_diff(g, i + 1),
-            sm.mat_mul(g, sm.mat_transpose(conn.gamma[i])),
-        )
-        gamma_star.append(sm.mat_mul(num, ginv))
-    return Connection(conn.domain, conn.r, tuple(gamma_star))
+    ginv = inverse_mat(g)
+    num = _gradient(g, conn.domain.m) - g @ conn.gamma.swapaxes(-1, -2)
+    return Connection(conn.domain, conn.r, num @ ginv)
 
 
 def conjugate_connection(conn: Connection) -> Connection:
     """The connection on E* in the dual frame, Gamma*_i = -Gamma_i^T: the
     dual of the identity metric, node for node, without inverting it.
     The forms of conn are its intertwiners into this one."""
-    return Connection(
-        conn.domain, conn.r, tuple(sm.mat_neg(sm.mat_transpose(g)) for g in conn.gamma)
-    )
+    return Connection(conn.domain, conn.r, -conn.gamma.swapaxes(-1, -2))
 
 
 def apply_gauge(phi: GaugeTransform, conn: Connection) -> Connection:
     """Transformed coefficients of phi . nabla . phi^{-1}."""
     phi.require_invertible()
     p = phi.entries
-    pinv = sm.inverse_mat(p)
-    out = []
-    for i in range(conn.domain.m):
-        out.append(
-            sm.mat_mul(pinv, sm.mat_sub(sm.mat_mul(conn.gamma[i], p), sm.mat_diff(p, i + 1)))
-        )
-    return Connection(conn.domain, conn.r, tuple(out))
+    pinv = inverse_mat(p)
+    gamma = pinv @ (conn.gamma @ p - _gradient(p, conn.domain.m))
+    return Connection(conn.domain, conn.r, gamma)
 
 
 def pushforward_metric(phi: GaugeTransform, metric: MetricField) -> MetricField:
     """g'(s, s') = g(phi^{-1} s, phi^{-1} s'), i.e. G' = P^{-1} G P^{-T}."""
     phi.require_invertible()
-    pinv = sm.inverse_mat(phi.entries)
-    entries = sm.mat_mul(pinv, sm.mat_mul(metric.entries, sm.mat_transpose(pinv)))
-    return MetricField(metric.domain, metric.r, entries)
+    pinv = inverse_mat(phi.entries)
+    return MetricField(metric.domain, metric.r, pinv @ (metric.entries @ pinv.T))
 
 
 def dual_gauge_compatibility_residual(
@@ -343,22 +376,9 @@ def levi_civita(metric: MetricField) -> Connection:
     if not metric.is_regular():
         raise ValueError("metric must be regular")
     g = metric.entries
-    ginv = sm.inverse_mat(g)
-    dg = [sm.mat_diff(g, l + 1) for l in range(m)]
-    gamma = []
-    for i in range(m):
-        rows = []
-        for j in range(m):
-            row = []
-            for k in range(m):
-                acc = ex.ZERO
-                for l in range(m):
-                    bracket = ex.sub(
-                        ex.add(dg[i][j][l], dg[j][i][l]),
-                        dg[l][i][j],
-                    )
-                    acc = ex.add(acc, ex.mul(ginv[k][l], bracket))
-                row.append(ex.mul(ex.const(0.5), acc))
-            rows.append(tuple(row))
-        gamma.append(tuple(rows))
-    return Connection(metric.domain, m, tuple(gamma))
+    ginv = inverse_mat(g)
+    dg = _gradient(g, m)  # dg[l][i][j] = d_l g_ij
+    bracket = (dg + dg.swapaxes(0, 1)) - np.moveaxis(dg, 0, -1)  # at [i][j][l]
+    # the sums over l at [i][k][j], ginv's entry the left factor of each term
+    gamma = ex.const(0.5) * (ginv @ bracket.swapaxes(-1, -2)).swapaxes(-1, -2)
+    return Connection(metric.domain, m, gamma)

@@ -31,11 +31,11 @@ import numpy as np
 
 from . import __version__
 from . import expr as ex
-from . import symmatrix as sm
 from .bundle import (
     CONDITION_CEILING,
     DET_REGULARITY_FLOOR,
     IRREGULAR_METRIC,
+    MAX_INVERSE_RANK,
     RANK_REL_CUTOFF,
     ChartDomain,
     Connection,
@@ -46,6 +46,7 @@ from .bundle import (
     dual_connection,
     dual_gauge_compatibility_residual,
     identity_metric,
+    inverse_mat,
 )
 from .homsolver import UNDER_RESOLVED, Prolongation, SolveOptions, solve_hom
 from .metricity import decide_metricity, index_report
@@ -228,9 +229,9 @@ def _validate(data, grid_flag: int | None = None) -> tuple[list[dict], dict]:
     if not _is_integer(dim) or not 1 <= dim <= ex.MAX_VARIABLES:
         diagnostics.append(_diag("dim", "value", "dim must be an integer in 1..9"))
         dim = None
-    if not _is_integer(rank) or not 1 <= rank <= sm.MAX_INVERSE_RANK:
+    if not _is_integer(rank) or not 1 <= rank <= MAX_INVERSE_RANK:
         diagnostics.append(
-            _diag("rank", "value", f"rank must be an integer in 1..{sm.MAX_INVERSE_RANK}")
+            _diag("rank", "value", f"rank must be an integer in 1..{MAX_INVERSE_RANK}")
         )
         rank = None
     domain = data.get("domain")
@@ -542,7 +543,7 @@ def _cmd_gauge_check(p: ProblemObjects, args):
         phi.require_invertible()
     except ValueError as err:
         raise _InputError([_diag("gauge", "value", str(err))]) from None
-    inv_entries = sm.inverse_mat(phi.entries)
+    inv_entries = inverse_mat(phi.entries)
     phi_inv = GaugeTransform(p.domain, p.r, inv_entries)
     transformed = apply_gauge(phi, p.connection)
     back = apply_gauge(phi_inv, transformed)

@@ -141,7 +141,11 @@ class ScalarExpression:
     and nodes hash by identity, so a dict keyed by node is a memo. `mask`
     has bit i set when the subtree mentions x_{i+1}; the factory that
     builds a node sets it from its operands' masks. A node is shared by
-    every tree in the process, so its fields cannot be set or deleted."""
+    every tree in the process, so its fields cannot be set or deleted.
+
+    + - * / and unary minus between nodes call the factories, so numpy
+    object arrays of nodes compute as matrices of expressions; any other
+    operand is refused (node + 1.0 is a TypeError)."""
 
     __slots__ = ("mask",)
 
@@ -153,6 +157,21 @@ class ScalarExpression:
 
     def __repr__(self):
         return f"{type(self).__name__}({to_string(self)})"
+
+    def __add__(self, other):
+        return add(self, other) if isinstance(other, ScalarExpression) else NotImplemented
+
+    def __sub__(self, other):
+        return sub(self, other) if isinstance(other, ScalarExpression) else NotImplemented
+
+    def __mul__(self, other):
+        return mul(self, other) if isinstance(other, ScalarExpression) else NotImplemented
+
+    def __truediv__(self, other):
+        return div(self, other) if isinstance(other, ScalarExpression) else NotImplemented
+
+    def __neg__(self):
+        return neg(self)
 
 
 class Const(ScalarExpression):

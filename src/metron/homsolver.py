@@ -262,7 +262,7 @@ def _order_values(problem: "Prolongation", order: int) -> np.ndarray:
     m, r = conn.domain.m, conn.r
     if m == 1:  # a one-dimensional chart has no curvature
         return np.zeros((2, 0, r, r))
-    roots = [e for c in (conn, dual) for g in c.gamma for row in g for e in row]
+    roots = [*conn.gamma.flat, *dual.gamma.flat]
     degree = order + 1
     coeffs, origins = ex.taylor(roots, problem.x0, degree)
     gamma = coeffs.reshape(-1, 2, m, r, r)
@@ -289,8 +289,7 @@ def _order_values(problem: "Prolongation", order: int) -> np.ndarray:
         if finite.all():  # Gamma's jets are finite; their products overflow
             largest = roots[int(np.abs(coeffs).max(axis=0).argmax())]
             raise ex.DomainError(
-                f"prolongation order {order} overflows on '{ex.to_string(largest)}'",
-                point=problem.x0.tolist(),
+                f"prolongation order {order} overflows", largest, problem.x0.tolist()
             )
         raise ex.DomainError(
             f"prolongation order {order} needs a derivative that is not finite",

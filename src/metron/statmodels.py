@@ -28,9 +28,10 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 
+import numpy as np
+
 from . import expr as ex
-from . import symmatrix as sm
-from .bundle import ChartDomain, Connection, MetricField, levi_civita
+from .bundle import ChartDomain, Connection, MetricField, inverse_mat, levi_civita
 from .homsolver import SolveOptions
 from .metricity import MetricityCertificate, decide_metricity
 
@@ -90,19 +91,16 @@ class StatisticalFamily:
         return self.domain.m
 
     @cached_property
-    def alpha_forms(self) -> tuple[tuple, tuple]:
-        """(Gamma(0)^k_ij, (g^{-1} T)^k_ij = sum_l g^{kl} T_ijl) as interned
-        expression tuples, built on first use. Building them checks that
-        the Fisher metric is symmetric and regular on the box; no
-        evaluator outlives the call."""
+    def alpha_forms(self) -> tuple[np.ndarray, np.ndarray]:
+        """(Gamma(0)^k_ij, (g^{-1} T)^k_ij = sum_l g^{kl} T_ijl) as (m, m, m)
+        arrays of interned expressions, built on first use. Building them
+        checks that the Fisher metric is symmetric and regular on the box;
+        no evaluator outlives the call."""
         metric = fisher_metric(self)
         base = levi_civita(metric).gamma
-        ginv = sm.inverse_mat(metric.entries)
+        ginv = inverse_mat(metric.entries)
         # plane i of the contraction is (g^{-1} T_i^T)^T, T_i = T[i]
-        contracted = tuple(
-            sm.mat_transpose(sm.mat_mul(ginv, sm.mat_transpose(plane)))
-            for plane in skewness_tensor(self)
-        )
+        contracted = (ginv @ skewness_tensor(self).swapaxes(-1, -2)).swapaxes(-1, -2)
         return base, contracted
 
 
@@ -125,15 +123,14 @@ def fisher_metric(family: StatisticalFamily) -> MetricField:
     return MetricField(family.domain, family.m, entries)
 
 
-def skewness_tensor(family: StatisticalFamily):
-    """Totally symmetric T[i][j][k] as expressions."""
-    m = family.m
-    t = [[[ex.ZERO] * m for _ in range(m)] for _ in range(m)]
+def skewness_tensor(family: StatisticalFamily) -> np.ndarray:
+    """Totally symmetric T[i][j][k] as an (m, m, m) array of expressions."""
+    t = np.full((family.m,) * 3, ex.ZERO)
     for index, text in _CLOSED_FORMS[family.name][2].items():
         entry = ex.parse(text)
         for i, j, k in itertools.permutations(index):
-            t[i][j][k] = entry
-    return tuple(tuple(tuple(row) for row in plane) for plane in t)
+            t[i, j, k] = entry
+    return t
 
 
 def alpha_connection(family: StatisticalFamily, alpha: float) -> Connection:
@@ -142,14 +139,7 @@ def alpha_connection(family: StatisticalFamily, alpha: float) -> Connection:
     from the family's shared `alpha_forms`."""
     base, contracted = family.alpha_forms
     half_alpha = ex.const(-alpha / 2.0)  # at alpha 0 every sum folds to Gamma(0)'s node
-    gamma = tuple(
-        tuple(
-            tuple(ex.add(b, ex.mul(half_alpha, c)) for b, c in zip(brow, crow))
-            for brow, crow in zip(bplane, cplane)
-        )
-        for bplane, cplane in zip(base, contracted)
-    )
-    return Connection(family.domain, family.m, gamma)
+    return Connection(family.domain, family.m, base + half_alpha * contracted)
 
 
 class AlphaScanReport:

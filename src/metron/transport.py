@@ -33,8 +33,10 @@ Each distinct operator is built once. A generator changes only along
 the coordinates that some coefficient reads, so segments that agree
 there, in their start and in their direction, share one operator; and
 a segment whose direction has no component along those coordinates
-has a constant generator, whose s step matrices are all one matrix,
-so that each level of their pairwise products is one product too.
+has a constant generator, whose s step matrices are all one matrix:
+its s-th power by repeated squaring (`np.linalg.matrix_power`), which
+for s >= 4 multiplies the factors in the association of the pairwise
+products, so it gives their bits.
 Both rules skip only points that differ from evaluated ones in
 coordinates no coefficient reads, and products equal to ones taken, so
 every operator is bitwise the one that step-by-step integration of its
@@ -137,19 +139,6 @@ def _compose(steps: np.ndarray) -> np.ndarray:
     return steps[:, 0]
 
 
-def _compose_equal(step: np.ndarray, s: int) -> np.ndarray:
-    """_compose of s copies of each step matrix in (n, d, d), bit for bit,
-    with one product per level and distinct factor: every level of
-    _compose holds equal pair products and, last, at most one other
-    factor."""
-    last = None  # the factor after the equal ones
-    while s + (last is not None) > 1:
-        if s % 2:  # the last equal factor pairs with `last`, or is carried
-            last = step if last is None else last @ step
-        step, s = step @ step, s // 2
-    return step if last is None else last
-
-
 def flow_operators(conn: Connection, dual: Connection, starts, ends, steps: int) -> np.ndarray:
     """Flow operators on the flattened fibre between conn and dual along
     every segment starts[e] -> ends[e]: (E, d, d), each the product of
@@ -164,8 +153,10 @@ def flow_operators(conn: Connection, dual: Connection, starts, ends, steps: int)
        direction u share one operator, built for the first of them;
     2. a segment whose u has no component along R has one generator at
        all its nodes: it is evaluated at its start only, and its s equal
-       step matrices are one step matrix, composed in _compose's own
-       association with one product per level (`_compose_equal`).
+       step matrices are one step matrix, raised to the power s by
+       np.linalg.matrix_power, whose squarings from the least significant
+       bit (result @ power) associate the product as _compose does for
+       every s >= 4 (SolveOptions refuses fewer than 8 steps).
     The points skipped differ from evaluated ones only in coordinates
     that no entry reads. The segments built keep their first-occurrence
     order, so a DomainError names the same entry and point as a
@@ -227,7 +218,10 @@ def flow_operators(conn: Connection, dual: Connection, starts, ends, steps: int)
                 for sub in range(0, len(part), per_batch):
                     batch = slice(sub, sub + per_batch)
                     step = _step_matrices(a[batch], b[batch], 1.0 / steps)
-                    ops[part[batch]] = _compose_equal(step[:, 0], steps) if fixed else _compose(step)
+                    if fixed:
+                        ops[part[batch]] = np.linalg.matrix_power(step[:, 0], steps)
+                    else:
+                        ops[part[batch]] = _compose(step)
     shared = np.flatnonzero(owner != np.arange(len(owner)))
     ops[shared] = ops[owner[shared]]
     return _finite(ops)

@@ -9,7 +9,10 @@ this module builds metron objects and calls into metron:
 * `local_system_residual`: the intertwiner equation checked by direct
   substitution with finite-difference derivatives;
 * `path_operator` and `transport_along`: RK4 transport along a polyline,
-  composed from `transport.flow_operators`.
+  composed from `transport.flow_operators`;
+* `entrywise_*`: matrices of expressions written out entry by entry with
+  the expr factories, in the operand order of metron.bundle's formulas,
+  so that a test can pin the interned nodes a construction returns.
 
 The three named examples:
 
@@ -25,12 +28,12 @@ The three named examples:
 """
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
 
 from metron import expr as ex
-from metron import symmatrix as sm
 from metron.bundle import (
     ChartDomain,
     Connection,
@@ -56,7 +59,7 @@ def nilpotent_connection(domain: ChartDomain | None = None) -> Connection:
     domain = domain or square_domain()
     x1 = ex.var(1)
     gamma2 = ((ex.ZERO, x1), (ex.ZERO, ex.ZERO))
-    return Connection(domain, 2, (sm.zeros_mat(2), gamma2))
+    return Connection(domain, 2, ([[ex.ZERO] * 2] * 2, gamma2))
 
 
 def half_plane_domain(samples: int = 9) -> ChartDomain:
@@ -255,23 +258,50 @@ def involution_corpus(seed: int, count: int = 50, samples: int = 5):
 def metric_covariant_derivative(conn: Connection, metric: MetricField):
     """(nabla g)_i = d_i G - Gamma_i G - G Gamma_i^T, plus its grid residual.
 
-    Returns (field, residual) where field[i] is an r x r expression
-    matrix and residual is the maximum absolute entry over the sample
+    Returns (field, residual) where field[i] is an r x r array of
+    expressions and residual is the maximum absolute entry over the sample
     grid. Residual zero (to tolerance) certifies that the connection
     preserves the form on the chart.
     """
-    g = metric.entries
-    field_entries = []
-    for i in range(conn.domain.m):
-        gi = conn.gamma[i]
-        field_entries.append(
-            sm.mat_sub(
-                sm.mat_sub(sm.mat_diff(g, i + 1), sm.mat_mul(gi, g)),
-                sm.mat_mul(g, sm.mat_transpose(gi)),
-            )
-        )
-    residual = float(np.abs(ex.Evaluator(field_entries)(conn.domain.sample_points())).max())
-    return tuple(field_entries), residual
+    g, gamma = metric.entries, conn.gamma
+    axes = np.arange(1, conn.domain.m + 1)[:, None, None]
+    dg = np.frompyfunc(ex.differentiate, 2, 1)(g, axes)
+    field = (dg - gamma @ g) - g @ gamma.swapaxes(-1, -2)
+    residual = float(np.abs(ex.Evaluator(field)(conn.domain.sample_points())).max())
+    return field, residual
+
+
+def entrywise(op, a, b) -> list:
+    """op(a[i][j], b[i][j]) for every entry."""
+    return [[op(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def entrywise_diff(a, i: int) -> list:
+    return [[ex.differentiate(x, i) for x in row] for row in a]
+
+
+def entrywise_transpose(a) -> list:
+    return [list(column) for column in zip(*a)]
+
+
+def entrywise_product(a, b) -> list:
+    """sum_k a[i][k] b[k][j], each sum folded from ZERO in k order."""
+    return [
+        [
+            functools.reduce(ex.add, (ex.mul(a[i][k], b[k][j]) for k in range(len(b))), ex.ZERO)
+            for j in range(len(b[0]))
+        ]
+        for i in range(len(a))
+    ]
+
+
+def entrywise_inverse(a) -> list:
+    """Adjugate over determinant of a 1x1 or 2x2 matrix."""
+    if len(a) == 1:
+        return [[ex.div(ex.ONE, a[0][0])]]
+    det = ex.sub(ex.mul(a[0][0], a[1][1]), ex.mul(a[0][1], a[1][0]))
+    adjugate = [[a[1][1], ex.neg(a[0][1])], [ex.neg(a[1][0]), a[0][0]]]
+    return [[ex.div(e, det) for e in row] for row in adjugate]
 
 
 def path_operator(conn, dual, vertices, steps: int = DEFAULT_STEPS_PER_SEGMENT) -> np.ndarray:

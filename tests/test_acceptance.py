@@ -13,7 +13,6 @@ import numpy as np
 
 from metron import cli
 from metron import expr as ex
-from metron import symmatrix as sm
 from metron.bundle import (
     apply_gauge,
     conjugate_connection,
@@ -70,7 +69,7 @@ def _max_coeff_diff(a, b) -> float:
     pts = a.domain.sample_points()
     worst = 0.0
     for ga, gb in zip(a.gamma, b.gamma):
-        worst = max(worst, float(np.abs(ex.Evaluator(sm.mat_sub(ga, gb))(pts)).max()))
+        worst = max(worst, float(np.abs(ex.Evaluator(ga - gb)(pts)).max()))
     return worst
 
 

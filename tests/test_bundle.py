@@ -1,11 +1,12 @@
 import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from metron import expr as ex
-from metron import symmatrix as sm
 from metron.bundle import (
     ChartDomain,
     Connection,
@@ -16,6 +17,8 @@ from metron.bundle import (
     dual_connection,
     dual_gauge_compatibility_residual,
     identity_metric,
+    inverse_mat,
+    levi_civita,
     numerical_rank,
     pushforward_metric,
     zero_connection,
@@ -24,6 +27,11 @@ from oracles import levi_civita_oracle
 from support import (
     NILPOTENT_MATRIX,
     constant_metric,
+    entrywise,
+    entrywise_diff,
+    entrywise_inverse,
+    entrywise_product,
+    entrywise_transpose,
     flat_connection,
     half_plane_levi_civita,
     half_plane_metric,
@@ -44,7 +52,7 @@ def _max_coeff_diff(a: Connection, b: Connection) -> float:
     pts = a.domain.sample_points()
     worst = 0.0
     for ga, gb in zip(a.gamma, b.gamma):
-        worst = max(worst, float(np.abs(ex.Evaluator(sm.mat_sub(ga, gb))(pts)).max()))
+        worst = max(worst, float(np.abs(ex.Evaluator(ga - gb)(pts)).max()))
     return worst
 
 
@@ -79,11 +87,26 @@ def test_sample_points_are_the_axis_product_in_c_order(counts):
     assert np.array_equal(dom.sample_points(), np.array(list(itertools.product(*axes))))
 
 
+@pytest.mark.parametrize(
+    "lower, upper, samples, value",
+    [
+        ((0.0, 0.0), (1.0,), None, None),  # lower and upper differ in length
+        ((), (), None, None),  # no coordinate
+        ((0.0,) * 10, (1.0,) * 10, None, "9"),  # more than MAX_VARIABLES
+        ((0.0, 0.0), (1.0, 1.0), (3,), None),  # one count for two axes
+        ((0.0, 0.0), (1.0, 1.0), (3, 0), None),  # an axis without samples
+    ],
+)
+def test_domain_rejects_a_malformed_box(lower, upper, samples, value):
+    with pytest.raises(ValueError, match=value):
+        ChartDomain(lower, upper, samples)
+
+
 def test_a_coordinate_beyond_the_chart_names_its_entry():
     """An entry mentioning x3 on a 2-dimensional chart is refused with
     the coordinate named, for connections, forms and gauges."""
     dom = square_domain(5)
-    gamma = (sm.zeros_mat(2), ((ex.ZERO, ex.parse("x1 + x3")), (ex.ZERO, ex.ZERO)))
+    gamma = ((("0", "0"), ("0", "0")), ((ex.ZERO, ex.parse("x1 + x3")), (ex.ZERO, ex.ZERO)))
     with pytest.raises(ValueError) as err:
         Connection(dom, 2, gamma)
     assert str(err.value) == "connection coefficient uses x3 but the chart has dimension 2"
@@ -252,7 +275,7 @@ def test_identity_gauge_leaves_connection():
     dom = square_domain(5)
     rng = np.random.default_rng(4)
     conn = random_polynomial_connection(rng, dom, 2)
-    phi = GaugeTransform(dom, 2, sm.identity_mat(2))
+    phi = GaugeTransform(dom, 2, np.eye(2))
     assert _max_coeff_diff(apply_gauge(phi, conn), conn) <= 1e-15
 
 
@@ -270,7 +293,7 @@ def test_gauge_action_round_trip():
     for r in (2, 3):
         conn = random_polynomial_connection(rng, dom, r)
         phi = random_polynomial_gauge(rng, dom, r)
-        phi_inv = GaugeTransform(dom, r, sm.inverse_mat(phi.entries))
+        phi_inv = GaugeTransform(dom, r, inverse_mat(phi.entries))
         back = apply_gauge(phi_inv, apply_gauge(phi, conn))
         assert _max_coeff_diff(back, conn) <= 1e-9
 
@@ -283,7 +306,7 @@ def test_gauge_action_round_trip():
 def test_pushforward_identity():
     dom = square_domain(5)
     metric = half_plane_metric(ChartDomain((-1.0, 0.75), (1.0, 1.75), (5, 5)))
-    phi = GaugeTransform(metric.domain, 2, sm.identity_mat(2))
+    phi = GaugeTransform(metric.domain, 2, np.eye(2))
     pushed = pushforward_metric(phi, metric)
     for p in metric.domain.sample_points():
         assert np.allclose(pushed.matrix_at(p), metric.matrix_at(p), atol=1e-14)
@@ -333,6 +356,22 @@ def test_levi_civita_parallel_and_matches_oracle():
         assert np.abs(conn.coeff_at(p) - gamma_oracle).max() <= 1e-6
 
 
+def test_levi_civita_needs_a_regular_metric_on_the_tangent_bundle():
+    dom = square_domain(3)
+    with pytest.raises(ValueError):
+        levi_civita(MetricField(dom, 1, [["1"]]))  # rank 1 on a 2-d chart
+    with pytest.raises(ValueError):
+        levi_civita(MetricField(dom, 2, [["1", "0"], ["0", "0"]]))
+
+
+def test_a_symbolic_inverse_above_rank_4_is_refused():
+    """Cofactor expansion bounds the inverse, so the dual of a rank-5
+    connection is refused, though its metric is regular."""
+    dom = square_domain(3)
+    with pytest.raises(ValueError, match="got 5"):
+        dual_connection(identity_metric(dom, 5), zero_connection(dom, 5))
+
+
 def test_forced_nonparallel_metric():
     dom = square_domain(5)
     conn = flat_connection(dom)
@@ -354,7 +393,7 @@ def test_compat_identity_gauge_zero_residual():
     dom = square_domain(5)
     conn = flat_connection(dom)
     metric = identity_metric(dom, 2)
-    phi = GaugeTransform(dom, 2, sm.identity_mat(2))
+    phi = GaugeTransform(dom, 2, np.eye(2))
     assert dual_gauge_compatibility_residual(phi, metric, conn) <= 1e-15
 
 
@@ -378,6 +417,70 @@ def test_compat_random_polynomial_data():
 
 
 # ---------------------------------------------------------------------------
+# node identity: each construction against its formula written out
+# ---------------------------------------------------------------------------
+
+
+def _assert_same_nodes(got, want):
+    got, want = np.asarray(got, dtype=object), np.array(want, dtype=object)
+    assert got.shape == want.shape
+    assert all(g is w for g, w in zip(got.flat, want.flat))
+
+
+@pytest.mark.parametrize(
+    "path", sorted((Path(__file__).resolve().parents[1] / "problems").glob("*.json")), ids=str
+)
+def test_constructions_return_the_nodes_of_their_formulas(path):
+    """Curvature, the dual, the gauge action and the pushforward on the
+    bundled problems (the identity metric where a problem has none) under
+    the gauge [[1, x1], [0, 1]], entry by entry: the same interned
+    nodes, so every operand keeps its order."""
+    data = json.loads(path.read_text(encoding="utf-8"))
+    m, r = data["dim"], data["rank"]
+    dom = ChartDomain(tuple(data["domain"]["lower"]), tuple(data["domain"]["upper"]), (3,) * m)
+    conn = Connection(dom, r, data["connection"])
+    metric = MetricField(dom, r, data["metric"]) if "metric" in data else identity_metric(dom, r)
+    phi = GaugeTransform(dom, r, [["1", "x1"], ["0", "1"]])
+    gamma, g, p = conn.gamma, metric.entries, phi.entries
+    ginv, pinv = entrywise_inverse(g), entrywise_inverse(p)
+    zeros = [[ex.ZERO] * r for _ in range(r)]
+    field = [[zeros] * m for _ in range(m)]
+    for i, j in itertools.combinations(range(m), 2):
+        rij = entrywise(
+            ex.add,
+            entrywise(ex.sub, entrywise_diff(gamma[j], i + 1), entrywise_diff(gamma[i], j + 1)),
+            entrywise(
+                ex.sub,
+                entrywise_product(gamma[j], gamma[i]),
+                entrywise_product(gamma[i], gamma[j]),
+            ),
+        )
+        field[i][j], field[j][i] = rij, [[ex.neg(e) for e in row] for row in rij]
+    dual = [
+        entrywise_product(
+            entrywise(
+                ex.sub,
+                entrywise_diff(g, i + 1),
+                entrywise_product(g, entrywise_transpose(gamma[i])),
+            ),
+            ginv,
+        )
+        for i in range(m)
+    ]
+    gauged = [
+        entrywise_product(
+            pinv, entrywise(ex.sub, entrywise_product(gamma[i], p), entrywise_diff(p, i + 1))
+        )
+        for i in range(m)
+    ]
+    pushed = entrywise_product(pinv, entrywise_product(g, entrywise_transpose(pinv)))
+    _assert_same_nodes(curvature(conn), field)
+    _assert_same_nodes(dual_connection(metric, conn).gamma, dual)
+    _assert_same_nodes(apply_gauge(phi, conn).gamma, gauged)
+    _assert_same_nodes(pushforward_metric(phi, metric).entries, pushed)
+
+
+# ---------------------------------------------------------------------------
 # metric field validation
 # ---------------------------------------------------------------------------
 
@@ -390,6 +493,34 @@ def test_an_infinite_coefficient_is_refused_where_it_is_given():
         Connection(dom, 1, [[[float("inf")]], [["x1"]]])
     with pytest.raises(ValueError, match="-inf constant"):
         Connection(dom, 1, [[["x2"]], [[float("-inf")]]])
+
+
+def test_coefficient_arrays_must_have_the_bundle_shape():
+    """One r x r matrix per coordinate for a connection, one r x r
+    matrix for a form or a gauge map; a ragged row is a wrong shape too.
+    The errors name the expected shape or the count given."""
+    dom = square_domain(3)
+    rank3 = [["0"] * 3] * 3
+    with pytest.raises(ValueError, match="got 3"):
+        Connection(dom, 3, [rank3] * 3)  # three matrices on a 2-d chart
+    with pytest.raises(ValueError, match="3x3"):
+        Connection(dom, 3, [[["0"] * 2] * 2] * 2)
+    with pytest.raises(ValueError, match="2x2"):
+        Connection(dom, 2, [[["0", "0"], ["0"]], [["0", "0"], ["0", "0"]]])
+    with pytest.raises(ValueError, match="2x2"):
+        MetricField(dom, 2, rank3)
+    with pytest.raises(ValueError, match="2x2"):
+        MetricField(dom, 2, [["1", "0"], ["0"]])
+    with pytest.raises(ValueError, match="2x2"):
+        GaugeTransform(dom, 2, [["1"]])
+
+
+def test_an_entry_must_be_an_expression_a_string_or_a_number():
+    dom = square_domain(3)
+    with pytest.raises(TypeError):
+        MetricField(dom, 2, [["1", None], [None, "1"]])
+    with pytest.raises(TypeError):
+        Connection(dom, 1, [[[{}]], [["0"]]])
 
 
 def test_metric_field_rejects_asymmetric_entries():
@@ -426,7 +557,7 @@ def test_a_metric_is_evaluated_on_its_grid_once(monkeypatch):
     assert metric.is_regular()
     margin = metric.regularity_margin()
     assert calls == [25]
-    mats = ex.Evaluator(sm.as_matrix(entries))(dom.sample_points())
+    mats = ex.Evaluator([[ex.parse(e) for e in row] for row in entries])(dom.sample_points())
     s = np.linalg.svd(mats, compute_uv=False)
     assert margin == (
         float(np.abs(np.linalg.det(mats)).min()),

@@ -1126,6 +1126,29 @@ def test_a_derivative_failure_is_named_at_its_entry(capsys, tmp_path, monkeypatc
     ]
 
 
+@pytest.mark.parametrize("command", ["metricity", "index", "solve-fe"])
+def test_a_prolongation_overflow_is_named_at_its_entry(capsys, tmp_path, monkeypatch, command):
+    """Every entry is finite on the grid, but order 0 multiplies two of
+    them past the floating-point range: the failure is named at the entry
+    with the largest coefficient. Before, it was named at `$`."""
+    monkeypatch.chdir(tmp_path)
+    problem = dict(
+        BASE_PROBLEM,
+        connection=[[["0", "1e200*x2"], ["0", "0"]], [["0", "0"], ["1e200*x1", "0"]]],
+    )
+    problem["domain"] = {"lower": [0.5, 0.5], "upper": [1.0, 1.0], "gridPerAxis": 5}
+    _write(tmp_path, "p.json", problem)
+    code, out, _ = _run(capsys, command, "p.json", "--quiet")
+    assert code == 2
+    assert json.loads(out)["result"]["diagnostics"] == [
+        {
+            "path": "connection[0][0][1]",
+            "code": "error",
+            "message": "prolongation order 0 overflows in '1e+200*x2' at (0.75, 0.75)",
+        }
+    ]
+
+
 LOCATED_FAILURES = {
     # the first entry in file order holding the failing subtree is named
     "connection": (

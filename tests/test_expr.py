@@ -142,6 +142,17 @@ def test_nodes_refuse_assignment_and_deletion():
     assert (node.mask, ex.to_string(node)) == (0b11, "x1 + x2")
 
 
+def test_coordinate_indices_and_function_names_are_checked():
+    """Coordinates run x1..x9, for a variable and for a derivative."""
+    for index in (0, 10):
+        with pytest.raises(ValueError, match=f"got {index}"):
+            ex.var(index)
+        with pytest.raises(ValueError, match=f"got {index}"):
+            ex.differentiate(ex.var(1), index)
+    with pytest.raises(ValueError, match="'tan'"):
+        ex.func("tan", ex.var(1))
+
+
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 def test_a_constant_must_be_finite(value):
     """An infinite constant failed far from its source: its repr raised

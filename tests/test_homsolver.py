@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from metron import expr as ex
-from metron import symmatrix as sm
 from metron.bundle import (
     ChartDomain,
     Connection,
@@ -97,6 +96,11 @@ def _same_span(basis_a, basis_b, tol=1e-8) -> bool:
         return False
     stacked = np.vstack([a, b])
     return _span_dim(stacked) == a.shape[0]
+
+
+def test_a_form_solve_names_its_symmetry():
+    with pytest.raises(ValueError, match="'symmetric' or 'antisymmetric'"):
+        _forms(flat_connection(), "hermitian")
 
 
 # ---------------------------------------------------------------------------
@@ -510,10 +514,8 @@ def _symbolic_orders(conn, max_order):
     yield gens
     for _ in range(max_order):
         gens = [
-            sm.mat_sub(
-                sm.mat_diff(b, l + 1),
-                sm.mat_sub(sm.mat_mul(conn.gamma[l], b), sm.mat_mul(b, conn.gamma[l])),
-            )
+            np.frompyfunc(ex.differentiate, 2, 1)(b, l + 1)
+            - (conn.gamma[l] @ b - b @ conn.gamma[l])
             for b in gens
             for l in range(m)
         ]

@@ -6,7 +6,6 @@ import pytest
 
 from metron import expr as ex
 from metron import statmodels
-from metron import symmatrix as sm
 from metron.bundle import (
     conjugate_connection,
     curvature,
@@ -24,7 +23,12 @@ from metron.statmodels import (
     skewness_tensor,
 )
 from oracles import fisher_oracle, skewness_oracle
-from support import metric_covariant_derivative, path_operator
+from support import (
+    entrywise_diff,
+    entrywise_inverse,
+    metric_covariant_derivative,
+    path_operator,
+)
 
 # the sigma -> 0.5 corner of the gaussian box makes the transport flow
 # stiff (rates up to ~12); 128 steps per edge keeps the integration error
@@ -148,7 +152,7 @@ def _max_coeff_diff(a, b):
     pts = a.domain.sample_points()
     worst = 0.0
     for ga, gb in zip(a.gamma, b.gamma):
-        worst = max(worst, float(np.abs(ex.Evaluator(sm.mat_sub(ga, gb))(pts)).max()))
+        worst = max(worst, float(np.abs(ex.Evaluator(ga - gb)(pts)).max()))
     return worst
 
 
@@ -171,25 +175,33 @@ def test_alpha_zero_self_dual():
 
 @pytest.mark.parametrize("name", list(FAMILIES))
 def test_alpha_connection_combines_the_shared_forms(name):
-    """Gamma(alpha) = Gamma(0) - (alpha/2) g^{-1} T written out here from
-    the family's metric, its Levi-Civita connection and T: the shared
-    forms give the same interned nodes at every alpha, and hold nothing
-    but expression nodes."""
+    """Gamma(alpha) = Gamma(0) - (alpha/2) g^{-1} T written out here entry
+    by entry from the family's metric and T, with Gamma(0) the
+    Levi-Civita formula 1/2 sum_l g^{kl} (d_i g_jl + d_j g_il - d_l g_ij):
+    levi_civita, the shared forms and every alpha give the same interned
+    nodes, and the forms hold nothing but expression nodes."""
     family = get_family(name)
     metric = fisher_metric(family)
-    base = levi_civita(metric).gamma
-    ginv = sm.inverse_mat(metric.entries)
+    m, g = family.m, metric.entries
+    ginv = entrywise_inverse(g)
+    dg = [entrywise_diff(g, l + 1) for l in range(m)]
     t = skewness_tensor(family)
-    m = family.m
+    base = levi_civita(metric).gamma
+    contracted = family.alpha_forms[1]
     for alpha in (-1.0, -0.5, 0.0, 0.5, 1.0, 30.0):
         got = alpha_connection(family, alpha).gamma
         for i, j, k in itertools.product(range(m), repeat=3):
-            corr = ex.ZERO
+            corr = lc = ex.ZERO
             for l in range(m):
                 corr = ex.add(corr, ex.mul(ginv[k][l], t[i][j][l]))
+                bracket = ex.sub(ex.add(dg[i][j][l], dg[j][i][l]), dg[l][i][j])
+                lc = ex.add(lc, ex.mul(ginv[k][l], bracket))
+            assert base[i][j][k] is ex.mul(ex.const(0.5), lc), (name, i, j, k)
+            assert contracted[i][j][k] is corr, (name, i, j, k)
             want = ex.add(base[i][j][k], ex.mul(ex.const(-alpha / 2.0), corr))
             assert got[i][j][k] is want, (name, alpha, i, j, k)
-    assert alpha_connection(family, 0.0).gamma == base
+    at_zero = np.asarray(alpha_connection(family, 0.0).gamma, dtype=object)
+    assert all(a is b for a, b in zip(at_zero.flat, np.asarray(base, dtype=object).flat))
     leaves = np.array(family.alpha_forms, dtype=object).ravel()
     assert all(isinstance(e, ex.ScalarExpression) for e in leaves)
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from metron.bundle import identity_metric, dual_connection, zero_connection
-from metron.transport import Grid, GridTransporter
+from metron.transport import MIN_STEPS_PER_SEGMENT, Grid, GridTransporter
 from metron import expr as ex
 from metron import statmodels, transport
 from metron.bundle import ChartDomain, Connection, MetricField, conjugate_connection
@@ -363,12 +363,13 @@ def test_operators_equal_step_by_step_integration(name, steps, monkeypatch):
 
 @pytest.mark.parametrize("d", [1, 4])
 def test_equal_factors_compose_bitwise_as_any_factors(d):
-    """_compose_equal takes one product per level, and gives the bits
-    of _compose over s copies of each matrix, for every s to 70."""
+    """np.linalg.matrix_power, which a constant generator's operator
+    takes, gives the bits of _compose over s copies of each matrix, for
+    every step count s that SolveOptions accepts, to 70."""
     step = np.eye(d) + 0.3 * np.random.default_rng(d).standard_normal((5, d, d))
-    for s in range(1, 71):
+    for s in range(MIN_STEPS_PER_SEGMENT, 71):
         want = transport._compose(np.repeat(step[:, None], s, axis=1))
-        assert np.array_equal(transport._compose_equal(step, s), want), s
+        assert np.array_equal(np.linalg.matrix_power(step, s), want), s
 
 
 def test_each_distinct_operator_is_built_once(monkeypatch):
