@@ -92,15 +92,16 @@ class StatisticalFamily:
 
     @cached_property
     def alpha_forms(self) -> tuple[np.ndarray, np.ndarray]:
-        """(Gamma(0)^k_ij, (g^{-1} T)^k_ij = sum_l g^{kl} T_ijl) as (m, m, m)
-        arrays of interned expressions, built on first use. Building them
-        checks that the Fisher metric is symmetric and regular on the box;
-        no evaluator outlives the call."""
+        """(Gamma(0)^k_ij, (g^{-1} T)^k_ij = sum_l g^{kl} T_ijl) as read-only
+        (m, m, m) arrays of interned expressions, built on first use.
+        Building them checks that the Fisher metric is symmetric and
+        regular on the box; no evaluator outlives the call."""
         metric = fisher_metric(self)
         base = levi_civita(metric).gamma
         ginv = inverse_mat(metric.entries)
         # plane i of the contraction is (g^{-1} T_i^T)^T, T_i = T[i]
         contracted = (ginv @ skewness_tensor(self).swapaxes(-1, -2)).swapaxes(-1, -2)
+        contracted.flags.writeable = False
         return base, contracted
 
 

@@ -515,6 +515,17 @@ def test_coefficient_arrays_must_have_the_bundle_shape():
         GaugeTransform(dom, 2, [["1"]])
 
 
+def test_coefficient_arrays_are_read_only():
+    """Every tree shares its nodes and curvature is kept on its
+    connection, so no stored array of nodes can be written."""
+    dom = square_domain(3)
+    conn = nilpotent_connection(dom)
+    phi = GaugeTransform(dom, 2, np.eye(2))
+    for array in (conn.gamma, identity_metric(dom, 2).entries, phi.entries, curvature(conn)):
+        with pytest.raises(ValueError):
+            array[(0,) * array.ndim] = ex.ONE
+
+
 def test_an_entry_must_be_an_expression_a_string_or_a_number():
     dom = square_domain(3)
     with pytest.raises(TypeError):

@@ -200,10 +200,11 @@ def test_alpha_connection_combines_the_shared_forms(name):
             assert contracted[i][j][k] is corr, (name, i, j, k)
             want = ex.add(base[i][j][k], ex.mul(ex.const(-alpha / 2.0), corr))
             assert got[i][j][k] is want, (name, alpha, i, j, k)
-    at_zero = np.asarray(alpha_connection(family, 0.0).gamma, dtype=object)
-    assert all(a is b for a, b in zip(at_zero.flat, np.asarray(base, dtype=object).flat))
+    at_zero = alpha_connection(family, 0.0).gamma
+    assert all(a is b for a, b in zip(at_zero.flat, base.flat))
     leaves = np.array(family.alpha_forms, dtype=object).ravel()
     assert all(isinstance(e, ex.ScalarExpression) for e in leaves)
+    assert not any(form.flags.writeable for form in family.alpha_forms)
 
 
 def test_a_scan_builds_the_shared_forms_once(monkeypatch):
