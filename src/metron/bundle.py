@@ -139,6 +139,7 @@ class ChartDomain:
 
 
 def as_expr(entry) -> ex.ScalarExpression:
+    """A node as given, a string parsed, a number as a constant."""
     if isinstance(entry, ex.ScalarExpression):
         return entry
     if isinstance(entry, str):

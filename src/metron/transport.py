@@ -35,8 +35,8 @@ there, in their start and in their direction, share one operator; and
 a segment whose direction has no component along those coordinates
 has a constant generator, whose s step matrices are all one matrix:
 its s-th power by repeated squaring (`np.linalg.matrix_power`), which
-for s >= 4 multiplies the factors in the association of the pairwise
-products, so it gives their bits.
+for s >= 4 associates the factors as the pairwise products do, so it
+gives the same bits.
 Both rules skip only points that differ from evaluated ones in
 coordinates no coefficient reads, and products equal to ones taken, so
 every operator is bitwise the one that step-by-step integration of its
