@@ -758,8 +758,8 @@ class Evaluator:
     """Evaluate an array of expressions at many points with one numpy
     operation per distinct node of their union DAG.
 
-    Evaluator(entries)(x), with entries a nested tuple or list of
-    expressions of any depth and shape s, and x of shape (..., m),
+    Evaluator(entries)(x), with entries a nested sequence or an object
+    array of expressions of any depth and shape s, and x of shape (..., m),
     returns an array of shape (...,) + s; a ragged nesting raises
     ValueError. Subtrees that entries share are computed once, and each
     temporary is dropped after its last use, so the arrays alive at once
