@@ -55,7 +55,10 @@ Runs, in one process and through the same code path as `metron`:
   on a rank-2 connection on [0.5, 1]^2 with the finite entries 1e200*x2
   and 1e200*x1, whose product at order 0 of the prolongation overflows
   (rejected at the entry with the largest coefficient,
-  `connection[0][0][1]`).
+  `connection[0][0][1]`), and `metricity` on a problem file holding the
+  bytes ff fe 7b, which are not UTF-8 (rejected at the file's name with
+  code `json`; the added runs take their temporary directory as the
+  working directory, so that this file is named by a relative path).
 
 Each run prints one line, `<sha256>  <command>  (exit <code>)`, so two
 checkouts can be compared with diff:
@@ -84,6 +87,7 @@ prints `crash: <exception>` in place of its digest.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -356,6 +360,9 @@ def added_commands(out: Path, error_paths: bool) -> list[list[str]]:
         path = out / "prolongation-overflow.json"
         path.write_text(json.dumps(PROLONGATION_OVERFLOW), encoding="utf-8")
         commands.append(["metricity", str(path)])
+        # named relative to out, which the added runs take as working directory
+        (out / "not-utf-8.json").write_bytes(b"\xff\xfe{")
+        commands.append(["metricity", "not-utf-8.json"])
     return commands
 
 
@@ -363,6 +370,17 @@ def run(argv: list[str]) -> tuple[dict, int]:
     """The report and exit code of one CLI command line."""
     args = cli.build_parser().parse_args(argv)
     return cli.run_command(args)
+
+
+@contextlib.contextmanager
+def _inside(directory: str):
+    """Run the block with directory as the working directory."""
+    cwd = os.getcwd()
+    os.chdir(directory)
+    try:
+        yield
+    finally:
+        os.chdir(cwd)
 
 
 def runs(bench_inputs: bool = False, error_paths: bool = False, also=()):
@@ -379,20 +397,18 @@ def runs(bench_inputs: bool = False, error_paths: bool = False, also=()):
     if error_paths:
         with tempfile.TemporaryDirectory() as tmp:
             commands = error_commands(Path(tmp))
-            cwd = os.getcwd()
-            os.chdir(tmp)
-            try:
+            with _inside(tmp):
                 for command in commands:
                     try:
                         report, code = run(command)
                     except Exception as err:  # an uncaught error exits 1 from `metron`
                         report, code = err, 1
                     yield shlex.join(command), report, code
-            finally:
-                os.chdir(cwd)
     with tempfile.TemporaryDirectory() as tmp:
-        for command in added_commands(Path(tmp), error_paths):
-            yield (shlex.join(command).replace(tmp, TMP_SHOWN), *run(command))
+        commands = added_commands(Path(tmp), error_paths)
+        with _inside(tmp):
+            for command in commands:
+                yield (shlex.join(command).replace(tmp, TMP_SHOWN), *run(command))
 
 
 def report_digest(report) -> str:

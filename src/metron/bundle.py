@@ -297,9 +297,6 @@ def curvature(conn: Connection) -> np.ndarray:
     """R_ij = d_i Gamma_j - d_j Gamma_i + Gamma_j Gamma_i - Gamma_i Gamma_j,
     as the read-only (m, m, r, r) array R[i][j]; R_ji is -R_ij node for
     node, and R_ii is zero."""
-    cached = conn.__dict__.get("_curvature")
-    if cached is not None:
-        return cached
     m, r = conn.domain.m, conn.r
     i, j = np.triu_indices(m, 1)
     gi, gj = conn.gamma[i], conn.gamma[j]
@@ -309,7 +306,6 @@ def curvature(conn: Connection) -> np.ndarray:
     field = np.full((m, m, r, r), ex.ZERO)
     field[i, j], field[j, i] = rij, -rij
     field.flags.writeable = False
-    conn.__dict__["_curvature"] = field
     return field
 
 

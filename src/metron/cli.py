@@ -48,7 +48,7 @@ from .bundle import (
     identity_metric,
     inverse_mat,
 )
-from .homsolver import UNDER_RESOLVED, Prolongation, SolveOptions, solve_hom
+from .homsolver import Prolongation, SolveOptions, solve_hom
 from .metricity import decide_metricity, index_report
 from .statmodels import ALPHA_SCAN_OPTIONS, alpha_scan, get_family
 
@@ -506,9 +506,7 @@ def _cmd_dual(p: ProblemObjects, args):
     pts = p.domain.sample_points()
     residual = float(np.abs(back.coeff_array(pts) - p.connection.coeff_array(pts)).max())
     result = {
-        "dualConnection": [
-            [[ex.to_string(e) for e in row] for row in g] for g in dual.gamma
-        ],
+        "dualConnection": np.frompyfunc(ex.to_string, 1, 1)(dual.gamma).tolist(),
         "involutionResidual": residual,
         "usedIdentityMetric": p.metric is None,
     }
@@ -521,9 +519,7 @@ def _cmd_curvature(p: ProblemObjects, args):
     result = {
         "maxAbsOnGrid": worst,
         "flat": worst <= 1e-9,
-        "entries": [
-            [[[ex.to_string(e) for e in row] for row in rij] for rij in ri] for ri in field
-        ],
+        "entries": np.frompyfunc(ex.to_string, 1, 1)(field).tolist(),
     }
     return result, True
 
@@ -531,8 +527,7 @@ def _cmd_curvature(p: ProblemObjects, args):
 def _cmd_solve_fe(p: ProblemObjects, args):
     dual = p.dual or dual_connection(p.base_metric(), p.connection)
     space = solve_hom(Prolongation(p.connection, dual, p.options))
-    ok = space.stabilized and UNDER_RESOLVED not in space.flags
-    return {"solutionSpace": _space_summary(space)}, ok
+    return {"solutionSpace": _space_summary(space)}, space.certified
 
 
 def _cmd_gauge_check(p: ProblemObjects, args):
@@ -622,6 +617,9 @@ def _load_json(path: str):
         text = Path(path).read_text(encoding="utf-8")
     except OSError as err:
         raise _InputError([_diag(path, "io", str(err))]) from None
+    except UnicodeDecodeError as err:
+        message = f"not UTF-8 text: {err.reason} at byte {err.start}"
+        raise _InputError([_diag(path, "json", message)]) from None
     if _json_depth(text) > MAX_JSON_DEPTH:
         raise _InputError(
             [_diag(path, "json", f"arrays and objects nest deeper than {MAX_JSON_DEPTH} levels")]
@@ -802,12 +800,25 @@ def _normalize_argv(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     args = build_parser().parse_args(_normalize_argv(argv))
-    report, code = run_command(args)
-    text = canonical_json(report) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+    try:
+        # opened before the analysis runs, so that a path that cannot be
+        # written is refused first; in append mode, as the path may name
+        # a file the analysis has still to read
+        out = open(args.out, "a", encoding="utf-8") if args.out else sys.stdout
+    except OSError as err:
+        out, code = sys.stdout, 2
+        result = {"diagnostics": [_diag("--out", "io", str(err))]}
+        report = {"toolVersion": __version__, "command": args.command, "seed": 0}
+        report.update(result=result, timingMs=0)
     else:
-        sys.stdout.write(text)
+        report, code = run_command(args)
+    text = canonical_json(report) + "\n"
+    if out is sys.stdout:
+        out.write(text)
+    else:
+        with out:
+            out.truncate(0)
+            out.write(text)
     if not args.quiet:
         sys.stderr.write(_human_summary(report, code) + "\n")
     return code

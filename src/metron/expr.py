@@ -99,13 +99,12 @@ class ExpressionError(Exception):
 
 
 class ParseError(ExpressionError):
-    """Syntax error with the source offset and the tokens that were legal there."""
+    """Syntax error with the source offset where it was found."""
 
-    def __init__(self, message: str, offset: int, expected: tuple[str, ...] = ()):
+    def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (offset {offset})")
         self.message = message
         self.offset = offset
-        self.expected = tuple(sorted(expected))
 
 
 class UnknownIdentifierError(ParseError):
@@ -381,9 +380,9 @@ def _tokenize(source: str):
             try:
                 value = float(text)
             except ValueError:
-                raise ParseError(f"malformed number {text!r}", i, ("number",))
+                raise ParseError(f"malformed number {text!r}", i)
             if math.isinf(value):
-                raise ParseError(f"number {text!r} overflows", i, ("number",))
+                raise ParseError(f"number {text!r} overflows", i)
             tokens.append(("num", value, i))
             i = j
             continue
@@ -394,7 +393,7 @@ def _tokenize(source: str):
             tokens.append(("ident", source[i:j], i))
             i = j
             continue
-        raise ParseError(f"unexpected character {c!r}", i, ())
+        raise ParseError(f"unexpected character {c!r}", i)
     tokens.append(("eof", None, n))
     return tokens
 
@@ -408,7 +407,7 @@ class _Parser:
     def _nested(self, parse, offset: int):
         """parse() one level deeper; a ParseError at offset past MAX_NESTING."""
         if self.depth == MAX_NESTING:
-            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", offset, ())
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", offset)
         self.depth += 1
         e = parse()
         self.depth -= 1
@@ -422,17 +421,11 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def _expect(self, kind, expected):
-        tok = self._peek()
-        if tok[0] != kind:
-            raise ParseError(f"expected {expected}", tok[2], (expected,))
-        return self._advance()
-
     def parse(self) -> ScalarExpression:
         e = self._expr()
         tok = self._peek()
         if tok[0] != "eof":
-            raise ParseError("unexpected trailing input", tok[2], ("end of input",))
+            raise ParseError("unexpected trailing input", tok[2])
         return e
 
     def _expr(self):
@@ -469,24 +462,20 @@ class _Parser:
         if kind == "(":
             self._advance()
             e = self._nested(self._expr, offset)
-            self._expect(")", "')'")
+            if self._peek()[0] != ")":
+                raise ParseError("expected ')'", self._peek()[2])
+            self._advance()
             return e
         if kind == "ident":
             self._advance()
             if value in FUNCTIONS:
                 if self._peek()[0] != "(":
-                    raise ArityError(
-                        f"function {value!r} needs an argument list", offset, ("'('",)
-                    )
+                    raise ArityError(f"function {value!r} needs an argument list", offset)
                 return func(value, self._base())  # the '(' expr ')' branch
             if value in _COORDINATES:
                 return var(_COORDINATES[value])
-            raise UnknownIdentifierError(f"unknown identifier {value!r}", offset, ())
-        raise ParseError(
-            "expected a number, coordinate, function or '('",
-            offset,
-            ("number", "identifier", "'('", "'-'"),
-        )
+            raise UnknownIdentifierError(f"unknown identifier {value!r}", offset)
+        raise ParseError("expected a number, coordinate, function or '('", offset)
 
 
 def parse(source: str) -> ScalarExpression:
@@ -866,7 +855,6 @@ class TaylorBasis:
         raised = [[tuple(e + (i == l) for i, e in enumerate(a)) for a in lower] for l in range(m)]
         self._dsource = np.array([[index[a] for a in row] for row in raised], dtype=np.intp)
         self._dfactor = np.array([[a[l] + 1.0 for a in lower] for l in range(m)])
-        self._outside: dict[int, np.ndarray] = {}
 
     def product(self, a, b, multiply=np.multiply) -> np.ndarray:
         """Truncated Cauchy product of two series; `multiply` combines
@@ -890,17 +878,9 @@ class TaylorBasis:
     def outside(self, mask: int) -> np.ndarray:
         """Positions of the monomials that mention a coordinate outside
         the bitmask (bit i for x_{i+1})."""
-        found = self._outside.get(mask)
-        if found is None:
-            found = self._outside[mask] = np.array(
-                [
-                    k
-                    for k, a in enumerate(self.monomials)
-                    if any(e and not mask >> i & 1 for i, e in enumerate(a))
-                ],
-                dtype=np.intp,
-            )
-        return found
+        return np.flatnonzero(
+            [any(e and not mask >> i & 1 for i, e in enumerate(a)) for a in self.monomials]
+        )
 
 
 @lru_cache(maxsize=None)

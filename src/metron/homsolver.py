@@ -110,6 +110,12 @@ class SolveOptions:
         transport_tol: float = 1e-7,
         seed: int = 0,
     ):
+        counts = {"steps_per_segment": steps_per_segment, "max_order": max_order, "seed": seed}
+        if grid_per_axis is not None:
+            counts["grid_per_axis"] = grid_per_axis
+        for name, value in counts.items():
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer")
         if steps_per_segment < MIN_STEPS_PER_SEGMENT:
             raise ValueError(f"steps_per_segment must be >= {MIN_STEPS_PER_SEGMENT}")
         if max_order < 0:
@@ -181,6 +187,11 @@ class SolutionSpace:
         self.grid = grid
         self.extensions = extensions  # (dimension, n_nodes, r, r)
         self.flags = flags
+
+    @property
+    def certified(self) -> bool:
+        """Whether the kernel stabilised and transport resolved the space."""
+        return self.stabilized and UNDER_RESOLVED not in self.flags
 
     def contains(self, matrix: np.ndarray, tol: float = 1e-8) -> bool:
         """Whether a matrix lies in the span of the basis (Frobenius)."""

@@ -40,7 +40,6 @@ from .bundle import (
     numerical_rank,
 )
 from .homsolver import (
-    UNDER_RESOLVED,
     Prolongation,
     SolutionSpace,
     SolveOptions,
@@ -237,10 +236,11 @@ def decide_metricity(
             verdict = "RegularlyMetric" if witness_rank == r else "SingularMetricOnly"
     residuals["witnessTransport"] = witness_transport
     certified = (
-        stabilized
+        hom.certified
+        and s2.certified
+        and o2.certified
         and dims_ok
         and (s2.dimension == 0 or witness_rank is not None)
-        and UNDER_RESOLVED not in flags
         and (verdict != "RegularlyMetric" or witness_transport <= opts.transport_tol)
     )
     return MetricityCertificate(

@@ -171,9 +171,7 @@ def flow_operators(conn: Connection, dual: Connection, starts, ends, steps: int)
     starts = np.asarray(starts, dtype=float)
     u = np.asarray(ends, dtype=float) - starts
     m, r1, r2 = conn.domain.m, conn.r, dual.r
-    entries = [
-        e for i in range(m) for g in (dual.gamma[i], conn.gamma[i]) for row in g for e in row
-    ]
+    entries = np.concatenate((dual.gamma.reshape(m, -1), conn.gamma.reshape(m, -1)), 1).ravel()
     evaluate = ex.Evaluator(entries)
     used = ex.variables(*entries)
     read = np.array([i + 1 in used for i in range(m)], dtype=bool)
@@ -300,8 +298,6 @@ class GridTransporter:
         base_index: int,
         steps_per_segment: int = DEFAULT_STEPS_PER_SEGMENT,
     ):
-        self.conn = conn
-        self.dual = dual
         self.grid = grid
         self.base_index = base_index
         self.steps = steps_per_segment

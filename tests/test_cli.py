@@ -31,10 +31,14 @@ def _python(*argv):
 
 
 def _write(tmp_path, name, payload):
+    """payload written as it is (str or bytes), else as JSON."""
     path = tmp_path / name
-    path.write_text(
-        payload if isinstance(payload, str) else json.dumps(payload), encoding="utf-8"
-    )
+    if isinstance(payload, bytes):
+        path.write_bytes(payload)
+    else:
+        path.write_text(
+            payload if isinstance(payload, str) else json.dumps(payload), encoding="utf-8"
+        )
     return str(path)
 
 
@@ -656,6 +660,7 @@ def test_booleans_and_infinities_are_not_numbers(capsys, tmp_path, name, command
         ([[["1", "0"], ["0", "x3"]]], "--metric-family[0][1][1]", "unknown-variable"),
         ([[["1", "0"], ["0", "1"]], [["1", "0.2"], ["0", "1"]]], "--metric-family[1]", "value"),
         ([[["1", "0"], ["0", "1/(x1-x1)"]]], "--metric-family[0][1][1]", "error"),
+        (b"\xff\xfe[", "metrics.json", "json"),
     ],
     ids=[
         "missing",
@@ -667,6 +672,7 @@ def test_booleans_and_infinities_are_not_numbers(capsys, tmp_path, name, command
         "unknown-variable",
         "asymmetric",
         "pole",
+        "not-utf-8",
     ],
 )
 def test_bad_metric_family_file_is_rejected(capsys, tmp_path, monkeypatch, payload, path, code):
@@ -1041,6 +1047,7 @@ DEEP_INPUTS = {
         dict(BASE_PROBLEM, metric=[["1", "0.2"], ["0", "1"]]), 2, [("metric", "value")]
     ),
     "null-seed": (dict(BASE_PROBLEM, seed=None), 0, []),
+    "not-utf-8": (b"\xff\xfe{", 2, [("p.json", "json")]),
 }
 
 
@@ -1291,6 +1298,29 @@ def test_repeated_runs_byte_identical(capsys, tmp_path):
         )
         assert code == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("out", ["missing-dir/r.json", "."], ids=["missing-dir", "directory"])
+def test_an_out_path_that_cannot_be_written_is_refused(capsys, tmp_path, monkeypatch, out):
+    """A missing directory or a directory is refused at --out before the
+    analysis runs, not raised from `main` (exit 1); the report goes to
+    stdout."""
+    monkeypatch.chdir(tmp_path)
+    code, stdout, err = _run(capsys, "metricity", str(PROBLEMS / "flat2x2.json"), "--out", out)
+    assert code == 2
+    diags = json.loads(stdout)["result"]["diagnostics"]
+    assert [(d["path"], d["code"]) for d in diags] == [("--out", "io")]
+    assert "[io] --out: " in err
+    assert not (tmp_path / "missing-dir").exists()
+
+
+def test_out_may_name_the_problem_file(capsys, tmp_path):
+    """The problem is read before --out's file is rewritten, and a
+    longer file left there is replaced whole."""
+    path = _write(tmp_path, "p.json", dict(BASE_PROBLEM, note="x" * 10_000))
+    code, _, _ = _run(capsys, "validate", path, "--quiet", "--out", path)
+    assert code == 0
+    assert json.loads(Path(path).read_text())["result"] == {"diagnostics": []}
 
 
 def test_problem_hash_tracks_semantics(capsys, tmp_path):

@@ -16,7 +16,9 @@ from metron.bundle import (
     identity_metric,
 )
 from metron.homsolver import (
+    UNDER_RESOLVED,
     Prolongation,
+    SolutionSpace,
     SolveOptions,
     _intertwining_operator,
     _order_values,
@@ -315,7 +317,19 @@ def test_solve_options_replace_changes_only_the_named_fields():
 
 
 @pytest.mark.parametrize(
-    "changes", [{"steps_per_segment": 1}, {"transport_tol": float("nan")}, {"max_order": -1}]
+    "changes",
+    [
+        {"steps_per_segment": 1},
+        {"transport_tol": float("nan")},
+        {"max_order": -1},
+        # counts that are not integers fail at construction, not in a solve
+        {"steps_per_segment": 8.5},
+        {"steps_per_segment": 9.0},
+        {"grid_per_axis": 5.0},
+        {"max_order": 1.5},
+        {"seed": 2.5},
+        {"max_order": True},
+    ],
 )
 def test_solve_options_replace_checks_as_construction_does(changes):
     (name,) = changes
@@ -325,6 +339,24 @@ def test_solve_options_replace_checks_as_construction_does(changes):
         SolveOptions(grid_per_axis=5).replace(**changes)
     with pytest.raises(TypeError):
         SolveOptions().replace(grid=5)
+
+
+def test_solve_options_take_numpy_integers():
+    """A numpy integer is a count: the solve is the one its Python
+    integer gives."""
+    given = SolveOptions(np.int64(5), np.int32(16), np.int64(2), seed=np.int64(3))
+    plain = SolveOptions(5, 16, 2, seed=3)
+    assert given == plain
+    conn = nilpotent_connection()
+    spaces = [solve_hom(Prolongation(conn, conn, options)) for options in (given, plain)]
+    assert np.array_equal(spaces[0].basis, spaces[1].basis)
+
+
+def test_a_space_is_certified_when_stabilized_and_resolved():
+    space = solve_hom(Prolongation(flat_connection(), flat_connection()))
+    assert space.certified
+    for changes in ({"stabilized": False}, {"flags": (UNDER_RESOLVED,)}):
+        assert not SolutionSpace(**{**vars(space), **changes}).certified
 
 
 # ---------------------------------------------------------------------------
