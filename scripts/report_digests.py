@@ -58,7 +58,12 @@ Runs, in one process and through the same code path as `metron`:
   `connection[0][0][1]`), and `metricity` on a problem file holding the
   bytes ff fe 7b, which are not UTF-8 (rejected at the file's name with
   code `json`; the added runs take their temporary directory as the
-  working directory, so that this file is named by a relative path).
+  working directory, so that this file is named by a relative path),
+  then six refusals of values that the library's own checks decide,
+  each `metricity` on the half plane: `--tol-kernel 0`, the file's
+  `tolerances.transport` 0 and `tolerances.kernel` true, a
+  `domain.lower[1]` equal to its upper bound, the file's `gridPerAxis`
+  2, and `--grid 150` (22,500 grid nodes at dim 2).
 
 Each run prints one line, `<sha256>  <command>  (exit <code>)`, so two
 checkouts can be compared with diff:
@@ -363,6 +368,19 @@ def added_commands(out: Path, error_paths: bool) -> list[list[str]]:
         # named relative to out, which the added runs take as working directory
         (out / "not-utf-8.json").write_bytes(b"\xff\xfe{")
         commands.append(["metricity", "not-utf-8.json"])
+        domain = half_plane["domain"]
+        refused = {
+            "zero-transport-tolerance": {"tolerances": {"transport": 0}},
+            "boolean-kernel-tolerance": {"tolerances": {"kernel": True}},
+            "lower-not-below-upper": {"domain": {**domain, "lower": [-1.0, domain["upper"][1]]}},
+            "grid-per-axis-2": {"domain": {**domain, "gridPerAxis": 2}},
+        }
+        for name, changes in refused.items():
+            (out / f"{name}.json").write_text(json.dumps({**half_plane, **changes}), "utf-8")
+        (out / "half-plane.json").write_text(json.dumps(half_plane), encoding="utf-8")
+        commands.append(["metricity", "half-plane.json", "--tol-kernel", "0"])
+        commands += [["metricity", f"{name}.json"] for name in refused]
+        commands.append(["metricity", "half-plane.json", "--grid", "150"])
     return commands
 
 

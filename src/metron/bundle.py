@@ -32,6 +32,7 @@ test suite instead of being assumed.
 from __future__ import annotations
 
 import math
+import numbers
 from functools import cached_property
 
 import numpy as np
@@ -63,6 +64,7 @@ DET_REGULARITY_FLOOR = 1e-8
 CONDITION_CEILING = 1e8
 RANK_REL_CUTOFF = 1e-8
 IRREGULAR_METRIC = "dual connection needs a regular metric on the chart"
+DEFAULT_SAMPLES_PER_AXIS = 9
 
 
 def numerical_rank(matrix: np.ndarray, scale: float | np.ndarray | None = None):
@@ -86,12 +88,47 @@ def numerical_rank(matrix: np.ndarray, scale: float | np.ndarray | None = None):
     return int(ranks) if ranks.ndim == 0 else ranks
 
 
+def count_error(name: str, value, low: int, high: int | None = None) -> str | None:
+    """The refusal of a count that is not an integer (Python or numpy, not
+    a bool) in low..high, high None meaning no limit; None for one that is."""
+    count = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if count and low <= value and (high is None or value <= high):
+        return None
+    return f"{name} must be an integer " + (f">= {low}" if high is None else f"in {low}..{high}")
+
+
+def is_finite_number(value) -> bool:
+    """Whether value is a real number, not a bool, that a float holds
+    finitely (1e400 reads as inf, and a 400-digit integer overflows)."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        return real and math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
+def bounds_error(name: str, bounds, m: int) -> str | None:
+    """The refusal of box bounds that are not a list or tuple of m finite
+    numbers; None for ones that are."""
+    shaped = isinstance(bounds, (list, tuple)) and len(bounds) == m
+    if shaped and all(map(is_finite_number, bounds)):
+        return None
+    return f"{name} must be {m} finite numbers"
+
+
+def interval_error(lower, upper) -> str | None:
+    """The refusal of one axis of a box whose lower bound is not below its
+    upper one; None for one that is."""
+    return None if lower < upper else "need lower < upper"
+
+
 class ChartDomain:
     """Open box chart with a deterministic interior sample grid.
 
-    Axis i carries samples_per_axis[i] nodes at the interior fractions
-    (k + 1) / (n + 1), so the grid never touches the boundary and the
-    box centre is a node whenever the count is odd.
+    Axis i carries samples_per_axis[i] nodes (DEFAULT_SAMPLES_PER_AXIS if
+    None) at the interior fractions (k + 1) / (n + 1), so the grid never
+    touches the boundary and the box centre is a node whenever the count
+    is odd. A refused box raises ValueError with its first refusal.
     """
 
     def __init__(
@@ -100,25 +137,24 @@ class ChartDomain:
         upper: tuple[float, ...],
         samples_per_axis: tuple[int, ...] | None = None,
     ):
+        lower, upper = tuple(lower), tuple(upper)
+        m = len(lower)
+        if samples_per_axis is None:
+            samples_per_axis = (DEFAULT_SAMPLES_PER_AXIS,) * m
+        counts = tuple(samples_per_axis)
+        refusal = (
+            count_error("dim", m, 1, ex.MAX_VARIABLES)
+            or bounds_error("lower", lower, m)
+            or bounds_error("upper", upper, m)
+            or next(filter(None, map(interval_error, lower, upper)), None)
+            or ("samples_per_axis must match the dimension" if len(counts) != m else None)
+            or next(filter(None, (count_error("samples_per_axis", n, 1) for n in counts)), None)
+        )
+        if refusal:
+            raise ValueError(refusal)
         self.lower = tuple(float(v) for v in lower)
         self.upper = tuple(float(v) for v in upper)
-        if len(self.lower) != len(self.upper):
-            raise ValueError("lower and upper must have the same length")
-        if not self.lower:
-            raise ValueError("chart needs at least one coordinate")
-        if len(self.lower) > ex.MAX_VARIABLES:
-            raise ValueError(f"at most {ex.MAX_VARIABLES} coordinates supported")
-        for lo, up in zip(self.lower, self.upper):
-            if not -math.inf < lo < up < math.inf:
-                raise ValueError(f"need finite lower < upper per axis, got [{lo}, {up}]")
-        if samples_per_axis is None:
-            samples_per_axis = (9,) * len(self.lower)
-        self.samples_per_axis = tuple(int(n) for n in samples_per_axis)
-        if len(self.samples_per_axis) != len(self.lower):
-            raise ValueError("samples_per_axis must match the dimension")
-        for n in self.samples_per_axis:
-            if n < 1:
-                raise ValueError("need at least one sample per axis")
+        self.samples_per_axis = tuple(int(n) for n in counts)
 
     @property
     def m(self) -> int:

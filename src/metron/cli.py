@@ -33,6 +33,7 @@ from . import __version__
 from . import expr as ex
 from .bundle import (
     CONDITION_CEILING,
+    DEFAULT_SAMPLES_PER_AXIS,
     DET_REGULARITY_FLOOR,
     IRREGULAR_METRIC,
     MAX_INVERSE_RANK,
@@ -42,26 +43,35 @@ from .bundle import (
     GaugeTransform,
     MetricField,
     apply_gauge,
+    bounds_error,
+    count_error,
     curvature,
     dual_connection,
     dual_gauge_compatibility_residual,
     identity_metric,
+    interval_error,
     inverse_mat,
 )
-from .homsolver import Prolongation, SolveOptions, solve_hom
+from .homsolver import Prolongation, SolveOptions, option_error, solve_hom
 from .metricity import decide_metricity, index_report
 from .statmodels import ALPHA_SCAN_OPTIONS, alpha_scan, get_family
+from .transport import MAX_GRID_NODES, grid_error
 
-__all__ = ["main", "run_command", "validate_problem", "canonical_json"]
+__all__ = ["main", "run_command", "validate_problem", "canonical_json", "MAX_GRID_NODES"]
 
-TOLERANCE_MESSAGE = "tolerance must be positive and finite"
 # arrays and objects inside one another: a problem file's connection
 # (object > dim > rank > rank) is the deepest part of either input format
 MAX_JSON_DEPTH = 4
-DEFAULT_GRID_PER_AXIS = 9
-# An analysis builds every node of the sample grid, per_axis^dim of them,
-# and transports along each edge; 3^9 = 19,683 keeps dim 9 reachable
-MAX_GRID_NODES = 20_000
+# the SolveOptions field that each tolerances key of a problem file sets
+TOLERANCE_FIELDS = {"kernel": "kernel_cutoff", "transport": "transport_tol"}
+# the SolveOptions field of each option flag, in the order refusals are reported
+OPTION_FLAGS = {
+    "--tol-transport": "transport_tol",
+    "--tol-kernel": "kernel_cutoff",
+    "--grid": "grid_per_axis",
+    "--max-order": "max_order",
+    "--seed": "seed",
+}
 
 COMMANDS = (
     "dual",
@@ -88,8 +98,7 @@ class _F:
 def _format_float(v: float, digits: int = 17) -> str:
     if v != v or v in (float("inf"), float("-inf")):
         return "null"
-    text = format(v, f".{digits}g")
-    return text
+    return format(v, f".{digits}g")
 
 
 def canonical_json(obj, indent: int = 0) -> str:
@@ -185,35 +194,11 @@ def _expression_array(value, dims: tuple[int, ...], dim: int, path: str, diagnos
     return None if problems else (tree, entries)
 
 
-def _is_integer(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)  # JSON true is an int
-
-
-def _is_finite(value) -> bool:
-    """Whether value is a number that a float holds finitely (JSON true
-    is an int, 1e400 reads as inf and a 400-digit integer overflows)."""
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    return number and -sys.float_info.max <= value <= sys.float_info.max
-
-
-def _is_tolerance(value) -> bool:
-    return _is_finite(value) and value > 0
-
-
 def validate_problem(data) -> list[dict]:
-    """Structural and expression diagnostics, without running analyses."""
+    """Every diagnostic of a problem file, without running analyses: the
+    file format's (JSON types, unknown keys, expression syntax) and, at
+    the JSON path they map to, the library's refusals of its values."""
     return _validate(data)[0]
-
-
-def _oversized_grid(path: str, per_axis: int, dim: int) -> list[dict]:
-    """The diagnostic of a grid with more than MAX_GRID_NODES nodes, at
-    path; none for a smaller one."""
-    nodes = per_axis**dim
-    if nodes <= MAX_GRID_NODES:
-        return []
-    count = f"{nodes:,}" if nodes < 10**18 else f"about 10^{dim * math.log10(per_axis):.0f}"
-    message = f"{per_axis} nodes per axis at dim {dim} make {count} grid nodes"
-    return [_diag(path, "value", f"{message}; at most {MAX_GRID_NODES:,} are allowed")]
 
 
 def _validate(data, grid_flag: int | None = None) -> tuple[list[dict], dict]:
@@ -226,47 +211,30 @@ def _validate(data, grid_flag: int | None = None) -> tuple[list[dict], dict]:
         return [_diag("$", "type", "problem file must be a JSON object")], arrays
     dim = data.get("dim")
     rank = data.get("rank")
-    if not _is_integer(dim) or not 1 <= dim <= ex.MAX_VARIABLES:
-        diagnostics.append(_diag("dim", "value", "dim must be an integer in 1..9"))
+    if refusal := count_error("dim", dim, 1, ex.MAX_VARIABLES):
+        diagnostics.append(_diag("dim", "value", refusal))
         dim = None
-    if not _is_integer(rank) or not 1 <= rank <= MAX_INVERSE_RANK:
-        diagnostics.append(
-            _diag("rank", "value", f"rank must be an integer in 1..{MAX_INVERSE_RANK}")
-        )
+    # a CLI rule: dual, index, solve-fe and gauge-check invert rank x rank
+    # matrices, and every command takes the same files
+    if refusal := count_error("rank", rank, 1, MAX_INVERSE_RANK):
+        diagnostics.append(_diag("rank", "value", refusal))
         rank = None
     domain = data.get("domain")
     if not isinstance(domain, dict):
         diagnostics.append(_diag("domain", "type", "domain must be an object"))
     elif dim is not None:
-        for key in ("lower", "upper"):
-            bounds = domain.get(key)
-            if (
-                not isinstance(bounds, list)
-                or len(bounds) != dim
-                or not all(_is_finite(v) for v in bounds)
-            ):
-                diagnostics.append(
-                    _diag(f"domain.{key}", "shape", f"must be a list of {dim} numbers")
-                )
-        if (
-            isinstance(domain.get("lower"), list)
-            and isinstance(domain.get("upper"), list)
-            and len(domain["lower"]) == len(domain["upper"]) == dim
-        ):
-            for i, (lo, hi) in enumerate(zip(domain["lower"], domain["upper"])):
-                if _is_finite(lo) and _is_finite(hi) and not lo < hi:
-                    diagnostics.append(
-                        _diag(f"domain.lower[{i}]", "value", "need lower < upper")
-                    )
+        refusals = [(key, bounds_error(key, domain.get(key), dim)) for key in ("lower", "upper")]
+        diagnostics += [_diag(f"domain.{key}", "shape", r) for key, r in refusals if r]
+        if not any(r for _, r in refusals):
+            for i, refusal in enumerate(map(interval_error, domain["lower"], domain["upper"])):
+                if refusal:
+                    diagnostics.append(_diag(f"domain.lower[{i}]", "value", refusal))
         grid = domain.get("gridPerAxis")
-        if grid is not None and (not _is_integer(grid) or grid < 3):
-            diagnostics.append(
-                _diag("domain.gridPerAxis", "value", "gridPerAxis must be an integer >= 3")
-            )
-        elif grid_flag is not None:
-            diagnostics += _oversized_grid("--grid", grid_flag, dim)
-        else:
-            diagnostics += _oversized_grid("domain.gridPerAxis", grid or DEFAULT_GRID_PER_AXIS, dim)
+        if grid is not None and (refusal := option_error("grid_per_axis", grid)):
+            diagnostics.append(_diag("domain.gridPerAxis", "value", refusal))
+        elif refusal := grid_error((grid_flag or grid or DEFAULT_SAMPLES_PER_AXIS,) * dim):
+            path = "domain.gridPerAxis" if grid_flag is None else "--grid"
+            diagnostics.append(_diag(path, "value", refusal))
     if "connection" not in data:
         diagnostics.append(_diag("connection", "missing", "connection array is required"))
     if dim is not None and rank is not None:
@@ -280,22 +248,22 @@ def _validate(data, grid_flag: int | None = None) -> tuple[list[dict], dict]:
             if key in data and (key == "connection" or data[key] is not None):
                 arrays[key] = _expression_array(data[key], dims, dim, key, diagnostics)
     seed = data.get("seed")
-    if seed is not None and not _is_integer(seed):
-        diagnostics.append(_diag("seed", "type", "seed must be an integer"))
-    elif seed is not None and seed < 0:
-        diagnostics.append(_diag("seed", "value", "seed must be an integer >= 0"))
+    if seed is not None and (refusal := option_error("seed", seed)):
+        # a value that is no JSON integer is a type error
+        code = "value" if isinstance(seed, int) and not isinstance(seed, bool) else "type"
+        diagnostics.append(_diag("seed", code, refusal))
     tolerances = data.get("tolerances")
     if tolerances is not None:
         if not isinstance(tolerances, dict):
             diagnostics.append(_diag("tolerances", "type", "tolerances must be an object"))
         else:
             for key, v in tolerances.items():
-                if key not in ("transport", "kernel"):
+                if key not in TOLERANCE_FIELDS:
                     diagnostics.append(
                         _diag(f"tolerances.{key}", "unknown-key", "unknown tolerance override")
                     )
-                elif not _is_tolerance(v):
-                    diagnostics.append(_diag(f"tolerances.{key}", "value", TOLERANCE_MESSAGE))
+                elif refusal := option_error(TOLERANCE_FIELDS[key], v):
+                    diagnostics.append(_diag(f"tolerances.{key}", "value", refusal))
     return diagnostics, arrays
 
 
@@ -303,22 +271,17 @@ def _problem_hash(data) -> str:
     return hashlib.sha256(canonical_json(data).encode("utf-8")).hexdigest()
 
 
+def _option_flags(args) -> dict:
+    """By flag, the (SolveOptions field, value) of each option flag set."""
+    values = {flag: getattr(args, flag[2:].replace("-", "_")) for flag in OPTION_FLAGS}
+    return {flag: (OPTION_FLAGS[flag], v) for flag, v in values.items() if v is not None}
+
+
 def _solve_options(args, defaults: SolveOptions, tolerances: dict) -> SolveOptions:
     """defaults, overridden by the problem file's tolerances and then by
     every flag that is set."""
-    given = {
-        "kernel_cutoff": tolerances.get("kernel"),
-        "transport_tol": tolerances.get("transport"),
-    }
-    options = defaults.replace(**{k: float(v) for k, v in given.items() if v is not None})
-    flags = {
-        "grid_per_axis": args.grid,
-        "max_order": args.max_order,
-        "kernel_cutoff": args.tol_kernel,
-        "transport_tol": args.tol_transport,
-        "seed": args.seed,
-    }
-    return options.replace(**{k: v for k, v in flags.items() if v is not None})
+    options = defaults.replace(**{TOLERANCE_FIELDS[k]: v for k, v in tolerances.items()})
+    return options.replace(**dict(_option_flags(args).values()))
 
 
 def _metric_field(domain: ChartDomain, r: int, array, path: str) -> MetricField:
@@ -363,25 +326,17 @@ class ProblemObjects:
         trees = {key: tree for key, (tree, _) in arrays.items()}
         m, r = data["dim"], data["rank"]
         dom = data["domain"]
-        grid = args.grid or dom.get("gridPerAxis") or DEFAULT_GRID_PER_AXIS
-        self.domain = ChartDomain(
-            tuple(dom["lower"]), tuple(dom["upper"]), (grid,) * m
-        )
+        grid = args.grid or dom.get("gridPerAxis") or DEFAULT_SAMPLES_PER_AXIS
+        self.domain = ChartDomain(dom["lower"], dom["upper"], (grid,) * m)
         self.r = r
         self.connection = Connection(self.domain, r, trees["connection"])
-        self.metric = (
-            _metric_field(self.domain, r, arrays["metric"], "metric")
-            if data.get("metric")
-            else None
-        )
-        self.gauge = (
-            GaugeTransform(self.domain, r, trees["gauge"]) if data.get("gauge") else None
-        )
-        self.dual = (
-            Connection(self.domain, r, trees["dualConnection"])
-            if data.get("dualConnection")
-            else None
-        )
+        self.metric = self.gauge = self.dual = None
+        if data.get("metric"):
+            self.metric = _metric_field(self.domain, r, arrays["metric"], "metric")
+        if data.get("gauge"):
+            self.gauge = GaugeTransform(self.domain, r, trees["gauge"])
+        if data.get("dualConnection"):
+            self.dual = Connection(self.domain, r, trees["dualConnection"])
         tolerances = data.get("tolerances") or {}
         self.options = _solve_options(args, SolveOptions(seed=data.get("seed") or 0), tolerances)
 
@@ -562,8 +517,8 @@ def _cmd_alpha_scan(args, options: SolveOptions):
     diagnostics, alphas = [], []
     try:
         family = get_family(args.family)
-        if args.grid is not None:
-            diagnostics += _oversized_grid("--grid", args.grid, family.m)
+        if args.grid is not None and (refusal := grid_error((args.grid,) * family.m)):
+            diagnostics.append(_diag("--grid", "value", refusal))
     except ValueError as err:
         diagnostics.append(_diag("--family", "value", str(err)))
     for text in (a.strip() for a in args.alphas.split(",") if a.strip() != ""):
@@ -621,21 +576,13 @@ def _load_json(path: str):
         message = f"not UTF-8 text: {err.reason} at byte {err.start}"
         raise _InputError([_diag(path, "json", message)]) from None
     if _json_depth(text) > MAX_JSON_DEPTH:
-        raise _InputError(
-            [_diag(path, "json", f"arrays and objects nest deeper than {MAX_JSON_DEPTH} levels")]
-        )
+        message = f"arrays and objects nest deeper than {MAX_JSON_DEPTH} levels"
+        raise _InputError([_diag(path, "json", message)])
     try:
         return json.loads(text)
     except json.JSONDecodeError as err:
-        raise _InputError(
-            [
-                _diag(
-                    path,
-                    "json",
-                    f"malformed JSON: {err.msg} (line {err.lineno}, column {err.colno})",
-                )
-            ]
-        ) from None
+        message = f"malformed JSON: {err.msg} (line {err.lineno}, column {err.colno})"
+        raise _InputError([_diag(path, "json", message)]) from None
 
 
 def run_command(args) -> tuple[dict, int]:
@@ -645,28 +592,15 @@ def run_command(args) -> tuple[dict, int]:
     problem = None
     try:
         bad_flags = [
-            _diag(flag, "value", TOLERANCE_MESSAGE)
-            for flag, value in (
-                ("--tol-transport", args.tol_transport),
-                ("--tol-kernel", args.tol_kernel),
-            )
-            if value is not None and not _is_tolerance(value)
-        ] + [
-            _diag(flag, "value", f"{flag[2:]} must be an integer >= {low}")
-            for flag, value, low in (
-                ("--grid", args.grid, 3),
-                ("--max-order", args.max_order, 0),
-                ("--seed", args.seed, 0),
-            )
-            if value is not None and value < low
+            _diag(flag, "value", refusal)
+            for flag, (field, value) in _option_flags(args).items()
+            if (refusal := option_error(field, value))
         ]
         if bad_flags:
             raise _InputError(bad_flags)
         if args.command == "alpha-scan":
             if not args.family:
-                raise _InputError(
-                    [_diag("--family", "missing", "alpha-scan needs --family NAME")]
-                )
+                raise _InputError([_diag("--family", "missing", "alpha-scan needs --family NAME")])
             options = _solve_options(args, ALPHA_SCAN_OPTIONS, {})
             report["seed"] = options.seed
             report["problemEcho"] = {"family": args.family, "alphas": args.alphas}
@@ -739,14 +673,10 @@ def _human_summary(report: dict, code: int) -> str:
         )
     if "indexReport" in result:
         rep = result["indexReport"]
-        lines.append(
-            f"  sb={rep['sb']} sb_given_g={rep['sb_given_g']} ind={rep['ind_decision']}"
-        )
+        lines.append(f"  sb={rep['sb']} sb_given_g={rep['sb_given_g']} ind={rep['ind_decision']}")
     if "perAlpha" in result:
         for item in result["perAlpha"]:
-            lines.append(
-                f"  alpha={item['alpha']:g}: {item['certificate']['verdict']}"
-            )
+            lines.append(f"  alpha={item['alpha']:g}: {item['certificate']['verdict']}")
         lines.append(f"  theorem4Consistent={result['theorem4Consistent']}")
     if "solutionSpace" in result:
         space = result["solutionSpace"]

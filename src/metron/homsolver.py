@@ -66,9 +66,10 @@ from functools import lru_cache
 import numpy as np
 
 from . import expr as ex
-from .bundle import ChartDomain, Connection
+from .bundle import ChartDomain, Connection, count_error, is_finite_number
 from .transport import (
     DEFAULT_STEPS_PER_SEGMENT,
+    MIN_GRID_PER_AXIS,
     MIN_STEPS_PER_SEGMENT,
     Grid,
     GridTransporter,
@@ -91,15 +92,30 @@ __all__ = [
 UNDER_RESOLVED = "transport-under-resolved"
 TRUNCATION_SHRINK = 2.0  # per step doubling: RK4 truncation shrinks 16x, holonomy 1x
 GENERATOR_DROP_REL = 1e-9
+LEAST_COUNTS = dict(
+    grid_per_axis=MIN_GRID_PER_AXIS, steps_per_segment=MIN_STEPS_PER_SEGMENT, max_order=0, seed=0
+)
+
+
+def option_error(name: str, value) -> str | None:
+    """The refusal of value for the SolveOptions field name, else None: a
+    count must be an integer of at least its LEAST_COUNTS value (or None,
+    for grid_per_axis), a tolerance a finite number above 0."""
+    if name == "grid_per_axis" and value is None:
+        return None
+    if name in LEAST_COUNTS:
+        return count_error(name, value, LEAST_COUNTS[name])
+    return None if is_finite_number(value) and value > 0 else f"{name} must be positive and finite"
 
 
 class SolveOptions:
     """Knobs shared by the solvers, and the one carrier of the kernel and
     transport tolerances; defaults match the shipped tolerances.
 
-    Frozen, compared and hashed by value: assigning or deleting a field
-    raises AttributeError, and a variant comes from replace(), which
-    checks it as construction does."""
+    A field that option_error refuses raises ValueError; a tolerance is
+    stored as a float. Frozen, compared and hashed by value: assigning or
+    deleting a field raises AttributeError, and a variant comes from
+    replace(), which checks it as construction does."""
 
     def __init__(
         self,
@@ -110,21 +126,7 @@ class SolveOptions:
         transport_tol: float = 1e-7,
         seed: int = 0,
     ):
-        counts = {"steps_per_segment": steps_per_segment, "max_order": max_order, "seed": seed}
-        if grid_per_axis is not None:
-            counts["grid_per_axis"] = grid_per_axis
-        for name, value in counts.items():
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer")
-        if steps_per_segment < MIN_STEPS_PER_SEGMENT:
-            raise ValueError(f"steps_per_segment must be >= {MIN_STEPS_PER_SEGMENT}")
-        if max_order < 0:
-            raise ValueError("max_order must be >= 0")
-        for name, value in (("kernel_cutoff", kernel_cutoff), ("transport_tol", transport_tol)):
-            if not 0.0 < value < float("inf"):  # NaN fails both
-                raise ValueError(f"{name} must be positive and finite")
-        # the fields, in order: written past __setattr__, read by every method below
-        self.__dict__.update(
+        fields = dict(
             grid_per_axis=grid_per_axis,
             steps_per_segment=steps_per_segment,
             max_order=max_order,
@@ -132,6 +134,12 @@ class SolveOptions:
             transport_tol=transport_tol,
             seed=seed,
         )
+        for name, value in fields.items():
+            if refusal := option_error(name, value):
+                raise ValueError(refusal)
+        fields.update(kernel_cutoff=float(kernel_cutoff), transport_tol=float(transport_tol))
+        # the fields, in order: written past __setattr__, read by every method below
+        self.__dict__.update(fields)
 
     def replace(self, **changes) -> SolveOptions:
         """These options with the named fields changed, checked anew."""

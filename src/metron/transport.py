@@ -51,10 +51,12 @@ grid edge is a route checked against it.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import expr as ex
-from .bundle import ChartDomain, Connection
+from .bundle import ChartDomain, Connection, count_error
 
 __all__ = [
     "Grid",
@@ -63,6 +65,10 @@ __all__ = [
 
 MIN_STEPS_PER_SEGMENT = 8
 DEFAULT_STEPS_PER_SEGMENT = 32
+MIN_GRID_PER_AXIS = 3
+# An analysis builds every node of the grid and transports along each
+# edge; 3^9 = 19,683 keeps dim 9 reachable
+MAX_GRID_NODES = 20_000
 # Coefficients are evaluated for this many points per vectorised call:
 # enough to amortise the per-node interpreter cost, small enough that
 # the temporaries of large expression trees stay out of the peak memory.
@@ -232,6 +238,21 @@ def _finite(values: np.ndarray) -> np.ndarray:
     return values
 
 
+def grid_error(counts) -> str | None:
+    """The refusal of a transport grid of counts nodes per axis: fewer
+    than MIN_GRID_PER_AXIS on an axis, or more than MAX_GRID_NODES in
+    all, counted without building a node; None for a grid that passes."""
+    refusals = (count_error("grid_per_axis", n, MIN_GRID_PER_AXIS) for n in counts)
+    if refusal := next(filter(None, refusals), None):
+        return refusal
+    nodes = math.prod(map(int, counts))
+    if nodes <= MAX_GRID_NODES:
+        return None
+    count = f"{nodes:,}" if nodes < 10**18 else f"about 10^{math.log10(nodes):.0f}"
+    shape = " x ".join(map(str, counts))
+    return f"{shape} = {count} grid nodes; at most {MAX_GRID_NODES:,} are allowed"
+
+
 class Grid:
     """Sample grid as a graph: axis-aligned edges, lattice-path spanning tree.
 
@@ -242,13 +263,14 @@ class Grid:
     axis after a, and it points away from the base: tree paths run along
     axis 0 first, then axis 1, and so on. This is the breadth-first tree
     that scans neighbours axis by axis, +direction before -direction.
+    Counts that grid_error refuses raise ValueError.
     """
 
     def __init__(self, domain: ChartDomain, counts: tuple[int, ...] | None = None):
         self.domain = domain
         self.counts = tuple(counts or domain.samples_per_axis)
-        if any(n < 3 for n in self.counts):
-            raise ValueError("grid too coarse: need at least 3 nodes per axis")
+        if refusal := grid_error(self.counts):
+            raise ValueError(refusal)
         self.nodes = domain.sample_points(self.counts)
         self.multi = np.indices(self.counts).reshape(len(self.counts), -1).T
 

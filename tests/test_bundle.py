@@ -95,11 +95,21 @@ def test_sample_points_are_the_axis_product_in_c_order(counts):
         ((0.0,) * 10, (1.0,) * 10, None, "9"),  # more than MAX_VARIABLES
         ((0.0, 0.0), (1.0, 1.0), (3,), None),  # one count for two axes
         ((0.0, 0.0), (1.0, 1.0), (3, 0), None),  # an axis without samples
+        # counts that are not integers, refused and not truncated
+        ((0.0, 0.0), (1.0, 1.0), (2.7, 3.9), "samples_per_axis"),
+        ((0.0,), (1.0,), (True,), "samples_per_axis"),
     ],
 )
 def test_domain_rejects_a_malformed_box(lower, upper, samples, value):
     with pytest.raises(ValueError, match=value):
         ChartDomain(lower, upper, samples)
+
+
+def test_domain_takes_numpy_integer_counts():
+    dom = ChartDomain((0.0, 0.0), (1.0, 1.0), (np.int64(3), np.int32(1)))
+    assert dom.samples_per_axis == (3, 1)
+    plain = ChartDomain((0.0, 0.0), (1.0, 1.0), (3, 1))
+    assert np.array_equal(dom.sample_points(), plain.sample_points())
 
 
 def test_a_coordinate_beyond_the_chart_names_its_entry():

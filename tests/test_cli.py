@@ -9,6 +9,10 @@ import numpy as np
 import pytest
 
 from metron import cli
+from metron.bundle import ChartDomain
+from metron.homsolver import SolveOptions
+from metron.statmodels import get_family
+from metron.transport import Grid
 
 REPO = Path(__file__).resolve().parents[1]
 PROBLEMS = REPO / "problems"
@@ -646,6 +650,115 @@ def test_booleans_and_infinities_are_not_numbers(capsys, tmp_path, name, command
     assert code == 2
     diags = json.loads(out)["result"]["diagnostics"]
     assert [(d["path"], d["code"]) for d in diags] == [diagnostic]
+
+
+BOX = ((-1.0, -1.0), (1.0, 1.0))  # BASE_PROBLEM's domain
+METRICITY = ("metricity", "p.json")
+# Each refusal of a value that a library check decides: the command line
+# (p.json is BASE_PROBLEM with the changes), the diagnostic's path, and
+# the library call on the field that the path maps to
+REFUSED_ALIKE = {
+    "grid-flag": ((*METRICITY, "--grid", "2"), {}, "--grid", lambda: SolveOptions(grid_per_axis=2)),
+    "grid-flag-nodes": (
+        ("validate", "p.json", "--grid", "150"),
+        {},
+        "--grid",
+        lambda: Grid(ChartDomain(*BOX), (150,) * 2),
+    ),
+    "alpha-scan-grid-nodes": (
+        ("alpha-scan", "--family", "gaussian1d", "--alphas=0", "--grid", "200"),
+        {},
+        "--grid",
+        lambda: Grid(get_family("gaussian1d").domain, (200,) * 2),
+    ),
+    "max-order-flag": (
+        (*METRICITY, "--max-order", "-1"),
+        {},
+        "--max-order",
+        lambda: SolveOptions(max_order=-1),
+    ),
+    "seed-flag": ((*METRICITY, "--seed", "-5"), {}, "--seed", lambda: SolveOptions(seed=-5)),
+    "tol-kernel-flag": (
+        (*METRICITY, "--tol-kernel", "0"),
+        {},
+        "--tol-kernel",
+        lambda: SolveOptions(kernel_cutoff=0.0),
+    ),
+    "tol-transport-flag": (
+        (*METRICITY, "--tol-transport", "nan"),
+        {},
+        "--tol-transport",
+        lambda: SolveOptions(transport_tol=float("nan")),
+    ),
+    "seed": (METRICITY, {"seed": -1}, "seed", lambda: SolveOptions(seed=-1)),
+    "seed-not-an-integer": (METRICITY, {"seed": 2.5}, "seed", lambda: SolveOptions(seed=2.5)),
+    "kernel": (
+        METRICITY,
+        {"tolerances": {"kernel": True}},
+        "tolerances.kernel",
+        lambda: SolveOptions(kernel_cutoff=True),
+    ),
+    "transport": (
+        ("validate", "p.json"),
+        {"tolerances": {"transport": 0}},
+        "tolerances.transport",
+        lambda: SolveOptions(transport_tol=0),
+    ),
+    "huge-kernel": (
+        METRICITY,
+        {"tolerances": {"kernel": "1" + "0" * 400}},
+        "tolerances.kernel",
+        lambda: SolveOptions(kernel_cutoff=10**400),
+    ),
+    "dim": (METRICITY, {"dim": 10}, "dim", lambda: ChartDomain((0.0,) * 10, (1.0,) * 10)),
+    "lower-not-below-upper": (
+        METRICITY,
+        _domain(lower=[-1.0, 1.0]),
+        "domain.lower[1]",
+        lambda: ChartDomain((-1.0, 1.0), (1.0, 1.0)),
+    ),
+    "infinite-upper": (
+        ("validate", "p.json"),
+        _domain(upper=[1.0, "1e400"]),
+        "domain.upper",
+        lambda: ChartDomain((-1.0, -1.0), (1.0, float("inf"))),
+    ),
+    "boolean-lower": (
+        METRICITY,
+        _domain(lower=[-1.0, False]),
+        "domain.lower",
+        lambda: ChartDomain((-1.0, False), (1.0, 1.0)),
+    ),
+    "grid-per-axis": (
+        METRICITY,
+        _domain(gridPerAxis=2),
+        "domain.gridPerAxis",
+        lambda: SolveOptions(grid_per_axis=2),
+    ),
+    "grid-nodes": (
+        ("validate", "p.json"),
+        _domain(gridPerAxis=142),
+        "domain.gridPerAxis",
+        lambda: Grid(ChartDomain(*BOX), (142,) * 2),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(REFUSED_ALIKE))
+def test_the_cli_and_the_library_refuse_alike(capsys, tmp_path, monkeypatch, name):
+    """Each rule about a value is one library check: the CLI reports its
+    refusal at the flag or JSON path, with the message that the library
+    raises for the field that the path maps to."""
+    argv, changes, path, library_call = REFUSED_ALIKE[name]
+    monkeypatch.chdir(tmp_path)
+    text = re.sub(r'"(1e400|10{400})"', r"\1", json.dumps(dict(BASE_PROBLEM, **changes)))
+    _write(tmp_path, "p.json", text)
+    code, out, _ = _run(capsys, *argv, "--quiet")
+    assert code == 2
+    [diag] = json.loads(out)["result"]["diagnostics"]
+    with pytest.raises(ValueError) as refusal:
+        library_call()
+    assert (diag["path"], diag["message"]) == (path, str(refusal.value))
 
 
 @pytest.mark.parametrize(

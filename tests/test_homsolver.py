@@ -69,13 +69,23 @@ def test_solve_options_reject_a_negative_max_order():
 
 
 @pytest.mark.parametrize("name", ["kernel_cutoff", "transport_tol"])
-@pytest.mark.parametrize("value", [-1.0, 0.0, float("nan"), float("inf")])
+@pytest.mark.parametrize(
+    "value",
+    [-1.0, 0.0, float("nan"), float("inf"), True, pytest.param(10**400, id="10**400"), "1e-8"],
+)
 def test_solve_options_reject_a_tolerance_that_is_not_positive_and_finite(name, value):
     """A negative or NaN transport tolerance made the half plane a
-    certified NotMetric; the options refuse every such tolerance."""
+    certified NotMetric; the options refuse every such tolerance, and
+    anything but a real number that a float holds finitely."""
     with pytest.raises(ValueError, match=name):
         SolveOptions(grid_per_axis=5, steps_per_segment=16, **{name: value})
     assert getattr(SolveOptions(**{name: 1e-3}), name) == 1e-3
+
+
+def test_solve_options_store_a_tolerance_as_a_float():
+    options = SolveOptions(kernel_cutoff=1, transport_tol=np.float32(0.5))
+    assert (options.kernel_cutoff, options.transport_tol) == (1.0, 0.5)
+    assert type(options.kernel_cutoff) is type(options.transport_tol) is float
 
 
 def _span_dim(rows):
@@ -329,6 +339,9 @@ def test_solve_options_replace_changes_only_the_named_fields():
         {"max_order": 1.5},
         {"seed": 2.5},
         {"max_order": True},
+        # the CLI's ranges: a transport grid needs 3 nodes per axis
+        {"grid_per_axis": 2},
+        {"seed": -1},
     ],
 )
 def test_solve_options_replace_checks_as_construction_does(changes):

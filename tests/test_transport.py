@@ -204,6 +204,30 @@ def test_lattice_path_tree_is_the_breadth_first_tree(counts):
             reached.add(child)
 
 
+@pytest.mark.parametrize(
+    "counts, message",
+    [
+        ((9, 2), "grid_per_axis must be an integer >= 3"),
+        ((3, 4.0), "grid_per_axis must be an integer >= 3"),
+        ((142, 142), "142 x 142 = 20,164 grid nodes; at most 20,000 are allowed"),
+        ((10**6,) * 4, " = about 10^24 grid nodes"),
+    ],
+)
+def test_a_grid_is_refused_before_a_node_is_built(monkeypatch, counts, message):
+    """Too few nodes on an axis or too many in all: the node count comes
+    from the counts, and no sample point is computed."""
+    dom = ChartDomain((-1.0,) * len(counts), (1.0,) * len(counts))
+
+    def built(*args):
+        raise AssertionError("built the grid's nodes")
+
+    monkeypatch.setattr(ChartDomain, "sample_points", built)
+    with pytest.raises(ValueError) as refusal:
+        Grid(dom, counts)
+    assert message in str(refusal.value)
+    assert transport.MAX_GRID_NODES == 20_000 and 141**2 <= transport.MAX_GRID_NODES
+
+
 def _spanning_tree_extend(conn, value):
     """Extend a base-node value over the default grid through the
     spanning tree: (field over the nodes, worst non-tree mismatch)."""
