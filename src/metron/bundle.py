@@ -32,7 +32,6 @@ test suite instead of being assumed.
 from __future__ import annotations
 
 import math
-import numbers
 from functools import cached_property
 
 import numpy as np
@@ -98,9 +97,10 @@ def count_error(name: str, value, low: int, high: int | None = None) -> str | No
 
 
 def is_finite_number(value) -> bool:
-    """Whether value is a real number, not a bool, that a float holds
-    finitely (1e400 reads as inf, and a 400-digit integer overflows)."""
-    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    """Whether value is a Python or numpy integer or float, not a bool,
+    that a float holds finitely (1e400 reads as inf, and a 400-digit
+    integer overflows)."""
+    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
     try:
         return real and math.isfinite(value)
     except OverflowError:  # an integer too large for a float
