@@ -230,7 +230,7 @@ def _validate(data, grid_flag: int | None = None) -> tuple[list[dict], dict]:
                 if refusal:
                     diagnostics.append(_diag(f"domain.lower[{i}]", "value", refusal))
         grid = domain.get("gridPerAxis")
-        if grid is not None and (refusal := option_error("grid_per_axis", grid)):
+        if refusal := option_error("grid_per_axis", grid):
             diagnostics.append(_diag("domain.gridPerAxis", "value", refusal))
         elif refusal := grid_error((grid_flag or grid or DEFAULT_SAMPLES_PER_AXIS,) * dim):
             path = "domain.gridPerAxis" if grid_flag is None else "--grid"
