@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
-"""Print the lines of src/metron that a pytest selection never runs.
+"""Print the lines of src/metron that a pytest selection, or the
+product's fixed set of CLI runs, never runs.
 
     python3 scripts/line_coverage.py                      # all of tests/
     python3 scripts/line_coverage.py tests/test_cli.py -k alpha
+    python3 scripts/line_coverage.py --product            # the CLI runs
 
 Run from the root of the repository. The script runs pytest in this
 process under sys.settrace (and threading.settrace), tracing only frames
@@ -12,6 +14,12 @@ co_lines, nested functions, classes and comprehensions included. It
 prints each executable line that never ran, as `path:line: source`, then
 a count per module and the total, and exits with pytest's exit code.
 
+With --product it traces `scripts/report_digests.py --bench-inputs
+--error-paths` instead of pytest, its digests discarded: every CLI run
+of the contract, through `cli.run_command`. A line it lists is one that
+no command of the product reaches on those inputs, only a library call
+or a test can; it exits with the script's exit code.
+
 Only this process is traced: what the suite runs in a subprocess (a
 fresh interpreter that imports metron) counts as not run. Arguments are
 passed to pytest unchanged; without any it runs `tests`. Standard
@@ -19,6 +27,8 @@ library only, apart from the pytest it runs.
 """
 from __future__ import annotations
 
+import contextlib
+import io
 import sys
 import threading
 from pathlib import Path
@@ -37,9 +47,9 @@ def executable_lines(code) -> set[int]:
     return lines
 
 
-def trace_run(pytest_args: list[str]) -> tuple[int, dict[str, set[int]]]:
-    """pytest's exit code and, by file name, the lines of src/metron
-    that ran."""
+def trace_run(run) -> tuple[int, dict[str, set[int]]]:
+    """The exit code that run() returns and, by file name, the lines of
+    src/metron that ran while it ran."""
     prefix = str(PACKAGE) + "/"
     ran: dict[str, set[int]] = {}
     inside: dict = {}  # code object -> its file's set of run lines, or None
@@ -62,20 +72,37 @@ def trace_run(pytest_args: list[str]) -> tuple[int, dict[str, set[int]]]:
         lines.add(frame.f_lineno)  # the def line, whose RESUME fires no line event
         return local
 
-    import pytest
-
     threading.settrace(called)
     sys.settrace(called)
     try:
-        code = pytest.main(pytest_args)
+        code = run()
     finally:
         sys.settrace(None)
         threading.settrace(None)
     return int(code), ran
 
 
+def run_pytest(args: list[str]) -> int:
+    import pytest
+
+    return pytest.main(args)
+
+
+def run_product() -> int:
+    """report_digests.py --bench-inputs --error-paths, in this process
+    and with its output dropped."""
+    sys.path.insert(0, str(REPO / "scripts"))
+    import report_digests
+
+    with contextlib.redirect_stdout(io.StringIO()):
+        return report_digests.main(["--bench-inputs", "--error-paths"])
+
+
 def main(argv: list[str]) -> int:
-    code, ran = trace_run(argv or ["tests"])
+    if argv == ["--product"]:
+        code, ran = trace_run(run_product)
+    else:
+        code, ran = trace_run(lambda: run_pytest(argv or ["tests"]))
     counts = []
     for path in sorted(PACKAGE.glob("*.py")):
         source = path.read_text(encoding="utf-8")

@@ -63,7 +63,9 @@ Runs, in one process and through the same code path as `metron`:
   each `metricity` on the half plane: `--tol-kernel 0`, the file's
   `tolerances.transport` 0 and `tolerances.kernel` true, a
   `domain.lower[1]` equal to its upper bound, the file's `gridPerAxis`
-  2, and `--grid 150` (22,500 grid nodes at dim 2).
+  2, and `--grid 150` (22,500 grid nodes at dim 2), and `metricity` on
+  the half plane with a `seed` of 5,001 digits, more than Python's int()
+  converts (rejected at the file's name with code `json`).
 
 Each run prints one line, `<sha256>  <command>  (exit <code>)`, so two
 checkouts can be compared with diff:
@@ -381,6 +383,9 @@ def added_commands(out: Path, error_paths: bool) -> list[list[str]]:
         commands.append(["metricity", "half-plane.json", "--tol-kernel", "0"])
         commands += [["metricity", f"{name}.json"] for name in refused]
         commands.append(["metricity", "half-plane.json", "--grid", "150"])
+        overlong = json.dumps(half_plane).replace('"seed": 7', '"seed": ' + "1" * 5001)
+        (out / "overlong-seed.json").write_text(overlong, encoding="utf-8")
+        commands.append(["metricity", "overlong-seed.json"])
     return commands
 
 

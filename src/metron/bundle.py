@@ -116,6 +116,13 @@ def bounds_error(name: str, bounds, m: int) -> str | None:
     return f"{name} must be {m} finite numbers"
 
 
+def variable_error(e: ex.ScalarExpression, m: int) -> str | None:
+    """The refusal of an expression that mentions a coordinate beyond
+    x_m, naming the lowest; None for one within x1..x_m."""
+    bad = ex.beyond(e, m)
+    return f"expression uses x{bad} but the chart has dimension {m}" if bad else None
+
+
 def interval_error(lower, upper) -> str | None:
     """The refusal of one axis of a box whose lower bound is not below its
     upper one; None for one that is."""
@@ -186,25 +193,26 @@ def as_expr(entry) -> ex.ScalarExpression:
 def _expression_array(entries, shape: tuple, domain: ChartDomain, what: str) -> np.ndarray:
     """entries (nested sequences or an array of expressions, strings or
     numbers) as a read-only object array of nodes of the given shape.
-    Refuses another shape, a ragged nesting included, and coordinates
-    beyond the chart, read from the entries' masks: that error names the
-    first offending entry's lowest such coordinate."""
+    Refuses another shape, a ragged nesting included, and, by
+    `variable_error`, the first entry that reads beyond the chart."""
     array = np.array(entries, dtype=object)
     if array.shape != shape:
         expected, got = ("x".join(map(str, dims)) for dims in (shape, array.shape))
         raise ValueError(f"{what}s must be {expected}, got {got or 'a scalar'}")
     array = np.frompyfunc(as_expr, 1, 1)(array)
     for e in array.flat:
-        if bad := ex.beyond(e, domain.m):
-            raise ValueError(f"{what} uses x{bad} but the chart has dimension {domain.m}")
+        if refusal := variable_error(e, domain.m):
+            raise ValueError(refusal)
     array.flags.writeable = False
     return array
 
 
 def _diff(a: np.ndarray, k) -> np.ndarray:
     """d/dx_k of every entry of a, the coordinate numbers k broadcast
-    against a."""
-    return np.frompyfunc(ex.differentiate, 2, 1)(a, k)
+    against a. The entries share one memo per coordinate, which lives as
+    long as this call: a subtree they share is differentiated once."""
+    memos: dict = {}
+    return np.frompyfunc(lambda e, i: ex._differentiate(e, i, memos), 2, 1)(a, k)
 
 
 def _gradient(a: np.ndarray, m: int) -> np.ndarray:
@@ -336,9 +344,8 @@ def curvature(conn: Connection) -> np.ndarray:
     m, r = conn.domain.m, conn.r
     i, j = np.triu_indices(m, 1)
     gi, gj = conn.gamma[i], conn.gamma[j]
-    rij = (_diff(gj, i[:, None, None] + 1) - _diff(gi, j[:, None, None] + 1)) + (
-        gj @ gi - gi @ gj
-    )
+    di_gj, dj_gi = _diff(np.stack((gj, gi)), np.stack((i, j))[..., None, None] + 1)
+    rij = (di_gj - dj_gi) + (gj @ gi - gi @ gj)
     field = np.full((m, m, r, r), ex.ZERO)
     field[i, j], field[j, i] = rij, -rij
     field.flags.writeable = False

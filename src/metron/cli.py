@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
-import math
 import re
 import sys
 import time
@@ -51,10 +51,11 @@ from .bundle import (
     identity_metric,
     interval_error,
     inverse_mat,
+    variable_error,
 )
 from .homsolver import Prolongation, SolveOptions, option_error, solve_hom
 from .metricity import decide_metricity, index_report
-from .statmodels import ALPHA_SCAN_OPTIONS, alpha_scan, get_family
+from .statmodels import ALPHA_SCAN_OPTIONS, alpha_error, alpha_scan, get_family
 from .transport import MAX_GRID_NODES, grid_error
 
 __all__ = ["main", "run_command", "validate_problem", "canonical_json", "MAX_GRID_NODES"]
@@ -187,9 +188,8 @@ def _expression_array(value, dims: tuple[int, ...], dim: int, path: str, diagnos
         for leaf, e in entries:
             if isinstance(e, ex.ParseError):
                 problems.append(_diag(leaf, "parse", e.message, e.offset))
-            elif bad := ex.beyond(e, dim):
-                message = f"expression uses x{bad} but the problem has dim {dim}"
-                problems.append(_diag(leaf, "unknown-variable", message))
+            elif refusal := variable_error(e, dim):
+                problems.append(_diag(leaf, "unknown-variable", refusal))
     diagnostics += problems
     return None if problems else (tree, entries)
 
@@ -300,16 +300,13 @@ def _metric_field(domain: ChartDomain, r: int, array, path: str) -> MetricField:
 
 def _failure(err: Exception, entries=()) -> dict:
     """The diagnostic of a failed run: at the first (path, expression)
-    entry holding the subtree a DomainError names, else at the first
-    entry with a derivative holding it (one that `curvature` built),
-    else at `$`."""
+    entry in file order holding the subtree a DomainError names, else at
+    the first whose derivative along a coordinate it mentions holds it,
+    else at `$`. Derivatives are built here, so no earlier run counts."""
     node = getattr(err, "node", None)
-    path = next((p for p, tree in entries if ex.contains(tree, node)), None)
-    if path is None:
-        derived = (
-            p for p, tree in entries for d in ex.built_derivatives(tree) if ex.contains(d, node)
-        )
-        path = next(derived, "$")
+    derived = ((p, ex.differentiate(e, i)) for p, e in entries for i in ex.variables(e))
+    trees = itertools.chain(entries, derived) if node is not None else ()
+    path = next((p for p, tree in trees if ex.contains(tree, node)), "$")
     return _diag(path, "error", str(err) or type(err).__name__)
 
 
@@ -521,14 +518,17 @@ def _cmd_alpha_scan(args, options: SolveOptions):
             diagnostics.append(_diag("--grid", "value", refusal))
     except ValueError as err:
         diagnostics.append(_diag("--family", "value", str(err)))
-    for text in (a.strip() for a in args.alphas.split(",") if a.strip() != ""):
+    texts = [a.strip() for a in args.alphas.split(",") if a.strip() != ""]
+    for text in texts:
         try:
             alphas.append(float(text))
-        except ValueError:
-            alphas.append(math.nan)
-        if not math.isfinite(alphas[-1]):
-            diagnostics.append(_diag("--alphas", "value", f"alpha {text!r} is not a finite number"))
-    if not alphas:
+        except ValueError:  # text that is no number breaks the flag's format
+            refusal = f"alpha {text!r} is not a finite number"
+        else:
+            refusal = alpha_error(alphas[-1])
+        if refusal:
+            diagnostics.append(_diag("--alphas", "value", refusal))
+    if not texts:
         diagnostics.append(_diag("--alphas", "value", "need at least one alpha"))
     if diagnostics:
         raise _InputError(diagnostics)
@@ -582,7 +582,9 @@ def _load_json(path: str):
         return json.loads(text)
     except json.JSONDecodeError as err:
         message = f"malformed JSON: {err.msg} (line {err.lineno}, column {err.colno})"
-        raise _InputError([_diag(path, "json", message)]) from None
+    except ValueError:  # an integer longer than int() converts
+        message = f"a JSON integer has more than {sys.get_int_max_str_digits()} digits"
+    raise _InputError([_diag(path, "json", message)])
 
 
 def run_command(args) -> tuple[dict, int]:

@@ -75,7 +75,6 @@ __all__ = [
     "parse",
     "evaluate",
     "differentiate",
-    "built_derivatives",
     "to_string",
     "Evaluator",
     "TaylorBasis",
@@ -619,18 +618,22 @@ def _evaluate(order, point, memo: dict):
 
 
 # ---------------------------------------------------------------------------
-# Differentiation (memoised structural rules)
+# Differentiation (structural rules, memoised per construction)
 # ---------------------------------------------------------------------------
-
-# _DIFF_CACHE[i - 1]: node -> its derivative along x_i
-_DIFF_CACHE = tuple({} for _ in range(MAX_VARIABLES))
-
 
 def differentiate(e: ScalarExpression, i: int) -> ScalarExpression:
     """Exact symbolic partial derivative with respect to x_i (1-based)."""
+    return _differentiate(e, i, {})
+
+
+def _differentiate(e: ScalarExpression, i: int, memos: dict) -> ScalarExpression:
+    """differentiate(e, i), reading and filling memos[i] (node -> its
+    derivative along x_i): calls that share memos differentiate a subtree
+    they share once. The caller owns memos, so no derivative outlives
+    the construction that asked for it."""
     if not 1 <= i <= MAX_VARIABLES:
         raise ValueError(f"coordinate index must be 1..{MAX_VARIABLES}, got {i}")
-    memo = _DIFF_CACHE[i - 1]
+    memo = memos.setdefault(i, {})
     for node in _topo_order((e,), memo):
         kind = type(node)
         if kind is Const:
@@ -670,12 +673,6 @@ def differentiate(e: ScalarExpression, i: int) -> ScalarExpression:
                 d = mul(node, add(mul(db, func("log", a)), mul(b, div(da, a))))
         memo[node] = d
     return memo[e]
-
-
-def built_derivatives(e: ScalarExpression) -> list[ScalarExpression]:
-    """The derivatives of e that `differentiate` has built, along x1, x2,
-    ... in order, read from its memo; this builds none."""
-    return [memo[e] for memo in _DIFF_CACHE if e in memo]
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from . import expr as ex
-from .bundle import ChartDomain, Connection, MetricField, inverse_mat, levi_civita
+from .bundle import ChartDomain, Connection, MetricField, inverse_mat, is_finite_number, levi_civita
 from .homsolver import SolveOptions
 from .metricity import MetricityCertificate, decide_metricity
 
@@ -159,6 +159,11 @@ class AlphaScanReport:
         self.flags = flags
 
 
+def alpha_error(alpha) -> str | None:
+    """The refusal of an alpha that is not a finite number, else None."""
+    return None if is_finite_number(alpha) else f"alpha {alpha!r} is not a finite number"
+
+
 def alpha_scan(
     family: StatisticalFamily,
     alphas,
@@ -175,9 +180,13 @@ def alpha_scan(
     implication unfalsified. Without options the scan runs with
     ALPHA_SCAN_OPTIONS: grid 7 per axis, 128 RK4 steps per segment.
 
-    An analysis that fails (ArithmeticError, ValueError, DomainError)
-    propagates with its message prefixed by its alpha, "alpha 10000: ...".
+    An alpha refused by `alpha_error` raises ValueError before anything
+    is built. An analysis that fails (ArithmeticError, ValueError,
+    DomainError) propagates with its message prefixed by its alpha.
     """
+    alphas = tuple(alphas)
+    if refusal := next(filter(None, map(alpha_error, alphas)), None):
+        raise ValueError(refusal)
     alphas = tuple(sorted(float(a) for a in alphas))
     options = options or ALPHA_SCAN_OPTIONS
     certificates = []

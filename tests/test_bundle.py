@@ -114,19 +114,20 @@ def test_domain_takes_numpy_integer_counts():
 
 def test_a_coordinate_beyond_the_chart_names_its_entry():
     """An entry mentioning x3 on a 2-dimensional chart is refused with
-    the coordinate named, for connections, forms and gauges."""
+    the coordinate named, for connections, forms and gauges, by the
+    message of `variable_error` that the CLI reports at the entry."""
     dom = square_domain(5)
     gamma = ((("0", "0"), ("0", "0")), ((ex.ZERO, ex.parse("x1 + x3")), (ex.ZERO, ex.ZERO)))
     with pytest.raises(ValueError) as err:
         Connection(dom, 2, gamma)
-    assert str(err.value) == "connection coefficient uses x3 but the chart has dimension 2"
+    assert str(err.value) == "expression uses x3 but the chart has dimension 2"
     entries = ((ex.ONE, ex.ZERO), (ex.ZERO, ex.parse("1 + x3^2")))
     with pytest.raises(ValueError) as err:
         MetricField(dom, 2, entries)
-    assert str(err.value) == "form coefficient uses x3 but the chart has dimension 2"
+    assert str(err.value) == "expression uses x3 but the chart has dimension 2"
     with pytest.raises(ValueError) as err:
         GaugeTransform(dom, 2, entries)
-    assert str(err.value) == "gauge coefficient uses x3 but the chart has dimension 2"
+    assert str(err.value) == "expression uses x3 but the chart has dimension 2"
 
 
 # ---------------------------------------------------------------------------

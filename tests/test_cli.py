@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -9,9 +10,10 @@ import numpy as np
 import pytest
 
 from metron import cli
-from metron.bundle import ChartDomain
+from metron import expr as ex
+from metron.bundle import ChartDomain, Connection
 from metron.homsolver import SolveOptions
-from metron.statmodels import get_family
+from metron.statmodels import alpha_scan, get_family
 from metron.transport import Grid
 
 REPO = Path(__file__).resolve().parents[1]
@@ -328,12 +330,12 @@ def test_unknown_variable_diagnostic_names_the_lowest_coordinate(capsys, tmp_pat
         {
             "path": "connection[0][1][0]",
             "code": "unknown-variable",
-            "message": "expression uses x4 but the problem has dim 2",
+            "message": "expression uses x4 but the chart has dimension 2",
         },
         {
             "path": "connection[1][0][1]",
             "code": "unknown-variable",
-            "message": "expression uses x3 but the problem has dim 2",
+            "message": "expression uses x3 but the chart has dimension 2",
         },
     ]
 
@@ -741,6 +743,24 @@ REFUSED_ALIKE = {
         "domain.gridPerAxis",
         lambda: Grid(ChartDomain(*BOX), (142,) * 2),
     ),
+    "unknown-variable": (
+        ("validate", "p.json"),
+        {"connection": [[["0", "0"], ["0", "0"]], [["0", "x1 + x3"], ["0", "0"]]]},
+        "connection[1][0][1]",
+        lambda: Connection(ChartDomain(*BOX), 1, [[["x3"]], [["0"]]]),
+    ),
+    "alphas-nan": (
+        ("alpha-scan", "--family", "gaussian1d", "--alphas=nan"),
+        {},
+        "--alphas",
+        lambda: alpha_scan(get_family("gaussian1d"), [float("nan")]),
+    ),
+    "alphas-infinite": (
+        ("alpha-scan", "--family", "gaussian1d", "--alphas=-1e400"),
+        {},
+        "--alphas",
+        lambda: alpha_scan(get_family("gaussian1d"), [-math.inf]),
+    ),
 }
 
 
@@ -817,13 +837,18 @@ def test_bad_metric_family_file_is_rejected(capsys, tmp_path, monkeypatch, paylo
 )
 def test_bad_alpha_scan_flag_is_rejected_at_the_flag(capsys, family, alphas, path):
     """Before, these were rejected at $, and an infinite alpha exited 3
-    with an internal linear algebra failure."""
+    with an internal linear algebra failure. The message names the alpha
+    as read: the text if it is no number, else the float."""
     code, out, _ = _run(capsys, "alpha-scan", "--family", family, "--alphas", alphas, "--quiet")
     assert code == 2
     diags = json.loads(out)["result"]["diagnostics"]
     assert [(d["path"], d["code"]) for d in diags] == [(path, "value")]
     if path == "--alphas":
-        assert repr(alphas) in diags[0]["message"]
+        try:
+            read = float(alphas)
+        except ValueError:
+            read = alphas
+        assert diags[0]["message"] == f"alpha {read!r} is not a finite number"
 
 
 def test_linear_algebra_failure_is_internal_not_rejected_input(capsys, monkeypatch):
@@ -1161,6 +1186,12 @@ DEEP_INPUTS = {
     ),
     "null-seed": (dict(BASE_PROBLEM, seed=None), 0, []),
     "not-utf-8": (b"\xff\xfe{", 2, [("p.json", "json")]),
+    # more digits than Python's int() converts (4,300 by default)
+    "overlong-integer": (
+        json.dumps(BASE_PROBLEM).replace('"seed": 3', '"seed": ' + "1" * 5001),
+        2,
+        [("p.json", "json")],
+    ),
 }
 
 
@@ -1244,6 +1275,41 @@ def test_a_derivative_failure_is_named_at_its_entry(capsys, tmp_path, monkeypatc
             "message": "division by zero in '2*x1/(2*sqrt(x1^2))' at (0.0, -0.8)",
         }
     ]
+
+
+def test_a_derived_failure_is_named_whatever_ran_before(tmp_path):
+    """`curvature` on Gamma_1 = 2*sqrt(x1^2), Gamma_2 = sqrt(x1^2) + x2
+    divides by zero in d_1 Gamma_2 at x1 = 0. Gamma_1 mentions x1 and its
+    x1 derivative holds the same subtree, so the failure is named at
+    Gamma_1, the first such entry: in a fresh process, after `curvature`
+    on Gamma_2 = 2*sqrt(x1^2), and after differentiating that entry.
+    Before, the name depended on which derivatives the process had
+    built."""
+    problem = dict(BASE_PROBLEM, rank=1)
+    problems = {
+        name: _write(tmp_path, f"{name}.json", dict(problem, connection=connection))
+        for name, connection in (
+            ("p3", [[["2*sqrt(x1^2)"]], [["sqrt(x1^2) + x2"]]]),
+            ("p4", [[["0"]], [["2*sqrt(x1^2)"]]]),
+        )
+    }
+
+    def diagnostics(report):
+        return report["result"]["diagnostics"]
+
+    def curvature(name):
+        report, code = cli.run_command(cli.build_parser().parse_args(["curvature", problems[name]]))
+        assert code == 2
+        return diagnostics(report)
+
+    fresh = _python("-m", "metron.cli", "curvature", problems["p3"], "--quiet")
+    assert fresh.returncode == 2
+    named = diagnostics(json.loads(fresh.stdout))
+    assert [d["path"] for d in named] == ["connection[0][0][0]"]
+    curvature("p4")
+    assert curvature("p3") == named
+    ex.differentiate(ex.parse("2*sqrt(x1^2)"), 1)
+    assert curvature("p3") == named
 
 
 @pytest.mark.parametrize("command", ["metricity", "index", "solve-fe"])

@@ -20,7 +20,6 @@ from metron.homsolver import SolveOptions
 from metron.metricity import (
     analyze,
     decide_metricity,
-    dual_metricity_equivalence,
     gauge_index,
     index_report,
     split_symmetric,
@@ -86,10 +85,6 @@ def test_no_evaluator_outlives_an_analysis(monkeypatch):
     assert new_evaluators() == []
 
 
-def _expression_cache_sizes():
-    return len(ex._INTERN), [len(cache) for cache in ex._DIFF_CACHE]
-
-
 def _fresh_generic_connection():
     rng = np.random.default_rng(20261019)
     return random_polynomial_connection(rng, square_domain(5), 3, scale=0.4)
@@ -108,23 +103,27 @@ def _singular_connection():
     ],
     ids=["half-plane", "generic", "singular"],
 )
-def test_an_analysis_builds_no_expression(build, verdict):
+def test_an_analysis_builds_no_expression(build, verdict, monkeypatch):
     """Once the conjugate's negations exist, an analysis adds no node to
-    the intern table and no derivative to the differentiation caches: the
-    prolongation reads Taylor coefficients, not symbolic generators. The
-    half plane reaches order 1 and runs the transport; the fresh generic
-    connection stops at order 0; the singular one fails at order 0,
-    where sqrt(x1^2) has no derivative, and names it without
-    differentiating."""
+    the intern table and builds no derivative: the prolongation reads
+    Taylor coefficients, not symbolic generators. The half plane reaches
+    order 1 and runs the transport; the fresh generic connection stops
+    at order 0; the singular one fails at order 0, where sqrt(x1^2) has
+    no derivative, and names it without differentiating. Every symbolic
+    derivative, `differentiate`'s and the constructions' alike, goes
+    through expr._differentiate, which is counted here."""
+    calls = []
+    differentiate = ex._differentiate
+    monkeypatch.setattr(ex, "_differentiate", lambda *a: calls.append(a) or differentiate(*a))
     conn = build()
     conjugate_connection(conn)
-    before = _expression_cache_sizes()
+    before, calls[:] = len(ex._INTERN), []
     try:
         got = decide_metricity(conn, options=FAST).verdict
     except ex.DomainError:
         got = "DomainError"
     assert got == verdict
-    assert _expression_cache_sizes() == before
+    assert (len(ex._INTERN), calls) == (before, [])
 
 
 def test_decide_metricity_honours_caller_tolerances():
@@ -960,20 +959,3 @@ def test_equivalence_triad_on_named_connections():
         regular = cert.verdict == "RegularlyMetric"
         assert (sb == 0) == regular
         assert (report.ind_decision == "Zero") == regular
-
-
-# ---------------------------------------------------------------------------
-# dual metricity equivalence
-# ---------------------------------------------------------------------------
-
-
-def test_dual_metricity_equivalence():
-    rng = np.random.default_rng(6)
-    dom = square_domain(5)
-    metrics = [random_constant_metric(rng, dom, 2) for _ in range(2)]
-    assert dual_metricity_equivalence(flat_connection(dom), metrics, FAST)
-    nil = nilpotent_connection(dom)
-    nil_metrics = [random_constant_metric(rng, dom, 2) for _ in range(2)]
-    assert dual_metricity_equivalence(nil, nil_metrics, FAST)
-    conn, metric = half_plane_levi_civita()
-    assert dual_metricity_equivalence(conn, [metric], FAST)

@@ -21,11 +21,13 @@ from grid axis 0 to axis 1.
 For a regular metric g, the g-dual connection, defined by
 g(dual_X s, s') = X g(s, s') - g(s, nabla_X s'), is metric exactly when
 the connection is: the duality that the paper's Amari functors build
-on. With G constant, Gamma*_i = -G Gamma_i^T G^{-1} is the connection
-induced on the dual bundle, carried back through G. Its parallel
-symmetric forms are those of the dual bundle, as many as the
-connection's own for the holonomy groups tested here: orthogonal for
-the planted metrics, generic otherwise.
+on. Gamma*_i = (d_i G - G Gamma_i^T) G^{-1} is the connection induced on
+the dual bundle, carried back through G. Its parallel symmetric forms
+are those of the dual bundle, as many as the connection's own for the
+holonomy groups tested here: orthogonal for the planted metrics and the
+half plane (whose non-constant metric is its own connection's), trivial
+for the flat connection, unipotent for the nilpotent one, generic
+otherwise.
 """
 import json
 import re
@@ -48,6 +50,9 @@ from metron.metricity import decide_metricity
 from metron.statmodels import alpha_connection, get_family
 from support import (
     constant_metric,
+    flat_connection,
+    half_plane_levi_civita,
+    nilpotent_connection,
     planted_metric_connection,
     random_constant_metric,
     random_polynomial_connection,
@@ -177,14 +182,25 @@ def test_exchanging_the_coordinates_keeps_the_answer(name):
 
 
 def _duality_inputs() -> dict:
-    """Seeded planted-metric and generic connections on the 5-node box,
-    each with a seeded constant regular metric."""
+    """(connection, regular metric) pairs: seeded planted-metric, generic,
+    flat and nilpotent connections on the 5-node box, each with a seeded
+    constant metric (indefinite for the names ending in 1), and the half
+    plane's Levi-Civita connection with its own non-constant metric."""
     dom = square_domain(5)
-    inputs = {}
+    connections = {}
     for seed in range(3):
         rng = np.random.default_rng(seed)
-        inputs[f"planted-{seed}"] = planted_metric_connection(rng, dom, PLANTED[seed])
-        inputs[f"generic-{seed}"] = random_polynomial_connection(rng, dom, 2, scale=0.4)
+        connections[f"planted-{seed}"] = planted_metric_connection(rng, dom, PLANTED[seed])
+        connections[f"generic-{seed}"] = random_polynomial_connection(rng, dom, 2, scale=0.4)
+    for k in range(2):
+        connections[f"flat-{k}"] = flat_connection(dom)
+        connections[f"nilpotent-{k}"] = nilpotent_connection(dom)
+    inputs = {}
+    for k, (name, conn) in enumerate(connections.items()):
+        rng = np.random.default_rng(100 + k)
+        metric = random_constant_metric(rng, dom, conn.r, indefinite=name.endswith("1"))
+        inputs[name] = conn, metric
+    inputs["half-plane"] = half_plane_levi_civita()
     return inputs
 
 
@@ -193,9 +209,7 @@ DUALITY_INPUTS = _duality_inputs()
 
 @pytest.mark.parametrize("name", list(DUALITY_INPUTS))
 def test_the_metric_dual_keeps_the_answer(name):
-    conn = DUALITY_INPUTS[name]
-    rng = np.random.default_rng(100 + list(DUALITY_INPUTS).index(name))
-    g = random_constant_metric(rng, conn.domain, conn.r, indefinite=name.endswith("1"))
+    conn, g = DUALITY_INPUTS[name]
     dual = dual_connection(g, conn)
     want = decide_metricity(conn, OPTIONS)
     got = decide_metricity(dual, OPTIONS)

@@ -228,6 +228,20 @@ def test_a_scan_builds_the_shared_forms_once(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "alpha", [float("nan"), float("inf"), -float("inf"), 10**400, True], ids=repr
+)
+def test_a_scan_refuses_an_alpha_that_is_not_a_finite_number(monkeypatch, alpha):
+    """The alpha rule is the library's: the scan raises its refusal before
+    it builds a connection for any alpha, the finite ones included."""
+    built = []
+    monkeypatch.setattr(statmodels, "alpha_connection", lambda *a: built.append(a))
+    with pytest.raises(ValueError) as refusal:
+        alpha_scan(get_family("gaussian1d"), [0.0, alpha], options=SCAN_OPTS)
+    assert str(refusal.value) == f"alpha {alpha!r} is not a finite number"
+    assert built == []
+
+
 def test_gaussian_scan_zero_alpha():
     report = alpha_scan(get_family("gaussian1d"), [0.0], options=SCAN_OPTS)
     cert = report.certificates[0]
