@@ -65,7 +65,13 @@ Runs, in one process and through the same code path as `metron`:
   `domain.lower[1]` equal to its upper bound, the file's `gridPerAxis`
   2, and `--grid 150` (22,500 grid nodes at dim 2), and `metricity` on
   the half plane with a `seed` of 5,001 digits, more than Python's int()
-  converts (rejected at the file's name with code `json`).
+  converts (rejected at the file's name with code `json`), then three
+  failures that no run above reaches, each on the half plane:
+  `metricity` with the entry `x3` at dim 2 (code `unknown-variable`),
+  `metricity` with the metric entry sqrt(x1-0.99), negative at every
+  grid node, so the metric leaves its domain while it is built (code
+  `error` at `metric[0][0]`), and `validate` with that entry in
+  Gamma_1 (code `error` at `connection[0][0][0]`).
 
 Each run prints one line, `<sha256>  <command>  (exit <code>)`, so two
 checkouts can be compared with diff:
@@ -386,6 +392,20 @@ def added_commands(out: Path, error_paths: bool) -> list[list[str]]:
         overlong = json.dumps(half_plane).replace('"seed": 7', '"seed": ' + "1" * 5001)
         (out / "overlong-seed.json").write_text(overlong, encoding="utf-8")
         commands.append(["metricity", "overlong-seed.json"])
+        # x1 - 0.99 < 0 at every grid node of the half plane
+        off_domain = [["sqrt(x1-0.99)", "0"], ["0", "1"]]
+        unreached = {
+            "unknown-variable": {"connection": [[["x3", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]]]},
+            "metric-leaves-domain": {"metric": off_domain},
+            "connection-leaves-domain": {"connection": [off_domain, half_plane["connection"][1]]},
+        }
+        for name, changes in unreached.items():
+            (out / f"{name}.json").write_text(json.dumps({**half_plane, **changes}), "utf-8")
+        commands += [
+            ["metricity", "unknown-variable.json"],
+            ["metricity", "metric-leaves-domain.json"],
+            ["validate", "connection-leaves-domain.json"],
+        ]
     return commands
 
 

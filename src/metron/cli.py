@@ -21,7 +21,9 @@ import argparse
 import hashlib
 import itertools
 import json
+import os
 import re
+import stat
 import sys
 import time
 from json.encoder import encode_basestring_ascii as _json_string
@@ -749,7 +751,8 @@ def main(argv=None) -> int:
         out.write(text)
     else:
         with out:
-            out.truncate(0)
+            if stat.S_ISREG(os.fstat(out.fileno()).st_mode):  # not /dev/null or a pipe
+                out.truncate(0)
             out.write(text)
     if not args.quiet:
         sys.stderr.write(_human_summary(report, code) + "\n")

@@ -40,8 +40,9 @@ solver therefore runs two independent mechanisms:
    as long as the problem. Each solve restricts those operators to its
    own subspace.
    An analysis solves hom, S2 and Omega2 on one problem whose target is
-   the conjugate; every kind cuts its own candidate subspace with its
-   own scale and stops on its own.
+   the conjugate (S2 and Omega2 not at all when order 0 empties hom);
+   every kind cuts its own candidate subspace with its own scale and
+   stops on its own.
 
 2. Transport: extend every stabilised candidate over the sample grid
    through the spanning tree and measure the mismatch on the redundant
@@ -61,6 +62,7 @@ substituting them into the equation with finite-difference derivatives.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -347,8 +349,7 @@ class Prolongation:
     def __init__(self, conn: Connection, dual: Connection, options: SolveOptions = SolveOptions()):
         self.conn, self.dual, self.options = conn, dual, options
         self.grid = Grid(conn.domain, options.grid_counts(conn.domain))
-        self.base_index = self.grid.nearest_node(conn.domain.center())
-        self.x0 = self.grid.nodes[self.base_index]
+        self.base_index, self.x0 = self.grid.center_node()
         self.transporters: dict[int, GridTransporter] = {}
         self._orders: list[tuple] = []
 
@@ -422,13 +423,14 @@ def _solve(problem: Prolongation, subspace: np.ndarray | None) -> SolutionSpace:
     empty candidate space stops after the kernel SVD that emptied it: it
     builds no transporter and certifies nothing."""
     r, grid, options = problem.conn.r, problem.grid, problem.options
+    nodes = math.prod(grid.counts)  # read from the counts: an empty space builds no node
     candidates, stabilized, order = stabilized_constraint_subspace(problem, subspace)
     flags: list[str] = []
     if not stabilized:
         flags.append("stabilization-not-reached:lower-bound-only")
     k = candidates.shape[0]
     basis_vecs = np.zeros((0, r * r))
-    extensions = np.zeros((0, len(grid.nodes), r * r))
+    extensions = np.zeros((0, nodes, r * r))
     residual = 0.0
     if k:
         transporter = get_transporter(problem, options.steps_per_segment)
@@ -479,7 +481,7 @@ def _solve(problem: Prolongation, subspace: np.ndarray | None) -> SolutionSpace:
         stabilization_order=order,
         constraint_dim=k,
         grid=grid,
-        extensions=extensions.reshape(dim, len(grid.nodes), r, r),
+        extensions=extensions.reshape(dim, nodes, r, r),
         flags=tuple(flags),
     )
 

@@ -29,6 +29,8 @@ members rather than building them.
 """
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from .bundle import (
@@ -148,13 +150,25 @@ def analyze(conn: Connection, options: SolveOptions | None = None) -> dict:
     and "antisymmetric" (a certificate's `spaces`), solved on one
     problem: the intertwiners into the conjugate connection, the dual of
     the identity metric, on all, the symmetric and the antisymmetric
-    matrices. Each space equals its solve on a fresh problem."""
+    matrices. Each space equals its solve on a fresh problem.
+
+    When order 0 empties the hom candidates, the form spaces are empty
+    at order 0 too, and are not solved. A form's order-0 stack is the
+    hom stack times S^T, S the orthonormal rows of its basis (the same
+    generators are kept, with the same magnitudes), so its smallest
+    singular value is no smaller than the hom stack's and its largest no
+    larger. Its cutoff, the larger of kernel_cutoff times its largest
+    value and the noise floor, is then no higher than the hom stack's,
+    which the hom stack's smallest value exceeded."""
     problem = Prolongation(conn, conjugate_connection(conn), options or SolveOptions())
-    return {
-        "hom": solve_hom(problem),
-        "symmetric": solve_parallel_forms(problem, "symmetric"),
-        "antisymmetric": solve_parallel_forms(problem, "antisymmetric"),
-    }
+    hom = solve_hom(problem)
+    if hom.constraint_dim == 0 and hom.stabilization_order == 0:
+        # an empty space at order 0 has the same fields for every kind
+        symmetric, antisymmetric = copy.copy(hom), copy.copy(hom)
+    else:
+        symmetric = solve_parallel_forms(problem, "symmetric")
+        antisymmetric = solve_parallel_forms(problem, "antisymmetric")
+    return {"hom": hom, "symmetric": symmetric, "antisymmetric": antisymmetric}
 
 
 def _rank_candidates(space: SolutionSpace, seed: int) -> np.ndarray:

@@ -51,7 +51,9 @@ grid edge is a route checked against it.
 """
 from __future__ import annotations
 
+import itertools
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -66,8 +68,8 @@ __all__ = [
 MIN_STEPS_PER_SEGMENT = 8
 DEFAULT_STEPS_PER_SEGMENT = 32
 MIN_GRID_PER_AXIS = 3
-# An analysis builds every node of the grid and transports along each
-# edge; 3^9 = 19,683 keeps dim 9 reachable
+# An analysis that transports builds every node of the grid and
+# transports along each edge; 3^9 = 19,683 keeps dim 9 reachable
 MAX_GRID_NODES = 20_000
 # Coefficients are evaluated for this many points per vectorised call:
 # enough to amortise the per-node interpreter cost, small enough that
@@ -253,6 +255,11 @@ def grid_error(counts) -> str | None:
     return f"{shape} = {count} grid nodes; at most {MAX_GRID_NODES:,} are allowed"
 
 
+def _nearest(points: np.ndarray, point) -> int:
+    """The first of points (N, m) nearest point in L1 distance."""
+    return int(np.argmin(np.abs(points - np.asarray(point, float)).sum(axis=1)))
+
+
 class Grid:
     """Sample grid as a graph: axis-aligned edges, lattice-path spanning tree.
 
@@ -263,7 +270,8 @@ class Grid:
     axis after a, and it points away from the base: tree paths run along
     axis 0 first, then axis 1, and so on. This is the breadth-first tree
     that scans neighbours axis by axis, +direction before -direction.
-    Counts that grid_error refuses raise ValueError.
+    `nodes` and `multi` are built when first read. Counts that grid_error
+    refuses raise ValueError.
     """
 
     def __init__(self, domain: ChartDomain, counts: tuple[int, ...] | None = None):
@@ -271,12 +279,41 @@ class Grid:
         self.counts = tuple(counts or domain.samples_per_axis)
         if refusal := grid_error(self.counts):
             raise ValueError(refusal)
-        self.nodes = domain.sample_points(self.counts)
-        self.multi = np.indices(self.counts).reshape(len(self.counts), -1).T
+
+    @cached_property
+    def nodes(self) -> np.ndarray:
+        return self.domain.sample_points(self.counts)
+
+    @cached_property
+    def multi(self) -> np.ndarray:
+        return np.indices(self.counts).reshape(len(self.counts), -1).T
 
     def nearest_node(self, point) -> int:
-        d = np.abs(self.nodes - np.asarray(point, float)).sum(axis=1)
-        return int(np.argmin(d))
+        return _nearest(self.nodes, point)
+
+    def center_node(self) -> tuple[int, np.ndarray]:
+        """(nearest_node(c), that node) for the domain's centre c, bitwise,
+        without building the grid.
+
+        A node's distance is a rounded sum of its per-axis distances. A
+        rounded sum of non-negative terms never falls when a term grows,
+        and it is off from the exact sum by far less than 1e-9 of it. So
+        the first nearest node has, on each axis, an index no later than
+        the first nearest one there, and a distance there within `slack`
+        of the least; only the nodes of those indices are measured."""
+        center = self.domain.center()
+        axes = [self.domain.axis_points(i, n) for i, n in enumerate(self.counts)]
+        gaps = [np.abs(axis - c).tolist() for axis, c in zip(axes, center)]
+        least = [min(gap) for gap in gaps]
+        slack = 1e-9 * (2.0 * sum(least))  # inf when a sum may overflow: every index stays
+        picks = [
+            [k for k in range(gap.index(low) + 1) if gap[k] <= low + slack]
+            for gap, low in zip(gaps, least)
+        ]
+        multis = list(itertools.product(*picks))
+        box = np.array([[axis[k] for axis, k in zip(axes, multi)] for multi in multis])
+        at = _nearest(box, center)
+        return int(np.ravel_multi_index(multis[at], self.counts)), box[at]
 
     @property
     def edges(self) -> list[tuple[int, int]]:

@@ -1502,6 +1502,15 @@ def test_out_may_name_the_problem_file(capsys, tmp_path):
     assert json.loads(Path(path).read_text())["result"] == {"diagnostics": []}
 
 
+def test_out_may_name_a_file_that_is_not_regular(capsys):
+    """--out os.devnull, which cannot be truncated, takes the report as a
+    regular file does: exit 0, the summary on stderr, nothing on stdout."""
+    code, stdout, err = _run(capsys, "metricity", str(PROBLEMS / "flat2x2.json"), "--out", os.devnull)
+    assert code == 0
+    assert stdout == ""
+    assert "RegularlyMetric" in err
+
+
 def test_problem_hash_tracks_semantics(capsys, tmp_path):
     base = json.loads(json.dumps(BASE_PROBLEM))
     p1 = _write(tmp_path, "a.json", base)

@@ -1,3 +1,4 @@
+import itertools
 import json
 from pathlib import Path
 from types import SimpleNamespace
@@ -14,6 +15,7 @@ from metron.bundle import (
     curvature,
     dual_connection,
     identity_metric,
+    zero_connection,
 )
 from metron.homsolver import (
     UNDER_RESOLVED,
@@ -28,8 +30,9 @@ from metron.homsolver import (
     stabilized_constraint_subspace,
     symmetric_basis,
 )
+from metron.metricity import analyze
 from metron.statmodels import alpha_connection, get_family
-from metron.transport import MIN_STEPS_PER_SEGMENT
+from metron.transport import MIN_STEPS_PER_SEGMENT, Grid
 from oracles import (
     holonomy_fixed_dim,
     hom_constraint_kernel,
@@ -45,6 +48,7 @@ from support import (
     random_constant_metric,
     random_polynomial_connection,
     random_polynomial_gauge,
+    random_polynomial_text,
     square_domain,
 )
 
@@ -611,3 +615,73 @@ def test_each_order_matches_the_symbolic_recursion(name):
         got = values.reshape(-1, conn.r, conn.r)  # the B, then the B*
         want = want.reshape(got.shape)
         assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1.0)
+
+
+def _generic_connection(seed: int) -> Connection:
+    """Rank 1-4 on [-1, 1]^2 or [-1, 1]^3 at 3 nodes per axis, each
+    entry zero, a constant or a random quadratic."""
+    rng = np.random.default_rng(seed)
+    m, r = int(rng.integers(2, 4)), int(rng.integers(1, 5))
+
+    def entry():
+        kind = rng.integers(4)
+        if kind == 0:
+            return "0"
+        if kind == 1:
+            return repr(float(rng.uniform(-1.0, 1.0)))
+        return random_polynomial_text(rng, m, 2, 0.4)
+
+    domain = ChartDomain((-1.0,) * m, (1.0,) * m, (3,) * m)
+    return Connection(domain, r, [[[entry() for _ in range(r)] for _ in range(r)] for _ in range(m)])
+
+
+def test_analyze_equals_three_solves_on_fresh_problems():
+    """Each space of an analysis equals, in every field, its solve on a
+    fresh problem, also where an empty hom space at order 0 leaves the
+    form spaces unsolved: 48 seeded connections and problems/*.json."""
+    cases = {f"seed {seed}": _generic_connection(seed) for seed in range(48)}
+    cases.update((path.name, _problem_connection(path)) for path in sorted(PROBLEMS.glob("*.json")))
+    options = SolveOptions(steps_per_segment=MIN_STEPS_PER_SEGMENT)
+    solves = {
+        "hom": solve_hom,
+        "symmetric": lambda problem: solve_parallel_forms(problem, "symmetric"),
+        "antisymmetric": lambda problem: solve_parallel_forms(problem, "antisymmetric"),
+    }
+    empty_at_order_0 = 0
+    for name, conn in cases.items():
+        spaces = analyze(conn, options)
+        hom = spaces["hom"]
+        empty_at_order_0 += (hom.constraint_dim, hom.stabilization_order) == (0, 0)
+        for kind, solve in solves.items():
+            got = vars(spaces[kind])
+            want = vars(solve(Prolongation(conn, conjugate_connection(conn), options)))
+            assert got.keys() == want.keys(), (name, kind)
+            for key, value in want.items():
+                if key == "grid":
+                    assert got[key].domain is value.domain, (name, kind)
+                    assert got[key].counts == value.counts, (name, kind)
+                elif isinstance(value, np.ndarray):
+                    assert got[key].shape == value.shape, (name, kind, key)
+                    assert got[key].tobytes() == value.tobytes(), (name, kind, key)
+                else:
+                    assert got[key] == value, (name, kind, key)
+    assert 0 < empty_at_order_0 < len(cases)  # both branches of analyze ran
+
+
+def test_the_base_node_is_the_grid_node_nearest_the_centre():
+    """A problem finds its base node without building a grid node, and it
+    is bitwise the node Grid.nearest_node picks for the domain's centre:
+    every count from 3 to 12 per axis on 1 to 3 axes, on seeded boxes.
+    At an even count two nodes are nearest on that axis up to rounding."""
+    rng = np.random.default_rng(33)
+    for m in (1, 2, 3):
+        for counts in itertools.product(range(3, 13), repeat=m):
+            lower = rng.uniform(-2.0, 1.0, m) * 10.0 ** rng.integers(-3, 4)
+            upper = lower + rng.uniform(0.1, 3.0, m) * 10.0 ** rng.integers(-3, 4, m)
+            domain = ChartDomain(tuple(lower), tuple(upper), counts)
+            problem = Prolongation(zero_connection(domain, 1), zero_connection(domain, 1))
+            assert "nodes" not in vars(problem.grid)
+            grid = Grid(domain, counts)
+            index = grid.nearest_node(domain.center())
+            assert problem.base_index == index, counts
+            assert problem.x0.tobytes() == grid.nodes[index].tobytes(), counts

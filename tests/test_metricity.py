@@ -406,6 +406,30 @@ def test_generic_not_metric_analysis_builds_no_transporter(monkeypatch):
         assert space.extensions.shape == (0, len(space.grid.nodes), 2, 2)
 
 
+def test_a_not_metric_analysis_prolongs_once_and_builds_no_grid_node(monkeypatch):
+    """Order 0 empties hom, so S2 and Omega2 are not solved: one
+    prolongation in all, and no grid node is built."""
+    conn = random_polynomial_connection(np.random.default_rng(0), square_domain(5), 2)
+    calls = []
+    prolong = homsolver.stabilized_constraint_subspace
+    monkeypatch.setattr(
+        homsolver,
+        "stabilized_constraint_subspace",
+        lambda *a: calls.append(a) or prolong(*a),
+    )
+
+    def no_nodes(*_):
+        raise AssertionError("a grid node was built")
+
+    monkeypatch.setattr(ChartDomain, "sample_points", no_nodes)
+    cert = decide_metricity(conn, options=FAST)
+    assert (cert.verdict, cert.certified) == ("NotMetric", True)
+    assert len(calls) == 1
+    for space in cert.spaces.values():
+        assert (space.dimension, space.stabilization_order) == (0, 0)
+        assert space.extensions.shape == (0, 25, 2, 2)
+
+
 def test_rank_drop_on_the_grid_is_not_certified(monkeypatch):
     """Transport is invertible, so a genuine parallel form keeps its rank
     over the grid. With one node's rank dropped no candidate has
