@@ -71,7 +71,13 @@ Runs, in one process and through the same code path as `metron`:
   `metricity` with the metric entry sqrt(x1-0.99), negative at every
   grid node, so the metric leaves its domain while it is built (code
   `error` at `metric[0][0]`), and `validate` with that entry in
-  Gamma_1 (code `error` at `connection[0][0][0]`).
+  Gamma_1 (code `error` at `connection[0][0][0]`), then three flag paths
+  that no run above reaches: `metricity` and `solve-fe` on the half
+  plane with `--max-order 0`, whose kernel has not stabilised by then
+  (flags `stabilization-not-reached:lower-bound-only` and
+  `verdict-is-lower-bound-evidence-only`, exit 3), and `index` on the
+  first corpus-notmetric file of seed 1, whose empty hom space gives
+  the index flag `empty-solution-space`.
 
 Each run prints one line, `<sha256>  <command>  (exit <code>)`, so two
 checkouts can be compared with diff:
@@ -405,6 +411,16 @@ def added_commands(out: Path, error_paths: bool) -> list[list[str]]:
             ["metricity", "unknown-variable.json"],
             ["metricity", "metric-leaves-domain.json"],
             ["validate", "connection-leaves-domain.json"],
+        ]
+        sys.path.insert(0, str(Path("perfbench").resolve()))
+        import gen
+
+        corpus = json.dumps(gen.corpus_problems(BENCH_SEED)[0])
+        (out / "corpus-1-000.json").write_text(corpus, encoding="utf-8")
+        commands += [
+            ["metricity", "half-plane.json", "--max-order", "0"],
+            ["solve-fe", "half-plane.json", "--max-order", "0"],
+            ["index", "corpus-1-000.json"],
         ]
     return commands
 

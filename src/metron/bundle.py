@@ -78,12 +78,9 @@ def numerical_rank(matrix: np.ndarray, scale: float | np.ndarray | None = None):
     For a stack, `scale` may hold one value per matrix.
     """
     s = np.linalg.svd(matrix, compute_uv=False)
-    if s.shape[-1] == 0:
-        ranks = np.zeros(s.shape[:-1], dtype=int)
-    else:
-        floor = np.asarray(0.0 if scale is None else scale, float)[..., None]
-        reference = np.maximum(s[..., :1], floor)
-        ranks = ((s > RANK_REL_CUTOFF * reference) & (reference > 0.0)).sum(axis=-1)
+    floor = np.asarray(0.0 if scale is None else scale, float)[..., None]
+    reference = np.maximum(s[..., :1], floor)
+    ranks = ((s > RANK_REL_CUTOFF * reference) & (reference > 0.0)).sum(axis=-1)
     return int(ranks) if ranks.ndim == 0 else ranks
 
 

@@ -204,16 +204,12 @@ class SolutionSpace:
         return self.stabilized and UNDER_RESOLVED not in self.flags
 
     def contains(self, matrix: np.ndarray, tol: float = 1e-8) -> bool:
-        """Whether a matrix lies in the span of the basis (Frobenius)."""
+        """Whether a matrix lies in the span of the basis (Frobenius); one
+        with an entry that is not finite lies in none."""
         v = np.asarray(matrix, float).reshape(-1)
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            return True
-        if self.dimension == 0:
-            return False
-        b = self.basis.reshape(self.dimension, -1)
-        coeff = b @ v
-        return bool(np.linalg.norm(v - b.T @ coeff) <= tol * nv)
+        b = self.basis.reshape(self.dimension, v.size)
+        finite = np.isfinite(v).all()
+        return bool(finite and np.linalg.norm(v - b.T @ (b @ v)) <= tol * np.linalg.norm(v))
 
 
 def _pair_basis(r: int, sign: float) -> np.ndarray:
@@ -255,12 +251,9 @@ def nullspace(matrix: np.ndarray, rel_cutoff: float) -> np.ndarray:
     constraint block that vanishes identically (up to evaluation
     roundoff) cannot masquerade as a genuine restriction.
     """
-    rows, cols = matrix.shape
-    if rows == 0:
-        return np.eye(cols)
     u, s, vt = np.linalg.svd(matrix)
     if s.size == 0 or s[0] <= NULLSPACE_NOISE_FLOOR:
-        return np.eye(cols)
+        return np.eye(matrix.shape[1])
     cutoff = max(rel_cutoff * s[0], NULLSPACE_NOISE_FLOOR)
     rank = int((s > cutoff).sum())
     return vt[rank:]
@@ -390,31 +383,25 @@ def stabilized_constraint_subspace(problem: Prolongation, subspace: np.ndarray |
     Returns (candidates, stabilized, order): candidates has orthonormal
     rows in flattened-matrix coordinates, all inside `subspace` when one
     is given. Every genuine solution's value at x0 lies in the span.
-    `order` is the first order whose constraints added nothing (0 when
-    the curvature constraints alone already close the intersection).
+    `order` is the first order whose constraints already pinned the
+    final space (0 when the curvature constraints alone close the
+    intersection), and max_order when the dimension never stabilised.
     """
     if subspace is None:
         subspace = np.eye(problem.conn.r**2)
     blocks: list[np.ndarray] = []
     scale_ref = 1.0
-    dim_prev = subspace.shape[0]
-    dims: list[int] = []
-    stabilized = False
-    for operators, magnitudes in problem.constraints():
+    dim, settled = subspace.shape[0], 0
+    for order, (operators, magnitudes) in enumerate(problem.constraints()):
         rows, scale_ref = _constraint_rows(operators, magnitudes, subspace, scale_ref)
         blocks.append(rows)
         kernel = nullspace(np.vstack(blocks), problem.options.kernel_cutoff)
-        dims.append(kernel.shape[0])
-        if kernel.shape[0] == dim_prev or kernel.shape[0] == 0:
-            stabilized = True
-            break
-        dim_prev = kernel.shape[0]
-    candidates = kernel @ subspace
-    final_dim = dims[-1]
-    # report the first order whose constraints already pinned the final
-    # space (later orders added nothing)
-    settle_order = next(k for k, d in enumerate(dims) if d == final_dim)
-    return candidates, stabilized, settle_order if stabilized else problem.options.max_order
+        if kernel.shape[0] == dim:
+            return kernel @ subspace, True, settled
+        dim, settled = kernel.shape[0], order
+        if dim == 0:
+            return kernel @ subspace, True, order
+    return kernel @ subspace, False, problem.options.max_order
 
 
 def _solve(problem: Prolongation, subspace: np.ndarray | None) -> SolutionSpace:
@@ -448,7 +435,7 @@ def _solve(problem: Prolongation, subspace: np.ndarray | None) -> SolutionSpace:
             residuals = np.abs(coeffs @ disc).max(axis=1)
         keep = residuals <= options.transport_tol
         kept_coeffs = coeffs[keep]
-        kept_residuals = residuals[keep]
+        residual = float(residuals[keep].max(initial=0.0))
         if stabilized and not keep.all():
             flags.append("transport-rejected-stabilized-directions")
             fine = get_transporter(problem, 2 * options.steps_per_segment)
@@ -458,17 +445,14 @@ def _solve(problem: Prolongation, subspace: np.ndarray | None) -> SolutionSpace:
                 flags.append(UNDER_RESOLVED)
         # deterministic ordering: by residual, then lexicographic; canonical
         # sign: the first entry above 1e-9 in magnitude is positive
-        if kept_coeffs.shape[0] > 0:
-            order_idx = np.lexsort(
-                tuple(kept_coeffs[:, c] for c in range(kept_coeffs.shape[1] - 1, -1, -1))
-                + (kept_residuals,)
-            )
-            kept_coeffs = kept_coeffs[order_idx]
-            kept_residuals = kept_residuals[order_idx]
-            first = np.argmax(np.abs(kept_coeffs) > 1e-9, 1)
-            lead = kept_coeffs[np.arange(len(kept_coeffs)), first]
-            kept_coeffs = np.where(lead < 0, -1.0, 1.0)[:, None] * kept_coeffs
-            residual = float(kept_residuals.max())
+        order_idx = np.lexsort(
+            tuple(kept_coeffs[:, c] for c in range(kept_coeffs.shape[1] - 1, -1, -1))
+            + (residuals[keep],)
+        )
+        kept_coeffs = kept_coeffs[order_idx]
+        first = np.argmax(np.abs(kept_coeffs) > 1e-9, 1)
+        lead = kept_coeffs[np.arange(len(kept_coeffs)), first]
+        kept_coeffs = np.where(lead < 0, -1.0, 1.0)[:, None] * kept_coeffs
         basis_vecs = kept_coeffs @ candidates
         extensions = np.tensordot(kept_coeffs, fields, axes=(1, 0))
     dim = basis_vecs.shape[0]

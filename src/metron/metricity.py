@@ -172,15 +172,14 @@ def analyze(conn: Connection, options: SolveOptions | None = None) -> dict:
 
 
 def _rank_candidates(space: SolutionSpace, seed: int) -> np.ndarray:
-    """One (n, r, r) stack: identity/sqrt(r) when it lies in the span,
-    then the basis, then RANK_SEARCH_DRAWS unit-norm combinations: the
-    points of Roberts' Kronecker sequence (steps phi_d^-1..phi_d^-d,
-    phi_d^(d+1) = phi_d + 1) offset by frac(seed / golden ratio) and
-    centred on [-1, 1)^d. Maximal rank fails only on a proper algebraic
-    subset, which generic coefficients miss (Schwartz-Zippel)."""
+    """One (n, r, r) stack for a space of dimension d >= 1: identity/sqrt(r)
+    when it lies in the span, then the basis, then RANK_SEARCH_DRAWS
+    unit-norm combinations: the points of Roberts' Kronecker sequence
+    (steps phi_d^-1..phi_d^-d, phi_d^(d+1) = phi_d + 1) offset by
+    frac(seed / golden ratio) and centred on [-1, 1)^d. Maximal rank
+    fails only on a proper algebraic subset, which generic coefficients
+    miss (Schwartz-Zippel)."""
     d, r = space.dimension, space.basis.shape[1]
-    if d == 0:
-        return space.basis
     eye = np.eye(r)[None] / np.sqrt(r)
     head = eye if space.contains(eye[0]) else eye[:0]
     phi = np.roots([1.0] + [0.0] * (d - 1) + [-1.0, -1.0]).real.max()

@@ -184,23 +184,14 @@ def flow_operators(conn: Connection, dual: Connection, starts, ends, steps: int)
     used = ex.variables(*entries)
     read = np.array([i + 1 in used for i in range(m)], dtype=bool)
     # rule 1: each segment takes the operator of the first segment whose
-    # key (start on R, u) has the same bits; a stable sort of the keys
-    # puts that segment first among them
-    key = [starts[:, i] for i in np.flatnonzero(read)] + [u[:, i] for i in range(m)]
-    key = [column.view(np.int64) for column in key]
-    order = np.lexsort(key)
-    fresh = np.zeros(len(order), dtype=bool)  # first of its key in sorted order
-    fresh[:1] = True
-    for column in key:
-        column = column[order]
-        fresh[1:] |= column[1:] != column[:-1]
-    owner = np.empty_like(order)
-    owner[order] = order[fresh][np.cumsum(fresh) - 1]
-    built = np.flatnonzero(owner == np.arange(len(owner)))
+    # row (start on R, u) has the same bits: np.unique of the rows read
+    # as raw bytes, whose stable sort gives each row's first occurrence
+    key = np.concatenate((starts[:, read], u), axis=1)
+    rows = key.view(np.dtype((np.void, key.itemsize * key.shape[1]))).ravel()
+    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    owner, built = first[inverse], np.sort(first)
     # rule 2: a generator that cannot change along u is read at the start
-    moving = np.zeros(len(u), dtype=bool)
-    for i in np.flatnonzero(read):
-        moving |= u[:, i] != 0.0
+    moving = (u[:, read] != 0.0).any(axis=1)
     nodes = np.arange(2 * steps + 1) * (0.5 / steps)
     d = r1 * r2
     ops = np.empty((len(u), d, d))
@@ -270,8 +261,10 @@ class Grid:
     axis after a, and it points away from the base: tree paths run along
     axis 0 first, then axis 1, and so on. This is the breadth-first tree
     that scans neighbours axis by axis, +direction before -direction.
-    `nodes` and `multi` are built when first read. Counts that grid_error
-    refuses raise ValueError.
+    The graph stays in index arrays: `edges` is (E, 2), and the tree and
+    cotree of `spanning_tree` are (n, 2) arrays of its rows. `nodes`,
+    `multi` and `edges` are built when first read. Counts that
+    grid_error refuses raise ValueError.
     """
 
     def __init__(self, domain: ChartDomain, counts: tuple[int, ...] | None = None):
@@ -315,17 +308,19 @@ class Grid:
         at = _nearest(box, center)
         return int(np.ravel_multi_index(multis[at], self.counts)), box[at]
 
-    @property
-    def edges(self) -> list[tuple[int, int]]:
-        """(node, next node along an axis), node-major and then by axis."""
+    @cached_property
+    def edges(self) -> np.ndarray:
+        """(E, 2): (node, next node along an axis), node-major and then by
+        axis."""
         start, axis = np.nonzero(self.multi + 1 < self.counts)
         stride = np.cumprod((1,) + self.counts[:0:-1])[::-1]
-        return list(zip(start.tolist(), (start + stride[axis]).tolist()))
+        return np.stack((start, start + stride[axis]), axis=1)
 
-    def spanning_tree(self, root: int):
-        """(tree_edges parent -> child, each parent the root or an earlier
-        child; non_tree_edges in `edges` order)."""
-        ends = np.array(self.edges)
+    def spanning_tree(self, root: int) -> tuple[np.ndarray, np.ndarray]:
+        """(tree, cotree), each (n, 2): the tree edges parent -> child,
+        each parent the root or an earlier child, and the non-tree edges
+        in `edges` order."""
+        ends = self.edges
         base, start = self.multi[root], self.multi[ends[:, 0]]
         axis = (self.multi[ends[:, 1]] != start).argmax(axis=1)
         after = np.arange(len(self.counts)) > axis[:, None]
@@ -333,8 +328,7 @@ class Grid:
         flip = self.multi[ends[:, 0], axis] < base[axis]  # the next node is the parent
         tree = np.where(flip[:, None], ends[:, ::-1], ends)[in_tree]
         depth = np.abs(self.multi[tree[:, 1]] - base).sum(axis=1)
-        tree = tree[np.argsort(depth, kind="stable")]
-        return list(map(tuple, tree.tolist())), list(map(tuple, ends[~in_tree].tolist()))
+        return tree[np.argsort(depth, kind="stable")], ends[~in_tree]
 
 
 class GridTransporter:
@@ -361,7 +355,7 @@ class GridTransporter:
         self.base_index = base_index
         self.steps = steps_per_segment
         self.tree_edges, self.non_tree_edges = grid.spanning_tree(base_index)
-        ends = np.array(self.tree_edges + self.non_tree_edges)
+        ends = np.concatenate((self.tree_edges, self.non_tree_edges))
         # operators of the tree edges, then of the non-tree edges: (E, d, d)
         self.operators = flow_operators(
             conn, dual, grid.nodes[ends[:, 0]], grid.nodes[ends[:, 1]], self.steps
@@ -377,16 +371,14 @@ class GridTransporter:
         fields = np.zeros((k, len(self.grid.nodes), self.fibre_dim))
         fields[:, self.base_index, :] = values
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            for (u, v), op in zip(self.tree_edges, self.operators):
+            for (u, v), op in zip(self.tree_edges.tolist(), self.operators):
                 fields[:, v, :] = fields[:, u, :] @ op.T
         return _finite(fields)
 
     def discrepancies(self, fields: np.ndarray) -> np.ndarray:
         """(k, n_non_tree_edges, fibre_dim) transport mismatches; raises
         FloatingPointError when one is not finite."""
-        if not self.non_tree_edges:
-            return np.zeros((fields.shape[0], 0, self.fibre_dim))
-        src, dst = np.array(self.non_tree_edges).T
+        src, dst = self.non_tree_edges.T
         ops = self.operators[len(self.tree_edges):]
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
             moved = fields[:, src, :].transpose(1, 0, 2) @ ops.transpose(0, 2, 1)

@@ -15,6 +15,7 @@ from metron.bundle import (
     curvature,
     dual_connection,
     identity_metric,
+    numerical_rank,
     zero_connection,
 )
 from metron.homsolver import (
@@ -22,9 +23,11 @@ from metron.homsolver import (
     Prolongation,
     SolutionSpace,
     SolveOptions,
+    _constraint_rows,
     _intertwining_operator,
     _order_values,
     antisymmetric_basis,
+    nullspace,
     solve_hom,
     solve_parallel_forms,
     stabilized_constraint_subspace,
@@ -685,3 +688,86 @@ def test_the_base_node_is_the_grid_node_nearest_the_centre():
             index = grid.nearest_node(domain.center())
             assert problem.base_index == index, counts
             assert problem.x0.tobytes() == grid.nodes[index].tobytes(), counts
+
+
+def _stop_rule_oracle(problem: Prolongation, subspace: np.ndarray | None = None):
+    """stabilized_constraint_subspace as it was written with a list of the
+    kernel dimensions, searched once after the loop for the first order
+    that reached the last one, kept here as the reference for the loop
+    that returns its order."""
+    if subspace is None:
+        subspace = np.eye(problem.conn.r**2)
+    blocks: list[np.ndarray] = []
+    scale_ref = 1.0
+    dim_prev = subspace.shape[0]
+    dims: list[int] = []
+    stabilized = False
+    for operators, magnitudes in problem.constraints():
+        rows, scale_ref = _constraint_rows(operators, magnitudes, subspace, scale_ref)
+        blocks.append(rows)
+        kernel = nullspace(np.vstack(blocks), problem.options.kernel_cutoff)
+        dims.append(kernel.shape[0])
+        if kernel.shape[0] == dim_prev or kernel.shape[0] == 0:
+            stabilized = True
+            break
+        dim_prev = kernel.shape[0]
+    candidates = kernel @ subspace
+    settle_order = next(k for k, d in enumerate(dims) if d == dims[-1])
+    return candidates, stabilized, settle_order if stabilized else problem.options.max_order
+
+
+@pytest.mark.parametrize("max_order", [0, 1, 2, 3])
+def test_the_stop_rule_returns_what_the_dimension_list_gave(max_order):
+    """The same candidates (by bytes), stabilized flag and order as the
+    reference loop, on hom and both form subspaces (rank 1's
+    antisymmetric one is empty) of flat, generic, nilpotent, half-plane,
+    rank-1 and seeded connections."""
+    def diagonal(*entries):
+        r = len(entries)
+        gamma_2 = [[entries[i] if i == j else "0" for j in range(r)] for i in range(r)]
+        return Connection(square_domain(5), r, [[["0"] * r] * r, gamma_2])
+
+    rng = np.random.default_rng(34)
+    cases = {
+        "flat": flat_connection(),
+        "generic": random_polynomial_connection(rng, square_domain(5), 2, scale=0.4),
+        "nilpotent": nilpotent_connection(),
+        "half-plane": half_plane_levi_civita()[0],
+        "rank-1": Connection(square_domain(5), 1, [[["x2"]], [["x1*x1"]]]),
+        # curvature diag(1, 2 x1) and diag(1, 2 x1, 0): orders 1 and 2 cut further
+        "diagonal-2": diagonal("x1", "x1^2"),
+        "diagonal-3": diagonal("x1", "x1^2", "0"),
+    }
+    cases.update((f"seed {seed}", _generic_connection(seed)) for seed in range(12))
+    outcomes = set()
+    for name, conn in cases.items():
+        options = SolveOptions(grid_per_axis=3, max_order=max_order)
+        problem = Prolongation(conn, conjugate_connection(conn), options)
+        for subspace in (None, symmetric_basis(conn.r), antisymmetric_basis(conn.r)):
+            got = stabilized_constraint_subspace(problem, subspace)
+            want = _stop_rule_oracle(problem, subspace)
+            assert got[0].shape == want[0].shape, name
+            assert got[0].tobytes() == want[0].tobytes(), name
+            assert got[1:] == want[1:], name
+            outcomes.add((want[1], want[2] > 0))
+    # stabilised at order 0, and unstabilised at order 0 or stabilised later
+    assert (True, False) in outcomes
+    assert ((False, False) if max_order == 0 else (True, True)) in outcomes
+
+
+def test_sizes_numpy_answers_take_the_general_path():
+    """The zero matrix lies in every space, a nonzero one in no empty
+    space, and one with an entry that is not finite in none; no
+    constraint leaves the whole space as kernel; a stack of matrices
+    without columns has rank 0 each."""
+    empty = SolutionSpace((0.0, 0.0), np.zeros((0, 2, 2)), 0, 0.0, True, 0, 0, None, None)
+    line = SolutionSpace((0.0, 0.0), np.eye(2)[None] / np.sqrt(2), 1, 0.0, True, 0, 1, None, None)
+    assert empty.contains(np.zeros((2, 2))) and line.contains(np.zeros((2, 2)))
+    assert not empty.contains(np.eye(2)) and line.contains(np.eye(2))
+    assert not line.contains(np.diag([1.0, 0.0]))
+    for cols in (0, 1, 4):
+        assert np.array_equal(nullspace(np.zeros((0, cols)), 1e-8), np.eye(cols))
+    assert numerical_rank(np.zeros((2, 0))) == 0
+    ranks = numerical_rank(np.zeros((3, 2, 0)))
+    assert ranks.shape == (3,) and not ranks.any()
+    assert not numerical_rank(np.zeros((3, 2, 0)), scale=np.ones(3)).any()

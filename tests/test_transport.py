@@ -195,9 +195,9 @@ def test_lattice_path_tree_is_the_breadth_first_tree(counts):
     assert np.array_equal(grid.multi, np.array(np.unravel_index(np.arange(n), counts)).T)
     for root in range(n):
         tree, non_tree = grid.spanning_tree(root)
-        assert set(tree) == set(_bfs_tree(counts, root))
-        in_tree = {frozenset(e) for e in tree}
-        assert non_tree == [e for e in grid.edges if frozenset(e) not in in_tree]
+        assert set(map(tuple, tree.tolist())) == set(_bfs_tree(counts, root))
+        in_tree = {frozenset(e) for e in tree.tolist()}
+        assert non_tree.tolist() == [e for e in grid.edges.tolist() if frozenset(e) not in in_tree]
         reached = {root}
         for parent, child in tree:
             assert parent in reached and child not in reached
@@ -290,7 +290,7 @@ def test_grid_edge_operators_match_pointwise_rk4_oracle(case):
     grid = Grid(conn.domain, (per_axis,) * conn.domain.m)
     base = grid.nearest_node(conn.domain.center())
     transporter = GridTransporter(*fibre, grid, base, steps)
-    edges = transporter.tree_edges + transporter.non_tree_edges
+    edges = np.concatenate((transporter.tree_edges, transporter.non_tree_edges))
     assert len(transporter.operators) == len(edges) == len(grid.edges)
     worst = 0.0
     for (u, v), op in zip(edges, transporter.operators):
@@ -415,3 +415,35 @@ def test_each_distinct_operator_is_built_once(monkeypatch):
     transporter = GridTransporter(conn, conjugate_connection(conn), grid, base, 128)
     assert len(transporter.operators) == 24
     assert sum(built) == 3 * 128 + 12
+
+
+@pytest.mark.parametrize("name", ["gaussian+0.5", "hyperbolic-dual-reads-x1", "constant"])
+def test_repeated_keys_take_the_bits_of_their_own_segment(name):
+    """300 segments drawn from 9 starts and 8 directions, so most repeat
+    the (start on R, u) key of an earlier one, some only off R: each
+    takes the operator that step-by-step integration of its own segment
+    gives. A constant connection reads no coordinate, so R is empty and
+    the key is u alone."""
+    rng = np.random.default_rng(41)
+    constant = _constant_connection(square_domain(4), 0.4 * rng.standard_normal((2, 2, 2)))
+    cases = {**EXACTNESS_CASES, "constant": (constant, conjugate_connection(constant))}
+    conn, dual = cases[name]
+    lower, upper = np.asarray(conn.domain.lower), np.asarray(conn.domain.upper)
+    spots = np.array([(a, b) for a in (0.3, 0.5, 0.7) for b in (0.3, 0.5, 0.7)])
+    moves = np.array([(a, b) for a in (-0.2, 0.0, 0.2) for b in (-0.2, 0.0, 0.2) if a or b])
+    starts = spots[rng.integers(len(spots), size=300)]
+    ends = starts + moves[rng.integers(len(moves), size=300)]
+    starts, ends = lower + starts * (upper - lower), lower + ends * (upper - lower)
+    got = transport.flow_operators(conn, dual, starts, ends, 16)
+    assert np.array_equal(got, _stepwise_operators(conn, dual, starts, ends, 16))
+
+
+def test_a_one_dimensional_grid_has_an_empty_cotree():
+    """On one axis every edge is a tree edge: the cotree is (0, 2) and the
+    discrepancies (k, 0, d), by the path every grid takes."""
+    dom = ChartDomain((0.5,), (2.0,), (7,))
+    conn = Connection(dom, 1, [[["x1"]]])
+    transporter = GridTransporter(conn, conjugate_connection(conn), Grid(dom), 3)
+    assert transporter.tree_edges.shape == (6, 2) and transporter.non_tree_edges.shape == (0, 2)
+    fields = transporter.extend(np.ones((2, 1)))
+    assert transporter.discrepancies(fields).shape == (2, 0, 1)
